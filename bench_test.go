@@ -407,38 +407,6 @@ func BenchmarkSimWorkers(b *testing.B) {
 	b.Run("parallel", func(b *testing.B) { run(b, 0) })
 }
 
-// BenchmarkSolveWorkers compares one uncached e-commerce solve — the
-// three-tier search with per-tier fan-out — sequentially and across
-// the pool.
-func BenchmarkSolveWorkers(b *testing.B) {
-	req := aved.Requirements{
-		Kind:              aved.ReqEnterprise,
-		Throughput:        2000,
-		MaxAnnualDowntime: aved.Minutes(60),
-	}
-	run := func(b *testing.B, workers int) {
-		for i := 0; i < b.N; i++ {
-			inf, err := aved.PaperInfrastructure()
-			if err != nil {
-				b.Fatal(err)
-			}
-			svc, err := aved.PaperEcommerce(inf)
-			if err != nil {
-				b.Fatal(err)
-			}
-			s, err := aved.NewSolver(inf, svc, aved.Options{Registry: aved.PaperRegistry(), Workers: workers})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := s.Solve(req); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("sequential", func(b *testing.B) { run(b, 1) })
-	b.Run("parallel", func(b *testing.B) { run(b, 0) })
-}
-
 // BenchmarkFig6SweepWorkers compares the requirement-plane sweep —
 // every (load, budget) cell an independent solve — sequentially and
 // across the pool.

@@ -85,7 +85,7 @@ func run(args []string, out io.Writer) (retErr error) {
 		verbose     = fs.Bool("verbose", false, "append a full cost and downtime breakdown")
 		warmSpares  = fs.Bool("warmspares", false, "explore per-component spare operational modes (warmth levels)")
 		describe    = fs.Bool("describe", false, "print a model inventory and design-space size estimate, then exit")
-		workers     = fs.Int("workers", 0, "search worker count: 0 = all CPUs, 1 = sequential (results are identical)")
+		workers     = fs.Int("workers", 0, "Monte-Carlo replication worker count for -engine sim: 0 = all CPUs, 1 = sequential (results are identical); the search itself runs on one goroutine")
 		searchName  = fs.String("search", "bnb", "search strategy: bnb (branch-and-bound) or exhaustive (results are identical)")
 		timeout     = fs.Duration("timeout", 0, "abort the search after this long, e.g. 30s (0 = no limit)")
 		engineName  = fs.String("engine", "markov", "availability engine in the search loop: markov, exact or sim")

@@ -5,7 +5,7 @@
 // testing.Benchmark; because every parallel path is bit-identical to
 // the sequential one, the two runs do the same work and the ratio is a
 // pure scheduling speedup. Alongside the timings it reports allocations
-// per op and, for the solver workloads, the cache-effectiveness
+// per op and, for the sweep workload, the cache-effectiveness
 // counters: engine evaluations admitted by the fingerprint cache versus
 // Markov chains actually solved under the engine's mode memo.
 //
@@ -17,11 +17,6 @@
 // The -mode bnb suite (bnb.go) records the branch-and-bound search
 // effort against the exhaustive reference walk, plus the warm-start
 // payoff of what-if re-solves, behind results/BENCH_bnb.json.
-//
-// The -mode batch suite (batch.go) records the batched
-// structure-of-arrays Markov kernel against the per-chain reference
-// solve, plus the allocation footprint of cold and warm solves over
-// the arena-backed search, behind results/BENCH_batch.json.
 //
 // The -mode sweep suite (sweep.go) records the grid-aware sweep
 // scheduling — budget-chain warm seeding plus per-chain frontier sets —
@@ -40,7 +35,6 @@
 //	avedbench -o results/BENCH_parallel.json
 //	avedbench -mode sim -o results/BENCH_sim.json
 //	avedbench -mode bnb -o results/BENCH_bnb.json
-//	avedbench -mode batch -o results/BENCH_batch.json
 //	avedbench -mode sweep -o results/BENCH_sweep.json
 //	avedbench -mode corpus -o results/BENCH_corpus.json
 package main
@@ -108,7 +102,7 @@ func newEvalCounters(engineEvals, hits, solves uint64) *evalCounters {
 
 func main() {
 	out := flag.String("o", "", "write JSON here instead of stdout")
-	mode := flag.String("mode", "parallel", "benchmark suite: parallel (results/BENCH_parallel.json), sim (results/BENCH_sim.json), bnb (results/BENCH_bnb.json), batch (results/BENCH_batch.json), sweep (results/BENCH_sweep.json) or corpus (results/BENCH_corpus.json)")
+	mode := flag.String("mode", "parallel", "benchmark suite: parallel (results/BENCH_parallel.json), sim (results/BENCH_sim.json), bnb (results/BENCH_bnb.json), sweep (results/BENCH_sweep.json) or corpus (results/BENCH_corpus.json)")
 	corpusPerFamily := flag.Int("corpus-per-family", 25, "scenarios per workload family for -mode corpus")
 	flag.Parse()
 	// Benchmark at full parallelism even when the environment pinned
@@ -124,14 +118,12 @@ func main() {
 		err = runSim(*out)
 	case "bnb":
 		err = runBnB(*out)
-	case "batch":
-		err = runBatch(*out)
 	case "sweep":
 		err = runSweep(*out)
 	case "corpus":
 		err = runCorpus(*out, *corpusPerFamily)
 	default:
-		err = fmt.Errorf("unknown -mode %q (want parallel, sim, bnb, batch, sweep or corpus)", *mode)
+		err = fmt.Errorf("unknown -mode %q (want parallel, sim, bnb, sweep or corpus)", *mode)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "avedbench:", err)
@@ -146,7 +138,6 @@ func run(outPath string) error {
 		counters func() (*evalCounters, error)
 	}{
 		{"sim-replications", simBench, nil},
-		{"ecommerce-solve", solveBench, solveCounters},
 		{"fig6-sweep", fig6Bench, fig6Counters},
 	}
 	rep := benchReport{hostInfo: stampHost()}
@@ -231,52 +222,6 @@ var ecommerceReq = aved.Requirements{
 	Kind:              aved.ReqEnterprise,
 	Throughput:        2000,
 	MaxAnnualDowntime: aved.Minutes(60),
-}
-
-// solveBench: one uncached three-tier e-commerce solve.
-func solveBench(workers int) func(b *testing.B) {
-	return func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			s, err := ecommerceSolver(workers, nil, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := s.Solve(ecommerceReq); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-// solveCounters instruments one e-commerce solve: evaluations from the
-// solver's own stats, chain solves and memo hits from the engine's
-// memo deltas, cross-checked against a metrics registry snapshot.
-func solveCounters() (*evalCounters, error) {
-	eng := avail.NewMarkovEngine()
-	reg := aved.NewMetrics()
-	s, err := ecommerceSolver(0, eng, reg)
-	if err != nil {
-		return nil, err
-	}
-	sol, err := s.Solve(ecommerceReq)
-	if err != nil {
-		return nil, err
-	}
-	hits, solves := eng.MemoStats()
-	if sol.Stats.ModeMemoHits != hits || sol.Stats.ModeMemoSolves != solves {
-		return nil, fmt.Errorf("stats memo deltas (%d, %d) disagree with the engine (%d, %d)",
-			sol.Stats.ModeMemoHits, sol.Stats.ModeMemoSolves, hits, solves)
-	}
-	snap := reg.Snapshot()
-	if got := snap.Counters["core.evaluations"]; got != int64(sol.Stats.Evaluations) {
-		return nil, fmt.Errorf("registry counts %d evaluations but the solve reports %d",
-			got, sol.Stats.Evaluations)
-	}
-	if got := snap.Counters["avail.memo.solves"]; got != int64(solves) {
-		return nil, fmt.Errorf("registry counts %d chain solves but the engine reports %d", got, solves)
-	}
-	return newEvalCounters(uint64(sol.Stats.Evaluations), hits, solves), nil
 }
 
 var (

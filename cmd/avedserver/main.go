@@ -57,7 +57,7 @@ func run(args []string) error {
 		maxQueue      = fs.Int("max-queue", 0, "max requests waiting for a slot before 429 (0 = 4 × max-concurrent)")
 		timeout       = fs.Duration("timeout", 60*time.Second, "default per-request deadline when the request sets none (0 = none)")
 		maxTimeout    = fs.Duration("max-timeout", 10*time.Minute, "cap on every per-request deadline (0 = no cap)")
-		workers       = fs.Int("workers", 0, "per-solve search worker count (0 = all CPUs)")
+		workers       = fs.Int("workers", 0, "default worker count for sim-engine replications and sweep load chains (0 = all CPUs); each solve runs on one goroutine")
 		cacheSize     = fs.Int("cache", 128, "completed-response cache entries (0 disables)")
 		drain         = fs.Duration("drain", 30*time.Second, "how long shutdown waits for in-flight solves before aborting them")
 		metricsPath   = fs.String("metrics", "", "write a metrics snapshot to this file on exit (.prom = Prometheus text, else JSON)")

@@ -143,19 +143,8 @@ type Engine interface {
 // the engine boundary — results are bit-identical with or without it,
 // and callers' evaluation counts are unchanged. The zero value
 // MarkovEngine{} evaluates without a memo.
-//
-// Memo-carrying engines resolve a tier's modes as one batch: every
-// memo miss of the tier packs into a single markov.BatchPlan and
-// solves in one structure-of-arrays pass (see getOrSolveBatch). The
-// batching is mechanical — values, hit flags and counter totals are
-// identical to the per-mode path, which NewMarkovEngineUnbatched keeps
-// available as the differential reference.
 type MarkovEngine struct {
 	memo *modeMemo
-	// unbatched pins the per-mode getOrSolve path on a memo-carrying
-	// engine — the reference the equivalence tests and the
-	// results/BENCH_batch.json comparison run against.
-	unbatched bool
 }
 
 var _ Engine = MarkovEngine{}
@@ -163,15 +152,6 @@ var _ Engine = MarkovEngine{}
 // NewMarkovEngine builds the analytic engine with a fresh mode-chain
 // memo.
 func NewMarkovEngine() MarkovEngine { return MarkovEngine{memo: newModeMemo()} }
-
-// NewMarkovEngineUnbatched builds a memo-carrying engine that resolves
-// modes one chain at a time instead of batching a tier's misses into
-// one BatchPlan pass. Results, memo contents and counters are
-// bit-identical to NewMarkovEngine's; it exists as the per-chain
-// baseline for the differential tests and the batch benchmarks.
-func NewMarkovEngineUnbatched() MarkovEngine {
-	return MarkovEngine{memo: newModeMemo(), unbatched: true}
-}
 
 // MemoStats reports the engine's mode-chain memo counters: cache hits
 // and birth–death chains actually solved. A zero engine (no memo)
@@ -202,8 +182,7 @@ func (e MarkovEngine) Evaluate(tms []TierModel) (Result, error) {
 }
 
 // evaluateTier evaluates one tier: each failure mode gets an
-// independent birth–death chain; mode availabilities multiply. On a
-// memo-carrying engine the tier's modes resolve as one batch.
+// independent birth–death chain; mode availabilities multiply.
 func (e MarkovEngine) evaluateTier(tm *TierModel) (TierResult, error) {
 	if err := tm.Validate(); err != nil {
 		return TierResult{}, err
@@ -260,53 +239,24 @@ func modeKeyFor(tm *TierModel, mode *Mode) modeKey {
 // priceModes resolves every failure mode of tm and reports the tier's
 // availability — the product of mode availabilities in mode order.
 // When out is non-nil the per-mode contributions are appended to it.
-// Memo-carrying engines resolve all modes through one batched memo
-// request; the zero-value engine solves each chain directly.
 func (e MarkovEngine) priceModes(tm *TierModel, out *TierResult) (float64, error) {
 	availability := 1.0
-	if e.memo == nil || e.unbatched {
-		for i := range tm.Modes {
-			mode := &tm.Modes[i]
-			v, err := e.resolveMode(tm, modeKeyFor(tm, mode))
-			if err != nil {
-				return 0, fmt.Errorf("tier %q mode %q: %w", tm.Name, mode.Name, err)
-			}
-			if out != nil {
-				out.Contributions = append(out.Contributions, modeContribution(mode.Name, v))
-			}
-			availability *= v.avail
-		}
-		return availability, nil
-	}
-	sc := batchScratchPool.Get().(*batchScratch)
-	defer batchScratchPool.Put(sc)
-	n := len(tm.Modes)
-	keys, vals, hit := sc.request(n)
 	for i := range tm.Modes {
-		keys[i] = modeKeyFor(tm, &tm.Modes[i])
-	}
-	if failed, err := e.memo.getOrSolveBatch(sc, keys, vals, hit); err != nil {
-		return 0, fmt.Errorf("tier %q mode %q: %w", tm.Name, tm.Modes[failed].Name, err)
-	}
-	t := e.memo.obsTracer()
-	for i := range tm.Modes {
-		if t != nil {
-			ev := obs.EvMemoSolve
-			if hit[i] {
-				ev = obs.EvMemoHit
-			}
-			t.Emit(obs.Event{Ev: ev, Tier: tm.Name, N: keys[i].n, M: keys[i].m, S: keys[i].spares})
+		mode := &tm.Modes[i]
+		v, err := e.resolveMode(tm, modeKeyFor(tm, mode))
+		if err != nil {
+			return 0, fmt.Errorf("tier %q mode %q: %w", tm.Name, mode.Name, err)
 		}
 		if out != nil {
-			out.Contributions = append(out.Contributions, modeContribution(tm.Modes[i].Name, vals[i]))
+			out.Contributions = append(out.Contributions, modeContribution(mode.Name, v))
 		}
-		availability *= vals[i].avail
+		availability *= v.avail
 	}
 	return availability, nil
 }
 
-// resolveMode is the per-mode path: through the memo when the engine
-// has one (the unbatched reference), else a direct solve.
+// resolveMode resolves one mode's chain: through the memo when the
+// engine has one, else a direct solve.
 func (e MarkovEngine) resolveMode(tm *TierModel, k modeKey) (modeVal, error) {
 	if e.memo != nil {
 		v, hit, err := e.memo.getOrSolve(k)
@@ -338,9 +288,6 @@ func modeContribution(name string, v modeVal) ModeContribution {
 // key. It is a pure function of the key — the guarantee that makes the
 // memo transparent — and draws its rate and distribution slices from a
 // pooled scratch, so a solve allocates nothing once the pool is warm.
-// The batched path runs the same three pieces (modeValClosed,
-// fillModeRates, finishModeVal) over BatchPlan slabs instead of the
-// pooled scratch, which keeps the two paths bit-identical.
 func solveModeChain(k modeKey) (modeVal, error) {
 	if v, ok := modeValClosed(k); ok {
 		return v, nil

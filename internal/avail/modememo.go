@@ -4,7 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"aved/internal/obs"
 	"aved/internal/units"
 )
 
@@ -49,13 +48,7 @@ type modeMemo struct {
 	// MarkovEngine is a value type: storing here makes instrumentation
 	// visible through every copy of the engine.
 	tracer atomic.Value
-	// batchHist, when set (InstrumentObs with a registry), observes the
-	// wall-clock milliseconds of each batched memo solve — the
-	// write-locked pass that packs a batch's missing chains into one
-	// BatchPlan and solves them. Nil keeps the batch path free of clock
-	// reads.
-	batchHist atomic.Pointer[obs.Histogram]
-	shards    [memoShards]memoShard
+	shards [memoShards]memoShard
 }
 
 type memoShard struct {

@@ -1,8 +1,10 @@
 package avail
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -110,8 +112,8 @@ func TestResolveModeHitAllocFree(t *testing.T) {
 }
 
 // TestPriceTierHitAllocFree is the allocation regression for the
-// search hot path: a warm memo-carrying engine prices a tier through
-// the batched memo request without allocating.
+// search hot path: a warm memo-carrying engine prices a tier without
+// allocating.
 func TestPriceTierHitAllocFree(t *testing.T) {
 	e := NewMarkovEngine()
 	tm := TierModel{Name: "t", N: 4, M: 3, S: 1, Modes: []Mode{
@@ -183,5 +185,126 @@ func TestSolveModeChainPureOfKey(t *testing.T) {
 	hits, solves := e.MemoStats()
 	if hits != 1 || solves != 1 {
 		t.Errorf("effective-spares keying: hits=%d solves=%d, want 1 and 1", hits, solves)
+	}
+}
+
+// randomTierWithEdges extends randomTier's range with the shapes the
+// memo keys specially: instantaneous repair (closed form, no chain),
+// powered spares, and duplicate modes (one key requested twice by one
+// tier).
+func randomTierWithEdges(rng *rand.Rand) TierModel {
+	tm := randomTier(rng)
+	for i := range tm.Modes {
+		switch rng.Intn(6) {
+		case 0:
+			tm.Modes[i].Repair = 0 // closed-form key
+		case 1:
+			tm.Modes[i].SparePowered = true
+		}
+	}
+	if len(tm.Modes) > 1 && rng.Intn(3) == 0 {
+		tm.Modes[1] = tm.Modes[0] // duplicate key inside one tier
+	}
+	return tm
+}
+
+// TestPriceTierMatchesEvaluate pins the lean pricing entry point: with
+// and without a memo, PriceTier equals the single-tier Evaluate's
+// DowntimeMinutes bitwise.
+func TestPriceTierMatchesEvaluate(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	engines := map[string]MarkovEngine{
+		"zero": {},
+		"memo": NewMarkovEngine(),
+	}
+	for round := 0; round < 100; round++ {
+		tm := randomTierWithEdges(rng)
+		for name, e := range engines {
+			res, err := e.Evaluate([]TierModel{tm})
+			if err != nil {
+				t.Fatalf("round %d %s: %v", round, name, err)
+			}
+			dt, err := e.PriceTier(&tm)
+			if err != nil {
+				t.Fatalf("round %d %s: PriceTier: %v", round, name, err)
+			}
+			if math.Float64bits(dt) != math.Float64bits(res.Tiers[0].DowntimeMinutes) {
+				t.Fatalf("round %d %s: PriceTier %v != Evaluate %v", round, name, dt, res.Tiers[0].DowntimeMinutes)
+			}
+		}
+	}
+}
+
+// TestMemoConcurrentSolveOnce hammers one engine's memo from many
+// goroutines — sweep load chains share one engine — and checks the
+// determinism invariant getOrSolve promises: each key solves exactly
+// once, so solves = distinct keys and hits = requests − solves. Under
+// the race detector it also checks the shard lock discipline.
+func TestMemoConcurrentSolveOnce(t *testing.T) {
+	e := NewMarkovEngine()
+	rng := rand.New(rand.NewSource(99))
+	tms := make([]TierModel, 24)
+	for i := range tms {
+		tms[i] = randomTierWithEdges(rng)
+	}
+	const workers = 8
+	const rounds = 30
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				tm := tms[(w+r)%len(tms)]
+				if _, err := e.Evaluate([]TierModel{tm}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+
+	distinct := map[modeKey]bool{}
+	requests := uint64(0)
+	for i := range tms {
+		for j := range tms[i].Modes {
+			distinct[modeKeyFor(&tms[i], &tms[i].Modes[j])] = true
+		}
+	}
+	for w := 0; w < workers; w++ {
+		for r := 0; r < rounds; r++ {
+			requests += uint64(len(tms[(w+r)%len(tms)].Modes))
+		}
+	}
+	hits, solves := e.MemoStats()
+	if solves != uint64(len(distinct)) || hits != requests-solves {
+		t.Fatalf("memo counters hits=%d solves=%d, want solves=%d hits=%d",
+			hits, solves, len(distinct), requests-uint64(len(distinct)))
+	}
+}
+
+// TestChainScratchPow2Growth is the regression for the exact-size
+// regrowth bug: feeding slowly growing chain lengths must reallocate
+// O(log n) times, not once per new maximum.
+func TestChainScratchPow2Growth(t *testing.T) {
+	var sc chainScratch
+	reallocs := 0
+	var lastCap int
+	for total := 1; total <= 256; total++ {
+		birth, death, pi := sc.slices(total)
+		if len(birth) != total || len(death) != total || len(pi) != total+1 {
+			t.Fatalf("total=%d: lengths %d/%d/%d", total, len(birth), len(death), len(pi))
+		}
+		if cap(sc.birth) != lastCap {
+			reallocs++
+			lastCap = cap(sc.birth)
+			if c := cap(sc.birth); c&(c-1) != 0 {
+				t.Fatalf("total=%d: capacity %d not a power of two", total, c)
+			}
+		}
+	}
+	if reallocs > 9 { // 1,2,4,...,256
+		t.Fatalf("%d reallocations over 256 growing chains, want O(log n)", reallocs)
 	}
 }

@@ -29,9 +29,6 @@ func (e MarkovEngine) InstrumentObs(reg *obs.Registry, tr obs.Tracer) {
 	mm := e.memo
 	reg.RegisterFunc("avail.memo.hits", func() int64 { return int64(mm.hits.Load()) })
 	reg.RegisterFunc("avail.memo.solves", func() int64 { return int64(mm.solves.Load()) })
-	if reg != nil {
-		mm.batchHist.Store(reg.Histogram("avail.batch_solve_ms"))
-	}
 	if tr != nil {
 		mm.tracer.Store(tracerBox{t: tr})
 	}

@@ -126,35 +126,31 @@ func BenchmarkEvalTier(b *testing.B) {
 }
 
 // BenchmarkTierFrontier measures one tier's full Pareto-frontier build
-// (the phase-2 unit of work) sequentially and across the worker pool,
-// with allocation reporting for the candidate-buffer reuse.
+// (the phase-2 unit of work), with allocation reporting for the
+// candidate-buffer reuse.
 func BenchmarkTierFrontier(b *testing.B) {
 	inf, err := scenarios.Infrastructure()
 	if err != nil {
 		b.Fatal(err)
 	}
-	run := func(b *testing.B, workers int) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			// A fresh solver per iteration measures the uncached build.
-			svc, err := scenarios.ApplicationTier(inf)
-			if err != nil {
-				b.Fatal(err)
-			}
-			s, err := NewSolver(inf, svc, Options{Registry: scenarios.Registry(), Workers: workers})
-			if err != nil {
-				b.Fatal(err)
-			}
-			var stats searchStats
-			f, err := s.tierFrontier(context.Background(), &s.svc.Tiers[0], tierLoad{full: 1000, degraded: 1000}, math.Inf(1), &stats)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(f) == 0 {
-				b.Fatal("empty frontier")
-			}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		// A fresh solver per iteration measures the uncached build.
+		svc, err := scenarios.ApplicationTier(inf)
+		if err != nil {
+			b.Fatal(err)
+		}
+		s, err := NewSolver(inf, svc, Options{Registry: scenarios.Registry()})
+		if err != nil {
+			b.Fatal(err)
+		}
+		var stats searchStats
+		f, err := s.tierFrontier(context.Background(), &s.svc.Tiers[0], tierLoad{full: 1000, degraded: 1000}, math.Inf(1), &stats)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(f) == 0 {
+			b.Fatal("empty frontier")
 		}
 	}
-	b.Run("sequential", func(b *testing.B) { run(b, 1) })
-	b.Run("parallel", func(b *testing.B) { run(b, 0) })
 }

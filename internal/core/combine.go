@@ -9,16 +9,12 @@ import (
 	"aved/internal/avail"
 	"aved/internal/model"
 	"aved/internal/obs"
-	"aved/internal/par"
 	"aved/internal/units"
 )
 
 // solveEnterprise implements §4.1 for enterprise services: per-tier
 // optima first, then multi-tier refinement over per-tier cost/downtime
-// frontiers when the combination misses the overall budget. Tiers are
-// independent searches in both phases, so each phase fans them across
-// the worker pool; per-tier results land by index, keeping the outcome
-// identical to the sequential order.
+// frontiers when the combination misses the overall budget.
 func (s *Solver) solveEnterprise(ctx context.Context, req model.Requirements, cfg cellConfig) (*Solution, error) {
 	budget := req.MaxAnnualDowntime.Minutes()
 	load := loadOf(req)
@@ -47,14 +43,15 @@ func (s *Solver) solveEnterprise(ctx context.Context, req model.Requirements, cf
 	endPhase := s.phaseSpan(&stats, phaseTierSearch)
 	perTier := make([]*TierCandidate, len(s.svc.Tiers))
 	certified := make([]bool, len(s.svc.Tiers))
-	err := par.ForEachTimedCtx(ctx, s.opts.Workers, len(s.svc.Tiers), s.parT, func(i int) error {
+	for i := range s.svc.Tiers {
 		start := time.Time{}
 		if tr != nil {
 			start = time.Now()
 		}
 		cand, cert, err := s.searchTier(ctx, &s.svc.Tiers[i], load, budget, &stats)
 		if err != nil {
-			return err
+			endPhase()
+			return nil, wrapCanceled(err, &stats)
 		}
 		perTier[i] = cand
 		certified[i] = cert
@@ -64,12 +61,8 @@ func (s *Solver) solveEnterprise(ctx context.Context, req model.Requirements, cf
 				Cost: float64(cand.Cost), Down: cand.DowntimeMinutes,
 				DurNs: tierNs, MS: obs.DurMS(tierNs)})
 		}
-		return nil
-	})
-	endPhase()
-	if err != nil {
-		return nil, wrapCanceled(err, &stats)
 	}
+	endPhase()
 	for i := range perTier {
 		if perTier[i] == nil {
 			return nil, &InfeasibleError{Reason: fmt.Sprintf(
@@ -130,26 +123,20 @@ func (s *Solver) solveEnterprise(ctx context.Context, req model.Requirements, cf
 		endPhase := s.phaseSpan(&stats, phaseFrontier)
 		defer endPhase()
 		frontiers := make([][]TierCandidate, len(s.svc.Tiers))
-		err := par.ForEachTimedCtx(ctx, s.opts.Workers, len(s.svc.Tiers), s.parT, func(i int) error {
+		for i := range s.svc.Tiers {
 			maxCost := math.Inf(1)
 			if thresholds != nil {
 				maxCost = thresholds[i]
 			}
-			var f []TierCandidate
 			var err error
 			if cfg.frontiers != nil {
-				f, err = s.cachedTierFrontier(ctx, cfg.frontiers, &s.svc.Tiers[i], load, maxCost, &stats)
+				frontiers[i], err = s.cachedTierFrontier(ctx, cfg.frontiers, &s.svc.Tiers[i], load, maxCost, &stats)
 			} else {
-				f, err = s.tierFrontier(ctx, &s.svc.Tiers[i], load, maxCost, &stats)
+				frontiers[i], err = s.tierFrontier(ctx, &s.svc.Tiers[i], load, maxCost, &stats)
 			}
 			if err != nil {
-				return err
+				return nil, err
 			}
-			frontiers[i] = f
-			return nil
-		})
-		if err != nil {
-			return nil, err
 		}
 		return frontiers, nil
 	}
@@ -231,7 +218,6 @@ func (s *Solver) combineBounds(ctx context.Context, req model.Requirements, cfg 
 	cur := make([]*TierCandidate, n)
 	copy(cur, perTier)
 	pinned := make([]bool, n)
-	next := make([]*TierCandidate, n)
 	for round := 0; round < n; round++ {
 		rem, sumUn := budget, 0.0
 		for i := range cur {
@@ -245,33 +231,20 @@ func (s *Solver) combineBounds(ctx context.Context, req model.Requirements, cfg 
 			break
 		}
 		scale := rem / sumUn
-		for i := range next {
-			next[i] = nil
-		}
-		err := par.ForEachTimedCtx(ctx, s.opts.Workers, n, s.parT, func(i int) error {
-			if pinned[i] {
-				return nil
-			}
-			cand, _, err := s.searchTier(ctx, &s.svc.Tiers[i], loadOf(req), cur[i].DowntimeMinutes*scale, stats)
-			if err != nil {
-				return err
-			}
-			next[i] = cand
-			return nil
-		})
-		if err != nil {
-			endPhase()
-			return math.Inf(1), nil, err
-		}
 		progress := false
-		for i := range next {
+		for i := range cur {
 			if pinned[i] {
 				continue
 			}
-			if next[i] == nil {
+			cand, _, err := s.searchTier(ctx, &s.svc.Tiers[i], loadOf(req), cur[i].DowntimeMinutes*scale, stats)
+			if err != nil {
+				endPhase()
+				return math.Inf(1), nil, err
+			}
+			if cand == nil {
 				pinned[i] = true
 			} else {
-				cur[i] = next[i]
+				cur[i] = cand
 				progress = true
 			}
 		}
@@ -370,11 +343,11 @@ func (s *Solver) finishEnterprise(ctx context.Context, chosen []*TierCandidate, 
 	if err != nil {
 		return nil, wrapCanceled(err, stats)
 	}
-	stats.evals.Add(1)
+	stats.evals++
 	var evalNs int64
 	if s.timed {
 		evalNs = sp.Stop()
-		stats.phaseNs[phaseEval].Add(evalNs)
+		stats.phaseNs[phaseEval] += evalNs
 	}
 	if tr := s.opts.Tracer; tr != nil {
 		// The final whole-design evaluation is an engine invocation too;

@@ -2,55 +2,29 @@ package core
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"aved/internal/avail"
 	"aved/internal/units"
 )
 
-// evalShards is the shard count of the availability-evaluation cache.
-// Keys hash uniformly (packed availability fingerprints), so a modest
-// power of two keeps lock contention negligible at any realistic worker
-// count.
-const evalShards = 64
-
-// evalCache is a sharded, singleflight-style cache of availability
-// evaluations keyed by packed fingerprint. Concurrent requests for the
-// same key share one engine evaluation: the first requester computes,
-// the rest block on the flight's once and read the settled result.
-// Errors settle the flight too — engine errors here are deterministic
-// model errors, so retrying could not succeed. The one exception is
-// context cancellation, which says nothing about the model: evalTier
-// forgets such flights so later solves re-evaluate (see forget).
+// evalCache is a singleflight-style cache of availability evaluations
+// keyed by packed fingerprint. A solve runs on one goroutine, but sweep
+// load chains share one solver across goroutines, so concurrent
+// requests for the same key share one engine evaluation: the first
+// requester computes, the rest block on the flight's once and read the
+// settled result. Errors settle the flight too — engine errors here
+// are deterministic model errors, so retrying could not succeed. The
+// one exception is context cancellation, which says nothing about the
+// model: evalTier forgets such flights so later solves re-evaluate (see
+// forget).
 type evalCache struct {
-	shards [evalShards]evalShard
-	// slabMu guards slab, the cache-wide flight allocator: flights are
-	// carved out of block allocations instead of one heap object per
-	// miss. Blocks are never reclaimed individually — flights live as
-	// long as the cache — so carving is safe, and misses cost
-	// 1/flightSlabLen allocations. The allocator is cache-wide rather
-	// than per shard because it is touched only on misses (one per
-	// distinct fingerprint), far too rarely to contend.
-	slabMu sync.Mutex
-	slab   []evalFlight
-}
-
-type evalShard struct {
 	mu sync.Mutex
 	m  map[fp128]*evalFlight
-}
-
-// newFlight carves one flight off the shared slab.
-func (c *evalCache) newFlight(gen uint64) *evalFlight {
-	c.slabMu.Lock()
-	if len(c.slab) == 0 {
-		c.slab = make([]evalFlight, flightSlabLen)
-	}
-	f := &c.slab[0]
-	c.slab = c.slab[1:]
-	c.slabMu.Unlock()
-	f.gen = gen
-	return f
+	// slab is the flight allocator: flights are carved out of block
+	// allocations instead of one heap object per miss. Blocks are never
+	// reclaimed individually — flights live as long as the cache — so
+	// carving is safe, and misses cost 1/flightSlabLen allocations.
+	slab []evalFlight
 }
 
 type evalFlight struct {
@@ -62,35 +36,39 @@ type evalFlight struct {
 	gen uint64
 }
 
-// flightSlabLen is the per-shard flight block size: small enough that a
-// tiny solve wastes little, large enough to amortize the per-miss
+// flightSlabLen is the flight block size: small enough that a tiny
+// solve wastes little, large enough to amortize the per-miss
 // allocation to noise.
 const flightSlabLen = 64
 
-// newEvalCache builds an empty cache. Shard maps initialize lazily on
-// first insert — map reads on a nil map are safe — so construction
-// itself allocates nothing per shard; solvers are built once per model
-// pair, sometimes per request.
+// newEvalCache builds an empty cache. The map initializes lazily on
+// first insert — reads on a nil map are safe — so construction itself
+// allocates only the cache; solvers are built once per model pair,
+// sometimes per request.
 func newEvalCache() *evalCache {
 	return &evalCache{}
 }
 
 // flight returns the singleflight slot for a key, creating it if
-// absent and stamping a new flight with the requesting solve's
-// generation. The lo word is already avalanche-mixed, so it shards
-// directly; the lookup itself is allocation-free.
+// absent — carved off the slab under the same lock — and stamping a
+// new flight with the requesting solve's generation. The lookup itself
+// is allocation-free.
 func (c *evalCache) flight(key fp128, gen uint64) *evalFlight {
-	sh := &c.shards[key.lo%evalShards]
-	sh.mu.Lock()
-	f, ok := sh.m[key]
+	c.mu.Lock()
+	f, ok := c.m[key]
 	if !ok {
-		f = c.newFlight(gen)
-		if sh.m == nil {
-			sh.m = map[fp128]*evalFlight{}
+		if len(c.slab) == 0 {
+			c.slab = make([]evalFlight, flightSlabLen)
 		}
-		sh.m[key] = f
+		f = &c.slab[0]
+		c.slab = c.slab[1:]
+		f.gen = gen
+		if c.m == nil {
+			c.m = map[fp128]*evalFlight{}
+		}
+		c.m[key] = f
 	}
-	sh.mu.Unlock()
+	c.mu.Unlock()
 	return f
 }
 
@@ -99,90 +77,77 @@ func (c *evalCache) flight(key fp128, gen uint64) *evalFlight {
 // on a cancelled flight calls it, and a no-op when a fresh flight has
 // already replaced f under the key.
 func (c *evalCache) forget(key fp128, f *evalFlight) {
-	sh := &c.shards[key.lo%evalShards]
-	sh.mu.Lock()
-	if sh.m[key] == f {
-		delete(sh.m, key)
+	c.mu.Lock()
+	if c.m[key] == f {
+		delete(c.m, key)
 	}
-	sh.mu.Unlock()
+	c.mu.Unlock()
 }
-
-// modeCacheShards is the shard count of the effective-mode cache. Mode
-// fingerprints are far fewer than availability fingerprints (counts
-// collapse), so a smaller table suffices.
-const modeCacheShards = 32
 
 // modeCache caches resolved effective-mode slices by mode fingerprint,
 // so candidate enumeration stops re-resolving mechanism references per
 // (active, spare) split: every design sharing (option, relevant combo
 // settings, warmth, has-spares) reuses one []avail.Mode. Slices are
 // shared read-only — engines never mutate Modes — and the first stored
-// slice wins so concurrent resolvers converge on one canonical value.
+// slice wins so concurrent resolvers (solves of sweep chains sharing
+// the solver) converge on one canonical value.
 type modeCache struct {
-	shards [modeCacheShards]modeCacheShard
-}
-
-type modeCacheShard struct {
 	mu sync.Mutex
 	m  map[fp128][]avail.Mode
 }
 
-// newModeCache builds an empty cache; shard maps initialize lazily on
+// newModeCache builds an empty cache; the map initializes lazily on
 // first put, like newEvalCache's.
 func newModeCache() *modeCache {
 	return &modeCache{}
 }
 
 func (c *modeCache) get(key fp128) ([]avail.Mode, bool) {
-	sh := &c.shards[key.lo%modeCacheShards]
-	sh.mu.Lock()
-	modes, ok := sh.m[key]
-	sh.mu.Unlock()
+	c.mu.Lock()
+	modes, ok := c.m[key]
+	c.mu.Unlock()
 	return modes, ok
 }
 
 // put stores modes under key and returns the canonical slice — the one
 // already present if another goroutine got there first.
 func (c *modeCache) put(key fp128, modes []avail.Mode) []avail.Mode {
-	sh := &c.shards[key.lo%modeCacheShards]
-	sh.mu.Lock()
-	if prev, ok := sh.m[key]; ok {
+	c.mu.Lock()
+	if prev, ok := c.m[key]; ok {
 		modes = prev
 	} else {
-		if sh.m == nil {
-			sh.m = map[fp128][]avail.Mode{}
+		if c.m == nil {
+			c.m = map[fp128][]avail.Mode{}
 		}
-		sh.m[key] = modes
+		c.m[key] = modes
 	}
-	sh.mu.Unlock()
+	c.mu.Unlock()
 	return modes
 }
 
-// searchStats is the concurrency-safe counterpart of Stats used while a
-// search is in flight; snapshot converts it for the Solution. With the
-// singleflight cache, Evaluations counts actual engine invocations —
-// concurrent requests for one fingerprint still count once.
+// searchStats accumulates one solve's effort while it is in flight;
+// snapshot converts it for the Solution. A solve runs on one goroutine,
+// so the counters are plain integers. With the singleflight cache,
+// Evaluations counts actual engine invocations — a fingerprint a
+// concurrent solve on the same solver is already evaluating counts on
+// that solve, not this one.
 type searchStats struct {
-	candidates    atomic.Int64
-	pruned        atomic.Int64
-	evals         atomic.Int64
-	cacheHits     atomic.Int64
-	boundPruned   atomic.Int64
-	warmReuse     atomic.Int64
-	frontierReuse atomic.Int64
-	// gen is this solve's generation (Solver.gen at solve start). Set
-	// once before any concurrency, read-only afterwards.
+	candidates    int
+	pruned        int
+	evals         int
+	cacheHits     int
+	boundPruned   int
+	warmReuse     int
+	frontierReuse int
+	// gen is this solve's generation (Solver.gen at solve start).
 	gen uint64
 	// phaseNs accumulates wall-clock nanoseconds per solver phase (see
 	// phaseID); written only when the solver is timed, so an untimed
 	// solve's snapshot sees all zeros and reports a nil PhaseNanos.
-	// Atomic because the eval phase accumulates from pool workers.
-	phaseNs [numPhases]atomic.Int64
+	phaseNs [numPhases]int64
 	// pools, when non-nil, collect every evaluated (cost, downtime)
 	// pair per tier — raw material for the combination upper bound,
-	// gathered free of extra engine work (see combineBounds). Each
-	// tier's searches run on one goroutine at a time with phase barriers
-	// in between, so the per-tier slices need no lock.
+	// gathered free of extra engine work (see combineBounds).
 	pools   [][]TierCandidate
 	poolIdx map[string]int
 }
@@ -200,20 +165,20 @@ func (st *searchStats) poolAdd(tierName string, c units.Money, down float64) {
 
 func (st *searchStats) snapshot() Stats {
 	s := Stats{
-		CandidatesGenerated: int(st.candidates.Load()),
-		CostPruned:          int(st.pruned.Load()),
-		Evaluations:         int(st.evals.Load()),
-		EvalCacheHits:       int(st.cacheHits.Load()),
-		BoundPruned:         int(st.boundPruned.Load()),
-		WarmStartReuse:      int(st.warmReuse.Load()),
-		FrontierReuse:       int(st.frontierReuse.Load()),
+		CandidatesGenerated: st.candidates,
+		CostPruned:          st.pruned,
+		Evaluations:         st.evals,
+		EvalCacheHits:       st.cacheHits,
+		BoundPruned:         st.boundPruned,
+		WarmStartReuse:      st.warmReuse,
+		FrontierReuse:       st.frontierReuse,
 	}
 	// The map materializes only when some phase recorded time — an
 	// untimed solve keeps PhaseNanos nil, so disabled-path Stats stay
 	// allocation-free and bitwise comparable.
 	var pn map[string]int64
-	for i := range st.phaseNs {
-		if ns := st.phaseNs[i].Load(); ns != 0 {
+	for i, ns := range st.phaseNs {
+		if ns != 0 {
 			if pn == nil {
 				pn = make(map[string]int64, numPhases)
 			}

@@ -89,10 +89,10 @@ type frontierEntry struct {
 // engine runs plus cache replays — which a replaying cell charges
 // entirely to EvalCacheHits.
 type frontierDelta struct {
-	candidates  int64
-	costPruned  int64
-	boundPruned int64
-	requests    int64
+	candidates  int
+	costPruned  int
+	boundPruned int
+	requests    int
 }
 
 // frontierKey fingerprints everything a tier's frontier can depend on
@@ -162,14 +162,14 @@ func (s *Solver) cachedTierFrontier(ctx context.Context, set *FrontierSet, tier 
 	e := set.m[key]
 	set.mu.Unlock()
 	if e != nil && maxCost <= e.bound {
-		stats.candidates.Add(e.delta.candidates)
-		stats.pruned.Add(e.delta.costPruned)
-		stats.boundPruned.Add(e.delta.boundPruned)
-		stats.cacheHits.Add(e.delta.requests)
-		stats.frontierReuse.Add(1)
+		stats.candidates += e.delta.candidates
+		stats.pruned += e.delta.costPruned
+		stats.boundPruned += e.delta.boundPruned
+		stats.cacheHits += e.delta.requests
+		stats.frontierReuse++
 		if tr := s.opts.Tracer; tr != nil {
 			tr.Emit(obs.Event{Ev: obs.EvFrontierReuse, Tier: tier.Name,
-				FP: fpHex(key), Evals: e.delta.requests})
+				FP: fpHex(key), Evals: int64(e.delta.requests)})
 		}
 		return frontierPrefix(e.points, maxCost), nil
 	}
@@ -185,24 +185,22 @@ func (s *Solver) cachedTierFrontier(ctx context.Context, set *FrontierSet, tier 
 		return nil, err
 	}
 	delta := frontierDelta{
-		candidates:  bs.candidates.Load(),
-		costPruned:  bs.pruned.Load(),
-		boundPruned: bs.boundPruned.Load(),
-		requests:    bs.evals.Load() + bs.cacheHits.Load(),
+		candidates:  bs.candidates,
+		costPruned:  bs.pruned,
+		boundPruned: bs.boundPruned,
+		requests:    bs.evals + bs.cacheHits,
 	}
-	stats.candidates.Add(bs.candidates.Load())
-	stats.pruned.Add(bs.pruned.Load())
-	stats.boundPruned.Add(bs.boundPruned.Load())
-	stats.evals.Add(bs.evals.Load())
-	stats.cacheHits.Add(bs.cacheHits.Load())
-	stats.warmReuse.Add(bs.warmReuse.Load())
+	stats.candidates += bs.candidates
+	stats.pruned += bs.pruned
+	stats.boundPruned += bs.boundPruned
+	stats.evals += bs.evals
+	stats.cacheHits += bs.cacheHits
+	stats.warmReuse += bs.warmReuse
 	// Engine time the build spent (the only phase a frontier build
 	// accrues — the bracketed phases run on the outer stats) carries
 	// over so PhaseNanos["eval"] keeps matching the eval.miss trace.
-	for i := range bs.phaseNs {
-		if ph := bs.phaseNs[i].Load(); ph != 0 {
-			stats.phaseNs[i].Add(ph)
-		}
+	for i, ph := range bs.phaseNs {
+		stats.phaseNs[i] += ph
 	}
 	set.mu.Lock()
 	if set.gen == gen {

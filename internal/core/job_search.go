@@ -243,7 +243,7 @@ func (s *Solver) searchJobOption(ctx context.Context, tier *model.Tier, opt *mod
 					c := units.Money(float64(n)*float64(activeCost) +
 						float64(spares)*float64(spareCostByWarm[warm]) +
 						float64(n+spares)*float64(jc.mechCostPerInstance))
-					stats.candidates.Add(1)
+					stats.candidates++
 					if tr != nil {
 						tr.Emit(obs.Event{Ev: obs.EvCandGen, Tier: tier.Name, Res: resName,
 							N: n, S: spares, Warm: warm, Cost: float64(c)})
@@ -256,7 +256,7 @@ func (s *Solver) searchJobOption(ctx context.Context, tier *model.Tier, opt *mod
 					// break toward the shorter completion time (the
 					// design Fig. 7 plots).
 					if best != nil && c > best.Cost {
-						stats.pruned.Add(1)
+						stats.pruned++
 						if tr != nil {
 							tr.Emit(obs.Event{Ev: obs.EvCandPrune, Tier: tier.Name, Res: resName,
 								N: n, S: spares, Cost: float64(c)})

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -22,69 +21,6 @@ type countingEngine struct {
 func (e *countingEngine) Evaluate(tms []avail.TierModel) (avail.Result, error) {
 	e.calls.Add(1)
 	return e.inner.Evaluate(tms)
-}
-
-// TestEvalCacheConcurrentDedup is the eval-cache stress test: many
-// goroutines hammer the same small set of fingerprints, and both the
-// engine-call count and Stats.Evaluations must equal the number of
-// distinct fingerprints — the singleflight admits each key exactly once.
-func TestEvalCacheConcurrentDedup(t *testing.T) {
-	eng := &countingEngine{inner: avail.NewMarkovEngine()}
-	s := appTierSolver(t, Options{Engine: eng})
-
-	// Distinct fingerprints: (nActive, maintenance level) pairs. The
-	// same designs are requested by every goroutine.
-	levels := []string{"bronze", "silver", "gold"}
-	var designs []model.TierDesign
-	for n := 2; n <= 9; n++ {
-		for _, lv := range levels {
-			designs = append(designs, model.TierDesign{
-				TierName:  "application",
-				Option:    &s.svc.Tiers[0].Options[0],
-				NActive:   n,
-				NSpare:    0,
-				NMinPerf:  n,
-				MinActive: n,
-				Mechanisms: []model.MechSetting{{
-					Mechanism: s.inf.Mechanisms["maintenanceA"],
-					Values:    map[string]model.ParamValue{"level": model.EnumValue(lv)},
-				}},
-			})
-		}
-	}
-	distinct := map[fp128]bool{}
-	for i := range designs {
-		distinct[fingerprintOf(&designs[i]).avail] = true
-	}
-	if len(distinct) != len(designs) {
-		t.Fatalf("fixture bug: %d designs map to %d fingerprints", len(designs), len(distinct))
-	}
-
-	const goroutines = 32
-	var (
-		stats searchStats
-		wg    sync.WaitGroup
-	)
-	wg.Add(goroutines)
-	for g := 0; g < goroutines; g++ {
-		go func() {
-			defer wg.Done()
-			for i := range designs {
-				if _, err := s.evalTier(context.Background(), &designs[i], fingerprintOf(&designs[i]), &stats); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-
-	if got := int(stats.evals.Load()); got != len(distinct) {
-		t.Errorf("Stats.Evaluations = %d, want %d distinct fingerprints", got, len(distinct))
-	}
-	if got := int(eng.calls.Load()); got != len(distinct) {
-		t.Errorf("engine invocations = %d, want %d distinct fingerprints", got, len(distinct))
-	}
 }
 
 // TestSolveWorkerCountBitIdentical asserts the search determinism
@@ -150,13 +86,32 @@ func TestSolveWorkerCountBitIdentical(t *testing.T) {
 // TestConcurrentSolvesShareCache drives many Solve calls on one solver
 // from separate goroutines — the sweep usage pattern — under varied
 // requirements, checking every solution against a fresh-solver rerun.
+// It also pins the eval cache's singleflight dedup: the concurrent
+// solves must invoke the engine exactly as often as the same solves run
+// one after another on a single solver, and the per-solve
+// Stats.Evaluations must add up to those invocations.
 func TestConcurrentSolvesShareCache(t *testing.T) {
-	shared := appTierSolver(t, Options{})
 	loads := []float64{600, 1000, 1800, 2600}
 	budgets := []float64{50, 500, 5000}
 	type key struct{ load, budget float64 }
+
+	seqEng := &countingEngine{inner: avail.NewMarkovEngine()}
+	sequential := appTierSolver(t, Options{Engine: seqEng})
+	for _, load := range loads {
+		for _, budget := range budgets {
+			if _, err := sequential.Solve(enterpriseReq(load, budget)); err != nil {
+				t.Fatalf("load=%v budget=%v: %v", load, budget, err)
+			}
+		}
+	}
+
+	eng := &countingEngine{inner: avail.NewMarkovEngine()}
+	shared := appTierSolver(t, Options{Engine: eng})
 	got := sync.Map{}
-	var wg sync.WaitGroup
+	var (
+		wg    sync.WaitGroup
+		evals atomic.Int64
+	)
 	for _, load := range loads {
 		for _, budget := range budgets {
 			wg.Add(1)
@@ -167,11 +122,18 @@ func TestConcurrentSolvesShareCache(t *testing.T) {
 					t.Errorf("load=%v budget=%v: %v", load, budget, err)
 					return
 				}
+				evals.Add(int64(sol.Stats.Evaluations))
 				got.Store(key{load, budget}, sol)
 			}(load, budget)
 		}
 	}
 	wg.Wait()
+	if c, want := eng.calls.Load(), seqEng.calls.Load(); c != want {
+		t.Errorf("concurrent solves invoked the engine %d times, sequential solves %d", c, want)
+	}
+	if e, c := evals.Load(), eng.calls.Load(); e != c {
+		t.Errorf("Stats.Evaluations sum to %d across the concurrent solves, engine invoked %d times", e, c)
+	}
 	for _, load := range loads {
 		for _, budget := range budgets {
 			v, ok := got.Load(key{load, budget})

@@ -63,7 +63,7 @@ func (s *Solver) phaseSpan(stats *searchStats, id phaseID) func() {
 	sp := obs.StartSpan(s.phaseHists[id])
 	return func() {
 		ns := sp.Stop()
-		stats.phaseNs[id].Add(ns)
+		stats.phaseNs[id] += ns
 		if tr != nil {
 			tr.Emit(obs.Event{
 				Ev:    obs.EvPhaseEnd,

@@ -18,7 +18,6 @@ import (
 	"aved/internal/avail"
 	"aved/internal/model"
 	"aved/internal/obs"
-	"aved/internal/par"
 	"aved/internal/perf"
 	"aved/internal/units"
 )
@@ -99,11 +98,13 @@ type Options struct {
 	// Combiner selects the multi-tier combination strategy. The zero
 	// value is the exact branch-and-bound combiner.
 	Combiner CombineMethod
-	// Workers bounds the worker pool the search fans independent work
-	// over (per-tier searches, frontier evaluations) and is inherited by
-	// the sweeps driving this solver. Zero means runtime.GOMAXPROCS(0);
-	// 1 forces sequential execution. The setting never changes results
-	// — parallel paths are bit-identical to the sequential order.
+	// Workers bounds the worker pool of the coarse-grained work driven
+	// through this solver: sweep load chains (the sweeps read it via
+	// Solver.Workers), sensitivity factors and Monte-Carlo
+	// replications. A single solve always runs on one goroutine. Zero
+	// means runtime.GOMAXPROCS(0); 1 forces sequential execution. The
+	// setting never changes results — parallel paths are bit-identical
+	// to the sequential order.
 	Workers int
 	// SimRelErr, when positive, tunes adaptive-precision replication on
 	// a Monte-Carlo Engine (sim.Engine): replications stop once the 95%
@@ -323,10 +324,6 @@ type Solver struct {
 	// construction (all nil without Metrics — spans then only feed
 	// Stats.PhaseNanos and the trace).
 	phaseHists [numPhases]*obs.Histogram
-	// parT, when non-nil, attributes the worker-pool fans' queue-wait
-	// and run time to the par.wait_ms/par.run_ms histograms. Nil without
-	// Metrics, which keeps the fans on the untimed ForEachCtx path.
-	parT *par.Timing
 
 	// comboCache memoizes mechCombos per resource type: the combination
 	// set (and its per-combo fingerprints) is a pure function of the
@@ -403,7 +400,6 @@ func NewSolver(inf *model.Infrastructure, svc *model.Service, opts Options) (*So
 			s.phaseHists[i] = reg.Histogram("solve.phase." + phaseNames[i])
 		}
 	}
-	s.parT = par.NewTiming(s.opts.Metrics)
 	if ce, ok := s.opts.Engine.(ctxEvaluator); ok {
 		s.ctxEng = ce
 	}

@@ -10,7 +10,6 @@ import (
 	"aved/internal/jobtime"
 	"aved/internal/model"
 	"aved/internal/obs"
-	"aved/internal/par"
 	"aved/internal/perf"
 	"aved/internal/units"
 )
@@ -33,10 +32,11 @@ type evalEntry struct {
 // evalTier evaluates one tier design through the configured engine,
 // caching by packed availability fingerprint so candidates that differ
 // only in availability-neutral mechanism settings (e.g. checkpoint
-// intervals) share an evaluation. The cache is a sharded singleflight:
-// concurrent requests for one fingerprint block on a single engine
-// invocation, so Evaluations counts distinct fingerprints regardless of
-// how many goroutines race on the same key. Callers on the search hot
+// intervals) share an evaluation. The cache is a singleflight:
+// concurrent requests for one fingerprint — from solves of sweep chains
+// sharing the solver — block on a single engine invocation, so
+// Evaluations counts distinct fingerprints regardless of how many
+// goroutines race on the same key. Callers on the search hot
 // paths assemble fps from per-option precomputed parts, so a cache hit
 // does no allocation and no string work at all.
 //
@@ -56,13 +56,13 @@ func (s *Solver) evalTier(ctx context.Context, td *model.TierDesign, fps candFP,
 		}
 		f.entry, f.err = s.evalTierMiss(ctx, td, fps.mode)
 		if f.err == nil {
-			stats.evals.Add(1)
+			stats.evals++
 			if s.timed {
 				// Engine wall clock accrues to the cross-cutting "eval"
 				// phase; the matching eval.miss event carries the same
 				// nanoseconds, so trace sums and PhaseNanos agree exactly.
 				evalNs = sp.Stop()
-				stats.phaseNs[phaseEval].Add(evalNs)
+				stats.phaseNs[phaseEval] += evalNs
 			}
 		}
 	})
@@ -71,13 +71,13 @@ func (s *Solver) evalTier(ctx context.Context, td *model.TierDesign, fps candFP,
 	}
 	warm := false
 	if !ran && f.err == nil {
-		stats.cacheHits.Add(1)
+		stats.cacheHits++
 		// A hit on a flight another solve generation created is
 		// warm-start reuse: the evaluation this solve got for free from
 		// an earlier (or concurrent) solve on the same solver.
 		if f.gen != stats.gen {
 			warm = true
-			stats.warmReuse.Add(1)
+			stats.warmReuse++
 		}
 	}
 	if tr := s.opts.Tracer; tr != nil && f.err == nil {
@@ -490,7 +490,7 @@ func (s *Solver) searchOption(ctx context.Context, tier *model.Tier, opt *model.
 					default:
 					}
 				}
-				stats.candidates.Add(1)
+				stats.candidates++
 				if tr != nil {
 					tr.Emit(obs.Event{Ev: obs.EvCandGen, Tier: tier.Name, Res: res,
 						N: td.NActive, S: td.NSpare, Warm: td.SpareWarm, Cost: float64(c)})
@@ -544,7 +544,7 @@ func (s *Solver) searchOption(ctx context.Context, tier *model.Tier, opt *model.
 				}
 			}
 			if n := len(order) - cut; n > 0 {
-				stats.boundPruned.Add(int64(n))
+				stats.boundPruned += n
 				if tr != nil {
 					for _, i := range order[cut:] {
 						tr.Emit(obs.Event{Ev: obs.EvBoundPrune, Tier: tier.Name, Res: res,
@@ -561,7 +561,7 @@ func (s *Solver) searchOption(ctx context.Context, tier *model.Tier, opt *model.
 					default:
 					}
 				}
-				stats.candidates.Add(1)
+				stats.candidates++
 				if tr != nil {
 					tr.Emit(obs.Event{Ev: obs.EvCandGen, Tier: tier.Name, Res: res,
 						N: td.NActive, S: td.NSpare, Warm: td.SpareWarm, Cost: float64(c)})
@@ -572,12 +572,9 @@ func (s *Solver) searchOption(ctx context.Context, tier *model.Tier, opt *model.
 				// §4.1: once a feasible design is known, evaluate cost
 				// first and reject dearer candidates without an
 				// availability evaluation. Equal-cost candidates still
-				// evaluate so ties break toward lower downtime. This
-				// incumbent chain is order-dependent, so the walk stays
-				// sequential; parallelism lives in the frontier path,
-				// where every candidate is evaluated anyway.
+				// evaluate so ties break toward lower downtime.
 				if best != nil && c > best.Cost {
-					stats.pruned.Add(1)
+					stats.pruned++
 					if tr != nil {
 						tr.Emit(obs.Event{Ev: obs.EvCandPrune, Tier: tier.Name, Res: res,
 							N: td.NActive, S: td.NSpare, Cost: float64(c)})
@@ -689,9 +686,7 @@ type sizeBatch struct {
 // optionFrontier collects the option's Pareto-optimal (cost, downtime)
 // candidates, exploring sizes until added resources stop improving the
 // best achievable downtime. Unlike searchOption, every candidate here
-// is evaluated regardless of order, so the per-size batch fans its
-// availability evaluations across the worker pool; the batch buffer and
-// append order keep the result bit-identical to the sequential walk.
+// is evaluated regardless of order.
 //
 // maxCost is the branch-and-bound cut (+Inf disables it). Three prunes
 // apply, each before any engine evaluation:
@@ -733,7 +728,7 @@ func (s *Solver) optionFrontier(ctx context.Context, tier *model.Tier, opt *mode
 			// Whole-option subtree prune: even the closed-form floor over
 			// every size is over the bound. Counted as one pruned subtree —
 			// its candidates were never generated.
-			stats.boundPruned.Add(1)
+			stats.boundPruned++
 			if tr != nil {
 				tr.Emit(obs.Event{Ev: obs.EvBoundPrune, Tier: tier.Name, Res: res,
 					N: o.nMinPerf, Cost: lb})
@@ -771,7 +766,7 @@ func (s *Solver) optionFrontier(ctx context.Context, tier *model.Tier, opt *mode
 	// admit counts a generated batch into the stats and the trace; prune
 	// marks an admitted batch (or part of one) bound-pruned.
 	admit := func(b *sizeBatch) {
-		stats.candidates.Add(int64(len(b.cands)))
+		stats.candidates += len(b.cands)
 		if tr != nil {
 			for i := range b.cands {
 				td := &b.cands[i].Design
@@ -781,7 +776,7 @@ func (s *Solver) optionFrontier(ctx context.Context, tier *model.Tier, opt *mode
 		}
 	}
 	prune := func(cands []TierCandidate) {
-		stats.boundPruned.Add(int64(len(cands)))
+		stats.boundPruned += len(cands)
 		if tr != nil {
 			for i := range cands {
 				tr.Emit(obs.Event{Ev: obs.EvBoundPrune, Tier: tier.Name, Res: res,
@@ -825,25 +820,16 @@ func (s *Solver) optionFrontier(ctx context.Context, tier *model.Tier, opt *mode
 			evalIdx = append(evalIdx, i)
 		}
 		prune(skipped)
-		err = par.ForEachTimedCtx(ctx, s.opts.Workers, len(evalIdx), s.parT, func(k int) error {
-			i := evalIdx[k]
-			entry, err := s.evalTier(ctx, &cur.cands[i].Design, cur.fps[i], stats)
-			if err != nil {
-				return err
-			}
-			cur.cands[i].DowntimeMinutes = entry.downtimeMinutes
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
 		improvedTo := bestDowntime
 		for _, i := range evalIdx {
-			if cur.cands[i].DowntimeMinutes < improvedTo {
-				improvedTo = cur.cands[i].DowntimeMinutes
+			entry, err := s.evalTier(ctx, &cur.cands[i].Design, cur.fps[i], stats)
+			if err != nil {
+				return nil, err
 			}
-		}
-		for _, i := range evalIdx {
+			cur.cands[i].DowntimeMinutes = entry.downtimeMinutes
+			if entry.downtimeMinutes < improvedTo {
+				improvedTo = entry.downtimeMinutes
+			}
 			all = append(all, cur.cands[i])
 		}
 		if last {
@@ -870,9 +856,8 @@ func (s *Solver) optionFrontier(ctx context.Context, tier *model.Tier, opt *mode
 }
 
 // tierFrontier merges option frontiers into the tier's Pareto frontier,
-// sorted by ascending cost (and so descending downtime). Options are
-// independent searches, so they fan across the worker pool; merging in
-// option order keeps the frontier identical to the sequential build.
+// sorted by ascending cost (and so descending downtime), merging the
+// option frontiers in option order.
 //
 // maxCost, when finite, truncates the result to points the combination
 // phase can actually use: designs dearer than the tier's admissible
@@ -881,24 +866,12 @@ func (s *Solver) optionFrontier(ctx context.Context, tier *model.Tier, opt *mode
 // prefix of the untruncated one, which is what the combiner's
 // post-combination validity check relies on (see solveEnterprise).
 func (s *Solver) tierFrontier(ctx context.Context, tier *model.Tier, load tierLoad, maxCost float64, stats *searchStats) ([]TierCandidate, error) {
-	fronts := make([][]TierCandidate, len(tier.Options))
-	err := par.ForEachTimedCtx(ctx, s.opts.Workers, len(tier.Options), s.parT, func(i int) error {
+	var all []TierCandidate
+	for i := range tier.Options {
 		f, err := s.optionFrontier(ctx, tier, &tier.Options[i], load, maxCost, stats)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		fronts[i] = f
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	n := 0
-	for _, f := range fronts {
-		n += len(f)
-	}
-	all := make([]TierCandidate, 0, n)
-	for _, f := range fronts {
 		all = append(all, f...)
 	}
 	out := paretoReduce(all)

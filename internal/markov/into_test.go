@@ -2,6 +2,7 @@ package markov
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -60,6 +61,20 @@ func TestBirthDeathIntoValidation(t *testing.T) {
 	single := []float64{-7}
 	if err := BirthDeathSteadyStateInto(single, nil, nil); err != nil || single[0] != 1 {
 		t.Errorf("empty chain: err=%v pi=%v, want nil and [1]", err, single)
+	}
+	// A zero birth rate truncates the distribution: the states past it
+	// are unreachable and get exactly zero mass, poisoned dst included.
+	tail := []float64{-7, -7, -7, -7}
+	if err := BirthDeathSteadyStateInto(tail, []float64{2, 0, 5}, []float64{4, 1, 1}); err != nil {
+		t.Fatalf("unreachable tail: %v", err)
+	}
+	if tail[2] != 0 || tail[3] != 0 || tail[0] != 2.0/3.0 || tail[1] != 1.0/3.0 {
+		t.Errorf("unreachable tail: pi=%v, want [2/3 1/3 0 0]", tail)
+	}
+	// A positive birth rate into a zero death rate is absorbing.
+	err := BirthDeathSteadyStateInto(make([]float64, 3), []float64{1, 1}, []float64{3, 0})
+	if err == nil || !strings.Contains(err.Error(), "absorbing") {
+		t.Errorf("absorbing chain: got %v, want an absorbing-state error", err)
 	}
 }
 

@@ -177,11 +177,9 @@ func BirthDeathSteadyStateInto(dst, birth, death []float64) error {
 	return birthDeathSolve(dst, birth, death)
 }
 
-// birthDeathSolve is the shared product-form recurrence behind both the
-// per-chain entry points and BatchPlan: lengths are already validated
-// (len(pi) == len(birth)+1 == len(death)+1). Both paths run this exact
-// function, which is what makes batched and per-chain results
-// bit-identical by construction.
+// birthDeathSolve is the product-form recurrence behind both entry
+// points: lengths are already validated (len(pi) == len(birth)+1 ==
+// len(death)+1).
 func birthDeathSolve(pi, birth, death []float64) error {
 	n := len(birth)
 	pi[0] = 1

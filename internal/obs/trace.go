@@ -149,8 +149,8 @@ type Event struct {
 }
 
 // Tracer consumes trace events. Implementations must be safe for
-// concurrent Emit calls: the solver fans instrumented work across its
-// worker pool. A nil Tracer means tracing is off — every emission site
+// concurrent Emit calls: sweeps, sensitivity runs and the server run
+// instrumented solves on several goroutines at once. A nil Tracer means tracing is off — every emission site
 // guards with a nil check, so the disabled path does no Event
 // construction at all.
 type Tracer interface {

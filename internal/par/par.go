@@ -1,9 +1,12 @@
 // Package par is the shared worker-pool helper behind Aved's parallel
-// evaluation paths: Monte-Carlo replications (internal/sim), frontier
-// construction (internal/core) and requirement sweeps (internal/sweep,
-// internal/sensitivity). All of those fan independent work items over a
-// bounded pool and write results by index, so callers stay bit-identical
-// to their sequential order regardless of the worker count.
+// evaluation paths: Monte-Carlo replications (internal/sim), sweep load
+// chains (internal/sweep) and sensitivity factors
+// (internal/sensitivity). Each item is coarse work — a whole chain of
+// solves, a re-solve, a replication batch — while a single solve runs
+// on one goroutine, its per-candidate work far too fine to pay for a
+// pool. All of those fan independent work items over a bounded pool
+// and write results by index, so callers stay bit-identical to their
+// sequential order regardless of the worker count.
 package par
 
 import (

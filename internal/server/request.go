@@ -32,7 +32,8 @@ type SolveRequest struct {
 	Bronze bool `json:"bronze,omitempty"`
 	// WarmSpares explores per-component spare operational modes.
 	WarmSpares bool `json:"warmSpares,omitempty"`
-	// Workers bounds the search worker pool (0 = server default).
+	// Workers bounds the sim engine's replication worker pool (0 =
+	// server default). The solve itself runs on one goroutine.
 	Workers int `json:"workers,omitempty"`
 
 	// Search selects the tier-search strategy: "" or "bnb" for

@@ -55,7 +55,9 @@ type Config struct {
 	// MaxTimeout caps every per-request deadline (including requests
 	// that asked for none). Zero means no cap.
 	MaxTimeout time.Duration
-	// Workers is the per-solve search worker count (0 = all CPUs).
+	// Workers is the default worker count for sim-engine replications
+	// and sweep load chains (0 = all CPUs). Each solve runs on one
+	// goroutine.
 	Workers int
 	// CacheSize bounds the completed-response cache; 0 disables it.
 	CacheSize int
@@ -275,6 +277,14 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 					return
 				}
 				if isCtxErr(f.err) {
+					// Our leaving canceled the solve, possibly before its
+					// own copy of our deadline fired: report our reason
+					// with the solve's partial statistics.
+					var ce *aved.CanceledError
+					if errors.As(f.err, &ce) {
+						s.writeError(w, &aved.CanceledError{Stats: ce.Stats, Err: ctx.Err()}, nil)
+						return
+					}
 					s.writeError(w, f.err, nil)
 					return
 				}
