@@ -45,7 +45,7 @@ func wrapCanceled(err error, stats *searchStats) error {
 
 // ctxEvaluator is implemented by availability engines that accept a
 // context for their evaluation (sim.Engine, whose Monte-Carlo batches
-// check it between batches). Structural, like precisionTunable, so core
+// check it between batches). Structural, like obsInstrumentable, so core
 // carries no dependency on the engine packages. Engines without it (the
 // analytic engines) evaluate fast enough that the per-candidate checks
 // in the search loops bound the cancellation latency on their own.

@@ -24,8 +24,8 @@ func fpHex(fp fp128) string {
 
 // obsInstrumentable is implemented by availability engines that can
 // expose internal counters on a metrics registry and emit trace events
-// (avail.MarkovEngine, sim.Engine). Structural, like precisionTunable,
-// so core carries no dependency on the engine packages.
+// (avail.MarkovEngine, sim.Engine). The interface is structural so core
+// carries no dependency on the engine packages.
 type obsInstrumentable interface {
 	InstrumentObs(reg *obs.Registry, tr obs.Tracer)
 }
@@ -170,4 +170,3 @@ func (s *Solver) endSolve(so solveObs, sol *Solution, err error) (*Solution, err
 	}
 	return sol, nil
 }
-

@@ -111,8 +111,10 @@ func TestBnBBitIdenticalOnCorpus(t *testing.T) {
 
 // TestBnBEvalCeilings pins engine-evaluation ceilings on the paper
 // scenarios under the default search at Workers=1 — a regression gate
-// for the admissible bounds (measured: apptier 12, e-commerce 88,
-// scientific 144). The e-commerce case also pins the headline speedup:
+// for the admissible bounds (measured: apptier 12; e-commerce 88 at
+// 1400/60m, 100 at 2000/60m, 80 at 1000/100m; scientific 144) — and
+// requires every case to return the exhaustive walk's design and cost.
+// The e-commerce 1400/60m case also pins the headline speedup:
 // branch-and-bound needs at least 5x fewer evaluations than the
 // exhaustive walk's 785.
 func TestBnBEvalCeilings(t *testing.T) {
@@ -136,6 +138,8 @@ func TestBnBEvalCeilings(t *testing.T) {
 	}{
 		{"apptier-1000-100m", scenarios.ApplicationTier, enterprise(1000, 100), Options{}, 20},
 		{"ecommerce-1400-60m", scenarios.Ecommerce, enterprise(1400, 60), Options{}, 120},
+		{"ecommerce-2000-60m", scenarios.Ecommerce, enterprise(2000, 60), Options{}, 135},
+		{"ecommerce-1000-100m", scenarios.Ecommerce, enterprise(1000, 100), Options{}, 108},
 		{"scientific-100h", scenarios.Scientific,
 			model.Requirements{Kind: model.ReqJob, MaxJobTime: 100 * units.Hour},
 			Options{FixedMechanisms: map[string]map[string]model.ParamValue{
@@ -179,6 +183,8 @@ func TestBnBEvalCeilings(t *testing.T) {
 			if sol.Cost != ex.Cost || sol.Design.Label() != ex.Design.Label() {
 				t.Errorf("%s: bnb and exhaustive disagree", tc.name)
 			}
+			t.Logf("%s: bnb %d evaluations, exhaustive %d", tc.name,
+				sol.Stats.Evaluations, ex.Stats.Evaluations)
 			if tc.name == "ecommerce-1400-60m" && sol.Stats.Evaluations*5 > ex.Stats.Evaluations {
 				t.Errorf("%s: bnb %d evaluations is not a 5x cut of exhaustive %d",
 					tc.name, sol.Stats.Evaluations, ex.Stats.Evaluations)

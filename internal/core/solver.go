@@ -106,15 +106,6 @@ type Options struct {
 	// setting never changes results — parallel paths are bit-identical
 	// to the sequential order.
 	Workers int
-	// SimRelErr, when positive, tunes adaptive-precision replication on
-	// a Monte-Carlo Engine (sim.Engine): replications stop once the 95%
-	// confidence half-width falls under SimRelErr times the running
-	// mean, capped by the engine's replication budget. Ignored for
-	// engines without precision control (the analytic engines).
-	SimRelErr float64
-	// SimBatch sets the adaptive controller's replication batch size
-	// (0 keeps the engine default). Ignored without precision control.
-	SimBatch int
 	// Timings enables per-phase wall-clock attribution on its own:
 	// Solution.Stats.PhaseNanos reports where each solve's time went
 	// (see Stats.PhaseNanos) without requiring a Tracer or Metrics.
@@ -132,11 +123,6 @@ type Options struct {
 	// histograms, and exposes engine counters at snapshot time. Nil
 	// disables metrics collection.
 	Metrics *obs.Registry
-	// DebugAddr, when non-empty, starts (or reuses) a process-wide debug
-	// HTTP server on that address serving net/http/pprof, expvar, and a
-	// /metrics JSON snapshot of Metrics. A registry is created on demand
-	// when Metrics is nil.
-	DebugAddr string
 	// Deadline, when positive, bounds each Solve's wall-clock time: the
 	// solve context gets a deadline this far in the future, and the
 	// search aborts with a CanceledError (unwrapping to
@@ -146,14 +132,6 @@ type Options struct {
 	Deadline time.Duration
 }
 
-// precisionTunable is implemented by availability engines whose
-// estimate precision can be tuned between construction and use
-// (sim.Engine). The interface is structural so core carries no
-// dependency on the simulator package.
-type precisionTunable interface {
-	SetPrecision(relErr float64, batch int)
-}
-
 // tierPricer is implemented by engines that can price a single tier's
 // annual downtime without assembling a full multi-tier Result
 // (avail.MarkovEngine.PriceTier). The tier search only needs the
@@ -161,7 +139,7 @@ type precisionTunable interface {
 // skips the Result/TierResult/Contributions construction of a full
 // Evaluate. PriceTier is documented bit-identical to Evaluate — same
 // downtime, same memo counters, same trace events — so using it never
-// changes results or stats. Structural, like precisionTunable.
+// changes results or stats. Structural, like obsInstrumentable.
 type tierPricer interface {
 	PriceTier(*avail.TierModel) (float64, error)
 }
@@ -187,9 +165,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxRedundancy == 0 {
 		o.MaxRedundancy = DefaultMaxRedundancy
-	}
-	if o.DebugAddr != "" && o.Metrics == nil {
-		o.Metrics = obs.NewRegistry()
 	}
 	return o
 }
@@ -371,27 +346,12 @@ func NewSolver(inf *model.Infrastructure, svc *model.Service, opts Options) (*So
 		modeCache: newModeCache(),
 		epochs:    map[string]uint64{},
 	}
-	// Thread the precision knobs into a tunable Monte-Carlo engine,
-	// once, at construction. Callers sharing one engine across
-	// concurrently built solvers should bake the precision into the
-	// engine instead (aved.SimEngineAdaptive) and leave these zero.
-	if s.opts.SimRelErr > 0 || s.opts.SimBatch > 0 {
-		if eng, ok := s.opts.Engine.(precisionTunable); ok {
-			eng.SetPrecision(s.opts.SimRelErr, s.opts.SimBatch)
-		}
-	}
-	// Hand the observability sinks to engines that can use them, via the
-	// same structural-interface pattern as precisionTunable. Engine
+	// Hand the observability sinks to engines that can use them. Engine
 	// implementations make this idempotent, so solvers sharing an engine
 	// (sensitivity sweeps) may each call it.
 	if s.opts.Metrics != nil || s.opts.Tracer != nil {
 		if eng, ok := s.opts.Engine.(obsInstrumentable); ok {
 			eng.InstrumentObs(s.opts.Metrics, s.opts.Tracer)
-		}
-	}
-	if s.opts.DebugAddr != "" {
-		if _, err := obs.EnsureServe(s.opts.DebugAddr, s.opts.Metrics); err != nil {
-			return nil, err
 		}
 	}
 	s.timed = s.opts.Timings || s.opts.Tracer != nil || s.opts.Metrics != nil

@@ -44,7 +44,7 @@ func TestEvaluateCtxAdaptiveCanceled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.SetPrecision(0.0001, 8)
+	eng.WithPrecision(0.0001, 8)
 	tm := singleMode(2, 1, 1, 1000*units.Hour, 4*units.Hour, 0, false)
 	if _, _, err := eng.EvaluateStatsCtx(canceledCtx(), []avail.TierModel{tm, tm}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("adaptive EvaluateStatsCtx err = %v, want context.Canceled", err)

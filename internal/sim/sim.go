@@ -94,14 +94,6 @@ func (e *Engine) WithWorkers(n int) *Engine {
 // order, so a given (seed, relErr, batch) stops at the same replication
 // count at any worker count.
 func (e *Engine) WithPrecision(relErr float64, batch int) *Engine {
-	e.SetPrecision(relErr, batch)
-	return e
-}
-
-// SetPrecision is WithPrecision without the chaining return; it exists
-// so configuration layers holding the engine behind an interface (see
-// core.Options) can tune precision structurally.
-func (e *Engine) SetPrecision(relErr float64, batch int) {
 	if relErr < 0 {
 		relErr = 0
 	}
@@ -110,6 +102,7 @@ func (e *Engine) SetPrecision(relErr float64, batch int) {
 	}
 	e.relErr = relErr
 	e.batch = batch
+	return e
 }
 
 // Precision reports the configured adaptive target and batch size

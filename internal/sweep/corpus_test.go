@@ -32,7 +32,7 @@ func TestSweepBitIdenticalOnCorpusScenarios(t *testing.T) {
 			loads := []float64{peak, peak + 100}
 			budgets := []float64{b, b / 4, 6 * b}
 			opts := core.Options{Registry: sc.Registry}
-			want := coldCells(t, sc.Inf, sc.Svc, opts, loads, budgets)
+			want, _ := coldCells(t, sc.Inf, sc.Svc, opts, loads, budgets)
 			for _, workers := range []int{1, 4} {
 				opts := opts
 				opts.Workers = workers

@@ -14,10 +14,10 @@ import (
 )
 
 // Observability types. A Solver carries them through Options: set
-// Options.Tracer to stream typed search events, Options.Metrics to
-// accumulate counters, and Options.DebugAddr to expose pprof, expvar
-// and a /metrics JSON snapshot over HTTP. All three default to off and
-// cost nothing when off.
+// Options.Tracer to stream typed search events and Options.Metrics to
+// accumulate counters; ServeDebug exposes pprof, expvar and a /metrics
+// JSON snapshot of a registry over HTTP. All of it defaults to off and
+// costs nothing when off.
 type (
 	// Tracer consumes typed search-trace events.
 	Tracer = obs.Tracer
@@ -54,13 +54,13 @@ const (
 	// EvFrontierReuse is a whole tier frontier served from a chain's
 	// frontier set instead of rebuilt.
 	EvFrontierReuse = obs.EvFrontierReuse
-	EvEvalMiss    = obs.EvEvalMiss
-	EvEvalHit     = obs.EvEvalHit
-	EvIncumbent   = obs.EvIncumbent
-	EvMemoHit     = obs.EvMemoHit
-	EvMemoSolve   = obs.EvMemoSolve
-	EvSimBatch    = obs.EvSimBatch
-	EvSweepPoint  = obs.EvSweepPoint
+	EvEvalMiss      = obs.EvEvalMiss
+	EvEvalHit       = obs.EvEvalHit
+	EvIncumbent     = obs.EvIncumbent
+	EvMemoHit       = obs.EvMemoHit
+	EvMemoSolve     = obs.EvMemoSolve
+	EvSimBatch      = obs.EvSimBatch
+	EvSweepPoint    = obs.EvSweepPoint
 )
 
 // PhaseNames lists the solver's timed phase names in display order —
