@@ -91,9 +91,6 @@ type (
 	CanceledError = core.CanceledError
 	// SearchMode selects the tier-search strategy (Options.Search).
 	SearchMode = core.SearchMode
-	// Delta describes which parts of the infrastructure changed between
-	// solves, for warm-started re-solves (Solver.Rebind / Resolve).
-	Delta = core.Delta
 	// ComboSeed is an opaque combination-seed token extracted from a
 	// Solution (Solution.Seed) and passed to Solver.SolveCell to seed a
 	// grid cell's combination upper bound.
@@ -391,15 +388,6 @@ func ScaleMechanismCost(mechanism string) SensitivityKnob {
 // cancels the whole sweep.
 func SensitivitySweep(ctx context.Context, base *Infrastructure, cfg SensitivityConfig, knob SensitivityKnob, factors []float64) ([]SensitivityPoint, error) {
 	return sensitivity.Sweep(ctx, base, cfg, knob, factors)
-}
-
-// AvailScope reports the warm-start invalidation scope of a
-// perturbation touching one component's availability inputs: the
-// resource types embedding it (SensitivityConfig.WarmDelta). Empty
-// component means everything; price-only knobs should use a zero Delta
-// instead.
-func AvailScope(inf *Infrastructure, component string) Delta {
-	return sensitivity.AvailScope(inf, component)
 }
 
 // Availability-model exchange (the representations the paper feeds to

@@ -46,8 +46,7 @@ func run(args []string, out io.Writer) (retErr error) {
 		load     = fs.Float64("load", 0, "required throughput (enterprise)")
 		downtime = fs.String("downtime", "", "max annual downtime, e.g. 2000m (enterprise)")
 		jobTime  = fs.String("jobtime", "", "max expected job time, e.g. 100h (scientific scenario)")
-		workers  = fs.Int("workers", 0, "factor worker count: 0 = all CPUs, 1 = sequential (results are identical)")
-		warm     = fs.Bool("warm", true, "warm-start each factor's solve from the previous one on a shared solver (results are identical; factors then run sequentially)")
+		workers  = fs.Int("workers", 0, "factor and sim replication worker count: 0 = all CPUs, 1 = sequential (results are identical)")
 		search   = fs.String("search", "bnb", "per-factor search strategy: bnb (branch-and-bound) or exhaustive (results are identical)")
 		engine   = fs.String("engine", "markov", "availability engine in the per-factor search: markov, exact or sim")
 		seed     = fs.Int64("seed", 1, "simulation seed (-engine sim)")
@@ -78,17 +77,6 @@ func run(args []string, out io.Writer) (retErr error) {
 		return err
 	}
 	cfg := aved.SensitivityConfig{Registry: aved.PaperRegistry(), Workers: *workers}
-	if *warm {
-		// Warm-started re-solves share one solver across factors; the
-		// delta names what each knob application may invalidate. The
-		// mtbf knob moves availability inputs of the target component's
-		// resource types; cost knobs move prices only, which the
-		// evaluation cache never stores.
-		cfg.WarmStart = true
-		if *knobName == "mtbf" {
-			cfg.WarmDelta = aved.AvailScope(inf, *target)
-		}
-	}
 	switch {
 	case *jobTime != "":
 		d, err := aved.ParseDuration(*jobTime)
@@ -165,9 +153,6 @@ func run(args []string, out io.Writer) (retErr error) {
 			p.Factor, p.Cost, p.DowntimeMinutes, p.JobTimeHours, p.Label)
 	}
 	fmt.Fprintf(out, "# totals: %s\n", tot)
-	if tot.WarmStartReuse > 0 {
-		fmt.Fprintf(out, "# warm start: %d evaluations reused across factors\n", tot.WarmStartReuse)
-	}
 	if *timings {
 		var buf bytes.Buffer
 		aved.WritePhaseTable(&buf, tot.PhaseNanos)
@@ -179,7 +164,8 @@ func run(args []string, out io.Writer) (retErr error) {
 }
 
 // applicationTierSpec mirrors the built-in §5.1 scenario; the sweep
-// rebinds the service per factor, so the spec text is what it needs.
+// binds the service against each perturbed infrastructure, so the spec
+// text is what it needs.
 const applicationTierSpec = `
 application=whatif-apptier
 tier=application

@@ -15,7 +15,7 @@ import (
 // solveEnterprise implements §4.1 for enterprise services: per-tier
 // optima first, then multi-tier refinement over per-tier cost/downtime
 // frontiers when the combination misses the overall budget.
-func (s *Solver) solveEnterprise(ctx context.Context, req model.Requirements, cfg cellConfig) (*Solution, error) {
+func (s *Solver) solveEnterprise(ctx context.Context, req model.Requirements, co CellOptions) (*Solution, error) {
 	budget := req.MaxAnnualDowntime.Minutes()
 	load := loadOf(req)
 	var stats searchStats
@@ -112,7 +112,7 @@ func (s *Solver) solveEnterprise(ctx context.Context, req model.Requirements, cf
 	ub := math.Inf(1)
 	if useBounds {
 		var err error
-		ub, thresholds, err = s.combineBounds(ctx, req, cfg, perTier, &stats)
+		ub, thresholds, err = s.combineBounds(ctx, req, co.Seed, perTier, &stats)
 		if err != nil {
 			return nil, wrapCanceled(err, &stats)
 		}
@@ -129,8 +129,8 @@ func (s *Solver) solveEnterprise(ctx context.Context, req model.Requirements, cf
 				maxCost = thresholds[i]
 			}
 			var err error
-			if cfg.frontiers != nil {
-				frontiers[i], err = s.cachedTierFrontier(ctx, cfg.frontiers, &s.svc.Tiers[i], load, maxCost, &stats)
+			if co.Frontiers != nil {
+				frontiers[i], err = s.cachedTierFrontier(ctx, co.Frontiers, &s.svc.Tiers[i], load, maxCost, &stats)
 			} else {
 				frontiers[i], err = s.tierFrontier(ctx, &s.svc.Tiers[i], load, maxCost, &stats)
 			}
@@ -196,19 +196,16 @@ func (s *Solver) solveEnterprise(ctx context.Context, req model.Requirements, cf
 // different share splits, usually tightening UB further. It reports
 // +Inf and nil thresholds when no feasible combination surfaces — then
 // the frontiers build unbounded, exactly as under SearchExhaustive.
-func (s *Solver) combineBounds(ctx context.Context, req model.Requirements, cfg cellConfig, perTier []*TierCandidate, stats *searchStats) (float64, []float64, error) {
+func (s *Solver) combineBounds(ctx context.Context, req model.Requirements, seed *ComboSeed, perTier []*TierCandidate, stats *searchStats) (float64, []float64, error) {
 	n := len(s.svc.Tiers)
 	budget := req.MaxAnnualDowntime.Minutes()
 	endPhase := s.phaseSpan(stats, phaseBound)
-	// A seeded solve derives the UB from a previous optimal combination
-	// instead of waterfilling: re-pricing it under the current models
-	// replays every untouched tier from the warm cache, so a what-if
-	// re-solve (or the next cell of a budget chain) pays about one
-	// engine evaluation for a near-optimal bound where the probe pass
-	// would re-search tiers at several tightened budgets. The seed is
-	// the caller's (SolveCell) or the solver's last solution
-	// (SolveContext); see cellConfig.
-	if c, ok, err := s.seedUB(ctx, req, cfg, stats); err != nil {
+	// A seeded solve (SolveCell with CellOptions.Seed) derives the UB
+	// from a previous optimal combination instead of waterfilling:
+	// re-pricing it replays its tiers from the evaluation cache, so the
+	// next cell of a budget chain gets a near-optimal bound where the
+	// probe pass would re-search tiers at several tightened budgets.
+	if c, ok, err := s.seedUB(ctx, req, seed, stats); err != nil {
 		endPhase()
 		return math.Inf(1), nil, err
 	} else if ok {
@@ -356,7 +353,6 @@ func (s *Solver) finishEnterprise(ctx context.Context, chosen []*TierCandidate, 
 		tr.Emit(obs.Event{Ev: obs.EvEvalMiss, Tier: "design", Down: res.DowntimeMinutes,
 			DurNs: evalNs, MS: obs.DurMS(evalNs)})
 	}
-	s.rememberCombo(chosen)
 	return &Solution{
 		Design:          design,
 		Cost:            total,

@@ -139,20 +139,6 @@ func baseFP(tierName, resourceName string) fp128 {
 	return fp128{hi: fnvOffset64, lo: saltGolden}.mixString(tierName).mixString(resourceName)
 }
 
-// baseFPFor is the solver-scoped base fingerprint: baseFP with the
-// resource type's Rebind invalidation epoch mixed in. At epoch zero —
-// every resource on a fresh solver — it equals baseFP exactly, so the
-// precomputed-parts agreement tests and the free fingerprintOf remain
-// valid; after a Rebind touching the resource, every fingerprint rooted
-// here changes and the caches' old entries become unreachable.
-func (s *Solver) baseFPFor(tierName, resourceName string) fp128 {
-	f := baseFP(tierName, resourceName)
-	if e := s.epochs[resourceName]; e != 0 {
-		f = f.mixUint(e)
-	}
-	return f
-}
-
 // modeFPOf keys a design's resolved effective modes: base, relevant
 // combo settings, spare warmth and spare existence. Resource counts
 // beyond has-spares do not change the modes.

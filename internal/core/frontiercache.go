@@ -50,24 +50,15 @@ import (
 // parallelise across chains, never within one — so per-cell Stats and
 // their sums are exact at any worker count. Sharing one set across
 // concurrently running chains is memory-safe but forfeits exactly that
-// determinism, so the sweeps create one set per chain.
-//
-// Invalidation: the key carries each resource's Rebind epoch, which
-// covers availability-relevant perturbations; cost changes are exactly
-// what the epochs deliberately ignore, and frontier points carry costs,
-// so any Rebind — a price-only zero-delta one included — bumps the
-// solver's rebind generation and a stale-generation set clears itself
-// wholesale on its next use.
+// determinism, so the sweeps create one set per chain. A solver's
+// models never change, so an entry never goes stale.
 
 // FrontierSet caches per-tier Pareto frontiers across the SolveCell
 // calls of one sequential grid chain (see CellOptions.Frontiers). The
 // zero value is not usable; create one per chain with NewFrontierSet.
 type FrontierSet struct {
 	mu sync.Mutex
-	// gen is the solver rebind generation the entries were built under;
-	// a mismatch invalidates them all (costs may have moved).
-	gen uint64
-	m   map[fp128]*frontierEntry
+	m  map[fp128]*frontierEntry
 }
 
 // NewFrontierSet creates an empty frontier cache for one grid chain.
@@ -97,22 +88,18 @@ type frontierDelta struct {
 
 // frontierKey fingerprints everything a tier's frontier can depend on
 // under a fixed Solver beyond the cost bound: the tier name, each
-// option's resource identity with its Rebind epoch, and each option's
-// throughput-derived size minimum (or its infeasibility). Option order
-// is part of the tier's identity, so the fold is ordered, not
-// commutative. The solver-level knobs that also shape frontiers
-// (MaxRedundancy, ExploreSpareWarmth, FixedMechanisms, the engine) are
-// fixed per Solver and a set never outlives its solver, so they need no
-// key bits.
+// option's resource identity, and each option's throughput-derived
+// size minimum (or its infeasibility). Option order is part of the
+// tier's identity, so the fold is ordered, not commutative. The
+// solver-level knobs that also shape frontiers (MaxRedundancy,
+// ExploreSpareWarmth, FixedMechanisms, the engine) are fixed per
+// Solver and a set never outlives its solver, so they need no key bits.
 func (s *Solver) frontierKey(tier *model.Tier, load tierLoad) (fp128, error) {
 	f := fp128{hi: fnvOffset64, lo: saltEntry}.mixString(tier.Name)
 	for i := range tier.Options {
 		opt := &tier.Options[i]
 		rt := opt.ResourceType()
 		f = f.mixString(rt.Name)
-		if e := s.epochs[rt.Name]; e != 0 {
-			f = f.mixUint(e)
-		}
 		curve, err := s.curveFor(opt)
 		if err != nil {
 			return fp128{}, err
@@ -154,11 +141,7 @@ func (s *Solver) cachedTierFrontier(ctx context.Context, set *FrontierSet, tier 
 	if err != nil {
 		return nil, err
 	}
-	gen := s.rebindGen.Load()
 	set.mu.Lock()
-	if set.gen != gen {
-		set.gen, set.m = gen, nil
-	}
 	e := set.m[key]
 	set.mu.Unlock()
 	if e != nil && maxCost <= e.bound {
@@ -203,12 +186,10 @@ func (s *Solver) cachedTierFrontier(ctx context.Context, set *FrontierSet, tier 
 		stats.phaseNs[i] += ph
 	}
 	set.mu.Lock()
-	if set.gen == gen {
-		if set.m == nil {
-			set.m = map[fp128]*frontierEntry{}
-		}
-		set.m[key] = &frontierEntry{points: points, bound: maxCost, delta: delta}
+	if set.m == nil {
+		set.m = map[fp128]*frontierEntry{}
 	}
+	set.m[key] = &frontierEntry{points: points, bound: maxCost, delta: delta}
 	set.mu.Unlock()
 	return points, nil
 }

@@ -174,7 +174,7 @@ func (s *Solver) searchJobOption(ctx context.Context, tier *model.Tier, opt *mod
 		return nil, err
 	}
 	groupCount := len(groupFPs)
-	base := s.baseFPFor(tier.Name, opt.ResourceType().Name)
+	base := baseFP(tier.Name, opt.ResourceType().Name)
 	// Per-instance component costs are count-independent; spare cost
 	// depends on the warmth prefix.
 	rt := opt.ResourceType()

@@ -17,10 +17,10 @@ type comboSet struct {
 // mechCombos returns the combination set for a resource type, building
 // it on first use (see buildCombos) and serving the memoized set —
 // combinations and fingerprints alike — afterwards. The set depends
-// only on inputs fixed between Rebinds, so memoization cannot change
-// results; it exists because a solve walks each resource type's options
-// several times (per-tier search, frontier build) and the enumeration
-// is allocation-heavy.
+// only on inputs fixed for the solver's lifetime, so memoization cannot
+// change results; it exists because a solve walks each resource type's
+// options several times (per-tier search, frontier build) and the
+// enumeration is allocation-heavy.
 func (s *Solver) mechCombos(rt *model.ResourceType) (*comboSet, error) {
 	s.comboMu.Lock()
 	cs, ok := s.comboCache[rt]

@@ -188,9 +188,11 @@ type Stats struct {
 	// Zero under SearchExhaustive.
 	BoundPruned int
 	// WarmStartReuse counts eval-cache hits on entries computed by an
-	// earlier solve on this solver — the reuse a warm-started what-if
-	// re-solve or repeat server request gets for free. Always a subset
-	// of EvalCacheHits; zero on a solver's first solve.
+	// earlier solve on this solver — in practice a grid sweep cell
+	// replaying evaluations an earlier cell of its load chain already
+	// paid for, or a repeat solve on one solver. Always a subset of
+	// EvalCacheHits; zero on a solver's first solve, and so always zero
+	// on the server, which builds a fresh solver per request.
 	WarmStartReuse int
 	// FrontierReuse counts tier frontiers this solve served from its
 	// chain's frontier set instead of building (SolveCell with
@@ -240,7 +242,8 @@ type Solution struct {
 }
 
 // Solver searches the design space of one service over one
-// infrastructure.
+// infrastructure. The models are fixed for the solver's lifetime: a
+// what-if over perturbed models builds a new solver.
 type Solver struct {
 	inf  *model.Infrastructure
 	svc  *model.Service
@@ -249,35 +252,11 @@ type Solver struct {
 	evalCache *evalCache // availability evaluations by design fingerprint
 	modeCache *modeCache // resolved effective modes by mode fingerprint
 
-	// epochs carries one invalidation epoch per resource-type name.
-	// Rebind bumps the epochs of the resource types a delta touches; the
-	// epoch mixes into every fingerprint rooted at that resource, so
-	// cache entries from before the bump become unreachable without any
-	// scan. A fresh solver has every epoch at zero, which keeps its
-	// fingerprints identical to the epoch-free construction. Written
-	// only by Rebind, which must not race with in-flight solves.
-	epochs map[string]uint64
-
 	// gen numbers the solves this solver has run; each flight in the
 	// eval cache records the generation that created it, so a later
 	// solve can tell warm-start reuse (a hit on another solve's entry)
 	// apart from within-solve sharing.
 	gen atomic.Uint64
-
-	// lastCombo holds the coordinates of the most recent successful
-	// enterprise solution, seeding the next solve's combination upper
-	// bound in place of the waterfilling probe pass (see seedUB). Nil
-	// until a first solve succeeds. SolveCell ignores it — grid sweeps
-	// pass explicit seeds so their per-cell results cannot depend on
-	// which cell happened to finish last.
-	lastCombo atomic.Pointer[ComboSeed]
-
-	// rebindGen counts Rebind calls. FrontierSet entries carry costs,
-	// which even a price-only (zero-delta) rebind may change — and which
-	// the per-resource epochs deliberately ignore — so a set stamped with
-	// an older generation invalidates itself wholesale on its next use
-	// (see frontiercache.go).
-	rebindGen atomic.Uint64
 
 	// ctxEng is the engine's context-aware entry point, resolved once at
 	// construction (nil when the engine has none).
@@ -304,9 +283,7 @@ type Solver struct {
 	// set (and its per-combo fingerprints) is a pure function of the
 	// resource type, the infrastructure's mechanisms and the solver's
 	// pins, so every option walk over one resource type — and there are
-	// several per solve — shares a single enumeration. Cleared by Rebind
-	// (the infrastructure, and with it the resource-type identities, may
-	// change).
+	// several per solve — shares a single enumeration.
 	comboMu    sync.Mutex
 	comboCache map[*model.ResourceType]*comboSet
 }
@@ -344,7 +321,6 @@ func NewSolver(inf *model.Infrastructure, svc *model.Service, opts Options) (*So
 		opts:      opts.withDefaults(),
 		evalCache: newEvalCache(),
 		modeCache: newModeCache(),
-		epochs:    map[string]uint64{},
 	}
 	// Hand the observability sinks to engines that can use them. Engine
 	// implementations make this idempotent, so solvers sharing an engine
@@ -398,18 +374,20 @@ func (s *Solver) Solve(req model.Requirements) (*Solution, error) {
 // batch), so cancellation or deadline expiry aborts promptly with a
 // CanceledError carrying the partial Stats and unwrapping to ctx's
 // error. With Options.Deadline set, the sooner of that deadline and
-// ctx's own bounds the solve.
+// ctx's own bounds the solve. It is SolveCell with zero CellOptions:
+// the search never depends on earlier solves on this solver, whose
+// evaluations only replay from the cache.
 func (s *Solver) SolveContext(ctx context.Context, req model.Requirements) (*Solution, error) {
-	return s.solve(ctx, req, cellConfig{implicitSeed: true})
+	return s.solve(ctx, req, CellOptions{})
 }
 
 // CellOptions tune one SolveCell call — the grid-sweep entry point.
 type CellOptions struct {
 	// Seed, when non-nil, seeds the combination upper bound from a
 	// previous solution's coordinates (Solution.Seed) instead of the
-	// solver's internal last-solution memory. Sweeps chain cells through
-	// explicit seeds so each cell's effort depends only on the grid, not
-	// on which unrelated cell happened to finish last; a tighter-budget
+	// waterfilling probe pass. Sweeps chain cells through explicit seeds
+	// so each cell's effort depends only on the grid, not on which
+	// unrelated cell happened to finish last; a tighter-budget
 	// solution is always feasible — hence admissible as an upper bound —
 	// at a looser budget on the same load. Nil disables seeding entirely
 	// (the cold waterfilling pass runs). Ignored by job requirements.
@@ -430,27 +408,13 @@ type CellOptions struct {
 // SolveCell is SolveContext for one cell of a requirement grid: same
 // search, same results, but with the seeding and frontier-reuse
 // machinery under explicit caller control so sweeps sharing one solver
-// stay deterministic at any worker count. A zero CellOptions solve is a
-// fully cold solve — unlike SolveContext it does not consult the
-// solver's last-solution memory.
+// stay deterministic at any worker count. A zero CellOptions solve is
+// exactly SolveContext.
 func (s *Solver) SolveCell(ctx context.Context, req model.Requirements, co CellOptions) (*Solution, error) {
-	return s.solve(ctx, req, cellConfig{seed: co.Seed, frontiers: co.Frontiers})
+	return s.solve(ctx, req, co)
 }
 
-// cellConfig is the per-solve knob set threaded from the public entry
-// points into the enterprise combination phase.
-type cellConfig struct {
-	// seed is the explicit combination seed (nil: none).
-	seed *ComboSeed
-	// implicitSeed loads the solver's lastCombo instead — the historical
-	// SolveContext behavior that warm what-if re-solves rely on.
-	implicitSeed bool
-	// frontiers, when non-nil, routes frontier builds through the
-	// chain's frontier set.
-	frontiers *FrontierSet
-}
-
-func (s *Solver) solve(ctx context.Context, req model.Requirements, cfg cellConfig) (*Solution, error) {
+func (s *Solver) solve(ctx context.Context, req model.Requirements, co CellOptions) (*Solution, error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
 	}
@@ -466,7 +430,7 @@ func (s *Solver) solve(ctx context.Context, req model.Requirements, cfg cellConf
 	)
 	switch req.Kind {
 	case model.ReqEnterprise:
-		sol, err = s.solveEnterprise(ctx, req, cfg)
+		sol, err = s.solveEnterprise(ctx, req, co)
 	case model.ReqJob:
 		if !s.svc.HasJobSize {
 			err = fmt.Errorf("core: job requirement needs a service with a jobsize, %q has none", s.svc.Name)
@@ -477,78 +441,6 @@ func (s *Solver) solve(ctx context.Context, req model.Requirements, cfg cellConf
 		err = fmt.Errorf("core: unknown requirement kind %d", int(req.Kind))
 	}
 	return s.endSolve(so, sol, err)
-}
-
-// Delta describes the scope of a Rebind: which resource types had any
-// availability-relevant input (failure MTBFs, repair times, mechanism
-// effects on them, startup/detection times, spare semantics) changed.
-// The zero value declares a change that touches no availability input
-// at all — prices only — which invalidates nothing: the evaluation
-// cache stores downtime and MTBF, never cost, and every solve reprices
-// candidates from the current model. A caller unsure of the scope must
-// set All; an understated delta silently serves stale evaluations.
-type Delta struct {
-	// Resources names the resource types whose availability inputs
-	// changed.
-	Resources []string
-	// All invalidates every resource type, regardless of Resources.
-	All bool
-}
-
-// Rebind swaps the solver's models for a what-if re-solve, keeping the
-// evaluation caches warm for everything the delta does not touch. The
-// service must be resolved against the new infrastructure. Rebind bumps
-// the invalidation epoch of each touched resource type, making cached
-// evaluations that depended on it unreachable; all other entries keep
-// serving hits, so a single-parameter what-if re-solve re-evaluates
-// only the affected slice of the grid (counted in Stats.WarmStartReuse).
-// Rebind is not safe to call concurrently with in-flight solves on the
-// same solver.
-func (s *Solver) Rebind(inf *model.Infrastructure, svc *model.Service, delta Delta) error {
-	if err := validateModels(inf, svc); err != nil {
-		return err
-	}
-	s.inf = inf
-	s.svc = svc
-	// The combination sets hang off the old infrastructure's resource
-	// types; drop them wholesale rather than tracking which survived.
-	s.comboMu.Lock()
-	s.comboCache = nil
-	s.comboMu.Unlock()
-	// FrontierSet entries store evaluated costs, and a zero delta means
-	// "prices only" — which the epoch machinery deliberately ignores (the
-	// eval cache never stores cost) but a cached frontier cannot survive.
-	// Bumping the generation invalidates every outstanding set wholesale;
-	// the eval cache underneath still makes any rebuild replay untouched
-	// evaluations.
-	s.rebindGen.Add(1)
-	if delta.All {
-		for _, name := range inf.ResourceNames() {
-			s.epochs[name]++
-		}
-		// Resource types the new model no longer declares stay bumped
-		// too, in case a later Rebind brings them back.
-		for name := range s.epochs {
-			if inf.Resources[name] == nil {
-				s.epochs[name]++
-			}
-		}
-		return nil
-	}
-	for _, name := range delta.Resources {
-		s.epochs[name]++
-	}
-	return nil
-}
-
-// Resolve is Rebind followed by SolveContext: the warm-started what-if
-// entry point. The caller supplies the perturbed models and the delta
-// describing what the perturbation touched.
-func (s *Solver) Resolve(ctx context.Context, inf *model.Infrastructure, svc *model.Service, delta Delta, req model.Requirements) (*Solution, error) {
-	if err := s.Rebind(inf, svc, delta); err != nil {
-		return nil, err
-	}
-	return s.SolveContext(ctx, req)
 }
 
 // InfeasibleError reports that no design in the space satisfies the

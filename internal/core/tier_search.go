@@ -356,7 +356,7 @@ func (s *Solver) newOptionSearch(tier *model.Tier, opt *model.ResourceOption, lo
 		nMinDegraded:   nMinDegraded,
 		maxTotal:       maxTotal,
 		combos:         combos,
-		base:           s.baseFPFor(tier.Name, rt.Name),
+		base:           baseFP(tier.Name, rt.Name),
 		comboFPs:       comboFPs,
 		warmSpare:      warmSpare,
 		contiguous:     contiguous,

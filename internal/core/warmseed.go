@@ -9,15 +9,13 @@ import (
 
 // ComboSeed records the coordinates of a successful enterprise
 // solution: enough to re-locate each chosen tier design in a later
-// solve's (possibly rebound) models without holding pointers into the
-// old ones. Mechanism settings are matched by name and value, so a
-// price or MTBF perturbation that leaves the structure alone still
-// resolves the same combination. Obtain one from Solution.Seed and pass
-// it to SolveCell to seed a grid cell's combination upper bound; the
-// solver also keeps its own internally (lastCombo) for plain
-// SolveContext warm re-solves. The fields are unexported: a seed is an
-// opaque token, valid for any solver over a service with the same tier
-// list.
+// solve's models without holding pointers into the ones it came from.
+// Mechanism settings are matched by name and value, so a seed taken on
+// one solver still resolves on another built from perturbed models that
+// keep the structure. Obtain one from Solution.Seed and pass it to
+// SolveCell to seed a grid cell's combination upper bound. The fields
+// are unexported: a seed is an opaque token, valid for any solver over
+// a service with the same tier list.
 type ComboSeed struct {
 	tiers []seedCoord
 }
@@ -29,16 +27,6 @@ type seedCoord struct {
 	nSpare     int
 	warm       int
 	mechanisms []model.MechSetting
-}
-
-// rememberCombo stores the solved combination for the next solve's
-// upper-bound seed.
-func (s *Solver) rememberCombo(chosen []*TierCandidate) {
-	seed := &ComboSeed{tiers: make([]seedCoord, len(chosen))}
-	for i, c := range chosen {
-		seed.tiers[i] = seedCoordOf(&c.Design)
-	}
-	s.lastCombo.Store(seed)
 }
 
 func seedCoordOf(td *model.TierDesign) seedCoord {
@@ -71,19 +59,14 @@ func (sol *Solution) Seed() *ComboSeed {
 // seedUB re-prices a previous solution's combination under the current
 // models and requirement, reporting its total cost as a combination
 // upper bound when it is still inside the search space and still meets
-// the downtime budget. The seed is cfg.seed when set, else — under
-// cfg.implicitSeed — the solver's own last solution. Tiers the rebind
-// did not touch replay from the warm evaluation cache, so a
-// single-parameter what-if re-solve gets a near-optimal UB for about
-// one engine evaluation — where a cold solve needs the full
-// waterfilling probe pass. Any structural mismatch (different tiers,
-// vanished option, setting no longer enumerated, size off the grid)
-// reports ok=false and the caller falls back to waterfilling.
-func (s *Solver) seedUB(ctx context.Context, req model.Requirements, cfg cellConfig, stats *searchStats) (float64, bool, error) {
-	seed := cfg.seed
-	if seed == nil && cfg.implicitSeed {
-		seed = s.lastCombo.Load()
-	}
+// the downtime budget. Within a budget chain the seed's tiers replay
+// from the evaluation cache, so the next cell usually gets a
+// near-optimal UB without an engine evaluation — where a cold solve
+// needs the full waterfilling probe pass. Any structural mismatch
+// (different tiers, vanished option, setting no longer enumerated,
+// size off the grid) reports ok=false and the caller falls back to
+// waterfilling.
+func (s *Solver) seedUB(ctx context.Context, req model.Requirements, seed *ComboSeed, stats *searchStats) (float64, bool, error) {
 	if seed == nil || len(seed.tiers) != len(s.svc.Tiers) {
 		return 0, false, nil
 	}
@@ -174,7 +157,7 @@ func warmAllowed(o *optionSearch, nSpare, warm int) bool {
 }
 
 // sameSettings compares mechanism settings by mechanism name and
-// parameter values — the identity that survives a model rebind.
+// parameter values — the identity that survives across solvers.
 func sameSettings(a, b []model.MechSetting) bool {
 	if len(a) != len(b) {
 		return false

@@ -47,8 +47,8 @@ const (
 	// frontier size subtree over the combination cost threshold.
 	EvBoundPrune = "bound.prune"
 	// EvWarmReuse is an eval-cache hit on an entry computed by an
-	// earlier solve on the same solver — the reuse a warm-started
-	// what-if re-solve gets. Always paired with an eval.hit for the
+	// earlier solve on the same solver — a grid sweep cell replaying an
+	// earlier cell's evaluation. Always paired with an eval.hit for the
 	// same fingerprint.
 	EvWarmReuse = "warm.reuse"
 	// EvFrontierReuse is a whole tier frontier served from the chain's

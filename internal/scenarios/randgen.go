@@ -82,7 +82,7 @@ type SolveScenario struct {
 	Svc *model.Service
 	Req model.Requirements
 	// Spec is the service spec text Svc was parsed from, for callers
-	// that rebind the service themselves (e.g. sensitivity sweeps).
+	// that bind the service themselves (e.g. sensitivity sweeps).
 	Spec string
 }
 

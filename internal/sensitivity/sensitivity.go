@@ -123,28 +123,6 @@ func scaleEffect(e *model.Effect, factor float64) error {
 	return nil
 }
 
-// AvailScope reports the warm-start invalidation scope of a
-// perturbation touching one component's availability inputs: the
-// resource types embedding that component. An empty component name
-// (perturb everything) scopes to the whole infrastructure. Price-only
-// knobs need no scope at all — the evaluation cache stores downtime
-// and MTBF, never cost — and should pass a zero Delta instead.
-func AvailScope(inf *model.Infrastructure, component string) core.Delta {
-	if component == "" {
-		return core.Delta{All: true}
-	}
-	var rs []string
-	for name, rt := range inf.Resources {
-		for _, rc := range rt.Components {
-			if rc.Component != nil && rc.Component.Name == component {
-				rs = append(rs, name)
-				break
-			}
-		}
-	}
-	return core.Delta{Resources: rs}
-}
-
 // Point is the search outcome at one perturbation factor.
 type Point struct {
 	Factor          float64
@@ -170,27 +148,11 @@ type Config struct {
 	SolverOptions core.Options
 	// Requirement is the fixed requirement to solve at each factor.
 	Requirement model.Requirements
-	// Workers bounds how many factors are evaluated concurrently: 0
-	// uses GOMAXPROCS, 1 runs sequentially. Each factor gets its own
+	// Workers bounds how many factors are solved concurrently: 0 uses
+	// GOMAXPROCS, 1 runs sequentially. Each factor gets its own
 	// infrastructure clone and solver, so the reported points are
 	// identical at any worker count.
 	Workers int
-	// WarmStart runs the factors sequentially on ONE shared solver,
-	// warm-starting each factor's solve from the previous one: Rebind
-	// with WarmDelta, then a SolveCell seeded by the last feasible
-	// factor's solution, so only the cache slice the delta invalidates is
-	// re-evaluated and the combination bound starts near-optimal. Points
-	// are identical to the cold sweep (the epoch invalidation is exact
-	// for an accurate delta); only the effort counters differ.
-	// Factor-level parallelism is off in this mode — the solver's own
-	// Workers still apply inside each solve.
-	WarmStart bool
-	// WarmDelta is the invalidation scope of one knob application: which
-	// resource types have availability-relevant inputs the knob touches
-	// (see AvailScope). The zero value declares a price-only knob and
-	// invalidates nothing. An understated delta returns stale results —
-	// when unsure, set All.
-	WarmDelta core.Delta
 }
 
 // Sweep applies the knob at each factor to a fresh clone of the base
@@ -212,12 +174,9 @@ func Sweep(ctx context.Context, base *model.Infrastructure, cfg Config, knob Kno
 	// Observability rides on the shared solver options: every factor's
 	// solver inherits the configured tracer and registry, and the sweep
 	// itself reports per-factor progress. Timing spans the whole factor
-	// (clone, perturb, rebind, solve) — that is the unit of work a
+	// (clone, perturb, bind, solve) — that is the unit of work a
 	// what-if consumer waits for.
 	po := sweep.NewPointObs(cfg.SolverOptions.Tracer, cfg.SolverOptions.Metrics, len(factors))
-	if cfg.WarmStart {
-		return sweepWarm(ctx, base, cfg, knob, factors, po)
-	}
 	out := make([]Point, len(factors))
 	pt := par.NewTiming(cfg.SolverOptions.Metrics)
 	err := par.ForEachTimedCtx(ctx, cfg.Workers, len(factors), pt, func(i int) error {
@@ -259,61 +218,6 @@ func Sweep(ctx context.Context, base *model.Infrastructure, cfg Config, knob Kno
 	})
 	if err != nil {
 		return nil, err
-	}
-	return out, nil
-}
-
-// sweepWarm is the Config.WarmStart path: one solver, factors in
-// order, each solve warm-started from the previous via Rebind with the
-// configured delta plus an explicit combination seed from the last
-// feasible factor (kept across infeasible ones). Frontier reuse stays
-// off: Rebind clears the frontier cache on every factor — perturbations
-// move costs, which the per-resource epochs deliberately ignore — so
-// caching unbounded builds here would only add work, never replay.
-func sweepWarm(ctx context.Context, base *model.Infrastructure, cfg Config, knob Knob, factors []float64, po sweep.PointObs) ([]Point, error) {
-	out := make([]Point, len(factors))
-	var solver *core.Solver
-	var seed *core.ComboSeed
-	for i, f := range factors {
-		start := po.Begin()
-		inf := base.Clone()
-		if err := knob(inf, f); err != nil {
-			return nil, err
-		}
-		svc, err := model.ParseService(cfg.ServiceSpec)
-		if err != nil {
-			return nil, fmt.Errorf("sensitivity: %w", err)
-		}
-		if err := svc.Resolve(inf); err != nil {
-			return nil, fmt.Errorf("sensitivity: %w", err)
-		}
-		var sol *core.Solution
-		if solver == nil {
-			opts := cfg.SolverOptions
-			opts.Registry = cfg.Registry
-			solver, err = core.NewSolver(inf, svc, opts)
-			if err != nil {
-				return nil, err
-			}
-			sol, err = solver.SolveContext(ctx, cfg.Requirement)
-		} else if err = solver.Rebind(inf, svc, cfg.WarmDelta); err == nil {
-			sol, err = solver.SolveCell(ctx, cfg.Requirement, core.CellOptions{Seed: seed})
-		}
-		if err != nil {
-			var infErr *core.InfeasibleError
-			if errors.As(err, &infErr) {
-				po.Done(i, start, obs.Event{Factor: f, Err: "infeasible"})
-				out[i] = Point{Factor: f, Infeasible: true}
-				continue
-			}
-			return nil, fmt.Errorf("sensitivity: factor %v: %w", f, err)
-		}
-		seed = sol.Seed()
-		po.Done(i, start, obs.Event{
-			Factor: f, Cost: float64(sol.Cost),
-			Down: sol.DowntimeMinutes, JobH: sol.JobTime.Hours(),
-		})
-		out[i] = pointOf(f, sol)
 	}
 	return out, nil
 }

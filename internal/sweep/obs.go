@@ -32,8 +32,8 @@ type Totals struct {
 	BoundPruned   int64
 	Evaluations   int64
 	EvalCacheHits int64
-	// WarmStartReuse sums eval-cache hits on earlier solves' entries; in
-	// warm-started sequential sweeps it is exact, with concurrently
+	// WarmStartReuse sums eval-cache hits on earlier solves' entries; on
+	// a sequential sweep it is exact, with concurrently
 	// overlapping solves on one solver it is a scheduling-dependent
 	// approximation like the raw hit/miss split.
 	WarmStartReuse int64
