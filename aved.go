@@ -91,15 +91,8 @@ type (
 	CanceledError = core.CanceledError
 	// SearchMode selects the tier-search strategy (Options.Search).
 	SearchMode = core.SearchMode
-	// ComboSeed is an opaque combination-seed token extracted from a
-	// Solution (Solution.Seed) and passed to Solver.SolveCell to seed a
-	// grid cell's combination upper bound.
-	ComboSeed = core.ComboSeed
-	// CellOptions configure one Solver.SolveCell grid-cell solve: an
-	// explicit combination seed and a chain frontier set.
-	CellOptions = core.CellOptions
-	// FrontierSet caches per-tier Pareto frontiers across the SolveCell
-	// calls of one sequential grid chain (CellOptions.Frontiers).
+	// FrontierSet caches per-tier Pareto frontiers across the
+	// Solver.SolveCell calls of one sequential grid chain.
 	FrontierSet = core.FrontierSet
 )
 

@@ -103,8 +103,8 @@ func phaseComments(out io.Writer, phaseNanos map[string]int64) {
 
 // progressTracer renders sweep.point events as one progress line each.
 // Cells that rode the grid-aware scheduling append their reuse
-// counters — frontiers served from the chain's set and warm-seed
-// eval-cache replays — so a watcher sees the acceleration live; cold
+// counters — frontiers served from the chain's set and warm replays
+// of earlier cells' eval-cache entries — so a watcher sees the acceleration live; cold
 // cells print unchanged.
 func progressTracer(w io.Writer) aved.Tracer {
 	return aved.TraceFunc(func(e aved.TraceEvent) {
@@ -120,7 +120,7 @@ func progressTracer(w io.Writer) aved.Tracer {
 			line += fmt.Sprintf(", %d frontier reuses", e.FrontierReuse)
 		}
 		if e.WarmReuse > 0 {
-			line += fmt.Sprintf(", %d warm seeds", e.WarmReuse)
+			line += fmt.Sprintf(", %d warm replays", e.WarmReuse)
 		}
 		fmt.Fprintln(w, line)
 	})

@@ -61,7 +61,7 @@ func TestColdSolveAllocBudget(t *testing.T) {
 // fingerprint cache and its flights from the slab allocator, so the
 // whole three-tier solve should cost a small bounded number of
 // allocations — the Pareto-reduced outputs, the combination, and the
-// Solution itself. Measured ~155 on the e-commerce scenario; the budget
+// Solution itself. Measured 107 on the e-commerce scenario; the budget
 // leaves headroom for map-growth jitter without letting a per-candidate
 // allocation (hundreds of candidates per solve) sneak back in.
 func TestWarmSolveAllocBudget(t *testing.T) {

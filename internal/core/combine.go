@@ -15,20 +15,18 @@ import (
 // solveEnterprise implements §4.1 for enterprise services: per-tier
 // optima first, then multi-tier refinement over per-tier cost/downtime
 // frontiers when the combination misses the overall budget.
-func (s *Solver) solveEnterprise(ctx context.Context, req model.Requirements, co CellOptions) (*Solution, error) {
+func (s *Solver) solveEnterprise(ctx context.Context, req model.Requirements, fs *FrontierSet) (*Solution, error) {
 	budget := req.MaxAnnualDowntime.Minutes()
 	load := loadOf(req)
 	var stats searchStats
 	stats.gen = s.gen.Add(1)
 	tr := s.opts.Tracer
 
-	// The combination bounds may engage under branch-and-bound with the
-	// exact combiner; phase 1 then already collects (cost, downtime)
-	// pools for the upper bound's mini-combination (see combineBounds).
-	// Whether the bounds actually hold is known only after phase 1, from
-	// its per-tier certificates.
-	useBounds := s.opts.Search != SearchExhaustive &&
-		s.opts.Combiner != CombineMethodGreedy && len(s.svc.Tiers) > 1
+	// The combination bounds may engage under branch-and-bound; phase 1
+	// then already collects (cost, downtime) pools for the upper bound's
+	// mini-combination (see combineBounds). Whether the bounds actually
+	// hold is known only after phase 1, from its per-tier certificates.
+	useBounds := s.opts.Search != SearchExhaustive && len(s.svc.Tiers) > 1
 	if useBounds {
 		stats.poolIdx = make(map[string]int, len(s.svc.Tiers))
 		stats.pools = make([][]TierCandidate, len(s.svc.Tiers))
@@ -79,14 +77,14 @@ func (s *Solver) solveEnterprise(ctx context.Context, req model.Requirements, co
 	// each tier's cost/downtime tradeoff; the combiner picks the
 	// minimum-cost point set whose series composition meets the budget.
 	//
-	// Under SearchBnB with the exact combiner, an admissible cost bound
-	// truncates the frontier build first: combineBounds finds a feasible
-	// combination whose total cost UB bounds the optimum from above; and
-	// any tier's point in a budget-feasible combination must itself meet
-	// the full budget in isolation, so it costs at least the tier's
-	// phase-1 optimum. A tier may therefore only contribute points
-	// costing at most UB - sum(other tiers' phase-1 costs), and its
-	// frontier build can skip every size subtree above that threshold.
+	// Under SearchBnB, an admissible cost bound truncates the frontier
+	// build first: combineBounds finds a feasible combination whose total
+	// cost UB bounds the optimum from above; and any tier's point in a
+	// budget-feasible combination must itself meet the full budget in
+	// isolation, so it costs at least the tier's phase-1 optimum. A tier
+	// may therefore only contribute points costing at most UB - sum(other
+	// tiers' phase-1 costs), and its frontier build can skip every size
+	// subtree above that threshold.
 	//
 	// The truncation is validated after combining: the truncated
 	// frontiers are exactly the ≤-threshold prefixes of the full ones,
@@ -112,7 +110,7 @@ func (s *Solver) solveEnterprise(ctx context.Context, req model.Requirements, co
 	ub := math.Inf(1)
 	if useBounds {
 		var err error
-		ub, thresholds, err = s.combineBounds(ctx, req, co.Seed, perTier, &stats)
+		ub, thresholds, err = s.combineBounds(ctx, req, perTier, &stats)
 		if err != nil {
 			return nil, wrapCanceled(err, &stats)
 		}
@@ -129,8 +127,8 @@ func (s *Solver) solveEnterprise(ctx context.Context, req model.Requirements, co
 				maxCost = thresholds[i]
 			}
 			var err error
-			if co.Frontiers != nil {
-				frontiers[i], err = s.cachedTierFrontier(ctx, co.Frontiers, &s.svc.Tiers[i], load, maxCost, &stats)
+			if fs != nil {
+				frontiers[i], err = s.cachedTierFrontier(ctx, fs, &s.svc.Tiers[i], load, maxCost, &stats)
 			} else {
 				frontiers[i], err = s.tierFrontier(ctx, &s.svc.Tiers[i], load, maxCost, &stats)
 			}
@@ -148,9 +146,6 @@ func (s *Solver) solveEnterprise(ctx context.Context, req model.Requirements, co
 		}
 		endPhase := s.phaseSpan(&stats, phaseCombine)
 		defer endPhase()
-		if s.opts.Combiner == CombineMethodGreedy {
-			return CombineGreedy(frontiers, budget)
-		}
 		return CombineExact(frontiers, budget)
 	}
 	frontiers, err := buildFrontiers(thresholds)
@@ -190,32 +185,67 @@ func (s *Solver) solveEnterprise(ctx context.Context, req model.Requirements, co
 // sub-additively in series, so shares summing within the budget give a
 // feasible stack; tiers that cannot meet their share are pinned at
 // their best known design and the remaining budget is re-split among
-// the rest. A final mini-combination over every (cost, downtime) pair
+// the rest. Proportional shares overshoot on a tier whose designs are
+// coarse: its cheapest design meeting a slightly smaller share can sit
+// a whole cost step above its phase-1 optimum, while the budget it then
+// leaves unused buys nothing. So when one tier accounts for most of the
+// first pass's cost rise, a second waterfilling pass keeps that tier at
+// its phase-1 design and splits what remains of the budget among the
+// others. A final mini-combination over every (cost, downtime) pair
 // evaluated so far — collected during phase 1 and the waterfilling
 // solves at no extra engine work — then mixes designs across the
 // different share splits, usually tightening UB further. It reports
 // +Inf and nil thresholds when no feasible combination surfaces — then
 // the frontiers build unbounded, exactly as under SearchExhaustive.
-func (s *Solver) combineBounds(ctx context.Context, req model.Requirements, seed *ComboSeed, perTier []*TierCandidate, stats *searchStats) (float64, []float64, error) {
-	n := len(s.svc.Tiers)
+// Every solve, grid cell or cold, bounds its combination this way, so a
+// cell's bound never depends on the earlier cells of its chain.
+func (s *Solver) combineBounds(ctx context.Context, req model.Requirements, perTier []*TierCandidate, stats *searchStats) (float64, []float64, error) {
 	budget := req.MaxAnnualDowntime.Minutes()
 	endPhase := s.phaseSpan(stats, phaseBound)
-	// A seeded solve (SolveCell with CellOptions.Seed) derives the UB
-	// from a previous optimal combination instead of waterfilling:
-	// re-pricing it replays its tiers from the evaluation cache, so the
-	// next cell of a budget chain gets a near-optimal bound where the
-	// probe pass would re-search tiers at several tightened budgets.
-	if c, ok, err := s.seedUB(ctx, req, seed, stats); err != nil {
-		endPhase()
-		return math.Inf(1), nil, err
-	} else if ok {
-		endPhase()
-		return s.finishBounds(c, budget, perTier, stats)
+	ub := math.Inf(1)
+	n := len(perTier)
+	phase1Cost := combinedCost(perTier)
+	cur, pinned := make([]*TierCandidate, n), make([]bool, n)
+	keep := -1 // the tier the second pass holds at its phase-1 design
+	for pass := 0; pass < 2; pass++ {
+		if err := s.waterfill(ctx, req, perTier, keep, cur, pinned, stats); err != nil {
+			endPhase()
+			return math.Inf(1), nil, err
+		}
+		if combinedDowntime(cur) <= budget {
+			ub = math.Min(ub, combinedCost(cur))
+		}
+		if pass == 1 {
+			break
+		}
+		rise := 0.0
+		for i := range cur {
+			if r := float64(cur[i].Cost - perTier[i].Cost); r > rise {
+				keep, rise = i, r
+			}
+		}
+		// A rise spread over many tiers, as on a long chain, is no
+		// single coarse step, and holding one tier back recovers too
+		// little to pay for the second pass's searches.
+		if keep < 0 || 2*rise <= combinedCost(cur)-phase1Cost {
+			break
+		}
 	}
-	cur := make([]*TierCandidate, n)
+	endPhase()
+	return s.finishBounds(ub, budget, perTier, stats)
+}
+
+// waterfill runs the proportional share rounds of combineBounds from the
+// phase-1 optima, with tier keep (when ≥ 0) held at its phase-1 design,
+// and leaves in cur the designs it ends at, which may still miss the
+// budget. pinned is its scratch; both have one slot per tier.
+func (s *Solver) waterfill(ctx context.Context, req model.Requirements, perTier []*TierCandidate, keep int, cur []*TierCandidate, pinned []bool, stats *searchStats) error {
+	budget := req.MaxAnnualDowntime.Minutes()
 	copy(cur, perTier)
-	pinned := make([]bool, n)
-	for round := 0; round < n; round++ {
+	for i := range pinned {
+		pinned[i] = i == keep
+	}
+	for round := 0; round < len(cur); round++ {
 		rem, sumUn := budget, 0.0
 		for i := range cur {
 			if pinned[i] {
@@ -235,8 +265,7 @@ func (s *Solver) combineBounds(ctx context.Context, req model.Requirements, seed
 			}
 			cand, _, err := s.searchTier(ctx, &s.svc.Tiers[i], loadOf(req), cur[i].DowntimeMinutes*scale, stats)
 			if err != nil {
-				endPhase()
-				return math.Inf(1), nil, err
+				return err
 			}
 			if cand == nil {
 				pinned[i] = true
@@ -249,12 +278,7 @@ func (s *Solver) combineBounds(ctx context.Context, req model.Requirements, seed
 			break
 		}
 	}
-	endPhase()
-	ub := math.Inf(1)
-	if combinedDowntime(cur) <= budget {
-		ub = combinedCost(cur)
-	}
-	return s.finishBounds(ub, budget, perTier, stats)
+	return nil
 }
 
 // finishBounds turns a candidate upper bound into the per-tier frontier
@@ -375,7 +399,7 @@ func combinedDowntime(tiers []*TierCandidate) float64 {
 // subject to the combined downtime budget. Frontiers are sorted by
 // ascending cost with descending downtime, enabling branch-and-bound:
 // the last point of each frontier is its tier's best achievable
-// downtime, giving an admissible feasibility bound. It is the default
+// downtime, giving an admissible feasibility bound. It is the solver's
 // multi-tier combiner; CombineGreedy is the paper-style alternative
 // kept for the ablation benchmarks.
 func CombineExact(frontiers [][]TierCandidate, budgetMinutes float64) ([]*TierCandidate, bool) {
@@ -426,8 +450,8 @@ func CombineExact(frontiers [][]TierCandidate, budgetMinutes float64) ([]*TierCa
 // CombineGreedy is the paper-style incremental refinement: start every
 // tier at its cheapest frontier point and repeatedly tighten the tier
 // offering the best downtime reduction per unit cost until the budget
-// holds. It can be suboptimal; the exact combiner is the default. It
-// is exported for the ablation benchmarks.
+// holds. It can be suboptimal, so the solver always combines with
+// CombineExact; it is exported for the ablation benchmarks.
 func CombineGreedy(frontiers [][]TierCandidate, budgetMinutes float64) ([]*TierCandidate, bool) {
 	n := len(frontiers)
 	idx := make([]int, n)

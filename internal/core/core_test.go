@@ -615,36 +615,3 @@ tier=main
 type boxCurve struct{}
 
 func (boxCurve) Throughput(n int) float64 { return 100 * float64(n) }
-
-// TestCombinerOptionGreedyVsExact runs the three-tier service through
-// both combiners: both must be feasible and greedy can never beat
-// exact on cost.
-func TestCombinerOptionGreedyVsExact(t *testing.T) {
-	inf, err := scenarios.Infrastructure()
-	if err != nil {
-		t.Fatal(err)
-	}
-	solve := func(method CombineMethod) *Solution {
-		svc, err := scenarios.Ecommerce(inf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := NewSolver(inf, svc, Options{Registry: scenarios.Registry(), Combiner: method})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sol, err := s.Solve(enterpriseReq(2000, 600))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sol
-	}
-	exact := solve(CombineMethodExact)
-	greedy := solve(CombineMethodGreedy)
-	if exact.DowntimeMinutes > 600 || greedy.DowntimeMinutes > 600 {
-		t.Error("both combiners must meet the budget")
-	}
-	if exact.Cost > greedy.Cost {
-		t.Errorf("exact (%v) must not cost more than greedy (%v)", exact.Cost, greedy.Cost)
-	}
-}

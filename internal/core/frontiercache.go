@@ -10,8 +10,8 @@ import (
 	"aved/internal/perf"
 )
 
-// This file implements the frontier cache behind CellOptions.Frontiers:
-// whole per-tier Pareto frontiers shared across the SolveCell calls of
+// This file implements the frontier cache behind SolveCell's
+// FrontierSet argument: whole per-tier Pareto frontiers shared across the SolveCell calls of
 // one grid chain on one Solver.
 //
 // The key observation is requirement-invariance. A tier's frontier
@@ -30,15 +30,14 @@ import (
 // degenerates into an exhaustive walk of the tier space — the very work
 // the branch-and-bound truncation exists to avoid — and costs more than
 // an entire budget chain of bounded builds. Instead the cache relies on
-// the chain discipline the sweeps establish: budgets tightest first,
-// each cell's solution seeding the next cell's upper bound. Under that
-// order the combination thresholds shrink monotonically along the chain
-// (a looser budget's optimum never costs more, and the per-tier phase-1
-// costs are fixed), so the chain's FIRST combination-phase cell builds
-// at the chain's high-water bound and every later cell serves a prefix.
-// A cell that does need a larger bound simply rebuilds at it — the
-// smaller build's evaluations replay from the solver's evaluation
-// cache, so extension costs only the new tail.
+// the chain order the sweeps establish: budgets tightest first. A
+// looser budget's optimum never costs more, so the thresholds mostly
+// shrink along the chain and the first combination-phase cell mostly
+// builds at the chain's high-water bound. Each cell's bound comes from
+// its own waterfilling pass, though, which is not monotone in the
+// budget, so a later cell can need a larger bound. It then rebuilds at
+// it — the superseded build's evaluations replay from the solver's
+// evaluation cache, so extension costs only the new tail.
 //
 // A FrontierSet is one chain's cache, used sequentially, which is what
 // makes the effort accounting deterministic: each build is charged to
@@ -54,8 +53,7 @@ import (
 // models never change, so an entry never goes stale.
 
 // FrontierSet caches per-tier Pareto frontiers across the SolveCell
-// calls of one sequential grid chain (see CellOptions.Frontiers). The
-// zero value is not usable; create one per chain with NewFrontierSet.
+// calls of one sequential grid chain (see SolveCell). The zero value is not usable; create one per chain with NewFrontierSet.
 type FrontierSet struct {
 	mu sync.Mutex
 	m  map[fp128]*frontierEntry

@@ -95,9 +95,6 @@ type Options struct {
 	// maintenance level to bronze as §5.2 does. Keyed by mechanism
 	// name, then parameter name.
 	FixedMechanisms map[string]map[string]model.ParamValue
-	// Combiner selects the multi-tier combination strategy. The zero
-	// value is the exact branch-and-bound combiner.
-	Combiner CombineMethod
 	// Workers bounds the worker pool of the coarse-grained work driven
 	// through this solver: sweep load chains (the sweeps read it via
 	// Solver.Workers), sensitivity factors and Monte-Carlo
@@ -144,21 +141,6 @@ type tierPricer interface {
 	PriceTier(*avail.TierModel) (float64, error)
 }
 
-// CombineMethod selects how per-tier frontiers combine into a
-// multi-tier design.
-type CombineMethod int
-
-// Combination strategies.
-const (
-	// CombineMethodExact is branch-and-bound over the tier frontiers:
-	// provably minimum cost under the model. The default.
-	CombineMethodExact CombineMethod = iota
-	// CombineMethodGreedy is the paper-style incremental refinement:
-	// repeatedly tighten the tier with the best downtime reduction per
-	// unit cost. Faster, possibly suboptimal; kept for the ablation.
-	CombineMethodGreedy
-)
-
 func (o Options) withDefaults() Options {
 	if o.Engine == nil {
 		o.Engine = avail.NewMarkovEngine()
@@ -195,8 +177,8 @@ type Stats struct {
 	// on the server, which builds a fresh solver per request.
 	WarmStartReuse int
 	// FrontierReuse counts tier frontiers this solve served from its
-	// chain's frontier set instead of building (SolveCell with
-	// CellOptions.Frontiers). The replayed build's evaluation requests
+	// chain's frontier set instead of building (SolveCell with a
+	// FrontierSet). The replayed build's evaluation requests
 	// land in EvalCacheHits, its candidates and pruning in the usual
 	// counters, so sweeping a chain sequentially keeps every per-cell
 	// counter exact at any worker count. Zero on plain SolveContext
@@ -374,47 +356,25 @@ func (s *Solver) Solve(req model.Requirements) (*Solution, error) {
 // batch), so cancellation or deadline expiry aborts promptly with a
 // CanceledError carrying the partial Stats and unwrapping to ctx's
 // error. With Options.Deadline set, the sooner of that deadline and
-// ctx's own bounds the solve. It is SolveCell with zero CellOptions:
+// ctx's own bounds the solve. It is SolveCell with no frontier set:
 // the search never depends on earlier solves on this solver, whose
 // evaluations only replay from the cache.
 func (s *Solver) SolveContext(ctx context.Context, req model.Requirements) (*Solution, error) {
-	return s.solve(ctx, req, CellOptions{})
-}
-
-// CellOptions tune one SolveCell call — the grid-sweep entry point.
-type CellOptions struct {
-	// Seed, when non-nil, seeds the combination upper bound from a
-	// previous solution's coordinates (Solution.Seed) instead of the
-	// waterfilling probe pass. Sweeps chain cells through explicit seeds
-	// so each cell's effort depends only on the grid, not on which
-	// unrelated cell happened to finish last; a tighter-budget
-	// solution is always feasible — hence admissible as an upper bound —
-	// at a looser budget on the same load. Nil disables seeding entirely
-	// (the cold waterfilling pass runs). Ignored by job requirements.
-	Seed *ComboSeed
-	// Frontiers, when non-nil, serves the combination phase's tier
-	// frontiers from the chain's frontier set: the chain's first cell
-	// needing a tier's frontier builds it at its own cost threshold, and
-	// every later cell whose threshold the build covers replays it as its
-	// ≤-threshold prefix — which under the sweeps' tightest-budget-first
-	// chain order is every later cell. Solutions are bit-identical to
-	// per-cell builds (the truncated frontier is exactly that prefix —
-	// see tierFrontier and frontiercache.go); the avoided work shows up
-	// in Stats.FrontierReuse and as EvalCacheHits. Nil, each solve builds
-	// its own frontiers exactly like SolveContext.
-	Frontiers *FrontierSet
+	return s.SolveCell(ctx, req, nil)
 }
 
 // SolveCell is SolveContext for one cell of a requirement grid: same
-// search, same results, but with the seeding and frontier-reuse
-// machinery under explicit caller control so sweeps sharing one solver
-// stay deterministic at any worker count. A zero CellOptions solve is
-// exactly SolveContext.
-func (s *Solver) SolveCell(ctx context.Context, req model.Requirements, co CellOptions) (*Solution, error) {
-	return s.solve(ctx, req, co)
-}
-
-func (s *Solver) solve(ctx context.Context, req model.Requirements, co CellOptions) (*Solution, error) {
+// search, same results, but with the combination phase's tier
+// frontiers served from fs, the grid chain's frontier set. The chain's
+// first cell needing a tier's frontier builds it at its own cost
+// threshold, and every later cell whose threshold the build covers
+// replays it as its ≤-threshold prefix. Solutions are bit-identical to
+// per-cell builds (the truncated frontier is exactly that prefix — see
+// tierFrontier and frontiercache.go); the avoided work shows up in
+// Stats.FrontierReuse and as EvalCacheHits. A nil fs builds every
+// frontier afresh, exactly like SolveContext. Job requirements ignore
+// fs.
+func (s *Solver) SolveCell(ctx context.Context, req model.Requirements, fs *FrontierSet) (*Solution, error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
 	}
@@ -430,7 +390,7 @@ func (s *Solver) solve(ctx context.Context, req model.Requirements, co CellOptio
 	)
 	switch req.Kind {
 	case model.ReqEnterprise:
-		sol, err = s.solveEnterprise(ctx, req, co)
+		sol, err = s.solveEnterprise(ctx, req, fs)
 	case model.ReqJob:
 		if !s.svc.HasJobSize {
 			err = fmt.Errorf("core: job requirement needs a service with a jobsize, %q has none", s.svc.Name)

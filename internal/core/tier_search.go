@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"math"
-	"sort"
+	"slices"
 
 	"aved/internal/avail"
 	"aved/internal/cost"
@@ -644,27 +645,18 @@ func (s *Solver) searchOption(ctx context.Context, tier *model.Tier, opt *model.
 // final optimum only improved on.
 func (s *Solver) searchTier(ctx context.Context, tier *model.Tier, load tierLoad, budgetMinutes float64, stats *searchStats) (*TierCandidate, bool, error) {
 	var best *TierCandidate
-	tails := make([]float64, len(tier.Options))
+	minTail := math.Inf(1) // the weakest option certificate
 	for i := range tier.Options {
 		cand, tail, err := s.searchOption(ctx, tier, &tier.Options[i], load, budgetMinutes, best, stats)
 		if err != nil {
 			return nil, false, err
 		}
-		tails[i] = tail
+		minTail = math.Min(minTail, tail)
 		if cand != nil {
 			best = cand
 		}
 	}
-	certified := best != nil
-	if certified {
-		for _, tail := range tails {
-			if tail < float64(best.Cost) {
-				certified = false
-				break
-			}
-		}
-	}
-	return best, certified, nil
+	return best, best != nil && minTail >= float64(best.Cost), nil
 }
 
 // frontierImproveEps is the minimum relative downtime improvement a
@@ -904,11 +896,15 @@ func paretoReduce(cands []TierCandidate) []TierCandidate {
 	return out
 }
 
+// sortCandidates orders cands by cost, then downtime. slices.SortFunc
+// runs the same pattern-defeating quicksort as sort.Slice, so equal
+// keys land in the same order, without sort.Slice's reflective swapper
+// and escaping closure on every call.
 func sortCandidates(cands []TierCandidate) {
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].Cost != cands[j].Cost {
-			return cands[i].Cost < cands[j].Cost
+	slices.SortFunc(cands, func(a, b TierCandidate) int {
+		if c := cmp.Compare(a.Cost, b.Cost); c != 0 {
+			return c
 		}
-		return cands[i].DowntimeMinutes < cands[j].DowntimeMinutes
+		return cmp.Compare(a.DowntimeMinutes, b.DowntimeMinutes)
 	})
 }

@@ -52,8 +52,8 @@ const (
 	// same fingerprint.
 	EvWarmReuse = "warm.reuse"
 	// EvFrontierReuse is a whole tier frontier served from the chain's
-	// frontier set instead of rebuilt (SolveCell with CellOptions
-	// Frontiers): Tier names the tier, FP carries the frontier key, and
+	// frontier set instead of rebuilt (SolveCell with a FrontierSet):
+	// Tier names the tier, FP carries the frontier key, and
 	// Evals counts the engine evaluations the replayed build originally
 	// spent — the work this solve avoided.
 	EvFrontierReuse = "frontier.reuse"

@@ -32,7 +32,7 @@ func TestSweepBitIdenticalOnCorpusScenarios(t *testing.T) {
 			loads := []float64{peak, peak + 100}
 			budgets := []float64{b, b / 4, 6 * b}
 			opts := core.Options{Registry: sc.Registry}
-			want, _ := coldCells(t, sc.Inf, sc.Svc, opts, loads, budgets)
+			want, _, _ := coldCells(t, sc.Inf, sc.Svc, opts, loads, budgets)
 			for _, workers := range []int{1, 4} {
 				opts := opts
 				opts.Workers = workers
@@ -56,7 +56,7 @@ func TestSweepBitIdenticalOnCorpusScenarios(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("corpus scenarios: %d frontier reuses, %d warm-seed replays", frontierReuse, warmReuse)
+	t.Logf("corpus scenarios: %d frontier reuses, %d warm replays", frontierReuse, warmReuse)
 	if frontierReuse == 0 {
 		t.Error("corpus scenarios never reused a frontier — the property test is vacuous")
 	}

@@ -42,8 +42,9 @@ type Fig6Curve struct {
 type Fig6Result struct {
 	Points []Fig6Point
 	Curves []Fig6Curve
-	// Totals aggregates search effort over the whole plane, counting
-	// the infeasible corners too.
+	// Totals aggregates search effort over the feasible cells; an
+	// infeasible corner adds to Totals.Infeasible only, since its solve
+	// returns no Stats.
 	Totals Totals
 }
 
@@ -58,19 +59,17 @@ func Fig6(ctx context.Context, solver *core.Solver, loads, budgetsMinutes []floa
 	}
 	// The grid is scheduled grid-aware: each load is one sequential chain
 	// over its budgets, tightest first, and the chains fan across the
-	// solver's worker pool by load. Within a chain each cell's solution
-	// seeds the next cell's combination upper bound (a tighter-budget
-	// solution is always feasible for a looser budget), and the cells
-	// share one frontier set — under the tightest-first order the first
-	// combination-phase cell builds each tier frontier at the chain's
-	// high-water cost bound, so later cells replay prefixes instead of
-	// rebuilding. Costs, labels and solutions stay bit-identical to
-	// per-cell cold solves at any worker count; the reuse shows up only
-	// in the Stats counters (FrontierReuse, WarmStartReuse). Cells land
-	// by flattened load-major index, so assembly below sees them in the
-	// original grid order regardless of parallelism; the lowest-load-index
-	// error wins, and within a load the tightest failing budget's error
-	// wins.
+	// solver's worker pool by load. Within a chain the cells share one
+	// frontier set: a cell whose cost threshold an earlier build covers
+	// replays that build's prefix, and one needing a larger bound
+	// rebuilds at it, with the superseded build's evaluations replaying
+	// from the solver's evaluation cache. Costs, labels and solutions
+	// stay bit-identical to per-cell cold solves at any worker count;
+	// the reuse shows up only in the Stats counters (FrontierReuse,
+	// WarmStartReuse). Cells land by flattened load-major index, so
+	// assembly below sees them in the original grid order regardless of
+	// parallelism; the lowest-load-index error wins, and within a load
+	// the tightest failing budget's error wins.
 	nb := len(budgetsMinutes)
 	ord := budgetOrder(budgetsMinutes)
 	type cell struct {
@@ -82,7 +81,6 @@ func Fig6(ctx context.Context, solver *core.Solver, loads, budgetsMinutes []floa
 	pt := par.NewTiming(solver.Metrics())
 	err := par.ForEachTimedCtx(ctx, solver.Workers(), len(loads), pt, func(li int) error {
 		load := loads[li]
-		var seed *core.ComboSeed
 		fs := core.NewFrontierSet()
 		for _, bj := range ord {
 			budget := budgetsMinutes[bj]
@@ -92,18 +90,16 @@ func Fig6(ctx context.Context, solver *core.Solver, loads, budgetsMinutes []floa
 				Kind:              model.ReqEnterprise,
 				Throughput:        load,
 				MaxAnnualDowntime: units.Duration(budget * float64(units.Minute)),
-			}, core.CellOptions{Seed: seed, Frontiers: fs})
+			}, fs)
 			if err != nil {
 				var infErr *core.InfeasibleError
 				if errors.As(err, &infErr) {
-					// This corner of the plane has no design; the previous
-					// seed stays valid for the next, looser budget.
+					// This corner of the plane has no design.
 					po.Done(i, start, obs.Event{Load: load, Budget: budget, Err: "infeasible"})
 					continue
 				}
 				return fmt.Errorf("sweep: fig6 at load %v budget %v: %w", load, budget, err)
 			}
-			seed = sol.Seed()
 			po.Done(i, start, obs.Event{
 				Load: load, Budget: budget,
 				Cost: float64(sol.Cost), Down: sol.DowntimeMinutes,
@@ -179,8 +175,7 @@ func Fig6(ctx context.Context, solver *core.Solver, loads, budgetsMinutes []floa
 }
 
 // budgetOrder returns the budget indices sorted ascending by value —
-// tightest requirement first, the chain order under which each cell's
-// solution is an admissible combination seed for every later cell.
+// tightest requirement first, the chain order of a load's cells.
 func budgetOrder(budgets []float64) []int {
 	ord := make([]int, len(budgets))
 	for i := range ord {

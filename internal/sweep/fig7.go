@@ -41,7 +41,7 @@ func Fig7(ctx context.Context, solver *core.Solver, requirementHours []float64) 
 	// the worker pool and collect points by index so the output order
 	// matches the sequential sweep. Unlike Fig6/Fig8 there is nothing to
 	// schedule grid-aware: job solves have no combination phase, so no
-	// frontiers to cache and no budget chain to seed — cross-cell reuse
+	// frontiers to cache — cross-cell reuse
 	// comes entirely from the solver's shared evaluation cache.
 	type slot struct {
 		ok    bool

@@ -49,14 +49,13 @@ func Fig8(ctx context.Context, solver *core.Solver, loads, budgetsMinutes []floa
 		return nil, fmt.Errorf("sweep: fig8 needs non-empty load and budget grids")
 	}
 	// Like Fig6, the grid is scheduled grid-aware: each load is one
-	// sequential chain — budgets tightest first, then the baseline, so the
-	// loosest budget's solution seeds the baseline's upper bound — and the
-	// chains fan across the worker pool by load, every cell seeding the
-	// next and sharing the chain's frontier set. Slot 0 of each load's
-	// stride is the baseline; cells land by flattened index so assembly
-	// sees the original grid order regardless of parallelism. The
-	// lowest-load-index error wins, and within a load the tightest failing
-	// budget's error wins.
+	// sequential chain — budgets tightest first, then the baseline — and
+	// the chains fan across the worker pool by load, every cell sharing
+	// the chain's frontier set. Slot 0 of each load's stride is the
+	// baseline; cells land by flattened index so assembly sees the
+	// original grid order regardless of parallelism. The lowest-load-index
+	// error wins, and within a load the tightest failing budget's error
+	// wins.
 	nb := len(budgetsMinutes)
 	stride := nb + 1
 	ord := budgetOrder(budgetsMinutes)
@@ -81,7 +80,6 @@ func Fig8(ctx context.Context, solver *core.Solver, loads, budgetsMinutes []floa
 	pt := par.NewTiming(solver.Metrics())
 	err := par.ForEachTimedCtx(ctx, solver.Workers(), len(loads), pt, func(li int) error {
 		load := loads[li]
-		var seed *core.ComboSeed
 		fs := core.NewFrontierSet()
 		for _, bj := range ord {
 			budget := budgetsMinutes[bj]
@@ -91,7 +89,7 @@ func Fig8(ctx context.Context, solver *core.Solver, loads, budgetsMinutes []floa
 				Kind:              model.ReqEnterprise,
 				Throughput:        load,
 				MaxAnnualDowntime: units.Duration(budget * float64(units.Minute)),
-			}, core.CellOptions{Seed: seed, Frontiers: fs})
+			}, fs)
 			if err != nil {
 				var infErr *core.InfeasibleError
 				if errors.As(err, &infErr) {
@@ -105,7 +103,6 @@ func Fig8(ctx context.Context, solver *core.Solver, loads, budgetsMinutes []floa
 				}
 				return fmt.Errorf("sweep: fig8 at load %v budget %v: %w", load, budget, err)
 			}
-			seed = sol.Seed()
 			po.Done(i, start, obs.Event{
 				Load: load, Budget: budget, Cost: float64(sol.Cost),
 				WarmReuse:     int64(sol.Stats.WarmStartReuse),
@@ -119,15 +116,14 @@ func Fig8(ctx context.Context, solver *core.Solver, loads, budgetsMinutes []floa
 			return nil
 		}
 		// No availability requirement: any downtime within the year is
-		// acceptable, so the budget is the whole year — and any feasible
-		// budget cell's design seeds it.
+		// acceptable, so the budget is the whole year.
 		i := li * stride
 		start := po.Begin()
 		base, err := solver.SolveCell(ctx, model.Requirements{
 			Kind:              model.ReqEnterprise,
 			Throughput:        load,
 			MaxAnnualDowntime: units.Duration(avail.MinutesPerYear * float64(units.Minute)),
-		}, core.CellOptions{Seed: seed, Frontiers: fs})
+		}, fs)
 		if err != nil {
 			return fmt.Errorf("sweep: fig8 baseline at load %v: %w", load, err)
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"aved/internal/avail"
@@ -13,8 +14,8 @@ import (
 	"aved/internal/units"
 )
 
-// These tests pin the grid-aware sweep contract: frontier-cached,
-// warm-seeded scheduling is a pure accelerant. Every cell's solution —
+// These tests pin the grid-aware sweep contract: frontier-cached
+// budget-chain scheduling is a pure accelerant. Every cell's solution —
 // cost, downtime, design — is bit-identical to a cold solve of the same
 // requirement on a fresh solver, at any worker count and in both search
 // modes; the reuse is visible only in effort counters, and the effort
@@ -39,24 +40,50 @@ func enterpriseReq(load, minutes float64) model.Requirements {
 	}
 }
 
+// countingEngine is a Markov engine that counts every call the solver
+// makes into it, infeasible cells included — effort that Stats cannot
+// show, since an InfeasibleError carries none. It forwards PriceTier
+// too, so the solver keeps its single-tier pricing path.
+type countingEngine struct {
+	m     avail.MarkovEngine
+	calls atomic.Int64
+}
+
+func newCountingEngine() *countingEngine {
+	return &countingEngine{m: avail.NewMarkovEngine()}
+}
+
+func (c *countingEngine) Evaluate(tms []avail.TierModel) (avail.Result, error) {
+	c.calls.Add(1)
+	return c.m.Evaluate(tms)
+}
+
+func (c *countingEngine) PriceTier(tm *avail.TierModel) (float64, error) {
+	c.calls.Add(1)
+	return c.m.PriceTier(tm)
+}
+
 // coldCells solves every grid cell per-cell cold: a fresh sequential
-// solver per cell, no shared caches, no seeds — the reference the
-// grid-aware sweep must reproduce exactly. It also returns the engine
-// evaluations summed over the feasible cells (infeasible solves report
-// no stats).
-func coldCells(t *testing.T, inf *model.Infrastructure, svc *model.Service, opts core.Options, loads, budgets []float64) ([]gridCell, int64) {
+// solver per cell, no shared caches — the reference the grid-aware
+// sweep must reproduce exactly. It also returns the engine evaluations
+// summed over the feasible cells (infeasible solves report no stats)
+// and the engine calls over every cell.
+func coldCells(t *testing.T, inf *model.Infrastructure, svc *model.Service, opts core.Options, loads, budgets []float64) ([]gridCell, int64, int64) {
 	t.Helper()
 	out := make([]gridCell, 0, len(loads)*len(budgets))
-	var evals int64
+	var evals, calls int64
 	for _, load := range loads {
 		for _, budget := range budgets {
+			eng := newCountingEngine()
 			opts := opts
 			opts.Workers = 1
+			opts.Engine = eng
 			s, err := core.NewSolver(inf, svc, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			sol, err := s.SolveContext(context.Background(), enterpriseReq(load, budget))
+			calls += eng.calls.Load()
 			if err != nil {
 				var infErr *core.InfeasibleError
 				if !errors.As(err, &infErr) {
@@ -73,7 +100,7 @@ func coldCells(t *testing.T, inf *model.Infrastructure, svc *model.Service, opts
 			})
 		}
 	}
-	return out, evals
+	return out, evals, calls
 }
 
 // fig6Cells maps a Fig6 result back onto the flattened grid.
@@ -102,7 +129,7 @@ func fig6Cells(res *Fig6Result, loads, budgets []float64) []gridCell {
 
 // TestSweepBitIdenticalOnCorpus is the grid-scheduling property test:
 // over a seeded corpus of generated scenarios, the grid-aware Fig6
-// sweep (shared solver, frontier cache, budget-chain seeding) produces
+// sweep (shared solver, budget-chain frontier cache) produces
 // exactly the per-cell cold solutions, in both search modes and at
 // worker counts 1 and 4 — and the corpus actually engages the frontier
 // cache, so the property is not vacuous.
@@ -123,7 +150,7 @@ func TestSweepBitIdenticalOnCorpus(t *testing.T) {
 		budgets := []float64{b, b / 4, 6 * b}
 		for _, mode := range modes {
 			opts := core.Options{Registry: scenarios.Registry(), Search: mode}
-			want, _ := coldCells(t, sc.Inf, sc.Svc, opts, loads, budgets)
+			want, _, _ := coldCells(t, sc.Inf, sc.Svc, opts, loads, budgets)
 			for _, workers := range []int{1, 4} {
 				opts := opts
 				opts.Workers = workers
@@ -147,7 +174,7 @@ func TestSweepBitIdenticalOnCorpus(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("corpus: %d frontier reuses, %d warm-seed replays", frontierReuse, warmReuse)
+	t.Logf("corpus: %d frontier reuses, %d warm replays", frontierReuse, warmReuse)
 	if frontierReuse == 0 {
 		t.Error("corpus never reused a frontier — the property test is vacuous")
 	}
@@ -158,10 +185,13 @@ func TestSweepBitIdenticalOnCorpus(t *testing.T) {
 // e-commerce Fig 6 and Fig 8 grids at Workers=1, the grid-aware sweep
 // must return the cold solutions bit-identically — for Fig 8 that
 // covers every cell's total cost and every load's baseline — and its
-// engine evaluations must stay under a pinned ceiling. The multi-tier
-// e-commerce grids must also cut per-cell cold solving by at least 3x;
-// the single-tier grid has no combination phase to accelerate, so its
-// cut floor is 0 and only its identity and ceiling are enforced.
+// engine evaluations must stay under a pinned ceiling. Stats count only
+// the feasible cells, so a second ceiling bounds every engine call the
+// sweep makes, infeasible cells included, through a counting engine.
+// The multi-tier e-commerce grids must also cut per-cell cold solving
+// by at least 3x; the single-tier grid has no combination phase to
+// accelerate, so its cut floor is 0 and only its identity and ceilings
+// are enforced.
 func TestSweepEvalCeilings(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -170,15 +200,20 @@ func TestSweepEvalCeilings(t *testing.T) {
 		loads   []float64
 		budgets []float64
 		ceiling int64
+		// callCeiling bounds the grid's engine calls over every cell.
+		callCeiling int64
 		// minCut is the floor on per-cell cold over grid evaluations.
 		minCut int64
 	}{
-		// Measured: 109 grid evaluations vs 256 per-cell cold, a 2.3x cut.
-		{"fig6-apptier", scenarios.ApplicationTier, false, []float64{400, 1400, 3200, 5000}, []float64{1, 10, 100, 1000, 10000}, 150, 0},
-		// Measured: 74 grid evaluations vs 450 per-cell cold, a 6.1x cut.
-		{"fig6-ecommerce", scenarios.Ecommerce, false, []float64{400, 1400, 3200, 5000}, []float64{1, 10, 100, 1000, 10000}, 100, 3},
-		// Measured: 81 grid evaluations vs 439 per-cell cold, a 5.4x cut.
-		{"fig8-ecommerce", scenarios.Ecommerce, true, []float64{400, 800, 1600, 3200}, []float64{1, 10, 100, 1000}, 110, 3},
+		// Measured: 109 grid evaluations vs 256 per-cell cold, a 2.3x cut;
+		// 109 engine calls over every cell.
+		{"fig6-apptier", scenarios.ApplicationTier, false, []float64{400, 1400, 3200, 5000}, []float64{1, 10, 100, 1000, 10000}, 150, 150, 0},
+		// Measured: 23 grid evaluations vs 450 per-cell cold, a 19.6x cut;
+		// 226 engine calls over every cell vs 1137 per-cell cold.
+		{"fig6-ecommerce", scenarios.Ecommerce, false, []float64{400, 1400, 3200, 5000}, []float64{1, 10, 100, 1000, 10000}, 100, 250, 3},
+		// Measured: 20 grid evaluations vs 439 per-cell cold, a 21.9x cut;
+		// 216 engine calls over every cell vs 1103 per-cell cold.
+		{"fig8-ecommerce", scenarios.Ecommerce, true, []float64{400, 800, 1600, 3200}, []float64{1, 10, 100, 1000}, 110, 250, 3},
 	}
 	inf, err := scenarios.Infrastructure()
 	if err != nil {
@@ -191,13 +226,16 @@ func TestSweepEvalCeilings(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s, err := core.NewSolver(inf, svc, opts)
+			eng := newCountingEngine()
+			gridOpts := opts
+			gridOpts.Engine = eng
+			s, err := core.NewSolver(inf, svc, gridOpts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			var got, want []gridCell
 			var tot Totals
-			var cold int64
+			var cold, coldCalls int64
 			if tc.fig8 {
 				curves, err := Fig8(context.Background(), s, tc.loads, tc.budgets)
 				if err != nil {
@@ -208,7 +246,7 @@ func TestSweepEvalCeilings(t *testing.T) {
 				// comparison projects both sides onto feasibility and cost.
 				coldBudgets := append([]float64{avail.MinutesPerYear}, tc.budgets...)
 				var full []gridCell
-				full, cold = coldCells(t, inf, svc, opts, tc.loads, coldBudgets)
+				full, cold, coldCalls = coldCells(t, inf, svc, opts, tc.loads, coldBudgets)
 				for _, c := range full {
 					want = append(want, gridCell{ok: c.ok, cost: c.cost})
 				}
@@ -232,7 +270,7 @@ func TestSweepEvalCeilings(t *testing.T) {
 				}
 				tot = res.Totals
 				got = fig6Cells(res, tc.loads, tc.budgets)
-				want, cold = coldCells(t, inf, svc, opts, tc.loads, tc.budgets)
+				want, cold, coldCalls = coldCells(t, inf, svc, opts, tc.loads, tc.budgets)
 			}
 			if len(got) != len(want) {
 				t.Fatalf("grid has %d cells, cold %d", len(got), len(want))
@@ -242,12 +280,17 @@ func TestSweepEvalCeilings(t *testing.T) {
 					t.Errorf("cell %d: grid %+v, cold %+v", i, got[i], want[i])
 				}
 			}
-			t.Logf("%s grid: %d grid evaluations vs %d per-cell cold (%.1fx), %d frontier reuses",
-				tc.name, tot.Evaluations, cold,
-				float64(cold)/float64(tot.Evaluations), tot.FrontierReuse)
+			calls := eng.calls.Load()
+			t.Logf("%s grid: %d grid evaluations vs %d per-cell cold (%.1fx); %d engine calls over every cell vs %d per-cell cold (%.1fx); %d frontier reuses",
+				tc.name, tot.Evaluations, cold, float64(cold)/float64(tot.Evaluations),
+				calls, coldCalls, float64(coldCalls)/float64(calls), tot.FrontierReuse)
 			if tot.Evaluations > tc.ceiling {
 				t.Errorf("grid sweep ran %d engine evaluations, over the pinned ceiling %d",
 					tot.Evaluations, tc.ceiling)
+			}
+			if calls > tc.callCeiling {
+				t.Errorf("grid sweep made %d engine calls over every cell, over the pinned ceiling %d",
+					calls, tc.callCeiling)
 			}
 			if tot.Evaluations*tc.minCut > cold {
 				t.Errorf("grid sweep's %d evaluations is not a %dx cut of per-cell cold's %d",

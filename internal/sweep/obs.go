@@ -10,8 +10,10 @@ import (
 
 // Totals aggregates search effort across a sweep: the per-point
 // core.Stats summed over every feasible cell, plus the cell counts
-// themselves. The CLIs print it as a closing line so a long sweep
-// reports how much work it actually did.
+// themselves. An infeasible cell adds to Infeasible only: its solve
+// returns an InfeasibleError without Stats, so the effort it spent is
+// in none of the sums. The CLIs print it as a closing line so a long
+// sweep reports how much work it actually did.
 //
 // Determinism caveat: cells share the solver's singleflight eval cache
 // and its engine, so which cell's solve executes a miss (vs replaying

@@ -138,7 +138,7 @@ func main() {
 	case promMode:
 		fmt.Printf("check_metrics: prom ok (%d metric families)\n", families)
 	case sweepMode:
-		fmt.Printf("check_metrics: sweep ok (%d points, %d warm-seed replays, %d frontier reuses, %d trace events)\n",
+		fmt.Printf("check_metrics: sweep ok (%d points, %d warm replays, %d frontier reuses, %d trace events)\n",
 			tr.events["sweep.point"], tr.pointWarm, tr.pointFrontier, total(tr.events))
 	default:
 		fmt.Printf("check_metrics: ok (%d candidates, %d evaluations, %d trace events)\n",
@@ -299,7 +299,7 @@ func checkSweep(fail func(string, ...any), snap snapshot, tr trace) {
 		counter string
 		points  int64
 	}{
-		{"warm-seed replays", "warm.reuse", "core.warm_reuse", tr.pointWarm},
+		{"warm replays", "warm.reuse", "core.warm_reuse", tr.pointWarm},
 		{"frontier reuses", "frontier.reuse", "core.frontier_reuse", tr.pointFrontier},
 	}
 	for _, c := range cross {
@@ -313,9 +313,9 @@ func checkSweep(fail func(string, ...any), snap snapshot, tr trace) {
 		}
 	}
 	// Non-vacuity: a grid-aware budget chain must actually replay
-	// warm-seeded work, or the check proves nothing.
+	// earlier cells' evaluations, or the check proves nothing.
 	if tr.pointWarm == 0 {
-		fail("trace: the sweep never replayed a warm-seeded entry — grid-aware scheduling is off")
+		fail("trace: the sweep never made a warm replay of an earlier cell's entry — grid-aware scheduling is off")
 	}
 	// The per-cell solvers share the registry, so the phase histograms
 	// must aggregate exactly the phase.end / eval.miss spans the trace

@@ -6,7 +6,7 @@
 # phase.end/eval.miss nanosecond sums must equal the report's
 # phaseNanos exactly and the solve.phase.* histograms up to float
 # rounding. Then runs one traced grid-aware sweep and cross-checks
-# the reuse counters its -progress lines print (warm-seed replays,
+# the reuse counters its -progress lines print (warm replays,
 # frontier reuses, carried on sweep.point events) against the per-hit
 # trace events and the registry counters, plus the same phase
 # histogram checks. Finally lints the Prometheus text exposition the
