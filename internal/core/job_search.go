@@ -127,11 +127,7 @@ func (s *Solver) prepareJobCombos(tier *model.Tier, opt *model.ResourceOption) (
 		}
 		jc.lossWindow, jc.hasLW = lw, has
 		for _, ms := range combo {
-			per, err := ms.CostPerInstance()
-			if err != nil {
-				return nil, nil, err
-			}
-			jc.mechCostPerInstance += per
+			jc.mechCostPerInstance += ms.CostPerInstance()
 		}
 		for _, mp := range opt.MechPerf {
 			ms, ok := probe.Mechanism(mp.Mechanism)

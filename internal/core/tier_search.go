@@ -324,19 +324,10 @@ func (s *Solver) newOptionSearch(tier *model.Tier, opt *model.ResourceOption, lo
 		}
 	}
 	mechMin := math.Inf(1)
-	floorOK := true
 	for _, combo := range combos {
 		var per float64
 		for i := range combo {
-			p, err := combo[i].CostPerInstance()
-			if err != nil {
-				floorOK = false
-				break
-			}
-			per += float64(p)
-		}
-		if !floorOK {
-			break
+			per += float64(combo[i].CostPerInstance())
 		}
 		if per < mechMin {
 			mechMin = per
@@ -364,7 +355,7 @@ func (s *Solver) newOptionSearch(tier *model.Tier, opt *model.ResourceOption, lo
 		activeInstCost: activeInst,
 		minInstCost:    minInst,
 		mechMinCost:    mechMin,
-		costFloorOK:    floorOK && minInst+mechMin >= 0,
+		costFloorOK:    minInst+mechMin >= 0,
 	}, true, nil
 }
 

@@ -36,11 +36,7 @@ func Tier(td *model.TierDesign) (units.Money, error) {
 	// Mechanism cost per covered instance (actives and spares).
 	instances := float64(td.NActive + td.NSpare)
 	for _, ms := range td.Mechanisms {
-		per, err := ms.CostPerInstance()
-		if err != nil {
-			return 0, fmt.Errorf("cost: tier %q: %w", td.TierName, err)
-		}
-		total += units.Money(instances * float64(per))
+		total += units.Money(instances * float64(ms.CostPerInstance()))
 	}
 	return total, nil
 }

@@ -179,11 +179,7 @@ func TestCheckpointMechanismIsFree(t *testing.T) {
 		"storage_location":    model.EnumValue("peer"),
 		"checkpoint_interval": model.DurationValue(2),
 	}}
-	got, err := ms.CostPerInstance()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 0 {
+	if got := ms.CostPerInstance(); got != 0 {
 		t.Errorf("checkpoint cost = %v, want 0", got)
 	}
 	_ = units.Money(0)

@@ -2,6 +2,8 @@ package model
 
 import (
 	"fmt"
+	"strings"
+	"unicode"
 
 	"aved/internal/spec"
 	"aved/internal/units"
@@ -9,8 +11,8 @@ import (
 
 // BindInfrastructure interprets a parsed spec document as an
 // infrastructure model (Fig. 3's format) and validates it: component
-// references resolve, dependency chains are well formed, mechanism
-// tables match their parameter ranges.
+// references resolve, dependency chains are well formed, and every
+// mechanism effect binds to typed values that match its parameters.
 func BindInfrastructure(doc *spec.Document) (*Infrastructure, error) {
 	inf := &Infrastructure{
 		Components: map[string]*Component{},
@@ -43,8 +45,17 @@ type infraBinder struct {
 
 	curComponent *Component
 	curMechanism *Mechanism
-	curParam     string // current mechanism parameter, for effect tables
 	curResource  *ResourceType
+
+	// effects are the mechanism effect attributes in source order;
+	// validate binds them once every parameter they may name is
+	// declared.
+	effects []mechEffect
+}
+
+type mechEffect struct {
+	mech *Mechanism
+	attr spec.Attr
 }
 
 func (b *infraBinder) clause(c *spec.Clause) error {
@@ -173,18 +184,13 @@ func (b *infraBinder) mechanism(c *spec.Clause) error {
 	}
 	mech := &Mechanism{Name: c.Name}
 	for _, a := range c.Attrs {
-		eff, err := bindEffect(a, mech.Name)
-		if err != nil {
-			return err
-		}
-		mech.Effects = append(mech.Effects, eff)
+		b.effects = append(b.effects, mechEffect{mech, a})
 	}
 	b.inf.Mechanisms[c.Name] = mech
 	b.inf.mechanismOrder = append(b.inf.mechanismOrder, c.Name)
 	b.curMechanism = mech
 	b.curComponent = nil
 	b.curResource = nil
-	b.curParam = ""
 	return nil
 }
 
@@ -201,11 +207,7 @@ func (b *infraBinder) param(c *spec.Clause) error {
 		if a.Key != "range" {
 			// Effect attributes may trail a param clause; they belong to
 			// the mechanism.
-			eff, err := bindEffect(a, b.curMechanism.Name)
-			if err != nil {
-				return err
-			}
-			b.curMechanism.Effects = append(b.curMechanism.Effects, eff)
+			b.effects = append(b.effects, mechEffect{b.curMechanism, a})
 			continue
 		}
 		if sawRange {
@@ -214,6 +216,13 @@ func (b *infraBinder) param(c *spec.Clause) error {
 		sawRange = true
 		items := a.Value.Items()
 		if isEnumRange(items) {
+			// The writer separates settings with commas alone, so a
+			// setting with inner blanks would split on the way back.
+			for _, it := range items {
+				if strings.ContainsFunc(it, unicode.IsSpace) {
+					return fmt.Errorf("spec:%s: param %q: setting %q contains whitespace", a.Pos, c.Name, it)
+				}
+			}
 			p.Enum = items
 			continue
 		}
@@ -227,7 +236,6 @@ func (b *infraBinder) param(c *spec.Clause) error {
 		return fmt.Errorf("spec:%s: param %q: missing range", c.Pos, c.Name)
 	}
 	b.curMechanism.Params = append(b.curMechanism.Params, p)
-	b.curParam = c.Name
 	return nil
 }
 
@@ -296,6 +304,13 @@ func (b *infraBinder) resourceMember(c *spec.Clause) error {
 // validate performs whole-model checks after all clauses are bound.
 func (b *infraBinder) validate() error {
 	inf := b.inf
+	for _, e := range b.effects {
+		eff, err := bindEffect(e.attr, e.mech)
+		if err != nil {
+			return err
+		}
+		e.mech.Effects = append(e.mech.Effects, eff)
+	}
 	for _, name := range inf.componentOrder {
 		comp := inf.Components[name]
 		if len(comp.Failures) == 0 {
@@ -330,26 +345,6 @@ func (b *infraBinder) validate() error {
 			}
 			if _, ok := mech.Effect("loss_window"); !ok {
 				return fmt.Errorf("component %q: mechanism %q supplies no loss_window effect", name, comp.LossWindowRef)
-			}
-		}
-	}
-	for _, name := range inf.mechanismOrder {
-		mech := inf.Mechanisms[name]
-		for _, eff := range mech.Effects {
-			if eff.ByParam == "" {
-				continue
-			}
-			p, ok := mech.Param(eff.ByParam)
-			if !ok {
-				return fmt.Errorf("mechanism %q effect %q: unknown parameter %q", name, eff.Attr, eff.ByParam)
-			}
-			if !p.IsEnum() {
-				return fmt.Errorf("mechanism %q effect %q: tables require an enumerated parameter, %q is numeric",
-					name, eff.Attr, eff.ByParam)
-			}
-			if len(eff.Table) != len(p.Enum) {
-				return fmt.Errorf("mechanism %q effect %q: table has %d entries for %d parameter settings",
-					name, eff.Attr, len(eff.Table), len(p.Enum))
 			}
 		}
 	}
@@ -392,25 +387,64 @@ func bindCost(a spec.Attr, inactive, active *units.Money) error {
 	return nil
 }
 
-// bindEffect interprets a mechanism effect attribute: cost=0,
-// cost(level)=[...], mttr(level)=[...], loss_window=checkpoint_interval.
-func bindEffect(a spec.Attr, mech string) (Effect, error) {
+// bindEffect binds a mechanism effect attribute to typed values, once
+// every parameter of mech is declared: cost=0, cost(level)=[380 580],
+// mttr(level)=[38h 15h], loss_window=checkpoint_interval.
+func bindEffect(a spec.Attr, mech *Mechanism) (Effect, error) {
+	fail := func(format string, args ...any) (Effect, error) {
+		return Effect{}, fmt.Errorf("spec:%s: mechanism %q effect %q: %s", a.Pos, mech.Name, a.Key, fmt.Sprintf(format, args...))
+	}
+	isCost := a.Key == "cost"
+	if !isCost && a.Key != "mttr" && a.Key != "mtbf" && a.Key != "loss_window" {
+		return fail("unknown effect (want cost, mttr, mtbf or loss_window)")
+	}
+	if _, dup := mech.Effect(a.Key); dup {
+		return fail("duplicate effect")
+	}
 	eff := Effect{Attr: a.Key}
-	switch len(a.Args) {
-	case 0:
-		if a.Value.Kind != spec.ValueWord {
-			return Effect{}, fmt.Errorf("spec:%s: mechanism %q effect %q: want a scalar value", a.Pos, mech, a.Key)
+	items := a.Value.Items()
+	switch {
+	case len(a.Args) > 1:
+		return fail("at most one indexing parameter is supported")
+	case len(a.Args) == 1:
+		p, ok := mech.Param(a.Args[0])
+		if !ok {
+			return fail("unknown parameter %q", a.Args[0])
 		}
-		eff.Scalar = a.Value.Text
-	case 1:
-		eff.ByParam = a.Args[0]
-		eff.Table = a.Value.Items()
-		if len(eff.Table) == 0 {
-			return Effect{}, fmt.Errorf("spec:%s: mechanism %q effect %q: empty table", a.Pos, mech, a.Key)
+		if !p.IsEnum() {
+			return fail("tables require an enumerated parameter, %q is numeric", p.Name)
 		}
-	default:
-		return Effect{}, fmt.Errorf("spec:%s: mechanism %q effect %q: at most one indexing parameter is supported",
-			a.Pos, mech, a.Key)
+		if len(items) != len(p.Enum) {
+			return fail("table has %d entries for %d parameter settings", len(items), len(p.Enum))
+		}
+		eff.ByParam = p.Name
+	case a.Value.Kind != spec.ValueWord:
+		return fail("want a scalar value")
+	case !isCost:
+		// A scalar that is not a duration may name a numeric parameter
+		// whose chosen value flows through.
+		p, ok := mech.Param(a.Value.Text)
+		if _, err := units.ParseDuration(a.Value.Text); err != nil && ok {
+			if p.IsEnum() {
+				return fail("parameter %q is enumerated; only a numeric parameter passes its value through", p.Name)
+			}
+			return Effect{Attr: a.Key, Pass: p.Name}, nil
+		}
+	}
+	for _, it := range items {
+		if isCost {
+			m, err := units.ParseMoney(it)
+			if err != nil {
+				return fail("%v", err)
+			}
+			eff.Costs = append(eff.Costs, m)
+			continue
+		}
+		d, err := units.ParseDuration(it)
+		if err != nil {
+			return fail("%v", err)
+		}
+		eff.Times = append(eff.Times, d)
 	}
 	return eff, nil
 }

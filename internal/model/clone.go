@@ -1,5 +1,7 @@
 package model
 
+import "aved/internal/units"
+
 // Clone deep-copies the infrastructure so callers can perturb
 // parameters (what-if and sensitivity analysis) without touching the
 // original. Component aliasing is preserved: resource members in the
@@ -29,7 +31,8 @@ func (inf *Infrastructure) Clone() *Infrastructure {
 		mm.Effects = make([]Effect, len(m.Effects))
 		for i, e := range m.Effects {
 			ee := e
-			ee.Table = append([]string(nil), e.Table...)
+			ee.Costs = append([]units.Money(nil), e.Costs...)
+			ee.Times = append([]units.Duration(nil), e.Times...)
 			mm.Effects[i] = ee
 		}
 		out.Mechanisms[name] = &mm

@@ -74,103 +74,55 @@ func (ms MechSetting) Validate() error {
 	return nil
 }
 
-// lookupRaw resolves the mechanism's effect on attr to a raw string
-// under this setting. The second result reports whether the mechanism
-// declares the effect at all.
-func (ms MechSetting) lookupRaw(attr string) (string, bool, error) {
-	eff, ok := ms.Mechanism.Effect(attr)
-	if !ok {
-		return "", false, nil
+// entry reports which of eff's entries this setting selects: the
+// position of the chosen setting of a table's enumerated parameter, or
+// 0 for a scalar. It reports false when the setting leaves that
+// parameter unset or off its enumeration, which Validate rejects.
+func (ms MechSetting) entry(eff Effect) (int, bool) {
+	if eff.ByParam == "" {
+		return 0, true
 	}
-	if eff.ByParam != "" {
-		v, ok := ms.Values[eff.ByParam]
-		if !ok {
-			return "", true, fmt.Errorf("mechanism %q effect %q: parameter %q unset",
-				ms.Mechanism.Name, attr, eff.ByParam)
-		}
-		p, _ := ms.Mechanism.Param(eff.ByParam)
-		idx, ok := p.EnumIndex(v.Str)
-		if !ok {
-			return "", true, fmt.Errorf("mechanism %q effect %q: %q is not a setting of %q",
-				ms.Mechanism.Name, attr, v.Str, eff.ByParam)
-		}
-		return eff.Table[idx], true, nil
+	p, _ := ms.Mechanism.Param(eff.ByParam)
+	return p.EnumIndex(ms.Values[eff.ByParam].Str)
+}
+
+// duration resolves the mechanism's duration effect on attr under this
+// setting, reporting false when the mechanism declares no such effect
+// or the setting does not resolve it.
+func (ms MechSetting) duration(attr string) (units.Duration, bool) {
+	eff, has := ms.Mechanism.Effect(attr)
+	if eff.Pass != "" {
+		v, ok := ms.Values[eff.Pass]
+		return units.FromHours(v.Hours), ok && v.IsNum
 	}
-	// A scalar effect may name a parameter, in which case the chosen
-	// parameter value flows through (loss_window=checkpoint_interval).
-	if _, isParam := ms.Mechanism.Param(eff.Scalar); isParam {
-		v, ok := ms.Values[eff.Scalar]
-		if !ok {
-			return "", true, fmt.Errorf("mechanism %q effect %q: parameter %q unset",
-				ms.Mechanism.Name, attr, eff.Scalar)
-		}
-		if v.IsNum {
-			return units.FromHours(v.Hours).String(), true, nil
-		}
-		return v.Str, true, nil
+	if i, ok := ms.entry(eff); has && ok {
+		return eff.Times[i], true
 	}
-	return eff.Scalar, true, nil
+	return 0, false
 }
 
 // MTTR reports the repair time this setting supplies, if the mechanism
 // has an mttr effect.
-func (ms MechSetting) MTTR() (units.Duration, bool, error) {
-	raw, ok, err := ms.lookupRaw("mttr")
-	if !ok || err != nil {
-		return 0, ok, err
-	}
-	d, err := units.ParseDuration(raw)
-	if err != nil {
-		return 0, true, fmt.Errorf("mechanism %q mttr: %w", ms.Mechanism.Name, err)
-	}
-	return d, true, nil
-}
+func (ms MechSetting) MTTR() (units.Duration, bool) { return ms.duration("mttr") }
 
 // MTBF reports the mean time between failures this setting supplies,
 // if the mechanism has an mtbf effect (e.g. software rejuvenation
 // schedules that stretch a component's effective MTBF).
-func (ms MechSetting) MTBF() (units.Duration, bool, error) {
-	raw, ok, err := ms.lookupRaw("mtbf")
-	if !ok || err != nil {
-		return 0, ok, err
-	}
-	d, err := units.ParseDuration(raw)
-	if err != nil {
-		return 0, true, fmt.Errorf("mechanism %q mtbf: %w", ms.Mechanism.Name, err)
-	}
-	return d, true, nil
-}
+func (ms MechSetting) MTBF() (units.Duration, bool) { return ms.duration("mtbf") }
 
 // LossWindow reports the loss window this setting supplies, if the
 // mechanism has a loss_window effect.
-func (ms MechSetting) LossWindow() (units.Duration, bool, error) {
-	raw, ok, err := ms.lookupRaw("loss_window")
-	if !ok || err != nil {
-		return 0, ok, err
-	}
-	d, err := units.ParseDuration(raw)
-	if err != nil {
-		return 0, true, fmt.Errorf("mechanism %q loss_window: %w", ms.Mechanism.Name, err)
-	}
-	return d, true, nil
-}
+func (ms MechSetting) LossWindow() (units.Duration, bool) { return ms.duration("loss_window") }
 
 // CostPerInstance reports the mechanism's annual cost per covered
 // resource instance under this setting. Mechanisms without a cost
-// effect are free.
-func (ms MechSetting) CostPerInstance() (units.Money, error) {
-	raw, ok, err := ms.lookupRaw("cost")
-	if err != nil {
-		return 0, err
+// effect are free, and so is a setting Validate rejects.
+func (ms MechSetting) CostPerInstance() units.Money {
+	eff, has := ms.Mechanism.Effect("cost")
+	if i, ok := ms.entry(eff); has && ok {
+		return eff.Costs[i]
 	}
-	if !ok {
-		return 0, nil
-	}
-	m, err := units.ParseMoney(raw)
-	if err != nil {
-		return 0, fmt.Errorf("mechanism %q cost: %w", ms.Mechanism.Name, err)
-	}
-	return m, nil
+	return 0
 }
 
 // Label renders the setting compactly: "maintenanceA=gold" or
@@ -270,17 +222,9 @@ func (td *TierDesign) LossWindow() (units.Duration, bool, error) {
 		}
 		cur := comp.LossWindow
 		if comp.LossWindowRef != "" {
-			ms, ok := td.Mechanism(comp.LossWindowRef)
-			if !ok {
-				return 0, false, fmt.Errorf("tier %q: component %q needs mechanism %q, which the design does not configure",
-					td.TierName, comp.Name, comp.LossWindowRef)
-			}
-			v, ok, err := ms.LossWindow()
+			v, err := td.mechDuration(comp.LossWindowRef, "loss_window", comp.Name)
 			if err != nil {
 				return 0, false, err
-			}
-			if !ok {
-				return 0, false, fmt.Errorf("tier %q: mechanism %q supplies no loss window", td.TierName, comp.LossWindowRef)
 			}
 			cur = v
 		}
@@ -290,6 +234,21 @@ func (td *TierDesign) LossWindow() (units.Duration, bool, error) {
 		has = true
 	}
 	return lw, has, nil
+}
+
+// mechDuration resolves the duration effect attr of the mechanism a
+// component references, under this design's setting of it.
+func (td *TierDesign) mechDuration(mech, attr, comp string) (units.Duration, error) {
+	ms, ok := td.Mechanism(mech)
+	if !ok {
+		return 0, fmt.Errorf("tier %q: component %q needs mechanism %q for its %s, which the design does not configure",
+			td.TierName, comp, mech, attr)
+	}
+	v, ok := ms.duration(attr)
+	if !ok {
+		return 0, fmt.Errorf("tier %q: mechanism setting %s supplies no %s", td.TierName, ms.Label(), attr)
+	}
+	return v, nil
 }
 
 // EffectiveMode is a failure mode with every mechanism reference and
@@ -337,37 +296,17 @@ func (td *TierDesign) EffectiveModes() ([]EffectiveMode, error) {
 		comp := rc.Component
 		restart := rt.RestartTime(comp.Name)
 		for _, f := range comp.Failures {
-			mtbf := f.MTBF
+			mtbf, mttr := f.MTBF, f.MTTR
+			var err error
 			if f.MTBFRef != "" {
-				ms, ok := td.Mechanism(f.MTBFRef)
-				if !ok {
-					return nil, fmt.Errorf("tier %q: component %q failure %q needs mechanism %q, which the design does not configure",
-						td.TierName, comp.Name, f.Name, f.MTBFRef)
-				}
-				v, ok, err := ms.MTBF()
-				if err != nil {
+				if mtbf, err = td.mechDuration(f.MTBFRef, "mtbf", comp.Name); err != nil {
 					return nil, err
 				}
-				if !ok {
-					return nil, fmt.Errorf("tier %q: mechanism %q supplies no mtbf", td.TierName, f.MTBFRef)
-				}
-				mtbf = v
 			}
-			mttr := f.MTTR
 			if f.MTTRRef != "" {
-				ms, ok := td.Mechanism(f.MTTRRef)
-				if !ok {
-					return nil, fmt.Errorf("tier %q: component %q failure %q needs mechanism %q, which the design does not configure",
-						td.TierName, comp.Name, f.Name, f.MTTRRef)
-				}
-				v, ok, err := ms.MTTR()
-				if err != nil {
+				if mttr, err = td.mechDuration(f.MTTRRef, "mttr", comp.Name); err != nil {
 					return nil, err
 				}
-				if !ok {
-					return nil, fmt.Errorf("tier %q: mechanism %q supplies no mttr", td.TierName, f.MTTRRef)
-				}
-				mttr = v
 			}
 			em := EffectiveMode{
 				Component:    comp.Name,

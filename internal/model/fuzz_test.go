@@ -1,6 +1,7 @@
 package model_test
 
 import (
+	"reflect"
 	"testing"
 
 	"aved/internal/model"
@@ -15,9 +16,10 @@ import (
 // runs a real campaign, and the seeds run as regular tests.
 
 // FuzzParseInfrastructure fuzzes the Fig. 3 infrastructure parser, and
-// for accepted inputs pins the write/reparse round trip: the rendered
-// spec must parse back with the same component, mechanism and resource
-// inventories.
+// for accepted inputs pins the write/reparse round trip by value: the
+// rendered spec must parse back to an identical bound model — every
+// component cost, failure-mode and resource duration, parameter grid
+// and mechanism effect.
 func FuzzParseInfrastructure(f *testing.F) {
 	seeds := []string{
 		"",
@@ -39,6 +41,14 @@ func FuzzParseInfrastructure(f *testing.F) {
 		// rejected here, not panic.
 		"requirements=enterprise\n  traffic(hour)=[100 200 300]\n  max_annual_downtime=1h",
 		"component=x cost=0\nrequirements=job\n  max_job_time=48h",
+		// Values the display forms round to three decimals or to cents.
+		"component=x cost=0.125\n  failure=f mtbf=1.00001h mttr=0 detect_time=0",
+		"mechanism=m\n  param=p range=[1.00001m-24h;*1.00001]\n  loss_window=p",
+		// Malformed effects, which bind must reject.
+		"mechanism=m\n  param=level range=[lo,hi]\n    cost(level)=[oops 580]",
+		"mechanism=m\n  param=level range=[lo,hi]\n    colour=red",
+		"mechanism=m\n  param=level range=[lo,hi]\n    mttr=level",
+		"mechanism=m\n  param=p range=[1m-24h;*1.05]\n  loss_window=sometimes",
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -53,14 +63,9 @@ func FuzzParseInfrastructure(f *testing.F) {
 		if err != nil {
 			t.Fatalf("rendered infrastructure failed to reparse: %v\nsource: %q\nrendered: %q", err, src, rendered)
 		}
-		if got, want := len(inf2.ComponentNames()), len(inf.ComponentNames()); got != want {
-			t.Fatalf("component count changed across round trip: %d → %d (source %q)", want, got, src)
-		}
-		if got, want := len(inf2.MechanismNames()), len(inf.MechanismNames()); got != want {
-			t.Fatalf("mechanism count changed across round trip: %d → %d (source %q)", want, got, src)
-		}
-		if got, want := len(inf2.ResourceNames()), len(inf.ResourceNames()); got != want {
-			t.Fatalf("resource count changed across round trip: %d → %d (source %q)", want, got, src)
+		if !reflect.DeepEqual(inf, inf2) {
+			t.Fatalf("bound values changed across round trip\nsource: %q\nrendered: %q\nre-rendered: %q",
+				src, rendered, inf2.Spec())
 		}
 	})
 }

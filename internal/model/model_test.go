@@ -217,22 +217,41 @@ func TestMechSettingEffects(t *testing.T) {
 	inf := mustInfra(t)
 	maint := inf.Mechanisms["maint"]
 	ms := MechSetting{Mechanism: maint, Values: map[string]ParamValue{"level": EnumValue("hi")}}
-	mttr, ok, err := ms.MTTR()
-	if err != nil || !ok {
-		t.Fatalf("MTTR: %v %v", ok, err)
+	mttr, ok := ms.MTTR()
+	if !ok {
+		t.Fatal("maint supplies no mttr")
 	}
 	if mttr != 2*units.Hour {
 		t.Errorf("mttr(hi) = %v, want 2h", mttr)
 	}
-	c, err := ms.CostPerInstance()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c != 20 {
+	if c := ms.CostPerInstance(); c != 20 {
 		t.Errorf("cost(hi) = %v, want 20", c)
 	}
-	if _, ok, _ := ms.LossWindow(); ok {
+	if _, ok := ms.LossWindow(); ok {
 		t.Error("maint has no loss window effect")
+	}
+	// The effects are bound to typed tables parallel to the enum.
+	cost, _ := maint.Effect("cost")
+	if cost.ByParam != "level" || len(cost.Costs) != 2 || cost.Costs[0] != 10 || len(cost.Times) != 0 {
+		t.Errorf("cost effect = %+v, want Costs [10 20] by level", cost)
+	}
+	rep, _ := maint.Effect("mttr")
+	if len(rep.Times) != 2 || rep.Times[0] != 10*units.Hour || len(rep.Costs) != 0 {
+		t.Errorf("mttr effect = %+v, want Times [10h 2h]", rep)
+	}
+	// A setting off the enumeration resolves nothing and prices at zero.
+	off := MechSetting{Mechanism: maint, Values: map[string]ParamValue{"level": EnumValue("zz")}}
+	if _, ok := off.MTTR(); ok {
+		t.Error("unresolvable setting supplied an mttr")
+	}
+	if c := off.CostPerInstance(); c != 0 {
+		t.Errorf("unresolvable setting costs %v, want 0", c)
+	}
+	// A numeric parameter passes its chosen value through unrounded.
+	ckpt := inf.Mechanisms["ckpt"]
+	lw, ok := MechSetting{Mechanism: ckpt, Values: map[string]ParamValue{"interval": DurationValue(1.23456789)}}.LossWindow()
+	if !ok || lw != units.FromHours(1.23456789) {
+		t.Errorf("loss window = %v %v, want the chosen interval exactly", lw, ok)
 	}
 }
 
@@ -297,28 +316,42 @@ func TestBindInfraErrors(t *testing.T) {
 	cases := []struct {
 		name string
 		src  string
+		at   string // position prefix the error must carry; empty to skip
 	}{
-		{"dup component", "component=a cost=0 failure=f mtbf=1d mttr=0 detect_time=0 component=a cost=0 failure=f mtbf=1d mttr=0 detect_time=0"},
-		{"failure outside component", "failure=f mtbf=1d"},
-		{"no failure modes", "component=a cost=0"},
-		{"missing mtbf", "component=a cost=0 failure=f mttr=0 detect_time=0"},
-		{"unknown mech ref", "component=a cost=0 failure=f mtbf=1d mttr=<nope> detect_time=0"},
-		{"bad cost", "component=a cost=abc failure=f mtbf=1d mttr=0 detect_time=0"},
-		{"bad duration", "component=a cost=0 failure=f mtbf=xyz mttr=0 detect_time=0"},
-		{"param outside mechanism", "param=p range=[a,b]"},
-		{"table size mismatch", "mechanism=m param=p range=[a,b] cost(p)=[1 2 3]"},
-		{"effect on numeric param", "mechanism=m param=p range=[1m-2m;*2] cost(p)=[1 2]"},
-		{"unknown effect param", "mechanism=m cost(q)=[1]"},
-		{"resource unknown component", "resource=r reconfig_time=0 component=ghost depend=null startup=1s"},
-		{"resource empty", "component=a cost=0 failure=f mtbf=1d mttr=0 detect_time=0 resource=r reconfig_time=0"},
-		{"bad dependency", "component=a cost=0 failure=f mtbf=1d mttr=0 detect_time=0 resource=r reconfig_time=0 component=a depend=ghost startup=1s"},
-		{"tier in infra", "tier=t"},
-		{"dup failure mode", "component=a cost=0 failure=f mtbf=1d mttr=0 detect_time=0 failure=f mtbf=1d mttr=0 detect_time=0"},
+		{"dup component", "component=a cost=0 failure=f mtbf=1d mttr=0 detect_time=0 component=a cost=0 failure=f mtbf=1d mttr=0 detect_time=0", ""},
+		{"failure outside component", "failure=f mtbf=1d", ""},
+		{"no failure modes", "component=a cost=0", ""},
+		{"missing mtbf", "component=a cost=0 failure=f mttr=0 detect_time=0", ""},
+		{"unknown mech ref", "component=a cost=0 failure=f mtbf=1d mttr=<nope> detect_time=0", ""},
+		{"bad cost", "component=a cost=abc failure=f mtbf=1d mttr=0 detect_time=0", ""},
+		{"bad duration", "component=a cost=0 failure=f mtbf=xyz mttr=0 detect_time=0", ""},
+		{"param outside mechanism", "param=p range=[a,b]", ""},
+		{"table size mismatch", "mechanism=m param=p range=[a,b] cost(p)=[1 2 3]", "spec:1:33:"},
+		{"effect on numeric param", "mechanism=m param=p range=[1m-2m;*2] cost(p)=[1 2]", "spec:1:38:"},
+		{"unknown effect param", "mechanism=m cost(q)=[1]", "spec:1:13:"},
+		{"resource unknown component", "resource=r reconfig_time=0 component=ghost depend=null startup=1s", ""},
+		{"resource empty", "component=a cost=0 failure=f mtbf=1d mttr=0 detect_time=0 resource=r reconfig_time=0", ""},
+		{"bad dependency", "component=a cost=0 failure=f mtbf=1d mttr=0 detect_time=0 resource=r reconfig_time=0 component=a depend=ghost startup=1s", ""},
+		{"tier in infra", "tier=t", ""},
+		{"dup failure mode", "component=a cost=0 failure=f mtbf=1d mttr=0 detect_time=0 failure=f mtbf=1d mttr=0 detect_time=0", ""},
+		// Every mechanism value is typed at bind, so a malformed one
+		// fails here, at the attribute's position, before any search.
+		{"bad effect value", "mechanism=m param=level range=[lo,hi] cost(level)=[oops 580]", "spec:1:39:"},
+		{"unknown effect", "mechanism=m param=level range=[lo,hi] colour=red", "spec:1:39:"},
+		{"enum pass-through", "mechanism=m param=level range=[lo,hi] mttr=level", "spec:1:39:"},
+		{"bad scalar loss window", "mechanism=m param=p range=[1m-24h;*1.05] loss_window=sometimes", "spec:1:42:"},
+		{"cost pass-through", "mechanism=m param=p range=[1m-24h;*1.05] cost=p", "spec:1:42:"},
+		{"dup effect", "mechanism=m cost=0 param=p range=[a,b] cost(p)=[1 2]", "spec:1:40:"},
+		{"setting with blanks", "mechanism=m param=p range=[a b,c]", "spec:1:21:"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := ParseInfrastructure(tc.src); err == nil {
-				t.Errorf("ParseInfrastructure(%q) succeeded, want error", tc.src)
+			_, err := ParseInfrastructure(tc.src)
+			if err == nil {
+				t.Fatalf("ParseInfrastructure(%q) succeeded, want error", tc.src)
+			}
+			if !strings.HasPrefix(err.Error(), tc.at) {
+				t.Errorf("error %q does not start with %q", err, tc.at)
 			}
 		})
 	}

@@ -104,14 +104,16 @@ func (p Param) EnumIndex(v string) (int, bool) {
 }
 
 // Effect is one attribute an availability mechanism specifies or
-// modifies (§3.1.2): either a table indexed by one parameter
-// (mttr(level)=[38h 15h 8h 6h]) or a scalar, which may name a parameter
+// modifies (§3.1.2), bound to typed values: a table with one entry per
+// setting of an enumerated parameter (mttr(level)=[38h 15h 8h 6h]), a
+// one-entry scalar (cost=0), or no entries and a numeric parameter
 // whose chosen value flows through (loss_window=checkpoint_interval).
 type Effect struct {
-	Attr    string   // "cost", "mttr", "loss_window", …
-	ByParam string   // indexing parameter name; empty for scalars
-	Table   []string // raw table entries parallel to the parameter's enum
-	Scalar  string   // raw scalar value or parameter name
+	Attr    string           // "cost", "mttr", "mtbf" or "loss_window"
+	ByParam string           // indexing enumerated parameter; empty for scalars
+	Pass    string           // numeric parameter passed through; empty otherwise
+	Costs   []units.Money    // cost entries, parallel to ByParam's enum
+	Times   []units.Duration // mttr, mtbf or loss_window entries, likewise
 }
 
 // Mechanism is a configurable availability mechanism (§3.1.2).

@@ -10,9 +10,10 @@ import (
 )
 
 // WriteInfrastructure renders a bound infrastructure model back into
-// the specification language (the Fig. 3 format). Writing a parsed
-// model and reparsing the output yields an equivalent model, which lets
-// programs edit infrastructure programmatically and persist it.
+// the specification language (the Fig. 3 format). Writing a bound
+// model and reparsing the output yields the identical values — every
+// cost and duration renders exactly — which lets programs edit
+// infrastructure programmatically and persist it.
 func WriteInfrastructure(w io.Writer, inf *Infrastructure) error {
 	bw := bufio.NewWriter(w)
 	for _, name := range inf.componentOrder {
@@ -47,29 +48,29 @@ func writeComponent(w *bufio.Writer, c *Component) {
 		if c.LossWindowRef != "" {
 			fmt.Fprintf(w, " loss_window=<%s>", c.LossWindowRef)
 		} else {
-			fmt.Fprintf(w, " loss_window=%s", c.LossWindow)
+			fmt.Fprintf(w, " loss_window=%s", c.LossWindow.Spec())
 		}
 	}
 	fmt.Fprintln(w)
 	for _, f := range c.Failures {
-		mtbf := f.MTBF.String()
+		mtbf := f.MTBF.Spec()
 		if f.MTBFRef != "" {
 			mtbf = "<" + f.MTBFRef + ">"
 		}
-		mttr := f.MTTR.String()
+		mttr := f.MTTR.Spec()
 		if f.MTTRRef != "" {
 			mttr = "<" + f.MTTRRef + ">"
 		}
 		fmt.Fprintf(w, "  failure=%s mtbf=%s mttr=%s detect_time=%s\n",
-			f.Name, mtbf, mttr, f.DetectTime)
+			f.Name, mtbf, mttr, f.DetectTime.Spec())
 	}
 }
 
 func costAttr(inactive, active units.Money) string {
 	if inactive == active {
-		return fmt.Sprintf("cost=%s", active)
+		return "cost=" + active.Spec()
 	}
-	return fmt.Sprintf("cost([inactive,active])=[%s %s]", inactive, active)
+	return fmt.Sprintf("cost([inactive,active])=[%s %s]", inactive.Spec(), active.Spec())
 }
 
 func writeMechanism(w *bufio.Writer, m *Mechanism) {
@@ -82,22 +83,29 @@ func writeMechanism(w *bufio.Writer, m *Mechanism) {
 		}
 	}
 	for _, e := range m.Effects {
+		vals := make([]string, 0, len(e.Costs)+len(e.Times))
+		for _, c := range e.Costs {
+			vals = append(vals, c.Spec())
+		}
+		for _, d := range e.Times {
+			vals = append(vals, d.Spec())
+		}
 		if e.ByParam != "" {
-			fmt.Fprintf(w, "  %s(%s)=[%s]\n", e.Attr, e.ByParam, strings.Join(e.Table, " "))
-		} else {
-			fmt.Fprintf(w, "  %s=%s\n", e.Attr, e.Scalar)
+			fmt.Fprintf(w, "  %s(%s)=[%s]\n", e.Attr, e.ByParam, strings.Join(vals, " "))
+		} else { // a pass-through has no entries, a scalar exactly one
+			fmt.Fprintf(w, "  %s=%s%s\n", e.Attr, e.Pass, strings.Join(vals, ""))
 		}
 	}
 }
 
 func writeResource(w *bufio.Writer, r *ResourceType) {
-	fmt.Fprintf(w, "resource=%s reconfig_time=%s\n", r.Name, r.ReconfigTime)
+	fmt.Fprintf(w, "resource=%s reconfig_time=%s\n", r.Name, r.ReconfigTime.Spec())
 	for _, rc := range r.Components {
 		dep := rc.DependsOn
 		if dep == "" {
 			dep = "null"
 		}
-		fmt.Fprintf(w, "  component=%s depend=%s startup=%s\n", rc.Component.Name, dep, rc.Startup)
+		fmt.Fprintf(w, "  component=%s depend=%s startup=%s\n", rc.Component.Name, dep, rc.Startup.Spec())
 	}
 }
 

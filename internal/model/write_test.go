@@ -116,8 +116,12 @@ tier=db
 	}
 }
 
+// TestFormatDurationGridRoundTrip pins that a rendered grid reads back
+// identical, including bounds and ratios the three-decimal display form
+// would round and a degenerate geometric grid that is not a singleton.
 func TestFormatDurationGridRoundTrip(t *testing.T) {
-	for _, src := range []string{"[1m-24h;*1.05]", "[2h]", "[10m-60m,+10m]", "[30s-5m;*2]"} {
+	for _, src := range []string{"[1m-24h;*1.05]", "[2h]", "[10m-60m,+10m]", "[30s-5m;*2]",
+		"[1.00001m-24h;*1.00001]", "[1m-1m;*2]", "[0.3333333s-1000.1234567d,+1.1h]", "[0]"} {
 		g, err := units.ParseDurationGrid(src)
 		if err != nil {
 			t.Fatalf("%s: %v", src, err)
@@ -127,11 +131,12 @@ func TestFormatDurationGridRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("reparse %q (from %q): %v", rendered, src, err)
 		}
-		if back.Lo() != g.Lo() || back.Hi() != g.Hi() || back.Geometric() != g.Geometric() {
-			t.Errorf("%s → %s: grid drifted (%v vs %v)", src, rendered, g, back)
+		if back != g {
+			t.Errorf("%s → %s: grid drifted (%+v vs %+v)", src, rendered, g, back)
 		}
-		if back.Len() != g.Len() {
-			t.Errorf("%s → %s: length drifted (%d vs %d)", src, rendered, g.Len(), back.Len())
-		}
+	}
+	g, _ := units.ParseDurationGrid("[1m-24h;*1.05]")
+	if got := units.FormatDurationGrid(g); got != "[1m-1d;*1.05]" {
+		t.Errorf("Fig. 3 checkpoint grid renders as %q, want [1m-1d;*1.05]", got)
 	}
 }

@@ -106,10 +106,7 @@ func tierSection(w *bufio.Writer, td *model.TierDesign, tr *avail.TierResult) (u
 		total += line
 	}
 	for _, ms := range td.Mechanisms {
-		per, err := ms.CostPerInstance()
-		if err != nil {
-			return 0, fmt.Errorf("report: %w", err)
-		}
+		per := ms.CostPerInstance()
 		line := units.Money(float64(td.Total()) * float64(per))
 		fmt.Fprintf(w, "    %-14s %d instances × %s = %s\n", ms.Mechanism.Name, td.Total(), per, line)
 		total += line

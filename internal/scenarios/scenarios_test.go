@@ -120,17 +120,17 @@ func TestFig3Mechanisms(t *testing.T) {
 		t.Errorf("maintenanceA level = %+v", level)
 	}
 	costEff, ok := mA.Effect("cost")
-	if !ok || len(costEff.Table) != 4 || costEff.Table[0] != "380" || costEff.Table[3] != "1500" {
+	if !ok || len(costEff.Costs) != 4 || costEff.Costs[0] != 380 || costEff.Costs[3] != 1500 {
 		t.Errorf("maintenanceA cost effect = %+v", costEff)
 	}
 	mttrEff, ok := mA.Effect("mttr")
-	if !ok || mttrEff.Table[0] != "38h" || mttrEff.Table[3] != "6h" {
+	if !ok || len(mttrEff.Times) != 4 || mttrEff.Times[0] != 38*units.Hour || mttrEff.Times[3] != 6*units.Hour {
 		t.Errorf("maintenanceA mttr effect = %+v", mttrEff)
 	}
 	mB := inf.Mechanisms["maintenanceB"]
 	costB, _ := mB.Effect("cost")
-	if costB.Table[0] != "10100" || costB.Table[3] != "25300" {
-		t.Errorf("maintenanceB cost = %v", costB.Table)
+	if len(costB.Costs) != 4 || costB.Costs[0] != 10100 || costB.Costs[3] != 25300 {
+		t.Errorf("maintenanceB cost = %v", costB.Costs)
 	}
 	ck := inf.Mechanisms["checkpoint"]
 	if ck == nil {
@@ -148,7 +148,7 @@ func TestFig3Mechanisms(t *testing.T) {
 		t.Errorf("checkpoint interval grid = %v", cpi.Grid)
 	}
 	lw, ok := ck.Effect("loss_window")
-	if !ok || lw.Scalar != "checkpoint_interval" {
+	if !ok || lw.Pass != "checkpoint_interval" || len(lw.Times) != 0 {
 		t.Errorf("checkpoint loss_window effect = %+v", lw)
 	}
 }

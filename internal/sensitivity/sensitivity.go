@@ -85,42 +85,13 @@ func ScaleMechanismCost(mechanism string) Knob {
 		if !ok {
 			return fmt.Errorf("sensitivity: unknown mechanism %q", mechanism)
 		}
-		for i := range mech.Effects {
-			if mech.Effects[i].Attr != "cost" {
-				continue
-			}
-			if err := scaleEffect(&mech.Effects[i], factor); err != nil {
-				return fmt.Errorf("sensitivity: mechanism %q: %w", mechanism, err)
+		for _, e := range mech.Effects {
+			for i := range e.Costs {
+				e.Costs[i] = units.Money(float64(e.Costs[i]) * factor)
 			}
 		}
 		return nil
 	}
-}
-
-func scaleEffect(e *model.Effect, factor float64) error {
-	scale := func(raw string) (string, error) {
-		m, err := units.ParseMoney(raw)
-		if err != nil {
-			return "", err
-		}
-		return units.Money(float64(m) * factor).String(), nil
-	}
-	if e.ByParam == "" {
-		s, err := scale(e.Scalar)
-		if err != nil {
-			return err
-		}
-		e.Scalar = s
-		return nil
-	}
-	for i, raw := range e.Table {
-		s, err := scale(raw)
-		if err != nil {
-			return err
-		}
-		e.Table[i] = s
-	}
-	return nil
 }
 
 // Point is the search outcome at one perturbation factor.

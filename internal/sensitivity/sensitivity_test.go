@@ -162,14 +162,16 @@ func TestCloneIsDeepAndAliasPreserving(t *testing.T) {
 	// Mutating the clone leaves the original untouched.
 	clone.Components["machineA"].CostActive = 1
 	clone.Components["machineA"].Failures[0].MTBF = units.Day
-	clone.Mechanisms["maintenanceA"].Effects[0].Table[0] = "999"
+	clone.Mechanisms["maintenanceA"].Effects[0].Costs[0] = 999
+	clone.Mechanisms["maintenanceA"].Effects[1].Times[0] = units.Hour
 	if inf.Components["machineA"].CostActive == 1 {
 		t.Error("component mutation leaked to base")
 	}
 	if inf.Components["machineA"].Failures[0].MTBF == units.Day {
 		t.Error("failure mutation leaked to base")
 	}
-	if inf.Mechanisms["maintenanceA"].Effects[0].Table[0] == "999" {
+	if inf.Mechanisms["maintenanceA"].Effects[0].Costs[0] != 380 ||
+		inf.Mechanisms["maintenanceA"].Effects[1].Times[0] != 38*units.Hour {
 		t.Error("mechanism mutation leaked to base")
 	}
 	// Aliasing preserved: the clone's resources reference the clone's

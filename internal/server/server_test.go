@@ -10,6 +10,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"aved/internal/scenarios"
 )
 
 const apptierBody = `{"paper":"apptier","load":1000,"maxDowntime":"100m"}`
@@ -123,6 +125,19 @@ func TestSolveInlineSpecRejected(t *testing.T) {
 		if rec.Code != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400 (body %s)", name, rec.Code, rec.Body.String())
 		}
+	}
+	// A malformed mechanism cost in an inline Fig. 3 spec is a bind
+	// error with its spec position, not an internal failure mid-search.
+	infraSpec := strings.Replace(scenarios.InfrastructureSpec,
+		"cost(level)=[380 580 760 1500]", "cost(level)=[oops 580 760 1500]", 1)
+	body, err := json.Marshal(SolveRequest{InfraSpec: infraSpec, ServiceSpec: scenarios.ApplicationTierSpec,
+		Load: 1000, MaxDowntime: "100m"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp := decodeError(t, post(t, h, "/v1/solve", string(body)), http.StatusBadRequest, "bad_request")
+	if !strings.Contains(resp.Error, "spec:") || !strings.Contains(resp.Error, `parse money "oops"`) {
+		t.Errorf("error %q lacks the spec position or the bad value", resp.Error)
 	}
 }
 

@@ -59,7 +59,11 @@ func ParseDuration(s string) (Duration, error) {
 	if mag < 0 {
 		return 0, fmt.Errorf("parse duration %q: negative durations are not allowed", s)
 	}
-	return Duration(float64(scale) * mag), nil
+	ns := float64(scale) * mag
+	if !(ns < math.MaxInt64) { // also rejects NaN
+		return 0, fmt.Errorf("parse duration %q: out of range", s)
+	}
+	return Duration(ns), nil
 }
 
 // MustDuration parses s and panics on error. It is intended only for
@@ -106,14 +110,9 @@ func (d Duration) String() string {
 	if d == 0 {
 		return "0"
 	}
-	type unit struct {
-		scale Duration
-		sfx   string
-	}
-	units := []unit{{Day, "d"}, {Hour, "h"}, {Minute, "m"}, {Second, "s"}}
 	// Prefer the largest unit that yields a compact integral magnitude,
 	// as the paper writes 38h rather than 1.583d.
-	for _, u := range units {
+	for _, u := range durationUnits {
 		mag := float64(d) / float64(u.scale)
 		if mag >= 1 && mag <= 10000 && mag == math.Trunc(mag) {
 			return trimFloat(mag) + u.sfx
@@ -121,13 +120,48 @@ func (d Duration) String() string {
 	}
 	// Otherwise pick the smallest unit that keeps the magnitude under
 	// 1000 (38.108h beats 137190s), falling back to days.
-	for i := len(units) - 1; i >= 0; i-- {
-		mag := float64(d) / float64(units[i].scale)
+	for i := len(durationUnits) - 1; i >= 0; i-- {
+		mag := float64(d) / float64(durationUnits[i].scale)
 		if mag < 1000 {
-			return trimFloat(mag) + units[i].sfx
+			return trimFloat(mag) + durationUnits[i].sfx
 		}
 	}
 	return trimFloat(d.Days()) + "d"
+}
+
+// durationUnits are the spec's duration suffixes, largest first.
+var durationUnits = []struct {
+	scale Duration
+	sfx   string
+}{{Day, "d"}, {Hour, "h"}, {Minute, "m"}, {Second, "s"}}
+
+// Spec renders d as spec text that ParseDuration reads back exactly:
+// String's compact form when that is exact (it keeps three decimals, so
+// 1.00001h would come back as 1h), and otherwise the shortest decimal of
+// the magnitude in the smallest unit that reads back to d ("3600.036s").
+func (d Duration) Spec() string {
+	if s := d.String(); d.readBy(s) {
+		return s
+	}
+	for i := len(durationUnits) - 1; i >= 0; i-- {
+		u := durationUnits[i]
+		// ParseDuration multiplies the magnitude back by the unit, so
+		// the float nearest d/unit can miss by a nanosecond; a
+		// neighbour then lands exactly.
+		mag := float64(d) / float64(u.scale)
+		for _, m := range [...]float64{mag, math.Nextafter(mag, math.Inf(1)), math.Nextafter(mag, 0)} {
+			if s := strconv.FormatFloat(m, 'f', -1, 64) + u.sfx; d.readBy(s) {
+				return s
+			}
+		}
+	}
+	return d.String()
+}
+
+// readBy reports whether ParseDuration reads s back as exactly d.
+func (d Duration) readBy(s string) bool {
+	back, err := ParseDuration(s)
+	return err == nil && back == d
 }
 
 // trimFloat formats v with at most three decimals and no trailing zeros.

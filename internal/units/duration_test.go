@@ -3,6 +3,7 @@ package units
 import (
 	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 	"testing/quick"
 	"time"
@@ -36,7 +37,7 @@ func TestParseDuration(t *testing.T) {
 }
 
 func TestParseDurationErrors(t *testing.T) {
-	for _, give := range []string{"", "5", "5x", "abc", "-2m", "m", "2mm"} {
+	for _, give := range []string{"", "5", "5x", "abc", "-2m", "m", "2mm", "NaNh", "Infd", "1e300d"} {
 		t.Run(give, func(t *testing.T) {
 			if _, err := ParseDuration(give); err == nil {
 				t.Errorf("ParseDuration(%q) succeeded, want error", give)
@@ -88,6 +89,32 @@ func TestDurationRoundTrip(t *testing.T) {
 		back, err := ParseDuration(d.String())
 		if err != nil || back != d {
 			t.Errorf("%s: round trip gave %v (%v)", s, back, err)
+		}
+	}
+}
+
+// TestDurationSpecExact pins that Spec reads back to exactly the
+// duration ParseDuration produced, for magnitudes String rounds to three
+// decimals and across every unit, while keeping String's form where
+// that is already exact.
+func TestDurationSpecExact(t *testing.T) {
+	for _, s := range []string{"30s", "2m", "38h", "650d", "90m"} {
+		if got := MustDuration(s).Spec(); got != MustDuration(s).String() {
+			t.Errorf("%s: Spec %q differs from String %q", s, got, MustDuration(s).String())
+		}
+	}
+	r := rand.New(rand.NewSource(7))
+	sfx := []string{"s", "m", "h", "d"}
+	for i := 0; i < 20000; i++ {
+		mag := r.Float64() * math.Pow(10, float64(r.Intn(12)-4))
+		s := strconv.FormatFloat(mag, 'g', -1, 64) + sfx[r.Intn(len(sfx))]
+		d, err := ParseDuration(s)
+		if err != nil {
+			continue // beyond the int64 nanosecond range
+		}
+		back, err := ParseDuration(d.Spec())
+		if err != nil || back != d {
+			t.Fatalf("%s: Spec %q read back as %d (%v), want %d", s, d.Spec(), back, err, d)
 		}
 	}
 }

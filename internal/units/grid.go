@@ -2,6 +2,7 @@ package units
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -23,10 +24,10 @@ type Grid struct {
 
 // NewArithmeticGrid builds the grid lo, lo+step, … ≤ hi.
 func NewArithmeticGrid(lo, hi, step float64) (Grid, error) {
-	if step <= 0 {
+	if !(step > 0) {
 		return Grid{}, fmt.Errorf("arithmetic grid: step %v must be positive", step)
 	}
-	if hi < lo {
+	if !(hi >= lo) {
 		return Grid{}, fmt.Errorf("arithmetic grid: upper bound %v below lower bound %v", hi, lo)
 	}
 	return Grid{lo: lo, hi: hi, step: step}, nil
@@ -34,13 +35,13 @@ func NewArithmeticGrid(lo, hi, step float64) (Grid, error) {
 
 // NewGeometricGrid builds the grid lo, lo·ratio, lo·ratio², … ≤ hi.
 func NewGeometricGrid(lo, hi, ratio float64) (Grid, error) {
-	if ratio <= 1 {
-		return Grid{}, fmt.Errorf("geometric grid: ratio %v must exceed 1", ratio)
+	if !(ratio > 1) || math.IsInf(ratio, 1) {
+		return Grid{}, fmt.Errorf("geometric grid: ratio %v must be finite and exceed 1", ratio)
 	}
-	if lo <= 0 {
+	if !(lo > 0) {
 		return Grid{}, fmt.Errorf("geometric grid: lower bound %v must be positive", lo)
 	}
-	if hi < lo {
+	if !(hi >= lo) {
 		return Grid{}, fmt.Errorf("geometric grid: upper bound %v below lower bound %v", hi, lo)
 	}
 	return Grid{lo: lo, hi: hi, step: ratio, mul: true}, nil
@@ -124,18 +125,36 @@ func (g Grid) String() string {
 
 // FormatDurationGrid renders a grid whose values are hours back into
 // the spec's duration-range notation: "[1m-24h;*1.05]", "[2h]",
-// "[10m-60m,+10m]". It is the inverse of ParseDurationGrid up to unit
-// normalisation (24h renders as 1d, which parses back identically).
+// "[10m-60m,+10m]". It is the exact inverse of ParseDurationGrid: the
+// text reads back to the identical grid (24h renders as 1d).
 func FormatDurationGrid(g Grid) string {
-	lo := FromHours(g.lo).String()
-	if g.lo == g.hi {
+	lo := hoursSpec(g.lo)
+	if g == NewSingletonGrid(g.lo) {
 		return "[" + lo + "]"
 	}
-	hi := FromHours(g.hi).String()
+	hi := hoursSpec(g.hi)
 	if g.mul {
-		return fmt.Sprintf("[%s-%s;*%s]", lo, hi, trimFloat(g.step))
+		return fmt.Sprintf("[%s-%s;*%s]", lo, hi, strconv.FormatFloat(g.step, 'f', -1, 64))
 	}
-	return fmt.Sprintf("[%s-%s,+%s]", lo, hi, FromHours(g.step))
+	return fmt.Sprintf("[%s-%s,+%s]", lo, hi, hoursSpec(g.step))
+}
+
+// hoursSpec renders a grid value h, which ParseDurationGrid stores as
+// some duration's Hours(), as duration text that reads back to exactly
+// h. FromHours(h) can miss that duration by a nanosecond or, past 2^53
+// ns, by a float step, so its neighbours are tried too.
+func hoursSpec(h float64) string {
+	d := FromHours(h)
+	step := max(1, Duration(math.Nextafter(float64(d), math.Inf(1))-float64(d)))
+	for _, c := range [...]Duration{d, d + 1, d - 1, d + step, d - step} {
+		if c.Hours() != h {
+			continue
+		}
+		if s := c.Spec(); c.readBy(s) {
+			return s
+		}
+	}
+	return d.Spec()
 }
 
 // ParseIntGrid parses the service-model count notation: "[1]",

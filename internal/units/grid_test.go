@@ -40,7 +40,8 @@ func TestParseIntGrid(t *testing.T) {
 }
 
 func TestParseIntGridErrors(t *testing.T) {
-	for _, give := range []string{"", "1-10,+1", "[1-10]", "[1-10,+0]", "[10-1,+1]", "[1-10,x1]", "[a-b,+1]", "[1-10;*1]"} {
+	for _, give := range []string{"", "1-10,+1", "[1-10]", "[1-10,+0]", "[10-1,+1]", "[1-10,x1]", "[a-b,+1]", "[1-10;*1]",
+		"[1-NaN,+1]", "[1-10,+NaN]", "[1-10;*NaN]", "[1-10;*Inf]"} {
 		t.Run(give, func(t *testing.T) {
 			if _, err := ParseIntGrid(give); err == nil {
 				t.Errorf("ParseIntGrid(%q) succeeded, want error", give)
@@ -182,5 +183,26 @@ func TestParseMoney(t *testing.T) {
 	}
 	if got := Money(12.5).String(); got != "12.50" {
 		t.Errorf("Money.String() = %q", got)
+	}
+	for _, give := range []string{"NaN", "Inf", "+Inf"} {
+		if _, err := ParseMoney(give); err == nil {
+			t.Errorf("ParseMoney(%s) should fail", give)
+		}
+	}
+}
+
+func TestMoneySpecExact(t *testing.T) {
+	for _, give := range []string{"0", "2400", "0.125", "12.5", "0.1", "93500.000001", "1e21"} {
+		m, err := ParseMoney(give)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := ParseMoney(m.Spec())
+		if err != nil || back != m {
+			t.Errorf("%s: Spec %q read back as %v (%v)", give, m.Spec(), back, err)
+		}
+	}
+	if got := Money(2400).Spec(); got != "2400" {
+		t.Errorf("Money(2400).Spec() = %q", got)
 	}
 }

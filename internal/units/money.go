@@ -22,6 +22,9 @@ func ParseMoney(s string) (Money, error) {
 	if v < 0 {
 		return 0, fmt.Errorf("parse money %q: negative costs are not allowed", s)
 	}
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return 0, fmt.Errorf("parse money %q: want a finite amount", s)
+	}
 	return Money(v), nil
 }
 
@@ -34,3 +37,7 @@ func (m Money) String() string {
 	}
 	return strconv.FormatFloat(v, 'f', 2, 64)
 }
+
+// Spec renders the amount as spec text that ParseMoney reads back
+// exactly: the shortest decimal form, where String rounds to cents.
+func (m Money) Spec() string { return strconv.FormatFloat(float64(m), 'f', -1, 64) }
