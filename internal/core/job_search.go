@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"aved/internal/avail"
-	"aved/internal/cost"
 	"aved/internal/jobtime"
 	"aved/internal/model"
 	"aved/internal/obs"
@@ -71,9 +70,10 @@ func (s *Solver) solveJob(ctx context.Context, req model.Requirements) (*Solutio
 // U-shaped job-time curve).
 const jobStopAfterDegrading = 2
 
-// jobCombo carries everything about one mechanism combination that does
-// not depend on the resource counts, precomputed once per option so the
-// inner search loop runs pure arithmetic.
+// jobCombo carries everything about one mechanism combination, other
+// than its price (the comboSet's), that does not depend on the resource
+// counts, precomputed once per option so the inner search loop runs
+// pure arithmetic.
 type jobCombo struct {
 	settings []model.MechSetting
 	// lossWindow is the combo's resolved loss window; zero duration
@@ -83,9 +83,6 @@ type jobCombo struct {
 	// overheads are the resolved mechanism performance-impact
 	// functions with their argument maps; Factor still takes n.
 	overheads []comboOverhead
-	// mechCostPerInstance is the summed mechanism cost per covered
-	// resource instance.
-	mechCostPerInstance units.Money
 	// availGroup indexes combos whose availability evaluations are
 	// interchangeable (same MTTR-relevant settings).
 	availGroup int
@@ -97,22 +94,18 @@ type comboOverhead struct {
 }
 
 // prepareJobCombos resolves the option's mechanism combinations into
-// jobCombos, grouped by availability relevance. It returns the packed
+// jobCombos, grouped by availability relevance; out[ci] is cs.combos[ci],
+// so the walk prices it from the same combo set. It returns the packed
 // relevant-settings fingerprint of each group, computed once here so
 // the search loop reuses it instead of re-fingerprinting per probe.
-func (s *Solver) prepareJobCombos(tier *model.Tier, opt *model.ResourceOption) ([]jobCombo, []fp128, error) {
-	cs, err := s.mechCombos(opt.ResourceType())
-	if err != nil {
-		return nil, nil, err
-	}
-	combos := cs.combos
+func (s *Solver) prepareJobCombos(tier *model.Tier, opt *model.ResourceOption, cs *comboSet) ([]jobCombo, []fp128, error) {
 	groups := map[fp128]int{}
 	var groupFPs []fp128
-	out := make([]jobCombo, 0, len(combos))
-	for _, combo := range combos {
+	out := make([]jobCombo, 0, len(cs.combos))
+	for ci, combo := range cs.combos {
 		jc := jobCombo{settings: combo}
-		// Loss window and mechanism cost via a throwaway design: both
-		// depend only on the combo and the resource type.
+		// Loss window via a throwaway design: it depends only on the
+		// combo and the resource type.
 		probe := model.TierDesign{
 			TierName:   tier.Name,
 			Option:     opt,
@@ -126,9 +119,6 @@ func (s *Solver) prepareJobCombos(tier *model.Tier, opt *model.ResourceOption) (
 			return nil, nil, err
 		}
 		jc.lossWindow, jc.hasLW = lw, has
-		for _, ms := range combo {
-			jc.mechCostPerInstance += ms.CostPerInstance()
-		}
 		for _, mp := range opt.MechPerf {
 			ms, ok := probe.Mechanism(mp.Mechanism)
 			if !ok {
@@ -145,7 +135,7 @@ func (s *Solver) prepareJobCombos(tier *model.Tier, opt *model.ResourceOption) (
 			}
 			jc.overheads = append(jc.overheads, comboOverhead{fn: oh, args: args})
 		}
-		cfp := comboFP(opt.ResourceType(), combo)
+		cfp := cs.fps[ci]
 		id, ok := groups[cfp]
 		if !ok {
 			id = len(groups)
@@ -165,31 +155,17 @@ func (s *Solver) searchJobOption(ctx context.Context, tier *model.Tier, opt *mod
 	if err != nil {
 		return nil, err
 	}
-	combos, groupFPs, err := s.prepareJobCombos(tier, opt)
+	rt := opt.ResourceType()
+	cs, err := s.mechCombos(rt)
+	if err != nil {
+		return nil, err
+	}
+	combos, groupFPs, err := s.prepareJobCombos(tier, opt, cs)
 	if err != nil {
 		return nil, err
 	}
 	groupCount := len(groupFPs)
-	base := baseFP(tier.Name, opt.ResourceType().Name)
-	// Per-instance component costs are count-independent; spare cost
-	// depends on the warmth prefix.
-	rt := opt.ResourceType()
-	var activeCost units.Money
-	for _, rc := range rt.Components {
-		activeCost += rc.Component.Cost(model.ModeActive)
-	}
-	spareCostByWarm := make([]units.Money, len(rt.Components)+1)
-	for warm := range spareCostByWarm {
-		var c units.Money
-		for i, rc := range rt.Components {
-			mode := model.ModeInactive
-			if i < warm {
-				mode = model.ModeActive
-			}
-			c += rc.Component.Cost(mode)
-		}
-		spareCostByWarm[warm] = c
-	}
+	base := baseFP(tier.Name, rt.Name)
 
 	tr := s.opts.Tracer
 	resName := rt.Name
@@ -236,9 +212,7 @@ func (s *Solver) searchJobOption(ctx context.Context, tier *model.Tier, opt *mod
 						default:
 						}
 					}
-					c := units.Money(float64(n)*float64(activeCost) +
-						float64(spares)*float64(spareCostByWarm[warm]) +
-						float64(n+spares)*float64(jc.mechCostPerInstance))
+					c := cs.price(n, spares, warm, ci)
 					stats.candidates++
 					if tr != nil {
 						tr.Emit(obs.Event{Ev: obs.EvCandGen, Tier: tier.Name, Res: resName,
@@ -309,16 +283,6 @@ func (s *Solver) searchJobOption(ctx context.Context, tier *model.Tier, opt *mod
 	}
 	if best == incumbent {
 		return nil, nil
-	}
-	// Cross-check the fast-path cost arithmetic against the cost model.
-	if best != nil {
-		full, err := cost.Tier(&best.Design)
-		if err != nil {
-			return nil, err
-		}
-		if full != best.Cost {
-			return nil, fmt.Errorf("core: job-search cost mismatch: %v vs %v", best.Cost, full)
-		}
 	}
 	return best, nil
 }

@@ -2,21 +2,93 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"aved/internal/model"
+	"aved/internal/units"
 )
 
 // comboSet is one resource type's memoized mechanism enumeration: the
-// combinations plus each combo's relevant-settings fingerprint, both
-// shared read-only by every option walk over the type.
+// combinations, each combo's relevant-settings fingerprint and the
+// type's price table, all shared read-only by every option walk over
+// the type.
 type comboSet struct {
 	combos [][]model.MechSetting
 	fps    []fp128
+
+	// The price table (§4.2): the per-instance component cost of an
+	// active instance and of a spare at each warmth level 0..len(components),
+	// and every combo's per-instance mechanism costs, flattened in setting
+	// order (combo ci owns mech[ci*width : (ci+1)*width]).
+	active units.Money
+	spare  []units.Money
+	mech   []units.Money
+	width  int
+	// Closed-form floors for tailCostLB: the cheapest per-instance
+	// component cost over actives and every spare warmth the search
+	// explores, and the cheapest combo's mechanism cost per instance.
+	minInst, mechMin float64
+}
+
+// price reports the annual cost of a candidate — nActive actives and
+// nSpare spares at warmth warm under combo ci — adding the terms in
+// cost.Tier's order so the two agree bit for bit.
+func (cs *comboSet) price(nActive, nSpare, warm, ci int) units.Money {
+	total := units.Money(float64(nActive) * float64(cs.active))
+	if nSpare > 0 {
+		total += units.Money(float64(nSpare) * float64(cs.spare[warm]))
+	}
+	instances := float64(nActive + nSpare)
+	for _, m := range cs.mech[ci*cs.width : (ci+1)*cs.width] {
+		total += units.Money(instances * float64(m))
+	}
+	return total
+}
+
+// newComboSet fingerprints and prices a resource type's combinations.
+func (s *Solver) newComboSet(rt *model.ResourceType, combos [][]model.MechSetting) *comboSet {
+	cs := &comboSet{
+		combos: combos,
+		fps:    make([]fp128, len(combos)),
+		spare:  make([]units.Money, len(rt.Components)+1),
+	}
+	for _, rc := range rt.Components {
+		cs.active += rc.Component.Cost(model.ModeActive)
+	}
+	for warm := range cs.spare {
+		td := model.TierDesign{SpareWarm: warm}
+		for i, rc := range rt.Components {
+			cs.spare[warm] += rc.Component.Cost(td.SpareComponentMode(i))
+		}
+	}
+	cs.minInst = float64(cs.active)
+	for _, warm := range s.warmLevels(rt, 1) {
+		cs.minInst = min(cs.minInst, float64(cs.spare[warm]))
+	}
+	if len(combos) > 0 {
+		cs.width = len(combos[0])
+	}
+	cs.mech = make([]units.Money, 0, len(combos)*cs.width)
+	cs.mechMin = math.Inf(1)
+	for i, combo := range combos {
+		cs.fps[i] = comboFP(rt, combo)
+		var per float64
+		for _, ms := range combo {
+			m := ms.CostPerInstance()
+			cs.mech = append(cs.mech, m)
+			per += float64(m)
+		}
+		cs.mechMin = min(cs.mechMin, per)
+	}
+	if len(combos) == 0 {
+		cs.mechMin = 0
+	}
+	return cs
 }
 
 // mechCombos returns the combination set for a resource type, building
 // it on first use (see buildCombos) and serving the memoized set —
-// combinations and fingerprints alike — afterwards. The set depends
+// combinations, fingerprints and prices alike — afterwards. The set depends
 // only on inputs fixed for the solver's lifetime, so memoization cannot
 // change results; it exists because a solve walks each resource type's
 // options several times (per-tier search, frontier build) and the
@@ -32,10 +104,7 @@ func (s *Solver) mechCombos(rt *model.ResourceType) (*comboSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	cs = &comboSet{combos: combos, fps: make([]fp128, len(combos))}
-	for i, combo := range combos {
-		cs.fps[i] = comboFP(rt, combo)
-	}
+	cs = s.newComboSet(rt, combos)
 	s.comboMu.Lock()
 	if prev, ok := s.comboCache[rt]; ok {
 		// A concurrent walk built the same set first; converge on the

@@ -7,7 +7,6 @@ import (
 	"slices"
 
 	"aved/internal/avail"
-	"aved/internal/cost"
 	"aved/internal/jobtime"
 	"aved/internal/model"
 	"aved/internal/obs"
@@ -205,12 +204,13 @@ type optionSearch struct {
 	// requirements carry a degraded-throughput SLO.
 	nMinDegraded int
 	maxTotal     int // component-level instance cap; 0 means unlimited
-	combos       [][]model.MechSetting
+	// cs is the resource type's combinations with their fingerprints and
+	// price table.
+	cs *comboSet
 
-	// Fingerprint invariants hoisted out of the per-candidate loop: the
-	// (tier, resource) base and each combo's relevant-settings hash.
-	base     fp128
-	comboFPs []fp128
+	// base is the (tier, resource) fingerprint hoisted out of the
+	// per-candidate loop.
+	base fp128
 	// warmSpare is the warmth-level list for candidates with spares,
 	// computed once instead of per (active, spare) split.
 	warmSpare []int
@@ -221,16 +221,6 @@ type optionSearch struct {
 	// instance — valid only on a step-1 grid. Non-contiguous options
 	// build their frontiers uncut.
 	contiguous bool
-	// Closed-form per-instance cost floors for tailCostLB: the active
-	// per-instance component cost, the cheapest per-instance cost over
-	// actives and every allowed spare warmth, and the cheapest mechanism
-	// combination cost per covered instance. costFloorOK is false when a
-	// component or mechanism prices negative — then no closed-form bound
-	// exists and tailCostLB reports -Inf.
-	activeInstCost float64
-	minInstCost    float64
-	mechMinCost    float64
-	costFloorOK    bool
 }
 
 // tailCostLB lower-bounds, in closed form, the cost of every candidate
@@ -238,17 +228,22 @@ type optionSearch struct {
 // every further instance adds at least the cheapest per-instance cost,
 // and every instance carries at least the cheapest mechanism
 // combination. It is monotone in t, making it an admissible bound on
-// whole unexplored size tails regardless of grid contiguity.
+// whole unexplored size tails regardless of grid contiguity. The bound
+// needs per-size minimum cost to be non-decreasing beyond any size,
+// which holds exactly when adding an instance cannot reduce cost
+// (minInst + mechMin >= 0); otherwise no closed-form bound exists and
+// tailCostLB reports -Inf.
 func (o *optionSearch) tailCostLB(t int) float64 {
-	if !o.costFloorOK {
+	cs := o.cs
+	if !(cs.minInst+cs.mechMin >= 0) {
 		return math.Inf(-1)
 	}
 	extra := float64(t - o.nMinPerf)
 	if extra < 0 {
 		extra = 0
 	}
-	return float64(o.nMinPerf)*(o.activeInstCost+o.mechMinCost) +
-		extra*(o.minInstCost+o.mechMinCost)
+	return float64(o.nMinPerf)*(float64(cs.active)+cs.mechMin) +
+		extra*(cs.minInst+cs.mechMin)
 }
 
 // warmZeroLevels is the warmth list for spare-less candidates: shared,
@@ -276,18 +271,17 @@ func (s *Solver) newOptionSearch(tier *model.Tier, opt *model.ResourceOption, lo
 			nMinDegraded = n
 		}
 	}
-	maxTotal := opt.ResourceType().MaxInstances()
+	rt := opt.ResourceType()
+	maxTotal := rt.MaxInstances()
 	if maxTotal > 0 && nMinPerf > maxTotal {
 		// The component instance cap rules this option out before it
 		// even meets the performance requirement.
 		return nil, false, nil
 	}
-	cs, err := s.mechCombos(opt.ResourceType())
+	cs, err := s.mechCombos(rt)
 	if err != nil {
 		return nil, false, err
 	}
-	rt := opt.ResourceType()
-	combos, comboFPs := cs.combos, cs.fps
 	contiguous := true
 	for n := nMinPerf; n <= nMinPerf+s.opts.MaxRedundancy; n++ {
 		if maxTotal > 0 && n > maxTotal {
@@ -298,64 +292,17 @@ func (s *Solver) newOptionSearch(tier *model.Tier, opt *model.ResourceOption, lo
 			break
 		}
 	}
-	warmSpare := s.warmLevels(rt, 1)
-	// Closed-form cost floors (see tailCostLB): the active per-instance
-	// component cost, the cheapest spare per-instance cost over the
-	// allowed warmth levels, and the cheapest mechanism combination per
-	// covered instance. The bound needs per-size minimum cost to be
-	// non-decreasing beyond any size, which holds exactly when adding an
-	// instance cannot reduce cost: min(active, spare) + mechMin >= 0.
-	var activeInst float64
-	for _, rc := range rt.Components {
-		activeInst += float64(rc.Component.Cost(model.ModeActive))
-	}
-	minSpare := math.Inf(1)
-	for _, w := range warmSpare {
-		var c float64
-		for i, rc := range rt.Components {
-			mode := model.ModeInactive
-			if i < w {
-				mode = model.ModeActive
-			}
-			c += float64(rc.Component.Cost(mode))
-		}
-		if c < minSpare {
-			minSpare = c
-		}
-	}
-	mechMin := math.Inf(1)
-	for _, combo := range combos {
-		var per float64
-		for i := range combo {
-			per += float64(combo[i].CostPerInstance())
-		}
-		if per < mechMin {
-			mechMin = per
-		}
-	}
-	if len(combos) == 0 {
-		mechMin = 0
-	}
-	minInst := activeInst
-	if minSpare < minInst {
-		minInst = minSpare
-	}
 	return &optionSearch{
-		solver:         s,
-		tier:           tier,
-		opt:            opt,
-		nMinPerf:       nMinPerf,
-		nMinDegraded:   nMinDegraded,
-		maxTotal:       maxTotal,
-		combos:         combos,
-		base:           baseFP(tier.Name, rt.Name),
-		comboFPs:       comboFPs,
-		warmSpare:      warmSpare,
-		contiguous:     contiguous,
-		activeInstCost: activeInst,
-		minInstCost:    minInst,
-		mechMinCost:    mechMin,
-		costFloorOK:    minInst+mechMin >= 0,
+		solver:       s,
+		tier:         tier,
+		opt:          opt,
+		nMinPerf:     nMinPerf,
+		nMinDegraded: nMinDegraded,
+		maxTotal:     maxTotal,
+		cs:           cs,
+		base:         baseFP(tier.Name, rt.Name),
+		warmSpare:    s.warmLevels(rt, 1),
+		contiguous:   contiguous,
 	}, true, nil
 }
 
@@ -374,9 +321,9 @@ func (s *Solver) warmLevels(rt *model.ResourceType, nSpare int) []int {
 }
 
 // candidates yields every candidate at a given total resource count,
-// together with its packed cache fingerprints. The fingerprints are
-// assembled from the precomputed per-option parts, so the walk does no
-// per-candidate key allocation.
+// together with its packed cache fingerprints and its price. Both are
+// assembled from the per-solver combo set, so the walk does no
+// per-candidate key allocation and no cost-model lookups.
 func (o *optionSearch) candidates(total int, yield func(td model.TierDesign, fps candFP, c units.Money) error) error {
 	grid := o.opt.NActive
 	for nActive := o.nMinPerf; nActive <= total; nActive++ {
@@ -390,7 +337,7 @@ func (o *optionSearch) candidates(total int, yield func(td model.TierDesign, fps
 			warms = o.warmSpare
 		}
 		for _, warm := range warms {
-			for ci, combo := range o.combos {
+			for ci, combo := range o.cs.combos {
 				td := model.TierDesign{
 					TierName:   o.tier.Name,
 					Option:     o.opt,
@@ -401,13 +348,9 @@ func (o *optionSearch) candidates(total int, yield func(td model.TierDesign, fps
 					SpareWarm:  warm,
 					Mechanisms: combo,
 				}
-				mfp := modeFPOf(o.base, o.comboFPs[ci], warm, nSpare > 0)
+				mfp := modeFPOf(o.base, o.cs.fps[ci], warm, nSpare > 0)
 				fps := candFP{avail: availFPOf(mfp, nActive, minActive, nSpare), mode: mfp}
-				c, err := cost.Tier(&td)
-				if err != nil {
-					return err
-				}
-				if err := yield(td, fps, c); err != nil {
+				if err := yield(td, fps, o.cs.price(nActive, nSpare, warm, ci)); err != nil {
 					return err
 				}
 			}
@@ -420,17 +363,19 @@ func (o *optionSearch) candidates(total int, yield func(td model.TierDesign, fps
 // downtime budget, seeding the incumbent from searches of other
 // options so pruning carries across resource types.
 //
-// Two strategies share the outer size loop and the termination rules.
-// SearchExhaustive walks candidates in enumeration order, pruning those
-// dearer than the incumbent (§4.1). SearchBnB evaluates each size's
-// batch in ascending-cost order instead: the first feasible candidate
-// is the size's cheapest, so every candidate after the cut line —
-// strictly dearer than the incumbent — is pruned in one stroke without
-// an engine evaluation, including whole dominated option subtrees
-// (their first size cuts at zero evaluations and the size rule ends the
-// option). Both orders leave the same incumbent: the final best is the
-// cheapest feasible candidate with ties broken toward lower downtime
-// and then enumeration order, which the (cost, index) sort preserves.
+// Two strategies share one loop: each size's batch is generated, then
+// visited candidate by candidate, and they differ only in the visit
+// order and at the first candidate dearer than the incumbent.
+// SearchExhaustive visits in enumeration order, pruning each dearer
+// candidate and continuing (§4.1). SearchBnB visits in ascending-cost
+// order instead: the first feasible candidate is the size's cheapest,
+// so the first dearer candidate cuts the rest of the batch in one
+// stroke without an engine evaluation, including whole dominated option
+// subtrees (their first size cuts at zero evaluations and the size rule
+// ends the option). Both orders leave the same incumbent: the final
+// best is the cheapest feasible candidate with ties broken toward lower
+// downtime and then enumeration order, which the (cost, index) sort
+// preserves.
 //
 // Cancellation: the candidate yield checks ctx once per candidate via a
 // captured Done channel — a non-blocking select against a nil channel
@@ -456,7 +401,7 @@ func (s *Solver) searchOption(ctx context.Context, tier *model.Tier, opt *model.
 	done := ctx.Done()
 	best := incumbent
 	bnb := s.opts.Search != SearchExhaustive
-	// B&B per-size batch, reused across sizes within the walk and pooled
+	// Per-size batch, reused across sizes within the walk and pooled
 	// across walks.
 	sc := searchScratchPool.Get().(*searchScratch)
 	buf, fpsBuf, order := sc.buf, sc.fps, sc.order
@@ -472,129 +417,85 @@ func (s *Solver) searchOption(ctx context.Context, tier *model.Tier, opt *model.
 		}
 		minCostAtTotal := math.Inf(1)
 		bestDowntimeAtTotal := math.Inf(1)
+		buf, fpsBuf = buf[:0], fpsBuf[:0]
+		err := o.candidates(total, func(td model.TierDesign, fps candFP, c units.Money) error {
+			if done != nil {
+				select {
+				case <-done:
+					return ctx.Err()
+				default:
+				}
+			}
+			stats.candidates++
+			if tr != nil {
+				tr.Emit(obs.Event{Ev: obs.EvCandGen, Tier: tier.Name, Res: res,
+					N: td.NActive, S: td.NSpare, Warm: td.SpareWarm, Cost: float64(c)})
+			}
+			if float64(c) < minCostAtTotal {
+				minCostAtTotal = float64(c)
+			}
+			buf = append(buf, TierCandidate{Design: td, Cost: c})
+			fpsBuf = append(fpsBuf, fps)
+			return nil
+		})
+		if err != nil {
+			return nil, tail, err
+		}
+		// Visit order: enumeration order, or for B&B best-first — ascending
+		// cost with the enumeration index as the deterministic tie-break.
+		order = order[:0]
+		for i := range buf {
+			order = append(order, i)
+		}
 		if bnb {
-			buf, fpsBuf = buf[:0], fpsBuf[:0]
-			err := o.candidates(total, func(td model.TierDesign, fps candFP, c units.Money) error {
-				if done != nil {
-					select {
-					case <-done:
-						return ctx.Err()
-					default:
-					}
-				}
-				stats.candidates++
-				if tr != nil {
-					tr.Emit(obs.Event{Ev: obs.EvCandGen, Tier: tier.Name, Res: res,
-						N: td.NActive, S: td.NSpare, Warm: td.SpareWarm, Cost: float64(c)})
-				}
-				if float64(c) < minCostAtTotal {
-					minCostAtTotal = float64(c)
-				}
-				buf = append(buf, TierCandidate{Design: td, Cost: c})
-				fpsBuf = append(fpsBuf, fps)
-				return nil
-			})
-			if err != nil {
-				return nil, tail, err
-			}
-			// Best-first within the size: ascending cost, enumeration
-			// index as the deterministic tie-break.
-			order = order[:0]
-			for i := range buf {
-				order = append(order, i)
-			}
 			insertSortByCost(order, buf)
-			cut := len(order)
-			for k, i := range order {
-				c := buf[i].Cost
-				if best != nil && c > best.Cost {
+		}
+		for k, i := range order {
+			c := buf[i].Cost
+			if best != nil && c > best.Cost {
+				if bnb {
 					// Admissible bound: costs are sorted, so every
-					// remaining candidate is dearer than the incumbent
-					// and cannot replace it.
-					cut = k
-					break
-				}
-				entry, err := s.evalTier(ctx, &buf[i].Design, fpsBuf[i], stats)
-				if err != nil {
-					return nil, tail, err
-				}
-				down := entry.downtimeMinutes
-				stats.poolAdd(tier.Name, c, down)
-				if down < bestDowntimeAtTotal {
-					bestDowntimeAtTotal = down
-				}
-				if down <= budgetMinutes &&
-					(best == nil || c < best.Cost || (c == best.Cost && down < best.DowntimeMinutes)) {
-					b := buf[i]
-					b.DowntimeMinutes = down
-					best = &b
+					// remaining candidate is dearer than the incumbent and
+					// cannot replace it.
+					stats.boundPruned += len(order) - k
 					if tr != nil {
-						tr.Emit(obs.Event{Ev: obs.EvIncumbent, Tier: tier.Name, Res: res,
-							N: b.Design.NActive, S: b.Design.NSpare, Warm: b.Design.SpareWarm,
-							Cost: float64(c), Down: down})
+						for _, i := range order[k:] {
+							tr.Emit(obs.Event{Ev: obs.EvBoundPrune, Tier: tier.Name, Res: res,
+								N: buf[i].Design.NActive, S: buf[i].Design.NSpare, Cost: float64(buf[i].Cost)})
+						}
 					}
-				}
-			}
-			if n := len(order) - cut; n > 0 {
-				stats.boundPruned += n
-				if tr != nil {
-					for _, i := range order[cut:] {
-						tr.Emit(obs.Event{Ev: obs.EvBoundPrune, Tier: tier.Name, Res: res,
-							N: buf[i].Design.NActive, S: buf[i].Design.NSpare, Cost: float64(buf[i].Cost)})
-					}
-				}
-			}
-		} else {
-			err := o.candidates(total, func(td model.TierDesign, fps candFP, c units.Money) error {
-				if done != nil {
-					select {
-					case <-done:
-						return ctx.Err()
-					default:
-					}
-				}
-				stats.candidates++
-				if tr != nil {
-					tr.Emit(obs.Event{Ev: obs.EvCandGen, Tier: tier.Name, Res: res,
-						N: td.NActive, S: td.NSpare, Warm: td.SpareWarm, Cost: float64(c)})
-				}
-				if float64(c) < minCostAtTotal {
-					minCostAtTotal = float64(c)
+					break
 				}
 				// §4.1: once a feasible design is known, evaluate cost
 				// first and reject dearer candidates without an
 				// availability evaluation. Equal-cost candidates still
 				// evaluate so ties break toward lower downtime.
-				if best != nil && c > best.Cost {
-					stats.pruned++
-					if tr != nil {
-						tr.Emit(obs.Event{Ev: obs.EvCandPrune, Tier: tier.Name, Res: res,
-							N: td.NActive, S: td.NSpare, Cost: float64(c)})
-					}
-					return nil
+				stats.pruned++
+				if tr != nil {
+					tr.Emit(obs.Event{Ev: obs.EvCandPrune, Tier: tier.Name, Res: res,
+						N: buf[i].Design.NActive, S: buf[i].Design.NSpare, Cost: float64(c)})
 				}
-				entry, err := s.evalTier(ctx, &td, fps, stats)
-				if err != nil {
-					return err
-				}
-				down := entry.downtimeMinutes
-				stats.poolAdd(tier.Name, c, down)
-				if down < bestDowntimeAtTotal {
-					bestDowntimeAtTotal = down
-				}
-				if down <= budgetMinutes &&
-					(best == nil || c < best.Cost || (c == best.Cost && down < best.DowntimeMinutes)) {
-					best = &TierCandidate{Design: td, Cost: c, DowntimeMinutes: down}
-					if tr != nil {
-						tr.Emit(obs.Event{Ev: obs.EvIncumbent, Tier: tier.Name, Res: res,
-							N: td.NActive, S: td.NSpare, Warm: td.SpareWarm,
-							Cost: float64(c), Down: down})
-					}
-				}
-				return nil
-			})
+				continue
+			}
+			entry, err := s.evalTier(ctx, &buf[i].Design, fpsBuf[i], stats)
 			if err != nil {
 				return nil, tail, err
+			}
+			down := entry.downtimeMinutes
+			stats.poolAdd(tier.Name, c, down)
+			if down < bestDowntimeAtTotal {
+				bestDowntimeAtTotal = down
+			}
+			if down <= budgetMinutes &&
+				(best == nil || c < best.Cost || (c == best.Cost && down < best.DowntimeMinutes)) {
+				b := buf[i]
+				b.DowntimeMinutes = down
+				best = &b
+				if tr != nil {
+					tr.Emit(obs.Event{Ev: obs.EvIncumbent, Tier: tier.Name, Res: res,
+						N: b.Design.NActive, S: b.Design.NSpare, Warm: b.Design.SpareWarm,
+						Cost: float64(c), Down: down})
+				}
 			}
 		}
 		// Termination: when every candidate at this size already costs

@@ -5,6 +5,10 @@
 // (the paper notes maintenance-contract cost is proportional to the
 // number of machines it covers), so they multiply by the tier's total
 // resource count, spares included.
+//
+// Tier is the reference pricer: the search prices candidates from a
+// per-solver table that adds the same terms in the same order, so the
+// two agree bit for bit.
 package cost
 
 import (
@@ -37,19 +41,6 @@ func Tier(td *model.TierDesign) (units.Money, error) {
 	instances := float64(td.NActive + td.NSpare)
 	for _, ms := range td.Mechanisms {
 		total += units.Money(instances * float64(ms.CostPerInstance()))
-	}
-	return total, nil
-}
-
-// Design reports the annual cost of a complete design: tier costs add.
-func Design(d *model.Design) (units.Money, error) {
-	var total units.Money
-	for i := range d.Tiers {
-		c, err := Tier(&d.Tiers[i])
-		if err != nil {
-			return 0, err
-		}
-		total += c
 	}
 	return total, nil
 }

@@ -141,27 +141,6 @@ func TestMachineBCostStructure(t *testing.T) {
 	}
 }
 
-func TestDesignSumsTiers(t *testing.T) {
-	td1 := tierDesign(t, "rC", "bronze", 2, 0, 0)
-	td2 := tierDesign(t, "rD", "bronze", 3, 0, 0)
-	c1, err := Tier(td1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2, err := Tier(td2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := &model.Design{Tiers: []model.TierDesign{*td1, *td2}}
-	got, err := Design(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != c1+c2 {
-		t.Errorf("design cost = %v, want %v", got, c1+c2)
-	}
-}
-
 func TestTierCostUnresolvedOption(t *testing.T) {
 	td := &model.TierDesign{TierName: "x", Option: &model.ResourceOption{}}
 	if _, err := Tier(td); err == nil {

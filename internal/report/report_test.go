@@ -99,6 +99,60 @@ func TestDesignReportWithSpares(t *testing.T) {
 	}
 }
 
+// TestDesignReportFractionalPrices renders a design on fractional
+// component prices, whose per-line sums round differently from the
+// cost model's order: the report still renders, and its totals are the
+// cost model's.
+func TestDesignReportFractionalPrices(t *testing.T) {
+	src := scenarios.InfrastructureSpec
+	for _, r := range [][2]string{
+		{"machineA cost([inactive,active])=[2400 2640]", "machineA cost([inactive,active])=[2400.1 2640.3]"},
+		{"unix cost([inactive,active])=[0 200]", "unix cost([inactive,active])=[0 200.45]"},
+		{"appserverA cost([inactive,active])=[0 1700]", "appserverA cost([inactive,active])=[0 1700.7]"},
+	} {
+		if !strings.Contains(src, r[0]) {
+			t.Fatalf("Fig. 3 spec has no %q", r[0])
+		}
+		src = strings.Replace(src, r[0], r[1], 1)
+	}
+	inf, err := model.ParseInfrastructure(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := scenarios.ApplicationTier(inf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := core.NewSolver(inf, svc, core.Options{Registry: scenarios.Registry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sol, err := s.Solve(model.Requirements{
+		Kind:              model.ReqEnterprise,
+		Throughput:        1000,
+		MaxAnnualDowntime: 1 * units.Minute,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	if err := Design(&sb, &sol.Design, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	out := sb.String()
+	for _, want := range []string{
+		"machineA       6 active × 2640.30 + 1 spare × 2400.10 = 18241.90",
+		"appserverA     6 active × 1700.70 + 1 spare × 0 = 10204.20",
+		"maintenanceA   7 instances × 380 = 2660",
+		"tier total     31106.10",
+		"design total: cost 31106.10/yr",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("report missing %q:\n%s", want, out)
+		}
+	}
+}
+
 func TestDesignReportInvalidDesign(t *testing.T) {
 	var sb strings.Builder
 	if err := Design(&sb, &model.Design{}, Options{}); err == nil {
