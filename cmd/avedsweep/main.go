@@ -103,9 +103,9 @@ func phaseComments(out io.Writer, phaseNanos map[string]int64) {
 
 // progressTracer renders sweep.point events as one progress line each.
 // Cells that rode the grid-aware scheduling append their reuse
-// counters — frontiers served from the chain's set and warm replays
-// of earlier cells' eval-cache entries — so a watcher sees the acceleration live; cold
-// cells print unchanged.
+// counters — frontiers served from the chain's set, tier walks replayed
+// from it, and warm replays of earlier cells' eval-cache entries — so a
+// watcher sees the acceleration live; cold cells print unchanged.
 func progressTracer(w io.Writer) aved.Tracer {
 	return aved.TraceFunc(func(e aved.TraceEvent) {
 		if e.Ev != aved.EvSweepPoint {
@@ -118,6 +118,9 @@ func progressTracer(w io.Writer) aved.Tracer {
 		line := fmt.Sprintf("point %d/%d: cost %.0f (%.0f ms)", e.Index, e.Total, e.Cost, e.MS)
 		if e.FrontierReuse > 0 {
 			line += fmt.Sprintf(", %d frontier reuses", e.FrontierReuse)
+		}
+		if e.WalkReuse > 0 {
+			line += fmt.Sprintf(", %d walk replays", e.WalkReuse)
 		}
 		if e.WarmReuse > 0 {
 			line += fmt.Sprintf(", %d warm replays", e.WarmReuse)

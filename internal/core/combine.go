@@ -21,18 +21,18 @@ func (s *Solver) solveEnterprise(ctx context.Context, req model.Requirements, fs
 	var stats searchStats
 	stats.gen = s.gen.Add(1)
 	tr := s.opts.Tracer
+	cv, err := s.newChainView(fs, load)
+	if err != nil {
+		return nil, err
+	}
 
 	// The combination bounds may engage under branch-and-bound; phase 1
 	// then already collects (cost, downtime) pools for the upper bound's
 	// mini-combination (see combineBounds). Whether the bounds actually
 	// hold is known only after phase 1, from its per-tier certificates.
-	useBounds := s.opts.Search != SearchExhaustive && len(s.svc.Tiers) > 1
+	useBounds := s.collectsPools()
 	if useBounds {
-		stats.poolIdx = make(map[string]int, len(s.svc.Tiers))
-		stats.pools = make([][]TierCandidate, len(s.svc.Tiers))
-		for i := range s.svc.Tiers {
-			stats.poolIdx[s.svc.Tiers[i].Name] = i
-		}
+		stats.pools = make([][]costDown, len(s.svc.Tiers))
 	}
 
 	// Phase 1: each tier in isolation against the full budget. The
@@ -46,7 +46,7 @@ func (s *Solver) solveEnterprise(ctx context.Context, req model.Requirements, fs
 		if tr != nil {
 			start = time.Now()
 		}
-		cand, cert, err := s.searchTier(ctx, &s.svc.Tiers[i], load, budget, &stats)
+		cand, cert, err := s.chainSearchTier(ctx, cv, i, load, budget, &stats)
 		if err != nil {
 			endPhase()
 			return nil, wrapCanceled(err, &stats)
@@ -109,8 +109,7 @@ func (s *Solver) solveEnterprise(ctx context.Context, req model.Requirements, fs
 	var thresholds []float64
 	ub := math.Inf(1)
 	if useBounds {
-		var err error
-		ub, thresholds, err = s.combineBounds(ctx, req, perTier, &stats)
+		ub, thresholds, err = s.combineBounds(ctx, cv, req, perTier, &stats)
 		if err != nil {
 			return nil, wrapCanceled(err, &stats)
 		}
@@ -127,11 +126,7 @@ func (s *Solver) solveEnterprise(ctx context.Context, req model.Requirements, fs
 				maxCost = thresholds[i]
 			}
 			var err error
-			if fs != nil {
-				frontiers[i], err = s.cachedTierFrontier(ctx, fs, &s.svc.Tiers[i], load, maxCost, &stats)
-			} else {
-				frontiers[i], err = s.tierFrontier(ctx, &s.svc.Tiers[i], load, maxCost, &stats)
-			}
+			frontiers[i], err = s.chainTierFrontier(ctx, cv, i, load, maxCost, &stats)
 			if err != nil {
 				return nil, err
 			}
@@ -174,6 +169,14 @@ func (s *Solver) solveEnterprise(ctx context.Context, req model.Requirements, fs
 	return s.finishEnterprise(ctx, chosen, &stats)
 }
 
+// collectsPools reports whether this solver's enterprise solves collect
+// bound pools during their tier walks: under branch-and-bound on a
+// multi-tier service. It is fixed per solver, so every walk a chain's
+// frontier set records or replays agrees on it.
+func (s *Solver) collectsPools() bool {
+	return s.opts.Search != SearchExhaustive && len(s.svc.Tiers) > 1
+}
+
 // combineBounds computes the combination phase's admissible cost
 // bounds: an upper bound UB on the optimal combined cost, and per-tier
 // cost thresholds UB - sum(other tiers' phase-1 costs) that truncate
@@ -199,7 +202,7 @@ func (s *Solver) solveEnterprise(ctx context.Context, req model.Requirements, fs
 // the frontiers build unbounded, exactly as under SearchExhaustive.
 // Every solve, grid cell or cold, bounds its combination this way, so a
 // cell's bound never depends on the earlier cells of its chain.
-func (s *Solver) combineBounds(ctx context.Context, req model.Requirements, perTier []*TierCandidate, stats *searchStats) (float64, []float64, error) {
+func (s *Solver) combineBounds(ctx context.Context, cv chainView, req model.Requirements, perTier []*TierCandidate, stats *searchStats) (float64, []float64, error) {
 	budget := req.MaxAnnualDowntime.Minutes()
 	endPhase := s.phaseSpan(stats, phaseBound)
 	ub := math.Inf(1)
@@ -208,7 +211,7 @@ func (s *Solver) combineBounds(ctx context.Context, req model.Requirements, perT
 	cur, pinned := make([]*TierCandidate, n), make([]bool, n)
 	keep := -1 // the tier the second pass holds at its phase-1 design
 	for pass := 0; pass < 2; pass++ {
-		if err := s.waterfill(ctx, req, perTier, keep, cur, pinned, stats); err != nil {
+		if err := s.waterfill(ctx, cv, req, perTier, keep, cur, pinned, stats); err != nil {
 			endPhase()
 			return math.Inf(1), nil, err
 		}
@@ -239,7 +242,7 @@ func (s *Solver) combineBounds(ctx context.Context, req model.Requirements, perT
 // phase-1 optima, with tier keep (when ≥ 0) held at its phase-1 design,
 // and leaves in cur the designs it ends at, which may still miss the
 // budget. pinned is its scratch; both have one slot per tier.
-func (s *Solver) waterfill(ctx context.Context, req model.Requirements, perTier []*TierCandidate, keep int, cur []*TierCandidate, pinned []bool, stats *searchStats) error {
+func (s *Solver) waterfill(ctx context.Context, cv chainView, req model.Requirements, perTier []*TierCandidate, keep int, cur []*TierCandidate, pinned []bool, stats *searchStats) error {
 	budget := req.MaxAnnualDowntime.Minutes()
 	copy(cur, perTier)
 	for i := range pinned {
@@ -263,7 +266,7 @@ func (s *Solver) waterfill(ctx context.Context, req model.Requirements, perTier 
 			if pinned[i] {
 				continue
 			}
-			cand, _, err := s.searchTier(ctx, &s.svc.Tiers[i], loadOf(req), cur[i].DowntimeMinutes*scale, stats)
+			cand, _, err := s.chainSearchTier(ctx, cv, i, loadOf(req), cur[i].DowntimeMinutes*scale, stats)
 			if err != nil {
 				return err
 			}
@@ -296,9 +299,16 @@ func (s *Solver) finishBounds(ub, budget float64, perTier []*TierCandidate, stat
 		reduced := make([][]TierCandidate, n)
 		complete := true
 		for i := range pools {
-			reduced[i] = paretoReduce(pools[i])
-			if len(reduced[i]) == 0 {
+			// The combiner reads only Cost and DowntimeMinutes, so the
+			// reduced points need no designs.
+			pairs := reducePairs(pools[i])
+			if len(pairs) == 0 {
 				complete = false
+				continue
+			}
+			reduced[i] = make([]TierCandidate, len(pairs))
+			for j, p := range pairs {
+				reduced[i][j] = TierCandidate{Cost: p.cost, DowntimeMinutes: p.down}
 			}
 		}
 		if complete {

@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"aved/internal/avail"
-	"aved/internal/units"
 )
 
 // evalCache is a singleflight-style cache of availability evaluations
@@ -139,28 +138,18 @@ type searchStats struct {
 	boundPruned   int
 	warmReuse     int
 	frontierReuse int
+	walkReuse     int
 	// gen is this solve's generation (Solver.gen at solve start).
 	gen uint64
 	// phaseNs accumulates wall-clock nanoseconds per solver phase (see
 	// phaseID); written only when the solver is timed, so an untimed
 	// solve's snapshot sees all zeros and reports a nil PhaseNanos.
 	phaseNs [numPhases]int64
-	// pools, when non-nil, collect every evaluated (cost, downtime)
-	// pair per tier — raw material for the combination upper bound,
-	// gathered free of extra engine work (see combineBounds).
-	pools   [][]TierCandidate
-	poolIdx map[string]int
-}
-
-// poolAdd records one evaluated candidate's (cost, downtime) pair for
-// the tier's bound pool. A no-op (one nil check) when collection is off.
-func (st *searchStats) poolAdd(tierName string, c units.Money, down float64) {
-	if st.pools == nil {
-		return
-	}
-	if i, ok := st.poolIdx[tierName]; ok {
-		st.pools[i] = append(st.pools[i], TierCandidate{Cost: c, DowntimeMinutes: down})
-	}
+	// pools, when non-nil, collect the (cost, downtime) pairs the tier
+	// walks evaluate, one pool per tier in service order — raw material
+	// for the combination upper bound, gathered free of extra engine
+	// work (see combineBounds).
+	pools [][]costDown
 }
 
 func (st *searchStats) snapshot() Stats {
@@ -172,6 +161,7 @@ func (st *searchStats) snapshot() Stats {
 		BoundPruned:         st.boundPruned,
 		WarmStartReuse:      st.warmReuse,
 		FrontierReuse:       st.frontierReuse,
+		WalkReuse:           st.walkReuse,
 	}
 	// The map materializes only when some phase recorded time — an
 	// untimed solve keeps PhaseNanos nil, so disabled-path Stats stay

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"slices"
 	"sync"
 
 	"aved/internal/model"
@@ -10,9 +11,11 @@ import (
 	"aved/internal/perf"
 )
 
-// This file implements the frontier cache behind SolveCell's
-// FrontierSet argument: whole per-tier Pareto frontiers shared across the SolveCell calls of
-// one grid chain on one Solver.
+// This file implements the two caches behind SolveCell's FrontierSet
+// argument, both shared across the SolveCell calls of one grid chain on
+// one Solver: whole per-tier Pareto frontiers, and the per-tier walks
+// of phase 1 and the waterfilling bound, each replayable over the exact
+// budget interval it cannot tell apart (see tierWalk).
 //
 // The key observation is requirement-invariance. A tier's frontier
 // depends on the models and on the throughput requirement — never on
@@ -40,11 +43,11 @@ import (
 // evaluation cache, so extension costs only the new tail.
 //
 // A FrontierSet is one chain's cache, used sequentially, which is what
-// makes the effort accounting deterministic: each build is charged to
-// the cell that runs it (candidates, pruning, evaluations, cache hits —
-// via a private stats block, merged as-is), and each replay charges the
-// recorded build effort with every evaluation request counted as an
-// EvalCacheHit (the engine never ran for it) plus one FrontierReuse.
+// makes the effort accounting deterministic: each build or walk is
+// charged to the cell that runs it (candidates, pruning, evaluations,
+// cache hits), and each replay charges the recorded effort with every
+// evaluation request counted as an EvalCacheHit (the engine never ran
+// for it) plus one FrontierReuse or WalkReuse.
 // Chain order is fixed regardless of worker count — the sweeps
 // parallelise across chains, never within one — so per-cell Stats and
 // their sums are exact at any worker count. Sharing one set across
@@ -52,11 +55,14 @@ import (
 // determinism, so the sweeps create one set per chain. A solver's
 // models never change, so an entry never goes stale.
 
-// FrontierSet caches per-tier Pareto frontiers across the SolveCell
-// calls of one sequential grid chain (see SolveCell). The zero value is not usable; create one per chain with NewFrontierSet.
+// FrontierSet caches per-tier Pareto frontiers and tier walks across
+// the SolveCell calls of one sequential grid chain (see SolveCell). The
+// maps are created on first use, so the zero value is an empty set;
+// NewFrontierSet returns one.
 type FrontierSet struct {
-	mu sync.Mutex
-	m  map[fp128]*frontierEntry
+	mu    sync.Mutex
+	m     map[fp128]*frontierEntry
+	walks map[fp128][]*walkEntry
 }
 
 // NewFrontierSet creates an empty frontier cache for one grid chain.
@@ -70,18 +76,141 @@ func NewFrontierSet() *FrontierSet {
 type frontierEntry struct {
 	points []TierCandidate
 	bound  float64
-	delta  frontierDelta
+	delta  effortDelta
 }
 
-// frontierDelta is the effort one frontier build spent, lifted from its
-// private stats block. requests is the build's evaluation requests —
-// engine runs plus cache replays — which a replaying cell charges
-// entirely to EvalCacheHits.
-type frontierDelta struct {
+// effortDelta is the effort one frontier build or tier walk spent.
+// requests is its evaluation requests — engine runs plus cache replays
+// — which a replaying cell charges entirely to EvalCacheHits.
+type effortDelta struct {
 	candidates  int
 	costPruned  int
 	boundPruned int
 	requests    int
+}
+
+// effort reads the counters a replay re-charges, as of now; the effort
+// of a stretch of search is the difference of two readings.
+func (st *searchStats) effort() effortDelta {
+	return effortDelta{st.candidates, st.pruned, st.boundPruned, st.evals + st.cacheHits}
+}
+
+func (d effortDelta) sub(o effortDelta) effortDelta {
+	return effortDelta{d.candidates - o.candidates, d.costPruned - o.costPruned,
+		d.boundPruned - o.boundPruned, d.requests - o.requests}
+}
+
+// charge adds a replayed build's or walk's effort to stats, every
+// evaluation request as an EvalCacheHit: the engine never ran for it.
+func (d effortDelta) charge(stats *searchStats) {
+	stats.candidates += d.candidates
+	stats.pruned += d.costPruned
+	stats.boundPruned += d.boundPruned
+	stats.cacheHits += d.requests
+}
+
+// walkEntry is one recorded tier walk: its answer and budget interval,
+// the effort it spent, and its Pareto-reduced bound-pool pairs (nil
+// when its solve collected no pools — fixed per solver, see
+// collectsPools, so a replaying solve collects exactly when the
+// recording did).
+type walkEntry struct {
+	tierWalk
+	delta effortDelta
+	pairs []costDown
+}
+
+// walk returns a recorded walk of the tier keyed key whose budget
+// interval covers budget, or nil.
+func (set *FrontierSet) walk(key fp128, budget float64) *walkEntry {
+	set.mu.Lock()
+	defer set.mu.Unlock()
+	for _, e := range set.walks[key] {
+		if e.lo <= budget && budget < e.hi {
+			return e
+		}
+	}
+	return nil
+}
+
+func (set *FrontierSet) addWalk(key fp128, e *walkEntry) {
+	set.mu.Lock()
+	if set.walks == nil {
+		set.walks = map[fp128][]*walkEntry{}
+	}
+	set.walks[key] = append(set.walks[key], e)
+	set.mu.Unlock()
+}
+
+// chainView is one solve's handle on its chain's frontier set: the set
+// and each service tier's frontierKey, computed once per solve and
+// shared by the walk memo and the frontier cache. The zero value (no
+// set) walks every tier and builds every frontier afresh.
+type chainView struct {
+	fs   *FrontierSet
+	keys []fp128
+}
+
+// newChainView keys every service tier at load for fs; a nil fs gives
+// the zero view.
+func (s *Solver) newChainView(fs *FrontierSet, load tierLoad) (chainView, error) {
+	if fs == nil {
+		return chainView{}, nil
+	}
+	cv := chainView{fs: fs, keys: make([]fp128, len(s.svc.Tiers))}
+	for i := range s.svc.Tiers {
+		var err error
+		if cv.keys[i], err = s.frontierKey(&s.svc.Tiers[i], load); err != nil {
+			return chainView{}, err
+		}
+	}
+	return cv, nil
+}
+
+// chainSearchTier is searchTier through the chain's walk memo: a
+// recorded walk of the tier whose budget interval covers budget is
+// replayed — its answer returned, its effort charged like a frontier
+// replay, its reduced pairs added to the tier's pool — and otherwise
+// the tier is walked and the walk recorded. A walk's answer at every
+// budget in its interval is the walk's own (see tierWalk), so a replay
+// is exactly what a fresh walk would return. The returned candidate may
+// be shared with the memo and must be treated read-only.
+func (s *Solver) chainSearchTier(ctx context.Context, cv chainView, ti int, load tierLoad, budget float64, stats *searchStats) (*TierCandidate, bool, error) {
+	if cv.fs == nil {
+		w, err := s.searchTier(ctx, ti, load, budget, stats)
+		return w.best, w.cert, err
+	}
+	key := cv.keys[ti]
+	if e := cv.fs.walk(key, budget); e != nil {
+		e.delta.charge(stats)
+		stats.walkReuse++
+		if stats.pools != nil {
+			stats.pools[ti] = append(stats.pools[ti], e.pairs...)
+		}
+		if tr := s.opts.Tracer; tr != nil {
+			tr.Emit(obs.Event{Ev: obs.EvWalkReuse, Tier: s.svc.Tiers[ti].Name,
+				FP: fpHex(key), Evals: int64(e.delta.requests)})
+		}
+		return e.best, e.cert, nil
+	}
+	before, start := stats.effort(), 0
+	if stats.pools != nil {
+		start = len(stats.pools[ti])
+	}
+	w, err := s.searchTier(ctx, ti, load, budget, stats)
+	if err != nil {
+		return nil, false, err
+	}
+	e := &walkEntry{tierWalk: w, delta: stats.effort().sub(before)}
+	if stats.pools != nil {
+		// Reduce the walk's own pairs in place: the pool's reduction is
+		// unchanged (see reducePairs) and the record keeps only these.
+		seg := reducePairs(stats.pools[ti][start:])
+		stats.pools[ti] = stats.pools[ti][:start+len(seg)]
+		e.pairs = slices.Clone(seg)
+	}
+	cv.fs.addWalk(key, e)
+	return w.best, w.cert, nil
 }
 
 // frontierKey fingerprints everything a tier's frontier can depend on
@@ -92,6 +221,9 @@ type frontierDelta struct {
 // solver-level knobs that also shape frontiers (MaxRedundancy,
 // ExploreSpareWarmth, FixedMechanisms, the engine) are fixed per
 // Solver and a set never outlives its solver, so they need no key bits.
+// A tier walk reads the load through the same option minima, so the
+// walk memo shares the key; its budget dependence is the walk's
+// interval (see tierWalk).
 func (s *Solver) frontierKey(tier *model.Tier, load tierLoad) (fp128, error) {
 	f := fp128{hi: fnvOffset64, lo: saltEntry}.mixString(tier.Name)
 	for i := range tier.Options {
@@ -129,24 +261,23 @@ func (s *Solver) frontierKey(tier *model.Tier, load tierLoad) (fp128, error) {
 	return f, nil
 }
 
-// cachedTierFrontier is tierFrontier through a chain's frontier set:
-// serve the ≤ maxCost prefix of a cached build whose bound covers the
-// request, otherwise build at maxCost and cache. The returned slice may
-// share the cached backing array and must be treated read-only — the
-// combiners only read.
-func (s *Solver) cachedTierFrontier(ctx context.Context, set *FrontierSet, tier *model.Tier, load tierLoad, maxCost float64, stats *searchStats) ([]TierCandidate, error) {
-	key, err := s.frontierKey(tier, load)
-	if err != nil {
-		return nil, err
+// chainTierFrontier is tierFrontier for service tier ti through the
+// chain's frontier set: serve the ≤ maxCost prefix of a cached build
+// whose bound covers the request, otherwise build at maxCost and cache.
+// Without a set it builds afresh. The returned slice may share the
+// cached backing array and must be treated read-only — the combiners
+// only read.
+func (s *Solver) chainTierFrontier(ctx context.Context, cv chainView, ti int, load tierLoad, maxCost float64, stats *searchStats) ([]TierCandidate, error) {
+	tier := &s.svc.Tiers[ti]
+	if cv.fs == nil {
+		return s.tierFrontier(ctx, tier, load, maxCost, stats)
 	}
+	set, key := cv.fs, cv.keys[ti]
 	set.mu.Lock()
 	e := set.m[key]
 	set.mu.Unlock()
 	if e != nil && maxCost <= e.bound {
-		stats.candidates += e.delta.candidates
-		stats.pruned += e.delta.costPruned
-		stats.boundPruned += e.delta.boundPruned
-		stats.cacheHits += e.delta.requests
+		e.delta.charge(stats)
 		stats.frontierReuse++
 		if tr := s.opts.Tracer; tr != nil {
 			tr.Emit(obs.Event{Ev: obs.EvFrontierReuse, Tier: tier.Name,
@@ -165,12 +296,6 @@ func (s *Solver) cachedTierFrontier(ctx context.Context, set *FrontierSet, tier 
 	if err != nil {
 		return nil, err
 	}
-	delta := frontierDelta{
-		candidates:  bs.candidates,
-		costPruned:  bs.pruned,
-		boundPruned: bs.boundPruned,
-		requests:    bs.evals + bs.cacheHits,
-	}
 	stats.candidates += bs.candidates
 	stats.pruned += bs.pruned
 	stats.boundPruned += bs.boundPruned
@@ -187,7 +312,7 @@ func (s *Solver) cachedTierFrontier(ctx context.Context, set *FrontierSet, tier 
 	if set.m == nil {
 		set.m = map[fp128]*frontierEntry{}
 	}
-	set.m[key] = &frontierEntry{points: points, bound: maxCost, delta: delta}
+	set.m[key] = &frontierEntry{points: points, bound: maxCost, delta: bs.effort()}
 	set.mu.Unlock()
 	return points, nil
 }

@@ -143,6 +143,7 @@ func (s *Solver) endSolve(so solveObs, sol *Solution, err error) (*Solution, err
 		reg.Counter("core.bound_pruned").Add(int64(sol.Stats.BoundPruned))
 		reg.Counter("core.warm_reuse").Add(int64(sol.Stats.WarmStartReuse))
 		reg.Counter("core.frontier_reuse").Add(int64(sol.Stats.FrontierReuse))
+		reg.Counter("core.walk_reuse").Add(int64(sol.Stats.WalkReuse))
 		reg.Histogram("core.solve_ms").Observe(ms)
 	}
 	if tr := s.opts.Tracer; tr != nil {
@@ -161,6 +162,7 @@ func (s *Solver) endSolve(so solveObs, sol *Solution, err error) (*Solution, err
 			BoundPruned:   int64(sol.Stats.BoundPruned),
 			WarmReuse:     int64(sol.Stats.WarmStartReuse),
 			FrontierReuse: int64(sol.Stats.FrontierReuse),
+			WalkReuse:     int64(sol.Stats.WalkReuse),
 			MemoHits:      sol.Stats.ModeMemoHits,
 			MemoSolves:    sol.Stats.ModeMemoSolves,
 			SimReps:       sol.Stats.SimReplications,

@@ -184,6 +184,14 @@ type Stats struct {
 	// counter exact at any worker count. Zero on plain SolveContext
 	// solves.
 	FrontierReuse int
+	// WalkReuse counts per-tier searches (§4.1's tier walks, in phase 1
+	// and the combination bound's waterfilling) this solve replayed from
+	// its chain's frontier set instead of walking (SolveCell with a
+	// FrontierSet). Like a frontier replay, the recorded walk's
+	// evaluation requests land in EvalCacheHits and its candidates and
+	// pruning in the usual counters, so per-cell counters stay exact at
+	// any worker count. Zero on plain SolveContext solves.
+	WalkReuse int
 	// ModeMemoHits and ModeMemoSolves count Markov mode-chain memo
 	// activity attributable to this solve (zero for engines without a
 	// memo). They are engine-counter deltas: exact when solves on a
@@ -371,9 +379,12 @@ func (s *Solver) SolveContext(ctx context.Context, req model.Requirements) (*Sol
 // replays it as its ≤-threshold prefix. Solutions are bit-identical to
 // per-cell builds (the truncated frontier is exactly that prefix — see
 // tierFrontier and frontiercache.go); the avoided work shows up in
-// Stats.FrontierReuse and as EvalCacheHits. A nil fs builds every
-// frontier afresh, exactly like SolveContext. Job requirements ignore
-// fs.
+// Stats.FrontierReuse and as EvalCacheHits. fs also records the tier
+// walks of phase 1 and the combination bound, and a later walk whose
+// budget lies in a recorded walk's budget interval replays it
+// (Stats.WalkReuse; see tierWalk for why the replay is exact). A nil fs
+// builds every frontier and walks every tier afresh, exactly like
+// SolveContext. Job requirements ignore fs.
 func (s *Solver) SolveCell(ctx context.Context, req model.Requirements, fs *FrontierSet) (*Solution, error) {
 	if err := req.Validate(); err != nil {
 		return nil, err

@@ -360,8 +360,11 @@ func (o *optionSearch) candidates(total int, yield func(td model.TierDesign, fps
 }
 
 // searchOption finds the option's minimum-cost design meeting the
-// downtime budget, seeding the incumbent from searches of other
-// options so pruning carries across resource types.
+// downtime budget, seeding the incumbent from w.best — the searches of
+// other options — so pruning carries across resource types, and leaving
+// the improved incumbent there. Every evaluated downtime narrows w's
+// budget interval, and every evaluated (cost, downtime) pair joins pool
+// when it is non-nil.
 //
 // Two strategies share one loop: each size's batch is generated, then
 // visited candidate by candidate, and they differ only in the visit
@@ -382,24 +385,24 @@ func (o *optionSearch) candidates(total int, yield func(td model.TierDesign, fps
 // when the context cannot be cancelled, so the un-cancelled hot path
 // stays allocation-free and branch-cheap.
 //
-// The second return is the option's tail certificate: a proven lower
-// bound on the cost of every candidate the size loop did NOT visit
-// (+Inf when it exhausted the whole size grid). searchTier compares the
+// It returns the option's tail certificate: a proven lower bound on
+// the cost of every candidate the size loop did NOT visit (+Inf when it
+// exhausted the whole size grid). searchTier compares the
 // certificates against the tier's final optimum to certify it as a true
 // cost lower bound over the tier's entire candidate space — what the
 // combination bounds in solveEnterprise rely on.
 func (s *Solver) searchOption(ctx context.Context, tier *model.Tier, opt *model.ResourceOption, load tierLoad, budgetMinutes float64,
-	incumbent *TierCandidate, stats *searchStats) (*TierCandidate, float64, error) {
+	w *tierWalk, pool *[]costDown, stats *searchStats) (float64, error) {
 
 	tail := math.Inf(1)
 	o, ok, err := s.newOptionSearch(tier, opt, load)
 	if err != nil || !ok {
-		return nil, tail, err
+		return tail, err
 	}
 	tr := s.opts.Tracer
 	res := opt.ResourceType().Name
 	done := ctx.Done()
-	best := incumbent
+	best := w.best
 	bnb := s.opts.Search != SearchExhaustive
 	// Per-size batch, reused across sizes within the walk and pooled
 	// across walks.
@@ -439,7 +442,7 @@ func (s *Solver) searchOption(ctx context.Context, tier *model.Tier, opt *model.
 			return nil
 		})
 		if err != nil {
-			return nil, tail, err
+			return tail, err
 		}
 		// Visit order: enumeration order, or for B&B best-first — ascending
 		// cost with the enumeration index as the deterministic tie-break.
@@ -479,14 +482,24 @@ func (s *Solver) searchOption(ctx context.Context, tier *model.Tier, opt *model.
 			}
 			entry, err := s.evalTier(ctx, &buf[i].Design, fpsBuf[i], stats)
 			if err != nil {
-				return nil, tail, err
+				return tail, err
 			}
 			down := entry.downtimeMinutes
-			stats.poolAdd(tier.Name, c, down)
+			if pool != nil {
+				*pool = append(*pool, costDown{c, down})
+			}
 			if down < bestDowntimeAtTotal {
 				bestDowntimeAtTotal = down
 			}
-			if down <= budgetMinutes &&
+			// The walk's one use of the budget. A NaN downtime fails the
+			// test at every budget, so it narrows neither end.
+			feasible := down <= budgetMinutes
+			if feasible {
+				w.lo = max(w.lo, down)
+			} else if down < w.hi {
+				w.hi = down
+			}
+			if feasible &&
 				(best == nil || c < best.Cost || (c == best.Cost && down < best.DowntimeMinutes)) {
 				b := buf[i]
 				b.DowntimeMinutes = down
@@ -520,35 +533,52 @@ func (s *Solver) searchOption(ctx context.Context, tier *model.Tier, opt *model.
 		}
 		prevBestDowntime = bestDowntimeAtTotal
 	}
-	if best == incumbent {
-		return nil, tail, nil // no improvement from this option
-	}
-	return best, tail, nil
+	w.best = best
+	return tail, nil
 }
 
-// searchTier finds the minimum-cost design for one tier in isolation.
+// tierWalk is one searchTier run: its answer and the budget interval
+// [lo, hi) the walk cannot tell apart. The walk uses the budget only in
+// the test down <= budget on each evaluated downtime, so with lo the
+// largest evaluated downtime at or under the budget and hi the smallest
+// one over it (±Inf when there is none), every test comes out the same
+// at every budget in [lo, hi) — and so does the whole walk: its answer,
+// certificate, prunes, evaluation requests and pool pairs. The interval
+// is open at hi because a budget of hi passes the test down = hi.
+type tierWalk struct {
+	best   *TierCandidate
+	cert   bool
+	lo, hi float64
+}
+
+// searchTier finds the minimum-cost design for service tier ti in
+// isolation, adding the (cost, downtime) pairs it evaluates to the
+// tier's bound pool when the solve collects pools.
 //
-// certified reports that the result is a proven cost lower bound over
-// the tier's ENTIRE candidate space, not just the visited part: every
-// option's tail certificate — the lower bound on whatever its size loop
-// left unexplored — is at least the final optimum's cost. Candidates at
-// visited sizes need no certificate: evaluated ones competed for the
-// incumbency directly and pruned ones were dearer than an incumbent the
-// final optimum only improved on.
-func (s *Solver) searchTier(ctx context.Context, tier *model.Tier, load tierLoad, budgetMinutes float64, stats *searchStats) (*TierCandidate, bool, error) {
-	var best *TierCandidate
+// The walk's cert reports that its result is a proven cost lower bound
+// over the tier's ENTIRE candidate space, not just the visited part:
+// every option's tail certificate — the lower bound on whatever its
+// size loop left unexplored — is at least the final optimum's cost.
+// Candidates at visited sizes need no certificate: evaluated ones
+// competed for the incumbency directly and pruned ones were dearer than
+// an incumbent the final optimum only improved on.
+func (s *Solver) searchTier(ctx context.Context, ti int, load tierLoad, budgetMinutes float64, stats *searchStats) (tierWalk, error) {
+	tier := &s.svc.Tiers[ti]
+	var pool *[]costDown
+	if stats.pools != nil {
+		pool = &stats.pools[ti]
+	}
+	w := tierWalk{lo: math.Inf(-1), hi: math.Inf(1)}
 	minTail := math.Inf(1) // the weakest option certificate
 	for i := range tier.Options {
-		cand, tail, err := s.searchOption(ctx, tier, &tier.Options[i], load, budgetMinutes, best, stats)
+		tail, err := s.searchOption(ctx, tier, &tier.Options[i], load, budgetMinutes, &w, pool, stats)
 		if err != nil {
-			return nil, false, err
+			return tierWalk{}, err
 		}
 		minTail = math.Min(minTail, tail)
-		if cand != nil {
-			best = cand
-		}
 	}
-	return best, best != nil && minTail >= float64(best.Cost), nil
+	w.cert = w.best != nil && minTail >= float64(w.best.Cost)
+	return w, nil
 }
 
 // frontierImproveEps is the minimum relative downtime improvement a
@@ -765,6 +795,35 @@ func (s *Solver) tierFrontier(ctx context.Context, tier *model.Tier, load tierLo
 		}
 	}
 	return out, nil
+}
+
+// costDown is one evaluated (cost, downtime) pair of a bound pool.
+type costDown struct {
+	cost units.Money
+	down float64
+}
+
+// reducePairs is the bound pools' Pareto reducer: it keeps only pairs
+// not dominated in (cost, downtime), sorted by ascending cost, in place
+// — the result is a prefix of p. Exact duplicates collapse to one, so
+// the result is a function of the set of pairs alone, and reducing a
+// part of a pool first never changes the reduction of the whole.
+func reducePairs(p []costDown) []costDown {
+	slices.SortFunc(p, func(a, b costDown) int {
+		if c := cmp.Compare(a.cost, b.cost); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.down, b.down)
+	})
+	out := p[:0]
+	bestDown := math.Inf(1)
+	for _, x := range p {
+		if x.down < bestDown {
+			out = append(out, x)
+			bestDown = x.down
+		}
+	}
+	return out
 }
 
 // paretoReduce keeps only candidates not dominated in (cost, downtime),

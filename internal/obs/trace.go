@@ -57,6 +57,12 @@ const (
 	// Evals counts the engine evaluations the replayed build originally
 	// spent — the work this solve avoided.
 	EvFrontierReuse = "frontier.reuse"
+	// EvWalkReuse is one per-tier search replayed from the chain's
+	// frontier set instead of walked (SolveCell with a FrontierSet): an
+	// earlier walk of the same tier candidate space, keyed FP, covered
+	// the requested budget. Evals counts the evaluation requests the
+	// recorded walk made — charged to this solve as cache hits.
+	EvWalkReuse = "walk.reuse"
 	// EvEvalMiss is an availability evaluation actually run by the
 	// engine (an eval-cache miss); EvEvalHit is a request served from
 	// the fingerprint cache. The final whole-design evaluation is
@@ -131,10 +137,13 @@ type Event struct {
 	WarmReuse   int64 `json:"wreuse,omitempty"`
 	// FrontierReuse counts tier frontiers served from the frontier cache
 	// (search.end; also the sweep totals carried on sweep.point events).
-	FrontierReuse int64  `json:"freuse,omitempty"`
-	MemoHits      uint64 `json:"memoh,omitempty"`
-	MemoSolves    uint64 `json:"memos,omitempty"`
-	SimReps       uint64 `json:"simreps,omitempty"`
+	FrontierReuse int64 `json:"freuse,omitempty"`
+	// WalkReuse counts tier walks replayed from the frontier set
+	// (search.end; also the per-cell count on sweep.point events).
+	WalkReuse  int64  `json:"walkreuse,omitempty"`
+	MemoHits   uint64 `json:"memoh,omitempty"`
+	MemoSolves uint64 `json:"memos,omitempty"`
+	SimReps    uint64 `json:"simreps,omitempty"`
 
 	// Timing and progress. DurNs is the span's exact wall-clock
 	// nanoseconds (phase.end, tier.done, eval.miss, sweep.point); MS is

@@ -63,10 +63,11 @@ func Fig6(ctx context.Context, solver *core.Solver, loads, budgetsMinutes []floa
 	// frontier set: a cell whose cost threshold an earlier build covers
 	// replays that build's prefix, and one needing a larger bound
 	// rebuilds at it, with the superseded build's evaluations replaying
-	// from the solver's evaluation cache. Costs, labels and solutions
-	// stay bit-identical to per-cell cold solves at any worker count;
-	// the reuse shows up only in the Stats counters (FrontierReuse,
-	// WarmStartReuse). Cells land by flattened load-major index, so
+	// from the solver's evaluation cache; a tier search whose budget an
+	// earlier walk's budget interval covers replays that walk. Costs,
+	// labels and solutions stay bit-identical to per-cell cold solves at
+	// any worker count; the reuse shows up only in the Stats counters
+	// (FrontierReuse, WalkReuse, WarmStartReuse). Cells land by flattened load-major index, so
 	// assembly below sees them in the original grid order regardless of
 	// parallelism; the lowest-load-index error wins, and within a load
 	// the tightest failing budget's error wins.
@@ -105,6 +106,7 @@ func Fig6(ctx context.Context, solver *core.Solver, loads, budgetsMinutes []floa
 				Cost: float64(sol.Cost), Down: sol.DowntimeMinutes,
 				WarmReuse:     int64(sol.Stats.WarmStartReuse),
 				FrontierReuse: int64(sol.Stats.FrontierReuse),
+				WalkReuse:     int64(sol.Stats.WalkReuse),
 			})
 			td := &sol.Design.Tiers[0]
 			cells[i] = cell{ok: true, point: Fig6Point{

@@ -51,7 +51,8 @@ func Fig8(ctx context.Context, solver *core.Solver, loads, budgetsMinutes []floa
 	// Like Fig6, the grid is scheduled grid-aware: each load is one
 	// sequential chain — budgets tightest first, then the baseline — and
 	// the chains fan across the worker pool by load, every cell sharing
-	// the chain's frontier set. Slot 0 of each load's stride is the
+	// the chain's frontier set — its frontier builds and its tier walks,
+	// counted per cell as FrontierReuse and WalkReuse. Slot 0 of each load's stride is the
 	// baseline; cells land by flattened index so assembly sees the
 	// original grid order regardless of parallelism. The lowest-load-index
 	// error wins, and within a load the tightest failing budget's error
@@ -107,6 +108,7 @@ func Fig8(ctx context.Context, solver *core.Solver, loads, budgetsMinutes []floa
 				Load: load, Budget: budget, Cost: float64(sol.Cost),
 				WarmReuse:     int64(sol.Stats.WarmStartReuse),
 				FrontierReuse: int64(sol.Stats.FrontierReuse),
+				WalkReuse:     int64(sol.Stats.WalkReuse),
 			})
 			cells[i] = cell{ok: true, cost: sol.Cost, stats: sol.Stats}
 		}
@@ -131,6 +133,7 @@ func Fig8(ctx context.Context, solver *core.Solver, loads, budgetsMinutes []floa
 			Load: load, Budget: avail.MinutesPerYear, Cost: float64(base.Cost),
 			WarmReuse:     int64(base.Stats.WarmStartReuse),
 			FrontierReuse: int64(base.Stats.FrontierReuse),
+			WalkReuse:     int64(base.Stats.WalkReuse),
 		})
 		cells[i] = cell{ok: true, cost: base.Cost, stats: base.Stats}
 		return nil

@@ -132,10 +132,10 @@ func fig6Cells(res *Fig6Result, loads, budgets []float64) []gridCell {
 // sweep (shared solver, budget-chain frontier cache) produces
 // exactly the per-cell cold solutions, in both search modes and at
 // worker counts 1 and 4 — and the corpus actually engages the frontier
-// cache, so the property is not vacuous.
+// cache and the walk memo, so the property is not vacuous.
 func TestSweepBitIdenticalOnCorpus(t *testing.T) {
 	modes := []core.SearchMode{core.SearchBnB, core.SearchExhaustive}
-	var frontierReuse, warmReuse int64
+	var frontierReuse, walkReuse, warmReuse int64
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		sc, err := scenarios.RandSolveScenario(rng)
@@ -170,13 +170,17 @@ func TestSweepBitIdenticalOnCorpus(t *testing.T) {
 					}
 				}
 				frontierReuse += res.Totals.FrontierReuse
+				walkReuse += res.Totals.WalkReuse
 				warmReuse += res.Totals.WarmStartReuse
 			}
 		}
 	}
-	t.Logf("corpus: %d frontier reuses, %d warm replays", frontierReuse, warmReuse)
+	t.Logf("corpus: %d frontier reuses, %d walk replays, %d warm replays", frontierReuse, walkReuse, warmReuse)
 	if frontierReuse == 0 {
 		t.Error("corpus never reused a frontier — the property test is vacuous")
+	}
+	if walkReuse == 0 {
+		t.Error("corpus never replayed a tier walk — the property test is vacuous")
 	}
 }
 
@@ -281,9 +285,9 @@ func TestSweepEvalCeilings(t *testing.T) {
 				}
 			}
 			calls := eng.calls.Load()
-			t.Logf("%s grid: %d grid evaluations vs %d per-cell cold (%.1fx); %d engine calls over every cell vs %d per-cell cold (%.1fx); %d frontier reuses",
+			t.Logf("%s grid: %d grid evaluations vs %d per-cell cold (%.1fx); %d engine calls over every cell vs %d per-cell cold (%.1fx); %d frontier reuses, %d walk replays",
 				tc.name, tot.Evaluations, cold, float64(cold)/float64(tot.Evaluations),
-				calls, coldCalls, float64(coldCalls)/float64(calls), tot.FrontierReuse)
+				calls, coldCalls, float64(coldCalls)/float64(calls), tot.FrontierReuse, tot.WalkReuse)
 			if tot.Evaluations > tc.ceiling {
 				t.Errorf("grid sweep ran %d engine evaluations, over the pinned ceiling %d",
 					tot.Evaluations, tc.ceiling)

@@ -44,6 +44,10 @@ type Totals struct {
 	// scheduling). Chains are sequential, so unlike the raw hit/miss
 	// split this is exact at any worker count.
 	FrontierReuse int64
+	// WalkReuse sums per-tier searches the cells replayed from their
+	// chain's frontier set instead of walking; exact at any worker count
+	// for the same reason as FrontierReuse.
+	WalkReuse int64
 
 	ModeMemoHits   uint64
 	ModeMemoSolves uint64
@@ -68,6 +72,7 @@ func (t *Totals) Add(st core.Stats) {
 	t.EvalCacheHits += int64(st.EvalCacheHits)
 	t.WarmStartReuse += int64(st.WarmStartReuse)
 	t.FrontierReuse += int64(st.FrontierReuse)
+	t.WalkReuse += int64(st.WalkReuse)
 	t.ModeMemoHits += st.ModeMemoHits
 	t.ModeMemoSolves += st.ModeMemoSolves
 	t.SimReplications += st.SimReplications

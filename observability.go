@@ -54,13 +54,16 @@ const (
 	// EvFrontierReuse is a whole tier frontier served from a chain's
 	// frontier set instead of rebuilt.
 	EvFrontierReuse = obs.EvFrontierReuse
-	EvEvalMiss      = obs.EvEvalMiss
-	EvEvalHit       = obs.EvEvalHit
-	EvIncumbent     = obs.EvIncumbent
-	EvMemoHit       = obs.EvMemoHit
-	EvMemoSolve     = obs.EvMemoSolve
-	EvSimBatch      = obs.EvSimBatch
-	EvSweepPoint    = obs.EvSweepPoint
+	// EvWalkReuse is a per-tier search replayed from a chain's frontier
+	// set instead of walked.
+	EvWalkReuse  = obs.EvWalkReuse
+	EvEvalMiss   = obs.EvEvalMiss
+	EvEvalHit    = obs.EvEvalHit
+	EvIncumbent  = obs.EvIncumbent
+	EvMemoHit    = obs.EvMemoHit
+	EvMemoSolve  = obs.EvMemoSolve
+	EvSimBatch   = obs.EvSimBatch
+	EvSweepPoint = obs.EvSweepPoint
 )
 
 // PhaseNames lists the solver's timed phase names in display order —

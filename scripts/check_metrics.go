@@ -17,10 +17,12 @@
 //
 // With -sweep it instead validates a traced avedsweep run: the
 // per-point reuse counters carried on sweep.point events (the numbers
-// the -progress lines print) must sum to the registry's core.warm_reuse
-// and core.frontier_reuse counters and match the per-hit warm.reuse /
-// frontier.reuse event multiplicities; the phase histograms are checked
-// against the trace the same way as in solve mode.
+// the -progress lines print) must sum to the registry's core.warm_reuse,
+// core.frontier_reuse and core.walk_reuse counters and match the
+// per-hit warm.reuse / frontier.reuse / walk.reuse event
+// multiplicities, and the sweep must replay at least one tier walk; the
+// phase histograms are checked against the trace the same way as in
+// solve mode.
 //
 // With -prom it lints a Prometheus text exposition (as served by
 // /metrics?format=prom or written by -metrics with a .prom path):
@@ -72,10 +74,12 @@ type solution struct {
 // the reuse totals the sweep.point events carry.
 type trace struct {
 	events map[string]int64
-	// pointWarm / pointFrontier sum the wreuse / freuse fields over the
-	// sweep.point events — the per-cell reuse the -progress lines show.
+	// pointWarm / pointFrontier / pointWalk sum the wreuse / freuse /
+	// walkreuse fields over the sweep.point events — the per-cell reuse
+	// the -progress lines show.
 	pointWarm     int64
 	pointFrontier int64
+	pointWalk     int64
 	// phaseNs sums phase.end DurNs per phase; phaseEnds counts the
 	// events. evalMissNs sums eval.miss DurNs — the engine wall time,
 	// attributed to the cross-cutting "eval" phase.
@@ -138,8 +142,8 @@ func main() {
 	case promMode:
 		fmt.Printf("check_metrics: prom ok (%d metric families)\n", families)
 	case sweepMode:
-		fmt.Printf("check_metrics: sweep ok (%d points, %d warm replays, %d frontier reuses, %d trace events)\n",
-			tr.events["sweep.point"], tr.pointWarm, tr.pointFrontier, total(tr.events))
+		fmt.Printf("check_metrics: sweep ok (%d points, %d warm replays, %d frontier reuses, %d walk replays, %d trace events)\n",
+			tr.events["sweep.point"], tr.pointWarm, tr.pointFrontier, tr.pointWalk, total(tr.events))
 	default:
 		fmt.Printf("check_metrics: ok (%d candidates, %d evaluations, %d trace events)\n",
 			sol.Candidates, sol.Evaluations, total(tr.events))
@@ -154,6 +158,7 @@ func checkSolve(fail func(string, ...any), snap snapshot, tr trace, sol solution
 	for _, key := range []string{
 		"core.solves", "core.candidates", "core.cost_pruned",
 		"core.bound_pruned", "core.warm_reuse", "core.frontier_reuse",
+		"core.walk_reuse",
 		"core.evaluations", "core.eval_cache_hits",
 		"avail.memo.hits", "avail.memo.solves",
 	} {
@@ -182,9 +187,10 @@ func checkSolve(fail func(string, ...any), snap snapshot, tr trace, sol solution
 	}
 
 	// Cross-checks: trace multiplicities, metrics counters and the
-	// solution report all describe the same search. FrontierReuse is
-	// zero by contract on a plain solve (frontier sets exist only under
-	// grid-aware SolveCell scheduling), so its row pins exactly that.
+	// solution report all describe the same search. FrontierReuse and
+	// WalkReuse are zero by contract on a plain solve (frontier sets
+	// exist only under grid-aware SolveCell scheduling), so their rows
+	// pin exactly that.
 	cross := []struct {
 		ev      string
 		counter string
@@ -200,6 +206,7 @@ func checkSolve(fail func(string, ...any), snap snapshot, tr trace, sol solution
 		{"eval.hit", "core.eval_cache_hits", sol.CacheHits},
 		{"warm.reuse", "core.warm_reuse", sol.WarmReuse},
 		{"frontier.reuse", "core.frontier_reuse", 0},
+		{"walk.reuse", "core.walk_reuse", 0},
 	}
 	for _, c := range cross {
 		if got := events[c.ev]; got != c.stat {
@@ -301,6 +308,7 @@ func checkSweep(fail func(string, ...any), snap snapshot, tr trace) {
 	}{
 		{"warm replays", "warm.reuse", "core.warm_reuse", tr.pointWarm},
 		{"frontier reuses", "frontier.reuse", "core.frontier_reuse", tr.pointFrontier},
+		{"walk replays", "walk.reuse", "core.walk_reuse", tr.pointWalk},
 	}
 	for _, c := range cross {
 		if got := events[c.ev]; got != c.points {
@@ -316,6 +324,9 @@ func checkSweep(fail func(string, ...any), snap snapshot, tr trace) {
 	// earlier cells' evaluations, or the check proves nothing.
 	if tr.pointWarm == 0 {
 		fail("trace: the sweep never made a warm replay of an earlier cell's entry — grid-aware scheduling is off")
+	}
+	if tr.pointWalk == 0 {
+		fail("trace: the sweep never replayed a tier walk — the chain's walk memo is off")
 	}
 	// The per-cell solvers share the registry, so the phase histograms
 	// must aggregate exactly the phase.end / eval.miss spans the trace
@@ -545,6 +556,7 @@ func readTrace(path string) trace {
 			DurNs         int64  `json:"durns"`
 			WarmReuse     int64  `json:"wreuse"`
 			FrontierReuse int64  `json:"freuse"`
+			WalkReuse     int64  `json:"walkreuse"`
 		}
 		if err := json.Unmarshal(sc.Bytes(), &e); err != nil || e.Ev == "" {
 			fmt.Fprintf(os.Stderr, "check_metrics: %s:%d: bad trace line: %v\n", path, line, err)
@@ -555,6 +567,7 @@ func readTrace(path string) trace {
 		case "sweep.point":
 			tr.pointWarm += e.WarmReuse
 			tr.pointFrontier += e.FrontierReuse
+			tr.pointWalk += e.WalkReuse
 		case "phase.end":
 			if e.Phase == "" {
 				fmt.Fprintf(os.Stderr, "check_metrics: %s:%d: phase.end without a phase\n", path, line)

@@ -7,9 +7,9 @@
 # phaseNanos exactly and the solve.phase.* histograms up to float
 # rounding. Then runs one traced grid-aware sweep and cross-checks
 # the reuse counters its -progress lines print (warm replays,
-# frontier reuses, carried on sweep.point events) against the per-hit
-# trace events and the registry counters, plus the same phase
-# histogram checks. Finally lints the Prometheus text exposition the
+# frontier reuses, walk replays, carried on sweep.point events)
+# against the per-hit trace events and the registry counters, plus the
+# same phase histogram checks. Finally lints the Prometheus text exposition the
 # same sweep wrote via a .prom -metrics path. Run from the repository
 # root; CI runs this on every push.
 set -eu
@@ -19,7 +19,10 @@ trap 'rm -rf "$tmp"' EXIT
 go run ./cmd/aved -paper apptier -load 1000 -downtime 60m -json -timings \
 	-trace "$tmp/trace.jsonl" -metrics "$tmp/metrics.json" >"$tmp/solution.json"
 go run scripts/check_metrics.go "$tmp/metrics.json" "$tmp/trace.jsonl" "$tmp/solution.json"
-go run ./cmd/avedsweep -fig 6 -loads 4 -budgets 5 -workers 1 -progress \
+# Twelve budgets per load chain: enough that later cells' budgets fall
+# inside earlier tier walks' budget intervals, so the walk-replay rows
+# are not vacuous.
+go run ./cmd/avedsweep -fig 6 -loads 4 -budgets 12 -workers 1 -progress \
 	-trace "$tmp/sweep_trace.jsonl" -metrics "$tmp/sweep_metrics.json" \
 	>/dev/null 2>"$tmp/progress.txt"
 go run scripts/check_metrics.go -sweep "$tmp/sweep_metrics.json" "$tmp/sweep_trace.jsonl"
