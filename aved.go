@@ -85,19 +85,12 @@ type (
 	// InfeasibleError reports that no design satisfies the requirements.
 	InfeasibleError = core.InfeasibleError
 	// CanceledError reports a solve aborted by context cancellation or
-	// deadline expiry (Options.Deadline, Solver.SolveContext), carrying
-	// the partial search statistics. It unwraps to context.Canceled or
-	// context.DeadlineExceeded.
+	// deadline expiry (Solver.SolveContext), carrying the partial search
+	// statistics. It unwraps to context.Canceled or DeadlineExceeded.
 	CanceledError = core.CanceledError
 	// SearchMode selects the tier-search strategy (Options.Search).
 	SearchMode = core.SearchMode
-	// FrontierSet caches per-tier Pareto frontiers across the
-	// Solver.SolveCell calls of one sequential grid chain.
-	FrontierSet = core.FrontierSet
 )
-
-// NewFrontierSet creates an empty frontier cache for one grid chain.
-func NewFrontierSet() *FrontierSet { return core.NewFrontierSet() }
 
 // Search strategies.
 const (

@@ -21,6 +21,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -120,7 +121,7 @@ func run(args []string, out io.Writer) (retErr error) {
 	if err != nil {
 		return err
 	}
-	opts := aved.Options{Registry: reg, ExploreSpareWarmth: *warmSpares, Workers: *workers, Engine: engine, Deadline: *timeout, Search: search, Timings: *timings}
+	opts := aved.Options{Registry: reg, ExploreSpareWarmth: *warmSpares, Workers: *workers, Engine: engine, Search: search, Timings: *timings}
 	if *bronze {
 		opts.FixedMechanisms = aved.Bronze()
 	}
@@ -145,7 +146,13 @@ func run(args []string, out io.Writer) (retErr error) {
 	if err != nil {
 		return err
 	}
-	sol, err := solver.Solve(req)
+	ctx := context.Background()
+	if *timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, *timeout)
+		defer cancel()
+	}
+	sol, err := solver.SolveContext(ctx, req)
 	if err != nil {
 		var infErr *aved.InfeasibleError
 		if errors.As(err, &infErr) {

@@ -103,8 +103,8 @@ func phaseComments(out io.Writer, phaseNanos map[string]int64) {
 
 // progressTracer renders sweep.point events as one progress line each.
 // Cells that rode the grid-aware scheduling append their reuse
-// counters — frontiers served from the chain's set, tier walks replayed
-// from it, and warm replays of earlier cells' eval-cache entries — so a
+// counters — frontiers served from the chain's memo, tier walks
+// replayed from it, and warm replays of earlier cells' eval-cache entries — so a
 // watcher sees the acceleration live; cold cells print unchanged.
 func progressTracer(w io.Writer) aved.Tracer {
 	return aved.TraceFunc(func(e aved.TraceEvent) {

@@ -58,14 +58,31 @@ func TestSolveContextDeadlineExceeded(t *testing.T) {
 	}
 }
 
-func TestOptionsDeadline(t *testing.T) {
-	s := appTierSolver(t, Options{
-		Engine:   slowEngine{avail.NewMarkovEngine(), 2 * time.Millisecond},
-		Deadline: time.Millisecond,
-	})
-	_, err := s.Solve(enterpriseReq(1000, 100))
+// TestSolveChainDeadline pins cancellation through a budget chain: the
+// first cell, the tightest budget, hands its CanceledError to visit,
+// and the chain stops with the error visit returns.
+func TestSolveChainDeadline(t *testing.T) {
+	s := appTierSolver(t, Options{Engine: slowEngine{avail.NewMarkovEngine(), 2 * time.Millisecond}})
+	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	defer cancel()
+	var visited []int
+	err := s.SolveChain(ctx, enterpriseReq(1000, 0), []units.Duration{200 * units.Minute, 100 * units.Minute},
+		func(i int, sol *Solution, err error) error {
+			visited = append(visited, i)
+			if sol != nil {
+				t.Errorf("cell %d: got a solution despite the 1ms deadline", i)
+			}
+			return err
+		})
 	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want context.DeadlineExceeded via Options.Deadline", err)
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+	var ce *CanceledError
+	if !errors.As(err, &ce) {
+		t.Fatalf("err = %v (%T), want *CanceledError", err, err)
+	}
+	if len(visited) != 1 || visited[0] != 1 {
+		t.Errorf("visited cells %v, want [1]: the tightest budget only", visited)
 	}
 }
 

@@ -15,14 +15,13 @@ import (
 // solveEnterprise implements §4.1 for enterprise services: per-tier
 // optima first, then multi-tier refinement over per-tier cost/downtime
 // frontiers when the combination misses the overall budget.
-func (s *Solver) solveEnterprise(ctx context.Context, req model.Requirements, fs *FrontierSet) (*Solution, error) {
+func (s *Solver) solveEnterprise(ctx context.Context, req model.Requirements, c *chain) (*Solution, error) {
 	budget := req.MaxAnnualDowntime.Minutes()
 	load := loadOf(req)
 	var stats searchStats
 	stats.gen = s.gen.Add(1)
 	tr := s.opts.Tracer
-	cv, err := s.newChainView(fs, load)
-	if err != nil {
+	if err := s.keyTiers(c, load); err != nil {
 		return nil, err
 	}
 
@@ -46,7 +45,7 @@ func (s *Solver) solveEnterprise(ctx context.Context, req model.Requirements, fs
 		if tr != nil {
 			start = time.Now()
 		}
-		cand, cert, err := s.chainSearchTier(ctx, cv, i, load, budget, &stats)
+		cand, cert, err := s.chainSearchTier(ctx, c, i, load, budget, &stats)
 		if err != nil {
 			endPhase()
 			return nil, wrapCanceled(err, &stats)
@@ -109,7 +108,8 @@ func (s *Solver) solveEnterprise(ctx context.Context, req model.Requirements, fs
 	var thresholds []float64
 	ub := math.Inf(1)
 	if useBounds {
-		ub, thresholds, err = s.combineBounds(ctx, cv, req, perTier, &stats)
+		var err error
+		ub, thresholds, err = s.combineBounds(ctx, c, req, perTier, &stats)
 		if err != nil {
 			return nil, wrapCanceled(err, &stats)
 		}
@@ -126,7 +126,7 @@ func (s *Solver) solveEnterprise(ctx context.Context, req model.Requirements, fs
 				maxCost = thresholds[i]
 			}
 			var err error
-			frontiers[i], err = s.chainTierFrontier(ctx, cv, i, load, maxCost, &stats)
+			frontiers[i], err = s.chainTierFrontier(ctx, c, i, load, maxCost, &stats)
 			if err != nil {
 				return nil, err
 			}
@@ -172,7 +172,7 @@ func (s *Solver) solveEnterprise(ctx context.Context, req model.Requirements, fs
 // collectsPools reports whether this solver's enterprise solves collect
 // bound pools during their tier walks: under branch-and-bound on a
 // multi-tier service. It is fixed per solver, so every walk a chain's
-// frontier set records or replays agrees on it.
+// memo records or replays agrees on it.
 func (s *Solver) collectsPools() bool {
 	return s.opts.Search != SearchExhaustive && len(s.svc.Tiers) > 1
 }
@@ -202,7 +202,7 @@ func (s *Solver) collectsPools() bool {
 // the frontiers build unbounded, exactly as under SearchExhaustive.
 // Every solve, grid cell or cold, bounds its combination this way, so a
 // cell's bound never depends on the earlier cells of its chain.
-func (s *Solver) combineBounds(ctx context.Context, cv chainView, req model.Requirements, perTier []*TierCandidate, stats *searchStats) (float64, []float64, error) {
+func (s *Solver) combineBounds(ctx context.Context, c *chain, req model.Requirements, perTier []*TierCandidate, stats *searchStats) (float64, []float64, error) {
 	budget := req.MaxAnnualDowntime.Minutes()
 	endPhase := s.phaseSpan(stats, phaseBound)
 	ub := math.Inf(1)
@@ -211,7 +211,7 @@ func (s *Solver) combineBounds(ctx context.Context, cv chainView, req model.Requ
 	cur, pinned := make([]*TierCandidate, n), make([]bool, n)
 	keep := -1 // the tier the second pass holds at its phase-1 design
 	for pass := 0; pass < 2; pass++ {
-		if err := s.waterfill(ctx, cv, req, perTier, keep, cur, pinned, stats); err != nil {
+		if err := s.waterfill(ctx, c, req, perTier, keep, cur, pinned, stats); err != nil {
 			endPhase()
 			return math.Inf(1), nil, err
 		}
@@ -242,7 +242,7 @@ func (s *Solver) combineBounds(ctx context.Context, cv chainView, req model.Requ
 // phase-1 optima, with tier keep (when ≥ 0) held at its phase-1 design,
 // and leaves in cur the designs it ends at, which may still miss the
 // budget. pinned is its scratch; both have one slot per tier.
-func (s *Solver) waterfill(ctx context.Context, cv chainView, req model.Requirements, perTier []*TierCandidate, keep int, cur []*TierCandidate, pinned []bool, stats *searchStats) error {
+func (s *Solver) waterfill(ctx context.Context, c *chain, req model.Requirements, perTier []*TierCandidate, keep int, cur []*TierCandidate, pinned []bool, stats *searchStats) error {
 	budget := req.MaxAnnualDowntime.Minutes()
 	copy(cur, perTier)
 	for i := range pinned {
@@ -266,7 +266,7 @@ func (s *Solver) waterfill(ctx context.Context, cv chainView, req model.Requirem
 			if pinned[i] {
 				continue
 			}
-			cand, _, err := s.chainSearchTier(ctx, cv, i, loadOf(req), cur[i].DowntimeMinutes*scale, stats)
+			cand, _, err := s.chainSearchTier(ctx, c, i, loadOf(req), cur[i].DowntimeMinutes*scale, stats)
 			if err != nil {
 				return err
 			}

@@ -4,26 +4,25 @@ import (
 	"context"
 	"math"
 	"slices"
-	"sync"
 
 	"aved/internal/model"
 	"aved/internal/obs"
 	"aved/internal/perf"
 )
 
-// This file implements the two caches behind SolveCell's FrontierSet
-// argument, both shared across the SolveCell calls of one grid chain on
-// one Solver: whole per-tier Pareto frontiers, and the per-tier walks
-// of phase 1 and the waterfilling bound, each replayable over the exact
-// budget interval it cannot tell apart (see tierWalk).
+// This file implements the memo behind Solver.SolveChain: one chain of
+// cells — one service and load at a run of downtime budgets — shares
+// whole per-tier Pareto frontiers and the per-tier walks of phase 1 and
+// the waterfilling bound, each walk replayable over the exact budget
+// interval it cannot tell apart (see tierWalk).
 //
 // The key observation is requirement-invariance. A tier's frontier
 // depends on the models and on the throughput requirement — never on
 // the downtime budget — and on the throughput only through each
 // option's performance minimum nMinPerf (plus whether the option is
 // ruled out entirely by its curve or instance cap). Every cell of a
-// sweep sharing one load therefore needs the SAME frontier, truncated
-// at a budget-dependent cost threshold — and the truncated frontier is
+// chain therefore needs the SAME frontier, truncated at a
+// budget-dependent cost threshold — and the truncated frontier is
 // exactly the ≤ maxCost prefix of a frontier built under any larger
 // bound (see tierFrontier), so serving a prefix of a cached build is
 // bit-identical to rebuilding under the cell's own bound.
@@ -32,42 +31,55 @@ import (
 // never unbounded on purpose: a frontier built with no cost bound
 // degenerates into an exhaustive walk of the tier space — the very work
 // the branch-and-bound truncation exists to avoid — and costs more than
-// an entire budget chain of bounded builds. Instead the cache relies on
-// the chain order the sweeps establish: budgets tightest first. A
-// looser budget's optimum never costs more, so the thresholds mostly
-// shrink along the chain and the first combination-phase cell mostly
-// builds at the chain's high-water bound. Each cell's bound comes from
-// its own waterfilling pass, though, which is not monotone in the
-// budget, so a later cell can need a larger bound. It then rebuilds at
-// it — the superseded build's evaluations replay from the solver's
-// evaluation cache, so extension costs only the new tail.
+// an entire budget chain of bounded builds. Instead the memo relies on
+// the chain order SolveChain fixes: budgets tightest first. A looser
+// budget's optimum never costs more, so the thresholds mostly shrink
+// along the chain and the first combination-phase cell mostly builds at
+// the chain's high-water bound. Each cell's bound comes from its own
+// waterfilling pass, though, which is not monotone in the budget, so a
+// later cell can need a larger bound. It then rebuilds at it — the
+// superseded build's evaluations replay from the solver's evaluation
+// cache, so extension costs only the new tail.
 //
-// A FrontierSet is one chain's cache, used sequentially, which is what
-// makes the effort accounting deterministic: each build or walk is
+// A chain lives inside one SolveChain call on one goroutine, which is
+// what makes the effort accounting deterministic: each build or walk is
 // charged to the cell that runs it (candidates, pruning, evaluations,
 // cache hits), and each replay charges the recorded effort with every
 // evaluation request counted as an EvalCacheHit (the engine never ran
-// for it) plus one FrontierReuse or WalkReuse.
-// Chain order is fixed regardless of worker count — the sweeps
-// parallelise across chains, never within one — so per-cell Stats and
-// their sums are exact at any worker count. Sharing one set across
-// concurrently running chains is memory-safe but forfeits exactly that
-// determinism, so the sweeps create one set per chain. A solver's
+// for it) plus one FrontierReuse or WalkReuse. Per-cell Stats and their
+// sums are therefore exact however many chains run at once. A solver's
 // models never change, so an entry never goes stale.
 
-// FrontierSet caches per-tier Pareto frontiers and tier walks across
-// the SolveCell calls of one sequential grid chain (see SolveCell). The
-// maps are created on first use, so the zero value is an empty set;
-// NewFrontierSet returns one.
-type FrontierSet struct {
-	mu    sync.Mutex
-	m     map[fp128]*frontierEntry
-	walks map[fp128][]*walkEntry
+// chain is one SolveChain call's memo: each service tier's frontierKey
+// at the chain's load, computed by the chain's first enterprise solve,
+// and the frontier builds and tier walks its cells have recorded. A nil
+// *chain — the SolveContext path — walks every tier and builds every
+// frontier afresh.
+type chain struct {
+	keys      []fp128
+	frontiers map[fp128]*frontierEntry
+	walks     map[fp128][]*walkEntry
 }
 
-// NewFrontierSet creates an empty frontier cache for one grid chain.
-func NewFrontierSet() *FrontierSet {
-	return &FrontierSet{}
+func newChain() *chain {
+	return &chain{frontiers: map[fp128]*frontierEntry{}, walks: map[fp128][]*walkEntry{}}
+}
+
+// keyTiers sets c.keys at load unless an earlier cell already has: a
+// chain's cells share one load, so the keys are fixed for the chain.
+func (s *Solver) keyTiers(c *chain, load tierLoad) error {
+	if c == nil || c.keys != nil {
+		return nil
+	}
+	keys := make([]fp128, len(s.svc.Tiers))
+	for i := range s.svc.Tiers {
+		var err error
+		if keys[i], err = s.frontierKey(&s.svc.Tiers[i], load); err != nil {
+			return err
+		}
+	}
+	c.keys = keys
+	return nil
 }
 
 // frontierEntry is one cached frontier build: the Pareto points, the
@@ -122,49 +134,13 @@ type walkEntry struct {
 
 // walk returns a recorded walk of the tier keyed key whose budget
 // interval covers budget, or nil.
-func (set *FrontierSet) walk(key fp128, budget float64) *walkEntry {
-	set.mu.Lock()
-	defer set.mu.Unlock()
-	for _, e := range set.walks[key] {
+func (c *chain) walk(key fp128, budget float64) *walkEntry {
+	for _, e := range c.walks[key] {
 		if e.lo <= budget && budget < e.hi {
 			return e
 		}
 	}
 	return nil
-}
-
-func (set *FrontierSet) addWalk(key fp128, e *walkEntry) {
-	set.mu.Lock()
-	if set.walks == nil {
-		set.walks = map[fp128][]*walkEntry{}
-	}
-	set.walks[key] = append(set.walks[key], e)
-	set.mu.Unlock()
-}
-
-// chainView is one solve's handle on its chain's frontier set: the set
-// and each service tier's frontierKey, computed once per solve and
-// shared by the walk memo and the frontier cache. The zero value (no
-// set) walks every tier and builds every frontier afresh.
-type chainView struct {
-	fs   *FrontierSet
-	keys []fp128
-}
-
-// newChainView keys every service tier at load for fs; a nil fs gives
-// the zero view.
-func (s *Solver) newChainView(fs *FrontierSet, load tierLoad) (chainView, error) {
-	if fs == nil {
-		return chainView{}, nil
-	}
-	cv := chainView{fs: fs, keys: make([]fp128, len(s.svc.Tiers))}
-	for i := range s.svc.Tiers {
-		var err error
-		if cv.keys[i], err = s.frontierKey(&s.svc.Tiers[i], load); err != nil {
-			return chainView{}, err
-		}
-	}
-	return cv, nil
 }
 
 // chainSearchTier is searchTier through the chain's walk memo: a
@@ -175,13 +151,13 @@ func (s *Solver) newChainView(fs *FrontierSet, load tierLoad) (chainView, error)
 // budget in its interval is the walk's own (see tierWalk), so a replay
 // is exactly what a fresh walk would return. The returned candidate may
 // be shared with the memo and must be treated read-only.
-func (s *Solver) chainSearchTier(ctx context.Context, cv chainView, ti int, load tierLoad, budget float64, stats *searchStats) (*TierCandidate, bool, error) {
-	if cv.fs == nil {
+func (s *Solver) chainSearchTier(ctx context.Context, c *chain, ti int, load tierLoad, budget float64, stats *searchStats) (*TierCandidate, bool, error) {
+	if c == nil {
 		w, err := s.searchTier(ctx, ti, load, budget, stats)
 		return w.best, w.cert, err
 	}
-	key := cv.keys[ti]
-	if e := cv.fs.walk(key, budget); e != nil {
+	key := c.keys[ti]
+	if e := c.walk(key, budget); e != nil {
 		e.delta.charge(stats)
 		stats.walkReuse++
 		if stats.pools != nil {
@@ -209,7 +185,7 @@ func (s *Solver) chainSearchTier(ctx context.Context, cv chainView, ti int, load
 		stats.pools[ti] = stats.pools[ti][:start+len(seg)]
 		e.pairs = slices.Clone(seg)
 	}
-	cv.fs.addWalk(key, e)
+	c.walks[key] = append(c.walks[key], e)
 	return w.best, w.cert, nil
 }
 
@@ -220,7 +196,8 @@ func (s *Solver) chainSearchTier(ctx context.Context, cv chainView, ti int, load
 // tier's identity, so the fold is ordered, not commutative. The
 // solver-level knobs that also shape frontiers (MaxRedundancy,
 // ExploreSpareWarmth, FixedMechanisms, the engine) are fixed per
-// Solver and a set never outlives its solver, so they need no key bits.
+// Solver and a chain never outlives its solver, so they need no key
+// bits.
 // A tier walk reads the load through the same option minima, so the
 // walk memo shares the key; its budget dependence is the walk's
 // interval (see tierWalk).
@@ -262,21 +239,18 @@ func (s *Solver) frontierKey(tier *model.Tier, load tierLoad) (fp128, error) {
 }
 
 // chainTierFrontier is tierFrontier for service tier ti through the
-// chain's frontier set: serve the ≤ maxCost prefix of a cached build
-// whose bound covers the request, otherwise build at maxCost and cache.
-// Without a set it builds afresh. The returned slice may share the
+// chain's memo: serve the ≤ maxCost prefix of a cached build whose
+// bound covers the request, otherwise build at maxCost and cache.
+// Without a chain it builds afresh. The returned slice may share the
 // cached backing array and must be treated read-only — the combiners
 // only read.
-func (s *Solver) chainTierFrontier(ctx context.Context, cv chainView, ti int, load tierLoad, maxCost float64, stats *searchStats) ([]TierCandidate, error) {
+func (s *Solver) chainTierFrontier(ctx context.Context, c *chain, ti int, load tierLoad, maxCost float64, stats *searchStats) ([]TierCandidate, error) {
 	tier := &s.svc.Tiers[ti]
-	if cv.fs == nil {
+	if c == nil {
 		return s.tierFrontier(ctx, tier, load, maxCost, stats)
 	}
-	set, key := cv.fs, cv.keys[ti]
-	set.mu.Lock()
-	e := set.m[key]
-	set.mu.Unlock()
-	if e != nil && maxCost <= e.bound {
+	key := c.keys[ti]
+	if e := c.frontiers[key]; e != nil && maxCost <= e.bound {
 		e.delta.charge(stats)
 		stats.frontierReuse++
 		if tr := s.opts.Tracer; tr != nil {
@@ -308,12 +282,7 @@ func (s *Solver) chainTierFrontier(ctx context.Context, cv chainView, ti int, lo
 	for i, ph := range bs.phaseNs {
 		stats.phaseNs[i] += ph
 	}
-	set.mu.Lock()
-	if set.m == nil {
-		set.m = map[fp128]*frontierEntry{}
-	}
-	set.m[key] = &frontierEntry{points: points, bound: maxCost, delta: bs.effort()}
-	set.mu.Unlock()
+	c.frontiers[key] = &frontierEntry{points: points, bound: maxCost, delta: bs.effort()}
 	return points, nil
 }
 

@@ -9,11 +9,12 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"aved/internal/avail"
 	"aved/internal/model"
@@ -120,13 +121,6 @@ type Options struct {
 	// histograms, and exposes engine counters at snapshot time. Nil
 	// disables metrics collection.
 	Metrics *obs.Registry
-	// Deadline, when positive, bounds each Solve's wall-clock time: the
-	// solve context gets a deadline this far in the future, and the
-	// search aborts with a CanceledError (unwrapping to
-	// context.DeadlineExceeded) carrying the partial Stats once it
-	// expires. It composes with SolveContext: whichever deadline is
-	// sooner wins.
-	Deadline time.Duration
 }
 
 // tierPricer is implemented by engines that can price a single tier's
@@ -177,20 +171,19 @@ type Stats struct {
 	// on the server, which builds a fresh solver per request.
 	WarmStartReuse int
 	// FrontierReuse counts tier frontiers this solve served from its
-	// chain's frontier set instead of building (SolveCell with a
-	// FrontierSet). The replayed build's evaluation requests
-	// land in EvalCacheHits, its candidates and pruning in the usual
-	// counters, so sweeping a chain sequentially keeps every per-cell
-	// counter exact at any worker count. Zero on plain SolveContext
-	// solves.
+	// chain's memo instead of building (a SolveChain cell). The
+	// replayed build's evaluation requests land in EvalCacheHits, its
+	// candidates and pruning in the usual counters, so every per-cell
+	// counter of a chain is exact at any worker count. Zero on plain
+	// SolveContext solves.
 	FrontierReuse int
 	// WalkReuse counts per-tier searches (§4.1's tier walks, in phase 1
 	// and the combination bound's waterfilling) this solve replayed from
-	// its chain's frontier set instead of walking (SolveCell with a
-	// FrontierSet). Like a frontier replay, the recorded walk's
-	// evaluation requests land in EvalCacheHits and its candidates and
-	// pruning in the usual counters, so per-cell counters stay exact at
-	// any worker count. Zero on plain SolveContext solves.
+	// its chain's memo instead of walking (a SolveChain cell). Like a
+	// frontier replay, the recorded walk's evaluation requests land in
+	// EvalCacheHits and its candidates and pruning in the usual
+	// counters, so per-cell counters stay exact at any worker count.
+	// Zero on plain SolveContext solves.
 	WalkReuse int
 	// ModeMemoHits and ModeMemoSolves count Markov mode-chain memo
 	// activity attributable to this solve (zero for engines without a
@@ -352,9 +345,8 @@ func (s *Solver) Metrics() *obs.Registry { return s.opts.Metrics }
 // Solve searches for the minimum-cost design meeting the requirements.
 // Enterprise requirements need a throughput and downtime bound; job
 // requirements need a completion-time bound and a service with a job
-// size. It reports ErrInfeasible when no design can satisfy them. An
-// Options.Deadline still applies; use SolveContext for caller-driven
-// cancellation.
+// size. It reports ErrInfeasible when no design can satisfy them. Use
+// SolveContext for cancellation and deadlines.
 func (s *Solver) Solve(req model.Requirements) (*Solution, error) {
 	return s.SolveContext(context.Background(), req)
 }
@@ -363,36 +355,53 @@ func (s *Solver) Solve(req model.Requirements) (*Solution, error) {
 // once per candidate (and the Monte-Carlo engine once per replication
 // batch), so cancellation or deadline expiry aborts promptly with a
 // CanceledError carrying the partial Stats and unwrapping to ctx's
-// error. With Options.Deadline set, the sooner of that deadline and
-// ctx's own bounds the solve. It is SolveCell with no frontier set:
-// the search never depends on earlier solves on this solver, whose
-// evaluations only replay from the cache.
+// error. The search never depends on earlier solves on this solver,
+// whose evaluations only replay from the cache.
 func (s *Solver) SolveContext(ctx context.Context, req model.Requirements) (*Solution, error) {
-	return s.SolveCell(ctx, req, nil)
+	return s.solve(ctx, req, nil)
 }
 
-// SolveCell is SolveContext for one cell of a requirement grid: same
-// search, same results, but with the combination phase's tier
-// frontiers served from fs, the grid chain's frontier set. The chain's
-// first cell needing a tier's frontier builds it at its own cost
-// threshold, and every later cell whose threshold the build covers
-// replays it as its ≤-threshold prefix. Solutions are bit-identical to
-// per-cell builds (the truncated frontier is exactly that prefix — see
-// tierFrontier and frontiercache.go); the avoided work shows up in
-// Stats.FrontierReuse and as EvalCacheHits. fs also records the tier
-// walks of phase 1 and the combination bound, and a later walk whose
-// budget lies in a recorded walk's budget interval replays it
-// (Stats.WalkReuse; see tierWalk for why the replay is exact). A nil fs
-// builds every frontier and walks every tier afresh, exactly like
-// SolveContext. Job requirements ignore fs.
-func (s *Solver) SolveCell(ctx context.Context, req model.Requirements, fs *FrontierSet) (*Solution, error) {
+// SolveChain solves the enterprise requirement req at each downtime
+// budget of budgets — req with MaxAnnualDowntime set to the budget —
+// tightest budget first (equal budgets in index order), and calls visit
+// after each cell with the budget's index and exactly what SolveContext
+// returns for that requirement. A non-nil error from visit stops the
+// chain, and SolveChain returns it. The cells share a memo private to
+// the call: the first cell needing a tier's combination frontier builds
+// it at its own cost threshold and every later cell whose threshold the
+// build covers replays its ≤-threshold prefix (Stats.FrontierReuse),
+// and a tier walk whose budget lies in a recorded walk's budget
+// interval replays that walk (Stats.WalkReuse; see tierWalk). Solutions
+// are bit-identical to SolveContext's; the replays show only in the
+// effort counters, where each replay's recorded requests count as
+// EvalCacheHits. The memo is used by one goroutine, so per-cell Stats
+// are exact whatever else runs on the solver.
+func (s *Solver) SolveChain(ctx context.Context, req model.Requirements, budgets []units.Duration, visit func(i int, sol *Solution, err error) error) error {
+	if req.Kind != model.ReqEnterprise {
+		return fmt.Errorf("core: SolveChain needs an enterprise requirement, got kind %d", int(req.Kind))
+	}
+	ord := make([]int, len(budgets))
+	for i := range ord {
+		ord[i] = i
+	}
+	slices.SortStableFunc(ord, func(a, b int) int { return cmp.Compare(budgets[a], budgets[b]) })
+	c := newChain()
+	for _, i := range ord {
+		cell := req
+		cell.MaxAnnualDowntime = budgets[i]
+		sol, err := s.solve(ctx, cell, c)
+		if err := visit(i, sol, err); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// solve runs one solve, through chain c's memo when c is non-nil (job
+// requirements ignore it).
+func (s *Solver) solve(ctx context.Context, req model.Requirements, c *chain) (*Solution, error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
-	}
-	if s.opts.Deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.opts.Deadline)
-		defer cancel()
 	}
 	so := s.beginSolve(req)
 	var (
@@ -401,7 +410,7 @@ func (s *Solver) SolveCell(ctx context.Context, req model.Requirements, fs *Fron
 	)
 	switch req.Kind {
 	case model.ReqEnterprise:
-		sol, err = s.solveEnterprise(ctx, req, fs)
+		sol, err = s.solveEnterprise(ctx, req, c)
 	case model.ReqJob:
 		if !s.svc.HasJobSize {
 			err = fmt.Errorf("core: job requirement needs a service with a jobsize, %q has none", s.svc.Name)

@@ -17,7 +17,7 @@ import (
 )
 
 // walkProblem is one service swept over a requirement plane, each load
-// a budget chain on one frontier set, as the figure sweeps run it.
+// one budget chain, as the figure sweeps run it.
 type walkProblem struct {
 	name           string
 	inf            *model.Infrastructure
@@ -26,7 +26,7 @@ type walkProblem struct {
 }
 
 // TestWalkReplayMatchesFreshWalk pins the walk memo's interval
-// argument. It sweeps each problem's chains through SolveCell, then
+// argument. It sweeps each problem's chains as SolveChain does, then
 // probes every tier walk the chains recorded at budgets inside the
 // walk's interval [lo, hi) — lo itself, the float just below hi and a
 // seeded draw — where the memo must replay, and at the budgets just
@@ -76,7 +76,7 @@ func TestWalkReplayMatchesFreshWalk(t *testing.T) {
 		budgets := append([]float64(nil), p.budgets...)
 		sort.Float64s(budgets)
 		for _, loadFull := range p.loads {
-			fs := NewFrontierSet()
+			c := newChain()
 			var load tierLoad
 			for _, b := range budgets {
 				req := model.Requirements{
@@ -85,28 +85,24 @@ func TestWalkReplayMatchesFreshWalk(t *testing.T) {
 					MaxAnnualDowntime: units.Duration(b * float64(units.Minute)),
 				}
 				load = loadOf(req)
-				_, err := s.SolveCell(context.Background(), req, fs)
+				_, err := s.solve(context.Background(), req, c)
 				var infErr *InfeasibleError
 				if err != nil && !errors.As(err, &infErr) {
 					t.Fatalf("%s load %v budget %v: %v", p.name, loadFull, b, err)
 				}
 			}
-			cv, err := s.newChainView(fs, load)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for ti, key := range cv.keys {
-				for _, e := range append([]*walkEntry(nil), fs.walks[key]...) {
+			for ti, key := range c.keys {
+				for _, e := range append([]*walkEntry(nil), c.walks[key]...) {
 					walks++
 					for _, b := range walkProbes(e, rng) {
 						replays++
-						checkWalkProbe(t, p, s, cv, freshOpts, ti, load, b, true)
+						checkWalkProbe(t, p, s, c, freshOpts, ti, load, b, true)
 					}
 					if !math.IsInf(e.hi, 1) {
-						checkWalkProbe(t, p, s, cv, freshOpts, ti, load, e.hi, false)
+						checkWalkProbe(t, p, s, c, freshOpts, ti, load, e.hi, false)
 					}
 					if !math.IsInf(e.lo, -1) {
-						checkWalkProbe(t, p, s, cv, freshOpts, ti, load, math.Nextafter(e.lo, math.Inf(-1)), false)
+						checkWalkProbe(t, p, s, c, freshOpts, ti, load, math.Nextafter(e.lo, math.Inf(-1)), false)
 					}
 				}
 			}
@@ -144,14 +140,14 @@ func walkProbes(e *walkEntry, rng *rand.Rand) []float64 {
 // checkWalkProbe runs one tier search through the chain's walk memo at
 // budget b and compares it with a fresh searchTier on a fresh solver.
 // mustReplay requires the memo to have replayed rather than walked.
-func checkWalkProbe(t *testing.T, p walkProblem, s *Solver, cv chainView, freshOpts Options, ti int, load tierLoad, b float64, mustReplay bool) {
+func checkWalkProbe(t *testing.T, p walkProblem, s *Solver, c *chain, freshOpts Options, ti int, load tierLoad, b float64, mustReplay bool) {
 	t.Helper()
 	ctx := context.Background()
 	var memo searchStats
 	if s.collectsPools() {
 		memo.pools = make([][]costDown, len(p.svc.Tiers))
 	}
-	best, cert, err := s.chainSearchTier(ctx, cv, ti, load, b, &memo)
+	best, cert, err := s.chainSearchTier(ctx, c, ti, load, b, &memo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,4 +204,31 @@ func samePairs(a, b []costDown) bool {
 		}
 	}
 	return true
+}
+
+// TestSolveChainOrder pins SolveChain's contract: cells are visited
+// tightest budget first, each with exactly what SolveContext returns
+// for its requirement, and a job requirement is refused.
+func TestSolveChainOrder(t *testing.T) {
+	s := appTierSolver(t, Options{})
+	budgets := []units.Duration{100 * units.Minute, 10 * units.Minute, 1000 * units.Minute}
+	var visited []int
+	err := s.SolveChain(context.Background(), enterpriseReq(1000, 0), budgets, func(i int, sol *Solution, err error) error {
+		visited = append(visited, i)
+		want, wantErr := appTierSolver(t, Options{}).SolveContext(context.Background(), enterpriseReq(1000, budgets[i].Minutes()))
+		if (err == nil) != (wantErr == nil) || (sol != nil && (sol.Cost != want.Cost || sol.DowntimeMinutes != want.DowntimeMinutes || sol.Design.Label() != want.Design.Label())) {
+			t.Errorf("budget %v: chain %v %v, SolveContext %v %v", budgets[i], sol, err, want, wantErr)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(visited, []int{1, 0, 2}) {
+		t.Errorf("visit order %v, want [1 0 2]", visited)
+	}
+	job := model.Requirements{Kind: model.ReqJob, MaxJobTime: 50 * units.Hour}
+	if err := s.SolveChain(context.Background(), job, budgets, nil); err == nil {
+		t.Error("SolveChain accepted a job requirement")
+	}
 }

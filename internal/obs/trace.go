@@ -51,16 +51,16 @@ const (
 	// earlier cell's evaluation. Always paired with an eval.hit for the
 	// same fingerprint.
 	EvWarmReuse = "warm.reuse"
-	// EvFrontierReuse is a whole tier frontier served from the chain's
-	// frontier set instead of rebuilt (SolveCell with a FrontierSet):
-	// Tier names the tier, FP carries the frontier key, and
-	// Evals counts the engine evaluations the replayed build originally
-	// spent — the work this solve avoided.
+	// EvFrontierReuse is a whole tier frontier served from the memo of
+	// a Solver.SolveChain budget chain instead of rebuilt: Tier names
+	// the tier, FP carries the frontier key, and Evals counts the
+	// engine evaluations the replayed build originally spent — the work
+	// this solve avoided.
 	EvFrontierReuse = "frontier.reuse"
-	// EvWalkReuse is one per-tier search replayed from the chain's
-	// frontier set instead of walked (SolveCell with a FrontierSet): an
-	// earlier walk of the same tier candidate space, keyed FP, covered
-	// the requested budget. Evals counts the evaluation requests the
+	// EvWalkReuse is one per-tier search replayed from the memo of a
+	// Solver.SolveChain budget chain instead of walked: an earlier walk
+	// of the same tier candidate space, keyed FP, covered the requested
+	// budget. Evals counts the evaluation requests the
 	// recorded walk made — charged to this solve as cache hits.
 	EvWalkReuse = "walk.reuse"
 	// EvEvalMiss is an availability evaluation actually run by the
@@ -135,10 +135,10 @@ type Event struct {
 	CacheHits   int64 `json:"hits,omitempty"`
 	BoundPruned int64 `json:"bpruned,omitempty"`
 	WarmReuse   int64 `json:"wreuse,omitempty"`
-	// FrontierReuse counts tier frontiers served from the frontier cache
+	// FrontierReuse counts tier frontiers served from a chain's memo
 	// (search.end; also the sweep totals carried on sweep.point events).
 	FrontierReuse int64 `json:"freuse,omitempty"`
-	// WalkReuse counts tier walks replayed from the frontier set
+	// WalkReuse counts tier walks replayed from a chain's memo
 	// (search.end; also the per-cell count on sweep.point events).
 	WalkReuse  int64  `json:"walkreuse,omitempty"`
 	MemoHits   uint64 `json:"memoh,omitempty"`

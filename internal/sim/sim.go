@@ -105,12 +105,6 @@ func (e *Engine) WithPrecision(relErr float64, batch int) *Engine {
 	return e
 }
 
-// Precision reports the configured adaptive target and batch size
-// (zeros when the engine runs its fixed budget).
-func (e *Engine) Precision() (relErr float64, batch int) {
-	return e.relErr, e.batch
-}
-
 // repSeed derives replication r's PRNG seed from the base seed with a
 // SplitMix64 finalizer, so a replication's random stream depends only on
 // (seed, r) — not on how many replications precede it or which worker

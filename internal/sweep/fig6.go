@@ -57,70 +57,38 @@ func Fig6(ctx context.Context, solver *core.Solver, loads, budgetsMinutes []floa
 	if len(loads) == 0 || len(budgetsMinutes) == 0 {
 		return nil, fmt.Errorf("sweep: fig6 needs non-empty load and budget grids")
 	}
-	// The grid is scheduled grid-aware: each load is one sequential chain
-	// over its budgets, tightest first, and the chains fan across the
-	// solver's worker pool by load. Within a chain the cells share one
-	// frontier set: a cell whose cost threshold an earlier build covers
-	// replays that build's prefix, and one needing a larger bound
-	// rebuilds at it, with the superseded build's evaluations replaying
-	// from the solver's evaluation cache; a tier search whose budget an
-	// earlier walk's budget interval covers replays that walk. Costs,
-	// labels and solutions stay bit-identical to per-cell cold solves at
-	// any worker count; the reuse shows up only in the Stats counters
-	// (FrontierReuse, WalkReuse, WarmStartReuse). Cells land by flattened load-major index, so
-	// assembly below sees them in the original grid order regardless of
-	// parallelism; the lowest-load-index error wins, and within a load
-	// the tightest failing budget's error wins.
+	// Cells land by flattened load-major index, so assembly below sees
+	// them in the grid order at any worker count.
 	nb := len(budgetsMinutes)
-	ord := budgetOrder(budgetsMinutes)
 	type cell struct {
 		ok    bool
 		point Fig6Point
 	}
 	cells := make([]cell, len(loads)*nb)
-	po := solverPointObs(solver, len(cells))
-	pt := par.NewTiming(solver.Metrics())
-	err := par.ForEachTimedCtx(ctx, solver.Workers(), len(loads), pt, func(li int) error {
-		load := loads[li]
-		fs := core.NewFrontierSet()
-		for _, bj := range ord {
-			budget := budgetsMinutes[bj]
-			i := li*nb + bj
-			start := po.Begin()
-			sol, err := solver.SolveCell(ctx, model.Requirements{
-				Kind:              model.ReqEnterprise,
-				Throughput:        load,
-				MaxAnnualDowntime: units.Duration(budget * float64(units.Minute)),
-			}, fs)
-			if err != nil {
-				var infErr *core.InfeasibleError
-				if errors.As(err, &infErr) {
-					// This corner of the plane has no design.
-					po.Done(i, start, obs.Event{Load: load, Budget: budget, Err: "infeasible"})
-					continue
-				}
-				return fmt.Errorf("sweep: fig6 at load %v budget %v: %w", load, budget, err)
-			}
-			po.Done(i, start, obs.Event{
-				Load: load, Budget: budget,
-				Cost: float64(sol.Cost), Down: sol.DowntimeMinutes,
-				WarmReuse:     int64(sol.Stats.WarmStartReuse),
-				FrontierReuse: int64(sol.Stats.FrontierReuse),
-				WalkReuse:     int64(sol.Stats.WalkReuse),
-			})
-			td := &sol.Design.Tiers[0]
-			cells[i] = cell{ok: true, point: Fig6Point{
-				Load:            load,
-				BudgetMinutes:   budget,
-				Family:          FamilyOf(td),
-				Stack:           Stack(td),
-				DowntimeMinutes: sol.DowntimeMinutes,
-				Cost:            sol.Cost,
-				NActive:         td.NActive,
-				Stats:           sol.Stats,
-			}}
+	err := solveGrid(ctx, solver, "fig6", loads, budgetsMinutes, func(li, bj int, sol *core.Solution, _ error) (obs.Event, error) {
+		load, budget := loads[li], budgetsMinutes[bj]
+		if sol == nil {
+			// This corner of the plane has no design.
+			return obs.Event{Load: load, Budget: budget, Err: "infeasible"}, nil
 		}
-		return nil
+		td := &sol.Design.Tiers[0]
+		cells[li*nb+bj] = cell{ok: true, point: Fig6Point{
+			Load:            load,
+			BudgetMinutes:   budget,
+			Family:          FamilyOf(td),
+			Stack:           Stack(td),
+			DowntimeMinutes: sol.DowntimeMinutes,
+			Cost:            sol.Cost,
+			NActive:         td.NActive,
+			Stats:           sol.Stats,
+		}}
+		return obs.Event{
+			Load: load, Budget: budget,
+			Cost: float64(sol.Cost), Down: sol.DowntimeMinutes,
+			WarmReuse:     int64(sol.Stats.WarmStartReuse),
+			FrontierReuse: int64(sol.Stats.FrontierReuse),
+			WalkReuse:     int64(sol.Stats.WalkReuse),
+		}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -176,15 +144,42 @@ func Fig6(ctx context.Context, solver *core.Solver, loads, budgetsMinutes []floa
 	return res, nil
 }
 
-// budgetOrder returns the budget indices sorted ascending by value —
-// tightest requirement first, the chain order of a load's cells.
-func budgetOrder(budgets []float64) []int {
-	ord := make([]int, len(budgets))
-	for i := range ord {
-		ord[i] = i
+// solveGrid solves the grid loads × budgetsMinutes as one budget chain
+// per load (Solver.SolveChain: tightest budget first, the cells sharing
+// the chain's frontier builds and tier walks), the chains fanned across
+// the solver's worker pool. cell receives each solved cell by load and
+// budget index — with sol nil and the cell's InfeasibleError when no
+// design meets it — and returns the cell's sweep.point event, or an
+// error that aborts the sweep. Results and per-cell Stats are exact at
+// any worker count, the replays showing only in the reuse counters. Any
+// other solve error aborts the sweep too. The lowest load index's error
+// wins, and within a load the tightest failing budget's.
+func solveGrid(ctx context.Context, solver *core.Solver, fig string, loads, budgetsMinutes []float64, cell func(li, bj int, sol *core.Solution, infeasible error) (obs.Event, error)) error {
+	nb := len(budgetsMinutes)
+	budgets := make([]units.Duration, nb)
+	for j, b := range budgetsMinutes {
+		budgets[j] = units.Duration(b * float64(units.Minute))
 	}
-	sort.SliceStable(ord, func(a, b int) bool { return budgets[ord[a]] < budgets[ord[b]] })
-	return ord
+	po := solverPointObs(solver, len(loads)*nb)
+	pt := par.NewTiming(solver.Metrics())
+	return par.ForEachTimedCtx(ctx, solver.Workers(), len(loads), pt, func(li int) error {
+		load := loads[li]
+		start := po.Begin()
+		return solver.SolveChain(ctx, model.Requirements{Kind: model.ReqEnterprise, Throughput: load}, budgets,
+			func(bj int, sol *core.Solution, err error) error {
+				var infErr *core.InfeasibleError
+				if err != nil && !errors.As(err, &infErr) {
+					return fmt.Errorf("sweep: %s at load %v budget %v: %w", fig, load, budgetsMinutes[bj], err)
+				}
+				ev, err := cell(li, bj, sol, err)
+				if err != nil {
+					return err
+				}
+				po.Done(li*nb+bj, start, ev)
+				start = po.Begin()
+				return nil
+			})
+	})
 }
 
 // curveOrder sorts curves from highest downtime to lowest, matching

@@ -3,6 +3,7 @@ package sweep
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"sync/atomic"
 	"testing"
@@ -127,60 +128,114 @@ func fig6Cells(res *Fig6Result, loads, budgets []float64) []gridCell {
 	return out
 }
 
-// TestSweepBitIdenticalOnCorpus is the grid-scheduling property test:
-// over a seeded corpus of generated scenarios, the grid-aware Fig6
-// sweep (shared solver, budget-chain frontier cache) produces
-// exactly the per-cell cold solutions, in both search modes and at
-// worker counts 1 and 4 — and the corpus actually engages the frontier
-// cache and the walk memo, so the property is not vacuous.
-func TestSweepBitIdenticalOnCorpus(t *testing.T) {
-	modes := []core.SearchMode{core.SearchBnB, core.SearchExhaustive}
-	var frontierReuse, walkReuse, warmReuse int64
+// gridProblem is one scenario swept over a small requirement plane
+// around its own requirement, under the options it solves with.
+type gridProblem struct {
+	name           string
+	inf            *model.Infrastructure
+	svc            *model.Service
+	opts           core.Options
+	loads, budgets []float64
+}
+
+// planeBudgets is the budget grid around a requirement of b minutes,
+// deliberately unsorted so the sweep's tightest-first chain order
+// differs from the landing order it must reproduce.
+func planeBudgets(b float64) []float64 { return []float64{b, b / 4, 6 * b} }
+
+// randProblems draws RandSolveScenario seeds 1–20, each in both search
+// modes.
+func randProblems(t *testing.T) []gridProblem {
+	var out []gridProblem
 	for seed := int64(1); seed <= 20; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		sc, err := scenarios.RandSolveScenario(rng)
+		sc, err := scenarios.RandSolveScenario(rand.New(rand.NewSource(seed)))
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		// A small plane around the scenario's own requirement. The budget
-		// grid is deliberately unsorted so the sweep's tightest-first chain
-		// order differs from the landing order it must reproduce.
-		b := sc.Req.MaxAnnualDowntime.Minutes()
-		loads := []float64{sc.Req.Throughput, sc.Req.Throughput + 200}
-		budgets := []float64{b, b / 4, 6 * b}
-		for _, mode := range modes {
-			opts := core.Options{Registry: scenarios.Registry(), Search: mode}
-			want, _, _ := coldCells(t, sc.Inf, sc.Svc, opts, loads, budgets)
-			for _, workers := range []int{1, 4} {
-				opts := opts
-				opts.Workers = workers
-				s, err := core.NewSolver(sc.Inf, sc.Svc, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				res, err := Fig6(context.Background(), s, loads, budgets)
-				if err != nil {
-					t.Fatalf("seed %d mode %v workers %d: %v", seed, mode, workers, err)
-				}
-				got := fig6Cells(res, loads, budgets)
-				for i := range want {
-					if got[i] != want[i] {
-						t.Errorf("seed %d mode %v workers %d cell %d: grid %+v, cold %+v",
-							seed, mode, workers, i, got[i], want[i])
-					}
-				}
-				frontierReuse += res.Totals.FrontierReuse
-				walkReuse += res.Totals.WalkReuse
-				warmReuse += res.Totals.WarmStartReuse
-			}
+		for _, mode := range []core.SearchMode{core.SearchBnB, core.SearchExhaustive} {
+			out = append(out, gridProblem{
+				name: fmt.Sprintf("seed %d mode %v", seed, mode), inf: sc.Inf, svc: sc.Svc,
+				opts:    core.Options{Registry: scenarios.Registry(), Search: mode},
+				loads:   []float64{sc.Req.Throughput, sc.Req.Throughput + 200},
+				budgets: planeBudgets(sc.Req.MaxAnnualDowntime.Minutes()),
+			})
 		}
 	}
-	t.Logf("corpus: %d frontier reuses, %d walk replays, %d warm replays", frontierReuse, walkReuse, warmReuse)
-	if frontierReuse == 0 {
-		t.Error("corpus never reused a frontier — the property test is vacuous")
+	return out
+}
+
+// genProblems draws four GenScenario scenarios of each of the web,
+// storage and telco corpus families.
+func genProblems(t *testing.T) []gridProblem {
+	var out []gridProblem
+	for _, fam := range []scenarios.Family{scenarios.FamilyWeb, scenarios.FamilyStorage, scenarios.FamilyTelco} {
+		for i := 0; i < 4; i++ {
+			sc, err := scenarios.GenScenario(fam, i, 5)
+			if err != nil {
+				t.Fatalf("%v %d: %v", fam, i, err)
+			}
+			peak := sc.Req.PeakLoad()
+			out = append(out, gridProblem{
+				name: sc.Name, inf: sc.Inf, svc: sc.Svc,
+				opts:    core.Options{Registry: sc.Registry},
+				loads:   []float64{peak, peak + 100},
+				budgets: planeBudgets(sc.Req.MaxAnnualDowntime.Minutes()),
+			})
+		}
 	}
-	if walkReuse == 0 {
-		t.Error("corpus never replayed a tier walk — the property test is vacuous")
+	return out
+}
+
+// TestSweepBitIdenticalOnCorpus is the grid-scheduling property test:
+// on seeded generated scenarios from two sources, the grid-aware Fig6
+// sweep (shared solver, one memo per budget chain) produces exactly
+// the per-cell cold solutions at worker counts 1 and 4 — and each
+// source actually replays frontiers and tier walks, so the property is
+// not vacuous.
+func TestSweepBitIdenticalOnCorpus(t *testing.T) {
+	sources := []struct {
+		name     string
+		problems func(*testing.T) []gridProblem
+	}{
+		{"RandSolveScenario", randProblems},
+		{"GenScenario", genProblems},
+	}
+	for _, src := range sources {
+		t.Run(src.name, func(t *testing.T) {
+			var frontierReuse, walkReuse, warmReuse int64
+			for _, p := range src.problems(t) {
+				want, _, _ := coldCells(t, p.inf, p.svc, p.opts, p.loads, p.budgets)
+				for _, workers := range []int{1, 4} {
+					opts := p.opts
+					opts.Workers = workers
+					s, err := core.NewSolver(p.inf, p.svc, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					res, err := Fig6(context.Background(), s, p.loads, p.budgets)
+					if err != nil {
+						t.Fatalf("%s workers %d: %v", p.name, workers, err)
+					}
+					got := fig6Cells(res, p.loads, p.budgets)
+					for i := range want {
+						if got[i] != want[i] {
+							t.Errorf("%s workers %d cell %d: grid %+v, cold %+v",
+								p.name, workers, i, got[i], want[i])
+						}
+					}
+					frontierReuse += res.Totals.FrontierReuse
+					walkReuse += res.Totals.WalkReuse
+					warmReuse += res.Totals.WarmStartReuse
+				}
+			}
+			t.Logf("%d frontier reuses, %d walk replays, %d warm replays", frontierReuse, walkReuse, warmReuse)
+			if frontierReuse == 0 {
+				t.Error("never reused a frontier — the property test is vacuous")
+			}
+			if walkReuse == 0 {
+				t.Error("never replayed a tier walk — the property test is vacuous")
+			}
+		})
 	}
 }
 

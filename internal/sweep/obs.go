@@ -40,13 +40,13 @@ type Totals struct {
 	// approximation like the raw hit/miss split.
 	WarmStartReuse int64
 	// FrontierReuse sums tier frontiers the cells served from their
-	// chain's frontier set instead of building (grid-aware Fig6/Fig8
-	// scheduling). Chains are sequential, so unlike the raw hit/miss
-	// split this is exact at any worker count.
+	// budget chain's memo instead of building (Fig6/Fig8 run each load
+	// as one Solver.SolveChain). Each memo is private to its chain, so
+	// unlike the raw hit/miss split this is exact at any worker count.
 	FrontierReuse int64
 	// WalkReuse sums per-tier searches the cells replayed from their
-	// chain's frontier set instead of walking; exact at any worker count
-	// for the same reason as FrontierReuse.
+	// chain's memo instead of walking; exact at any worker count for the
+	// same reason as FrontierReuse.
 	WalkReuse int64
 
 	ModeMemoHits   uint64

@@ -2,9 +2,11 @@ package sweep
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
+	"aved/internal/avail"
 	"aved/internal/core"
 	"aved/internal/obs"
 	"aved/internal/scenarios"
@@ -107,6 +109,44 @@ func TestFig6SweepObs(t *testing.T) {
 	}
 	if h, ok := snap.Histograms["sweep.point_ms"]; !ok || h.Count != int64(cellsTotal) {
 		t.Errorf("sweep.point_ms histogram = %+v, want %d observations", h, cellsTotal)
+	}
+}
+
+// TestFig8SweepPointIndices: a traced Fig. 8 sweep emits one
+// sweep.point per cell, baselines included, and indexes 1..Total each
+// exactly once, whether the budget grid has the whole-year budget or
+// the sweep appends it. Each load's row follows the grid, an appended
+// baseline at its end.
+func TestFig8SweepPointIndices(t *testing.T) {
+	loads := []float64{800, 2000}
+	for _, budgets := range [][]float64{{30, 200}, {30, 200, avail.MinutesPerYear}} {
+		var tr obs.CollectTracer
+		if _, err := Fig8(context.Background(), obsAppSolver(t, &tr, nil), loads, budgets); err != nil {
+			t.Fatal(err)
+		}
+		grid := budgets
+		if !slices.Contains(grid, avail.MinutesPerYear) {
+			grid = append(slices.Clip(grid), avail.MinutesPerYear)
+		}
+		total := len(loads) * len(grid)
+		points := sweepEvents(tr.Events())
+		if len(points) != total {
+			t.Fatalf("budgets %v: %d sweep.point events, want %d", budgets, len(points), total)
+		}
+		seen := map[int]bool{}
+		for _, e := range points {
+			if e.Total != total {
+				t.Errorf("budgets %v: event total = %d, want %d", budgets, e.Total, total)
+			}
+			if e.Index < 1 || e.Index > total || seen[e.Index] {
+				t.Errorf("budgets %v: bad or duplicate cell index %d of %d", budgets, e.Index, total)
+			}
+			seen[e.Index] = true
+			want := slices.Index(loads, e.Load)*len(grid) + slices.Index(grid, e.Budget) + 1
+			if e.Index != want {
+				t.Errorf("budgets %v: load %v budget %v has index %d, want %d", budgets, e.Load, e.Budget, e.Index, want)
+			}
+		}
 	}
 }
 

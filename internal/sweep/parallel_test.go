@@ -65,8 +65,8 @@ func normStats(st core.Stats) core.Stats {
 	// Warm-start reuse counts hits on flights another solve generation
 	// created; with cells overlapping on one solver, which generation
 	// creates a flight is a scheduling accident too. FrontierReuse is NOT
-	// normalized: frontier sets are chain-local and chains run
-	// sequentially, so it is exact at any worker count.
+	// normalized: each chain's memo is private to its SolveChain call,
+	// so it is exact at any worker count.
 	st.WarmStartReuse = 0
 	return st
 }

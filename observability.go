@@ -51,11 +51,11 @@ const (
 	EvCandPrune   = obs.EvCandPrune
 	EvBoundPrune  = obs.EvBoundPrune
 	EvWarmReuse   = obs.EvWarmReuse
-	// EvFrontierReuse is a whole tier frontier served from a chain's
-	// frontier set instead of rebuilt.
+	// EvFrontierReuse is a whole tier frontier served from a budget
+	// chain's memo (Solver.SolveChain) instead of rebuilt.
 	EvFrontierReuse = obs.EvFrontierReuse
-	// EvWalkReuse is a per-tier search replayed from a chain's frontier
-	// set instead of walked.
+	// EvWalkReuse is a per-tier search replayed from a budget chain's
+	// memo instead of walked.
 	EvWalkReuse  = obs.EvWalkReuse
 	EvEvalMiss   = obs.EvEvalMiss
 	EvEvalHit    = obs.EvEvalHit

@@ -188,9 +188,9 @@ func checkSolve(fail func(string, ...any), snap snapshot, tr trace, sol solution
 
 	// Cross-checks: trace multiplicities, metrics counters and the
 	// solution report all describe the same search. FrontierReuse and
-	// WalkReuse are zero by contract on a plain solve (frontier sets
-	// exist only under grid-aware SolveCell scheduling), so their rows
-	// pin exactly that.
+	// WalkReuse are zero by contract on a plain solve (the memo they
+	// count exists only inside a Solver.SolveChain budget chain), so
+	// their rows pin exactly that.
 	cross := []struct {
 		ev      string
 		counter string
