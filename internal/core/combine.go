@@ -134,14 +134,9 @@ func (s *Solver) solveEnterprise(ctx context.Context, req model.Requirements, c 
 		return frontiers, nil
 	}
 	combine := func(frontiers [][]TierCandidate) ([]*TierCandidate, bool) {
-		for i := range frontiers {
-			if len(frontiers[i]) == 0 {
-				return nil, false
-			}
-		}
 		endPhase := s.phaseSpan(&stats, phaseCombine)
 		defer endPhase()
-		return CombineExact(frontiers, budget)
+		return s.combine(frontiers, budget)
 	}
 	frontiers, err := buildFrontiers(thresholds)
 	if err != nil {
@@ -312,7 +307,7 @@ func (s *Solver) finishBounds(ub, budget float64, perTier []*TierCandidate, stat
 			}
 		}
 		if complete {
-			if combo, ok := CombineExact(reduced, budget); ok {
+			if combo, ok := s.combine(reduced, budget); ok {
 				if c := combinedCost(combo); c < ub {
 					ub = c
 				}
@@ -338,6 +333,15 @@ func (s *Solver) finishBounds(ub, budget float64, perTier []*TierCandidate, stat
 		thresholds[i] = ub + slack - (phase1Sum - float64(perTier[i].Cost))
 	}
 	return ub, thresholds, nil
+}
+
+// combine runs the multi-tier combiner over frontiers a solve built,
+// first showing them to the solver's combine hook when one is set.
+func (s *Solver) combine(frontiers [][]TierCandidate, budgetMinutes float64) ([]*TierCandidate, bool) {
+	if s.combineHook != nil {
+		s.combineHook(frontiers, budgetMinutes)
+	}
+	return CombineExact(frontiers, budgetMinutes)
 }
 
 // combinedCost sums the chosen tier candidates' costs.
@@ -406,55 +410,118 @@ func combinedDowntime(tiers []*TierCandidate) float64 {
 }
 
 // CombineExact picks one candidate per frontier minimising total cost
-// subject to the combined downtime budget. Frontiers are sorted by
-// ascending cost with descending downtime, enabling branch-and-bound:
-// the last point of each frontier is its tier's best achievable
-// downtime, giving an admissible feasibility bound. It is the solver's
+// subject to the combined downtime budget. It is the solver's
 // multi-tier combiner; CombineGreedy is the paper-style alternative
-// kept for the ablation benchmarks.
+// kept for the ablation benchmarks. Frontiers must be Pareto sets as
+// the frontier builders emit them: strictly ascending non-negative
+// cost, strictly descending downtime, every downtime within a year. An
+// empty frontier makes the combination infeasible.
 func CombineExact(frontiers [][]TierCandidate, budgetMinutes float64) ([]*TierCandidate, bool) {
-	n := len(frontiers)
-	// bestTail[i] = product over tiers i.. of best achievable tier
-	// availability; used to prune partial assignments that cannot
-	// possibly meet the budget.
-	bestTail := make([]float64, n+1)
-	bestTail[n] = 1
-	for i := n - 1; i >= 0; i-- {
-		last := frontiers[i][len(frontiers[i])-1]
-		bestTail[i] = bestTail[i+1] * (1 - last.DowntimeMinutes/avail.MinutesPerYear)
-	}
-	budgetAvail := 1 - budgetMinutes/avail.MinutesPerYear
+	chosen, ok, _ := combineExact(frontiers, budgetMinutes)
+	return chosen, ok
+}
 
-	var (
-		bestCost   = math.Inf(1)
-		bestChoice []*TierCandidate
-		current    = make([]*TierCandidate, n)
-	)
-	var dfs func(i int, costSoFar float64, availSoFar float64)
-	dfs = func(i int, costSoFar, availSoFar float64) {
-		if costSoFar >= bestCost {
-			return
+// combineExact is CombineExact that also reports how many search nodes
+// (partial assignments, the root included) it visited.
+//
+// The search is a depth-first walk over the frontier product in
+// lexicographic index order that records a complete assignment when it
+// is cheaper than the best so far. Three cuts keep it from walking
+// subtrees it cannot win in, each exact, so the choice is the one the
+// uncut walk makes, ties included:
+//
+//   - tail cost: a child is cut when its cost plus every later tier's
+//     cheapest point already reaches the best cost. The bound adds the
+//     cheapest points left to right, in the order a real completion
+//     adds its points; float addition is monotone, so no completion of
+//     the child sums below it. Costs are non-negative, so the bound is
+//     never below the child's own cost, the uncut walk's only cost test.
+//   - sorted break: cost ascends along a frontier, so the first child
+//     the cost cut takes ends the level.
+//   - availability suffix: downtime descends along a frontier, so the
+//     children whose availability times the later tiers' best can still
+//     meet the budget form a suffix, found by binary search with the
+//     very product the walk tests a child by.
+func combineExact(frontiers [][]TierCandidate, budgetMinutes float64) ([]*TierCandidate, bool, int) {
+	n := len(frontiers)
+	cb := combiner{
+		frontiers:   frontiers,
+		bestTail:    make([]float64, n+1),
+		budgetAvail: 1 - budgetMinutes/avail.MinutesPerYear,
+		bestCost:    math.Inf(1),
+		cur:         make([]int, n),
+		best:        make([]*TierCandidate, n),
+	}
+	// bestTail[i] is the product over tiers i.. of their best
+	// achievable availability: the last point of each frontier.
+	cb.bestTail[n] = 1
+	for i := n - 1; i >= 0; i-- {
+		f := frontiers[i]
+		if len(f) == 0 {
+			return nil, false, 0
 		}
-		if availSoFar*bestTail[i] < budgetAvail {
-			return // even the best remaining tiers cannot recover
+		cb.bestTail[i] = cb.bestTail[i+1] * (1 - f[len(f)-1].DowntimeMinutes/avail.MinutesPerYear)
+	}
+	// The root's own feasibility test, 1*bestTail[0], equals the suffix
+	// test of tier 0's last point, so the root needs none.
+	cb.visit(0, 0, 1)
+	if !cb.found {
+		return nil, false, cb.nodes
+	}
+	return cb.best, true, cb.nodes
+}
+
+// combiner is combineExact's search state: the current assignment as
+// per-tier indices into the frontiers, and the best complete one.
+type combiner struct {
+	frontiers   [][]TierCandidate
+	bestTail    []float64
+	budgetAvail float64
+	bestCost    float64
+	cur         []int
+	best        []*TierCandidate
+	found       bool
+	nodes       int
+}
+
+// visit extends the partial assignment of tiers 0..i-1, which costs
+// costSoFar and keeps availSoFar of the year available.
+func (cb *combiner) visit(i int, costSoFar, availSoFar float64) {
+	cb.nodes++
+	if i == len(cb.frontiers) {
+		cb.bestCost = costSoFar
+		cb.found = true
+		for k, j := range cb.cur {
+			cb.best[k] = &cb.frontiers[k][j]
 		}
-		if i == n {
-			bestCost = costSoFar
-			bestChoice = make([]*TierCandidate, n)
-			copy(bestChoice, current)
-			return
-		}
-		for j := range frontiers[i] {
-			c := &frontiers[i][j]
-			current[i] = c
-			dfs(i+1, costSoFar+float64(c.Cost), availSoFar*(1-c.DowntimeMinutes/avail.MinutesPerYear))
+		return
+	}
+	f := cb.frontiers[i]
+	// A child at j can still meet the budget when its availability times
+	// the later tiers' best reaches it; that product never falls as j
+	// grows, so lo ends at the first child that can.
+	tail := cb.bestTail[i+1]
+	lo, hi := 0, len(f)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if availSoFar*(1-f[mid].DowntimeMinutes/avail.MinutesPerYear)*tail < cb.budgetAvail {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
 	}
-	dfs(0, 0, 1)
-	if bestChoice == nil {
-		return nil, false
+	for j := lo; j < len(f); j++ {
+		c := costSoFar + float64(f[j].Cost)
+		bound := c
+		for _, g := range cb.frontiers[i+1:] {
+			bound += float64(g[0].Cost)
+		}
+		if bound >= cb.bestCost {
+			break
+		}
+		cb.cur[i] = j
+		cb.visit(i+1, c, availSoFar*(1-f[j].DowntimeMinutes/avail.MinutesPerYear))
 	}
-	return bestChoice, true
 }
 
 // CombineGreedy is the paper-style incremental refinement: start every
@@ -464,6 +531,11 @@ func CombineExact(frontiers [][]TierCandidate, budgetMinutes float64) ([]*TierCa
 // CombineExact; it is exported for the ablation benchmarks.
 func CombineGreedy(frontiers [][]TierCandidate, budgetMinutes float64) ([]*TierCandidate, bool) {
 	n := len(frontiers)
+	for i := range frontiers {
+		if len(frontiers[i]) == 0 {
+			return nil, false
+		}
+	}
 	idx := make([]int, n)
 	pick := func() []*TierCandidate {
 		out := make([]*TierCandidate, n)

@@ -269,6 +269,11 @@ type Solver struct {
 	// several per solve — shares a single enumeration.
 	comboMu    sync.Mutex
 	comboCache map[*model.ResourceType]*comboSet
+
+	// combineHook, when set, sees every input the solves hand the
+	// multi-tier combiner; tests set it to record what the combiner is
+	// asked. Solves call it on their own goroutine.
+	combineHook func(frontiers [][]TierCandidate, budgetMinutes float64)
 }
 
 // validateModels checks the model pair every solve runs against.
