@@ -407,20 +407,20 @@ func BenchmarkSimWorkers(b *testing.B) {
 	b.Run("parallel", func(b *testing.B) { run(b, 0) })
 }
 
-// BenchmarkFig6SweepWorkers compares the requirement-plane sweep —
-// every (load, budget) cell an independent solve — sequentially and
-// across the pool.
-func BenchmarkFig6SweepWorkers(b *testing.B) {
-	loads := []float64{400, 1400, 3200, 5000}
-	budgets := []float64{1, 10, 100, 1000, 10000}
+// BenchmarkFig7SweepWorkers compares the job-time sweep — every level
+// an independent solve on a solver of its own — sequentially and across
+// the pool. Fig. 6 and Fig. 8 grids run one goroutine at any worker
+// count, so they have no such comparison.
+func BenchmarkFig7SweepWorkers(b *testing.B) {
+	reqs := []float64{20, 50, 100, 200, 500}
 	run := func(b *testing.B, workers int) {
 		for i := 0; i < b.N; i++ {
-			s := benchSolverWorkers(b, false, workers)
-			res, err := aved.SweepFig6(context.Background(), s, loads, budgets)
+			s := benchSolverWorkers(b, true, workers)
+			points, err := aved.SweepFig7(context.Background(), s, reqs)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if len(res.Points) == 0 {
+			if len(points) == 0 {
 				b.Fatal("empty sweep")
 			}
 		}

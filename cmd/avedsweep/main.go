@@ -40,7 +40,7 @@ func run(args []string, out io.Writer) (retErr error) {
 		loads       = fs.Int("loads", 10, "load grid points (figs 6, 8)")
 		budgets     = fs.Int("budgets", 12, "downtime-budget grid points (figs 6, 8)")
 		points      = fs.Int("points", 15, "job-time requirement points (fig 7)")
-		workers     = fs.Int("workers", 0, "sweep worker count: 0 = all CPUs, 1 = sequential (results are identical)")
+		workers     = fs.Int("workers", 0, "worker count for Fig. 7 levels and sim replications: 0 = all CPUs, 1 = sequential (results are identical); Figs. 6 and 8 run on one goroutine")
 		engine      = fs.String("engine", "markov", "availability engine in the search loop: markov, exact or sim")
 		seed        = fs.Int64("seed", 1, "simulation seed (-engine sim)")
 		years       = fs.Float64("years", 1000, "simulated years per replication (-engine sim)")
@@ -267,10 +267,11 @@ func fig8(ctx context.Context, out io.Writer, budgetPoints, workers int, engine 
 				c.Load, p.BudgetMinutes, p.ExtraCost, p.TotalCost, c.BaselineCost)
 			tot.Add(p.Stats)
 		}
+		for _, st := range c.InfeasibleStats {
+			tot.AddInfeasible(st)
+		}
 		fmt.Fprintln(out)
 	}
-	// One baseline cell plus one cell per budget, per load.
-	tot.Infeasible = len(loads)*(len(budgetGrid)+1) - tot.Points
 	fmt.Fprintf(out, "# totals: %s\n", tot)
 	if timings {
 		phaseComments(out, tot.PhaseNanos)

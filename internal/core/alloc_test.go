@@ -57,11 +57,10 @@ func TestColdSolveAllocBudget(t *testing.T) {
 
 // TestWarmSolveAllocBudget is the allocation regression for the
 // arena-backed search: a re-solve on a warm solver draws its frontier
-// batches from the pooled search scratch, its evaluations from the
-// fingerprint cache and its flights from the slab allocator, so the
-// whole three-tier solve should cost a small bounded number of
-// allocations — the Pareto-reduced outputs, the combination, and the
-// Solution itself. Measured 107 on the e-commerce scenario; the budget
+// batches from the pooled search scratch and its evaluations from the
+// fingerprint cache, so the whole three-tier solve should cost a small
+// bounded number of allocations — the Pareto-reduced outputs, the
+// combination, and the Solution itself. Measured 107 on the e-commerce scenario; the budget
 // leaves headroom for map-growth jitter without letting a per-candidate
 // allocation (hundreds of candidates per solve) sneak back in.
 func TestWarmSolveAllocBudget(t *testing.T) {

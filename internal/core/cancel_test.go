@@ -110,9 +110,9 @@ func TestSolveContextJobDeadline(t *testing.T) {
 	}
 }
 
-// TestCanceledSolveDoesNotPoisonCache pins the singleflight-forget
-// rule: a flight settled by a context error must not serve that error
-// to a later, un-cancelled solve of the same design point.
+// TestCanceledSolveDoesNotPoisonCache pins that the evaluation cache
+// stores no context error: a later, un-cancelled solve of the same
+// design point must evaluate it afresh.
 func TestCanceledSolveDoesNotPoisonCache(t *testing.T) {
 	s := appTierSolver(t, Options{})
 	ctx, cancel := context.WithCancel(context.Background())

@@ -19,7 +19,8 @@ func (s *Solver) solveEnterprise(ctx context.Context, req model.Requirements, c 
 	budget := req.MaxAnnualDowntime.Minutes()
 	load := loadOf(req)
 	var stats searchStats
-	stats.gen = s.gen.Add(1)
+	s.gen++
+	stats.gen = s.gen
 	tr := s.opts.Tracer
 	if err := s.keyTiers(c, load); err != nil {
 		return nil, err
@@ -62,7 +63,7 @@ func (s *Solver) solveEnterprise(ctx context.Context, req model.Requirements, c 
 	endPhase()
 	for i := range perTier {
 		if perTier[i] == nil {
-			return nil, &InfeasibleError{Reason: fmt.Sprintf(
+			return nil, &InfeasibleError{Stats: stats.snapshot(), Reason: fmt.Sprintf(
 				"tier %q cannot meet %v annual downtime at load %v in isolation",
 				s.svc.Tiers[i].Name, req.MaxAnnualDowntime, load.full)}
 		}
@@ -136,7 +137,11 @@ func (s *Solver) solveEnterprise(ctx context.Context, req model.Requirements, c 
 	combine := func(frontiers [][]TierCandidate) ([]*TierCandidate, bool) {
 		endPhase := s.phaseSpan(&stats, phaseCombine)
 		defer endPhase()
-		return s.combine(frontiers, budget)
+		picks, ok := s.combine(frontiers, pairsOf(frontiers), budget)
+		if !ok {
+			return nil, false
+		}
+		return chosenOf(frontiers, picks), true
 	}
 	frontiers, err := buildFrontiers(thresholds)
 	if err != nil {
@@ -155,10 +160,10 @@ func (s *Solver) solveEnterprise(ctx context.Context, req model.Requirements, c 
 	if !ok {
 		for i := range frontiers {
 			if len(frontiers[i]) == 0 {
-				return nil, &InfeasibleError{Reason: fmt.Sprintf("tier %q has no feasible designs", s.svc.Tiers[i].Name)}
+				return nil, &InfeasibleError{Stats: stats.snapshot(), Reason: fmt.Sprintf("tier %q has no feasible designs", s.svc.Tiers[i].Name)}
 			}
 		}
-		return nil, &InfeasibleError{Reason: fmt.Sprintf(
+		return nil, &InfeasibleError{Stats: stats.snapshot(), Reason: fmt.Sprintf(
 			"no tier combination meets %v annual downtime at load %v", req.MaxAnnualDowntime, req.PeakLoad())}
 	}
 	return s.finishEnterprise(ctx, chosen, &stats)
@@ -291,24 +296,21 @@ func (s *Solver) finishBounds(ub, budget float64, perTier []*TierCandidate, stat
 	// influence the bound.
 	if pools := stats.pools; pools != nil {
 		stats.pools = nil
-		reduced := make([][]TierCandidate, n)
+		reduced := make([][]costDown, n)
 		complete := true
 		for i := range pools {
-			// The combiner reads only Cost and DowntimeMinutes, so the
-			// reduced points need no designs.
-			pairs := reducePairs(pools[i])
-			if len(pairs) == 0 {
+			reduced[i] = reducePairs(pools[i])
+			if len(reduced[i]) == 0 {
 				complete = false
-				continue
-			}
-			reduced[i] = make([]TierCandidate, len(pairs))
-			for j, p := range pairs {
-				reduced[i][j] = TierCandidate{Cost: p.cost, DowntimeMinutes: p.down}
 			}
 		}
 		if complete {
-			if combo, ok := s.combine(reduced, budget); ok {
-				if c := combinedCost(combo); c < ub {
+			if picks, ok := s.combine(nil, reduced, budget); ok {
+				var c float64
+				for i, j := range picks {
+					c += float64(reduced[i][j].cost)
+				}
+				if c < ub {
 					ub = c
 				}
 			}
@@ -335,13 +337,48 @@ func (s *Solver) finishBounds(ub, budget float64, perTier []*TierCandidate, stat
 	return ub, thresholds, nil
 }
 
-// combine runs the multi-tier combiner over frontiers a solve built,
-// first showing them to the solver's combine hook when one is set.
-func (s *Solver) combine(frontiers [][]TierCandidate, budgetMinutes float64) ([]*TierCandidate, bool) {
+// combine runs the multi-tier combiner over pairs, the points of the
+// frontiers a solve built, and reports the chosen point's index in
+// every tier. When the solver has a combine hook it first shows the
+// hook the input: frontiers, whose projection pairs is, or, when
+// frontiers is nil, the pairs as candidates without designs.
+func (s *Solver) combine(frontiers [][]TierCandidate, pairs [][]costDown, budgetMinutes float64) ([]int, bool) {
 	if s.combineHook != nil {
+		if frontiers == nil {
+			frontiers = make([][]TierCandidate, len(pairs))
+			for i, f := range pairs {
+				frontiers[i] = make([]TierCandidate, len(f))
+				for j, p := range f {
+					frontiers[i][j] = TierCandidate{Cost: p.cost, DowntimeMinutes: p.down}
+				}
+			}
+		}
 		s.combineHook(frontiers, budgetMinutes)
 	}
-	return CombineExact(frontiers, budgetMinutes)
+	picks, ok, _ := combinePairs(pairs, budgetMinutes)
+	return picks, ok
+}
+
+// pairsOf projects frontiers onto the (cost, downtime) pairs the
+// combiner reads.
+func pairsOf(frontiers [][]TierCandidate) [][]costDown {
+	out := make([][]costDown, len(frontiers))
+	for i, f := range frontiers {
+		out[i] = make([]costDown, len(f))
+		for j := range f {
+			out[i][j] = costDown{f[j].Cost, f[j].DowntimeMinutes}
+		}
+	}
+	return out
+}
+
+// chosenOf maps the combiner's per-tier picks back onto frontiers.
+func chosenOf(frontiers [][]TierCandidate, picks []int) []*TierCandidate {
+	out := make([]*TierCandidate, len(picks))
+	for i, j := range picks {
+		out[i] = &frontiers[i][j]
+	}
+	return out
 }
 
 // combinedCost sums the chosen tier candidates' costs.
@@ -423,6 +460,18 @@ func CombineExact(frontiers [][]TierCandidate, budgetMinutes float64) ([]*TierCa
 
 // combineExact is CombineExact that also reports how many search nodes
 // (partial assignments, the root included) it visited.
+func combineExact(frontiers [][]TierCandidate, budgetMinutes float64) ([]*TierCandidate, bool, int) {
+	picks, ok, nodes := combinePairs(pairsOf(frontiers), budgetMinutes)
+	if !ok {
+		return nil, false, nodes
+	}
+	return chosenOf(frontiers, picks), true, nodes
+}
+
+// combinePairs is the combiner's search over frontiers of (cost,
+// downtime) pairs. It reports the chosen point's index in every tier
+// and how many search nodes (partial assignments, the root included) it
+// visited.
 //
 // The search is a depth-first walk over the frontier product in
 // lexicographic index order that records a complete assignment when it
@@ -442,7 +491,7 @@ func CombineExact(frontiers [][]TierCandidate, budgetMinutes float64) ([]*TierCa
 //     children whose availability times the later tiers' best can still
 //     meet the budget form a suffix, found by binary search with the
 //     very product the walk tests a child by.
-func combineExact(frontiers [][]TierCandidate, budgetMinutes float64) ([]*TierCandidate, bool, int) {
+func combinePairs(frontiers [][]costDown, budgetMinutes float64) ([]int, bool, int) {
 	n := len(frontiers)
 	cb := combiner{
 		frontiers:   frontiers,
@@ -450,7 +499,7 @@ func combineExact(frontiers [][]TierCandidate, budgetMinutes float64) ([]*TierCa
 		budgetAvail: 1 - budgetMinutes/avail.MinutesPerYear,
 		bestCost:    math.Inf(1),
 		cur:         make([]int, n),
-		best:        make([]*TierCandidate, n),
+		best:        make([]int, n),
 	}
 	// bestTail[i] is the product over tiers i.. of their best
 	// achievable availability: the last point of each frontier.
@@ -460,7 +509,7 @@ func combineExact(frontiers [][]TierCandidate, budgetMinutes float64) ([]*TierCa
 		if len(f) == 0 {
 			return nil, false, 0
 		}
-		cb.bestTail[i] = cb.bestTail[i+1] * (1 - f[len(f)-1].DowntimeMinutes/avail.MinutesPerYear)
+		cb.bestTail[i] = cb.bestTail[i+1] * (1 - f[len(f)-1].down/avail.MinutesPerYear)
 	}
 	// The root's own feasibility test, 1*bestTail[0], equals the suffix
 	// test of tier 0's last point, so the root needs none.
@@ -471,15 +520,15 @@ func combineExact(frontiers [][]TierCandidate, budgetMinutes float64) ([]*TierCa
 	return cb.best, true, cb.nodes
 }
 
-// combiner is combineExact's search state: the current assignment as
-// per-tier indices into the frontiers, and the best complete one.
+// combiner is combinePairs' search state: the current assignment and
+// the best complete one, as per-tier indices into the frontiers.
 type combiner struct {
-	frontiers   [][]TierCandidate
+	frontiers   [][]costDown
 	bestTail    []float64
 	budgetAvail float64
 	bestCost    float64
 	cur         []int
-	best        []*TierCandidate
+	best        []int
 	found       bool
 	nodes       int
 }
@@ -491,9 +540,7 @@ func (cb *combiner) visit(i int, costSoFar, availSoFar float64) {
 	if i == len(cb.frontiers) {
 		cb.bestCost = costSoFar
 		cb.found = true
-		for k, j := range cb.cur {
-			cb.best[k] = &cb.frontiers[k][j]
-		}
+		copy(cb.best, cb.cur)
 		return
 	}
 	f := cb.frontiers[i]
@@ -504,23 +551,23 @@ func (cb *combiner) visit(i int, costSoFar, availSoFar float64) {
 	lo, hi := 0, len(f)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if availSoFar*(1-f[mid].DowntimeMinutes/avail.MinutesPerYear)*tail < cb.budgetAvail {
+		if availSoFar*(1-f[mid].down/avail.MinutesPerYear)*tail < cb.budgetAvail {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
 	for j := lo; j < len(f); j++ {
-		c := costSoFar + float64(f[j].Cost)
+		c := costSoFar + float64(f[j].cost)
 		bound := c
 		for _, g := range cb.frontiers[i+1:] {
-			bound += float64(g[0].Cost)
+			bound += float64(g[0].cost)
 		}
 		if bound >= cb.bestCost {
 			break
 		}
 		cb.cur[i] = j
-		cb.visit(i+1, c, availSoFar*(1-f[j].DowntimeMinutes/avail.MinutesPerYear))
+		cb.visit(i+1, c, availSoFar*(1-f[j].down/avail.MinutesPerYear))
 	}
 }
 

@@ -41,13 +41,12 @@ import (
 // superseded build's evaluations replay from the solver's evaluation
 // cache, so extension costs only the new tail.
 //
-// A chain lives inside one SolveChain call on one goroutine, which is
-// what makes the effort accounting deterministic: each build or walk is
-// charged to the cell that runs it (candidates, pruning, evaluations,
-// cache hits), and each replay charges the recorded effort with every
-// evaluation request counted as an EvalCacheHit (the engine never ran
-// for it) plus one FrontierReuse or WalkReuse. Per-cell Stats and their
-// sums are therefore exact however many chains run at once. A solver's
+// A chain lives inside one SolveChain call, which is what makes the
+// effort accounting deterministic: each build or walk is charged to the
+// cell that runs it (candidates, pruning, evaluations, cache hits), and
+// each replay charges the recorded effort with every evaluation request
+// counted as an EvalCacheHit (the engine never ran for it) plus one
+// FrontierReuse or WalkReuse. A solver's
 // models never change, so an entry never goes stale.
 
 // chain is one SolveChain call's memo: each service tier's frontierKey

@@ -36,7 +36,8 @@ func (s *Solver) solveJob(ctx context.Context, req model.Requirements) (*Solutio
 		stats searchStats
 		best  *JobCandidate
 	)
-	stats.gen = s.gen.Add(1)
+	s.gen++
+	stats.gen = s.gen
 	endPhase := s.phaseSpan(&stats, phaseJobSearch)
 	for i := range tier.Options {
 		cand, err := s.searchJobOption(ctx, tier, &tier.Options[i], req.MaxJobTime, best, &stats)
@@ -49,7 +50,7 @@ func (s *Solver) solveJob(ctx context.Context, req model.Requirements) (*Solutio
 	}
 	endPhase()
 	if best == nil {
-		return nil, &InfeasibleError{Reason: fmt.Sprintf(
+		return nil, &InfeasibleError{Stats: stats.snapshot(), Reason: fmt.Sprintf(
 			"no design completes job size %v within %v", s.svc.JobSize, req.MaxJobTime)}
 	}
 	design := model.Design{Tiers: []model.TierDesign{best.Design}}

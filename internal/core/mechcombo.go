@@ -94,29 +94,18 @@ func (s *Solver) newComboSet(rt *model.ResourceType, combos [][]model.MechSettin
 // options several times (per-tier search, frontier build) and the
 // enumeration is allocation-heavy.
 func (s *Solver) mechCombos(rt *model.ResourceType) (*comboSet, error) {
-	s.comboMu.Lock()
-	cs, ok := s.comboCache[rt]
-	s.comboMu.Unlock()
-	if ok {
+	if cs, ok := s.comboCache[rt]; ok {
 		return cs, nil
 	}
 	combos, err := s.buildCombos(rt)
 	if err != nil {
 		return nil, err
 	}
-	cs = s.newComboSet(rt, combos)
-	s.comboMu.Lock()
-	if prev, ok := s.comboCache[rt]; ok {
-		// A concurrent walk built the same set first; converge on the
-		// canonical value.
-		cs = prev
-	} else {
-		if s.comboCache == nil {
-			s.comboCache = map[*model.ResourceType]*comboSet{}
-		}
-		s.comboCache[rt] = cs
+	cs := s.newComboSet(rt, combos)
+	if s.comboCache == nil {
+		s.comboCache = map[*model.ResourceType]*comboSet{}
 	}
-	s.comboMu.Unlock()
+	s.comboCache[rt] = cs
 	return cs, nil
 }
 

@@ -17,7 +17,7 @@ func fpHex(fp fp128) string {
 
 // This file is the solver's observability seam. Everything here is cold
 // path: it runs once per Solve, never per candidate. The per-candidate
-// hot paths carry only nil-checked tracer emissions and the atomic
+// hot paths carry only nil-checked tracer emissions and the plain
 // counters they always carried; with Tracer and Metrics unset (the
 // default) the search does no event construction and no extra
 // allocation, which TestObsDisabledZeroAlloc and BenchmarkEvalTier pin.
@@ -100,10 +100,14 @@ func (s *Solver) endSolve(so solveObs, sol *Solution, err error) (*Solution, err
 	ns := time.Since(so.start).Nanoseconds()
 	ms := obs.DurMS(ns)
 	if err != nil {
+		var inf *InfeasibleError
+		isInf := errors.As(err, &inf)
+		if isInf {
+			s.engineDeltas(so, &inf.Stats)
+		}
 		if reg := s.opts.Metrics; reg != nil {
 			reg.Counter("core.solve_errors").Inc()
-			var inf *InfeasibleError
-			if errors.As(err, &inf) {
+			if isInf {
 				reg.Counter("core.infeasible").Inc()
 			}
 			var ce *CanceledError
@@ -124,16 +128,7 @@ func (s *Solver) endSolve(so solveObs, sol *Solution, err error) (*Solution, err
 		}
 		return nil, err
 	}
-	if so.hasMemo {
-		h, sv := s.opts.Engine.(memoStatser).MemoStats()
-		sol.Stats.ModeMemoHits = h - so.memoBase[0]
-		sol.Stats.ModeMemoSolves = sv - so.memoBase[1]
-	}
-	if so.hasReps {
-		r, b := s.opts.Engine.(repStatser).RepStats()
-		sol.Stats.SimReplications = r - so.repBase[0]
-		sol.Stats.SimBatches = b - so.repBase[1]
-	}
+	s.engineDeltas(so, &sol.Stats)
 	if reg := s.opts.Metrics; reg != nil {
 		reg.Counter("core.solves").Inc()
 		reg.Counter("core.candidates").Add(int64(sol.Stats.CandidatesGenerated))
@@ -171,4 +166,19 @@ func (s *Solver) endSolve(so solveObs, sol *Solution, err error) (*Solution, err
 		})
 	}
 	return sol, nil
+}
+
+// engineDeltas fills st's engine counters with what the engine counted
+// since beginSolve.
+func (s *Solver) engineDeltas(so solveObs, st *Stats) {
+	if so.hasMemo {
+		h, sv := s.opts.Engine.(memoStatser).MemoStats()
+		st.ModeMemoHits = h - so.memoBase[0]
+		st.ModeMemoSolves = sv - so.memoBase[1]
+	}
+	if so.hasReps {
+		r, b := s.opts.Engine.(repStatser).RepStats()
+		st.SimReplications = r - so.repBase[0]
+		st.SimBatches = b - so.repBase[1]
+	}
 }

@@ -57,9 +57,7 @@ func normalizeEvents(evs []obs.Event) []string {
 
 // TestTraceDeterministicAcrossWorkers pins the repo invariant on the
 // trace surface: the multiset of core search events is identical
-// whatever the worker count, because per-tier walks are sequential and
-// the singleflight evaluation cache gives every fingerprint exactly one
-// miss however many goroutines race on it.
+// whatever the worker count, because a solve runs on one goroutine.
 func TestTraceDeterministicAcrossWorkers(t *testing.T) {
 	req := enterpriseReq(2000, 60)
 	run := func(workers int) []string {

@@ -2,26 +2,12 @@ package core
 
 import (
 	"reflect"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"aved/internal/avail"
 	"aved/internal/model"
 	"aved/internal/scenarios"
 )
-
-// countingEngine wraps an availability engine and counts Evaluate
-// invocations, exposing how much engine work the cache actually admits.
-type countingEngine struct {
-	inner avail.Engine
-	calls atomic.Int64
-}
-
-func (e *countingEngine) Evaluate(tms []avail.TierModel) (avail.Result, error) {
-	e.calls.Add(1)
-	return e.inner.Evaluate(tms)
-}
 
 // TestSolveWorkerCountBitIdentical asserts the search determinism
 // guarantee: solutions — including search statistics — are identical at
@@ -83,73 +69,38 @@ func TestSolveWorkerCountBitIdentical(t *testing.T) {
 	}
 }
 
-// TestConcurrentSolvesShareCache drives many Solve calls on one solver
-// from separate goroutines — the sweep usage pattern — under varied
-// requirements, checking every solution against a fresh-solver rerun.
-// It also pins the eval cache's singleflight dedup: the concurrent
-// solves must invoke the engine exactly as often as the same solves run
-// one after another on a single solver, and the per-solve
-// Stats.Evaluations must add up to those invocations.
-func TestConcurrentSolvesShareCache(t *testing.T) {
-	loads := []float64{600, 1000, 1800, 2600}
-	budgets := []float64{50, 500, 5000}
-	type key struct{ load, budget float64 }
-
-	seqEng := &countingEngine{inner: avail.NewMarkovEngine()}
-	sequential := appTierSolver(t, Options{Engine: seqEng})
-	for _, load := range loads {
-		for _, budget := range budgets {
-			if _, err := sequential.Solve(enterpriseReq(load, budget)); err != nil {
-				t.Fatalf("load=%v budget=%v: %v", load, budget, err)
-			}
+// TestSiblingEngine pins what a sibling shares with its solver: never
+// the caches, and the engine only when the caller passed one. A
+// sibling's first solve repeats its solver's first solve's effort
+// exactly on a default engine, and finds every mode chain already in
+// the memo of a shared one.
+func TestSiblingEngine(t *testing.T) {
+	req := enterpriseReq(1000, 100)
+	for _, shared := range []bool{false, true} {
+		var opts Options
+		if shared {
+			opts.Engine = avail.NewMarkovEngine()
 		}
-	}
-
-	eng := &countingEngine{inner: avail.NewMarkovEngine()}
-	shared := appTierSolver(t, Options{Engine: eng})
-	got := sync.Map{}
-	var (
-		wg    sync.WaitGroup
-		evals atomic.Int64
-	)
-	for _, load := range loads {
-		for _, budget := range budgets {
-			wg.Add(1)
-			go func(load, budget float64) {
-				defer wg.Done()
-				sol, err := shared.Solve(enterpriseReq(load, budget))
-				if err != nil {
-					t.Errorf("load=%v budget=%v: %v", load, budget, err)
-					return
-				}
-				evals.Add(int64(sol.Stats.Evaluations))
-				got.Store(key{load, budget}, sol)
-			}(load, budget)
+		s := appTierSolver(t, opts)
+		first, err := s.Solve(req)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	wg.Wait()
-	if c, want := eng.calls.Load(), seqEng.calls.Load(); c != want {
-		t.Errorf("concurrent solves invoked the engine %d times, sequential solves %d", c, want)
-	}
-	if e, c := evals.Load(), eng.calls.Load(); e != c {
-		t.Errorf("Stats.Evaluations sum to %d across the concurrent solves, engine invoked %d times", e, c)
-	}
-	for _, load := range loads {
-		for _, budget := range budgets {
-			v, ok := got.Load(key{load, budget})
-			if !ok {
-				continue // solve already reported its error
-			}
-			sol := v.(*Solution)
-			fresh := appTierSolver(t, Options{})
-			want, err := fresh.Solve(enterpriseReq(load, budget))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if sol.Design.Label() != want.Design.Label() || sol.Cost != want.Cost {
-				t.Errorf("load=%v budget=%v: shared-solver design (%q, %v) != fresh (%q, %v)",
-					load, budget, sol.Design.Label(), sol.Cost, want.Design.Label(), want.Cost)
-			}
+		sib, err := s.Sibling().Solve(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first.Stats.Evaluations == 0 || sib.Stats.Evaluations != first.Stats.Evaluations || sib.Stats.WarmStartReuse != 0 {
+			t.Errorf("shared engine %v: sibling evaluated %d (%d warm replays), its solver %d — caches not fresh",
+				shared, sib.Stats.Evaluations, sib.Stats.WarmStartReuse, first.Stats.Evaluations)
+		}
+		wantSolves := first.Stats.ModeMemoSolves
+		if shared {
+			wantSolves = 0
+		}
+		if first.Stats.ModeMemoSolves == 0 || sib.Stats.ModeMemoSolves != wantSolves {
+			t.Errorf("shared engine %v: sibling solved %d mode chains, want %d (its solver solved %d)",
+				shared, sib.Stats.ModeMemoSolves, wantSolves, first.Stats.ModeMemoSolves)
 		}
 	}
 }

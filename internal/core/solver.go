@@ -13,8 +13,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"aved/internal/avail"
 	"aved/internal/model"
@@ -97,12 +95,13 @@ type Options struct {
 	// name, then parameter name.
 	FixedMechanisms map[string]map[string]model.ParamValue
 	// Workers bounds the worker pool of the coarse-grained work driven
-	// through this solver: sweep load chains (the sweeps read it via
-	// Solver.Workers), sensitivity factors and Monte-Carlo
-	// replications. A single solve always runs on one goroutine. Zero
-	// means runtime.GOMAXPROCS(0); 1 forces sequential execution. The
-	// setting never changes results — parallel paths are bit-identical
-	// to the sequential order.
+	// with these options: Fig. 7 requirement levels (the sweep reads it
+	// via Solver.Workers and gives each level its own solver, see
+	// Solver.Sibling), sensitivity factors and Monte-Carlo
+	// replications. A single solve, and a Fig. 6 or Fig. 8 grid, always
+	// runs on one goroutine. Zero means runtime.GOMAXPROCS(0); 1 forces
+	// sequential execution. The setting never changes results —
+	// parallel paths are bit-identical to the sequential order.
 	Workers int
 	// Timings enables per-phase wall-clock attribution on its own:
 	// Solution.Stats.PhaseNanos reports where each solve's time went
@@ -164,11 +163,13 @@ type Stats struct {
 	// Zero under SearchExhaustive.
 	BoundPruned int
 	// WarmStartReuse counts eval-cache hits on entries computed by an
-	// earlier solve on this solver — in practice a grid sweep cell
-	// replaying evaluations an earlier cell of its load chain already
-	// paid for, or a repeat solve on one solver. Always a subset of
-	// EvalCacheHits; zero on a solver's first solve, and so always zero
-	// on the server, which builds a fresh solver per request.
+	// earlier solve on this solver — in practice a Fig. 6 or Fig. 8
+	// grid cell replaying evaluations an earlier cell of the grid, in its
+	// own load chain or an earlier one, already paid for, or a repeat
+	// solve on one solver. Always a subset of EvalCacheHits; zero on a
+	// solver's first solve, and so always zero on the server, which
+	// builds a fresh solver per request, and on Fig. 7 levels, which
+	// each solve on a fresh sibling.
 	WarmStartReuse int
 	// FrontierReuse counts tier frontiers this solve served from its
 	// chain's memo instead of building (a SolveChain cell). The
@@ -187,9 +188,9 @@ type Stats struct {
 	WalkReuse int
 	// ModeMemoHits and ModeMemoSolves count Markov mode-chain memo
 	// activity attributable to this solve (zero for engines without a
-	// memo). They are engine-counter deltas: exact when solves on a
-	// shared engine run serially, apportioned arbitrarily between
-	// overlapping concurrent solves.
+	// memo). They are engine-counter deltas: exact unless another
+	// goroutine uses the same engine during the solve, as sensitivity
+	// factors and Fig. 7 levels sharing an engine the caller passed do.
 	ModeMemoHits   uint64
 	ModeMemoSolves uint64
 	// SimReplications and SimBatches count Monte-Carlo work for this
@@ -226,20 +227,25 @@ type Solution struct {
 
 // Solver searches the design space of one service over one
 // infrastructure. The models are fixed for the solver's lifetime: a
-// what-if over perturbed models builds a new solver.
+// what-if over perturbed models builds a new solver. A Solver is not
+// safe for concurrent use: its caches are plain maps, so work fanned
+// across goroutines gives each goroutine its own solver (see Sibling).
 type Solver struct {
 	inf  *model.Infrastructure
 	svc  *model.Service
 	opts Options
+	// ownEngine reports that NewSolver built the engine because the
+	// caller passed none; a Sibling then builds its own too.
+	ownEngine bool
 
-	evalCache *evalCache // availability evaluations by design fingerprint
-	modeCache *modeCache // resolved effective modes by mode fingerprint
+	evalCache evalCache // availability evaluations by design fingerprint
+	modeCache modeCache // resolved effective modes by mode fingerprint
 
-	// gen numbers the solves this solver has run; each flight in the
-	// eval cache records the generation that created it, so a later
-	// solve can tell warm-start reuse (a hit on another solve's entry)
-	// apart from within-solve sharing.
-	gen atomic.Uint64
+	// gen numbers the solves this solver has run; each eval-cache entry
+	// records the generation that stored it, so a later solve can tell
+	// warm-start reuse (a hit on another solve's entry) apart from
+	// within-solve sharing.
+	gen uint64
 
 	// ctxEng is the engine's context-aware entry point, resolved once at
 	// construction (nil when the engine has none).
@@ -267,12 +273,11 @@ type Solver struct {
 	// resource type, the infrastructure's mechanisms and the solver's
 	// pins, so every option walk over one resource type — and there are
 	// several per solve — shares a single enumeration.
-	comboMu    sync.Mutex
 	comboCache map[*model.ResourceType]*comboSet
 
 	// combineHook, when set, sees every input the solves hand the
 	// multi-tier combiner; tests set it to record what the combiner is
-	// asked. Solves call it on their own goroutine.
+	// asked.
 	combineHook func(frontiers [][]TierCandidate, budgetMinutes float64)
 }
 
@@ -303,12 +308,29 @@ func NewSolver(inf *model.Infrastructure, svc *model.Service, opts Options) (*So
 	if opts.Registry == nil {
 		return nil, fmt.Errorf("core: options need a performance registry")
 	}
+	return newSolver(inf, svc, opts), nil
+}
+
+// Sibling builds a new solver over s's models from the options the
+// caller passed to NewSolver, with empty caches. An engine the caller
+// passed is shared with s, so it must be safe for concurrent use if the
+// two solve at once (the avail and sim engines are); a default engine
+// is the sibling's own. Fanned-out work gives each goroutine a sibling.
+func (s *Solver) Sibling() *Solver {
+	opts := s.opts
+	if s.ownEngine {
+		opts.Engine = nil
+	}
+	return newSolver(s.inf, s.svc, opts)
+}
+
+// newSolver builds a solver from validated inputs.
+func newSolver(inf *model.Infrastructure, svc *model.Service, opts Options) *Solver {
 	s := &Solver{
 		inf:       inf,
 		svc:       svc,
 		opts:      opts.withDefaults(),
-		evalCache: newEvalCache(),
-		modeCache: newModeCache(),
+		ownEngine: opts.Engine == nil,
 	}
 	// Hand the observability sinks to engines that can use them. Engine
 	// implementations make this idempotent, so solvers sharing an engine
@@ -332,7 +354,7 @@ func NewSolver(inf *model.Infrastructure, svc *model.Service, opts Options) (*So
 			s.pricer = tp
 		}
 	}
-	return s, nil
+	return s
 }
 
 // Workers reports the solver's configured worker-pool bound (see
@@ -379,8 +401,7 @@ func (s *Solver) SolveContext(ctx context.Context, req model.Requirements) (*Sol
 // interval replays that walk (Stats.WalkReuse; see tierWalk). Solutions
 // are bit-identical to SolveContext's; the replays show only in the
 // effort counters, where each replay's recorded requests count as
-// EvalCacheHits. The memo is used by one goroutine, so per-cell Stats
-// are exact whatever else runs on the solver.
+// EvalCacheHits.
 func (s *Solver) SolveChain(ctx context.Context, req model.Requirements, budgets []units.Duration, visit func(i int, sol *Solution, err error) error) error {
 	if req.Kind != model.ReqEnterprise {
 		return fmt.Errorf("core: SolveChain needs an enterprise requirement, got kind %d", int(req.Kind))
@@ -429,9 +450,13 @@ func (s *Solver) solve(ctx context.Context, req model.Requirements, c *chain) (*
 }
 
 // InfeasibleError reports that no design in the space satisfies the
-// requirements, with the closest miss for diagnosis.
+// requirements, with the closest miss for diagnosis and the search
+// effort spent finding that out.
 type InfeasibleError struct {
 	Reason string
+	// Stats is the search effort the solve spent, engine-counter deltas
+	// included, counted as a Solution's Stats are.
+	Stats Stats
 }
 
 func (e *InfeasibleError) Error() string {

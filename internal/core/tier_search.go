@@ -32,61 +32,54 @@ type evalEntry struct {
 // evalTier evaluates one tier design through the configured engine,
 // caching by packed availability fingerprint so candidates that differ
 // only in availability-neutral mechanism settings (e.g. checkpoint
-// intervals) share an evaluation. The cache is a singleflight:
-// concurrent requests for one fingerprint — from solves of sweep chains
-// sharing the solver — block on a single engine invocation, so
-// Evaluations counts distinct fingerprints regardless of how many
-// goroutines race on the same key. Callers on the search hot
-// paths assemble fps from per-option precomputed parts, so a cache hit
-// does no allocation and no string work at all.
+// intervals) share an evaluation; Evaluations counts distinct
+// fingerprints. Callers on the search hot paths assemble fps from
+// per-option precomputed parts, so a cache hit does no allocation and
+// no string work at all.
 //
-// Context errors never stick: a flight settled by cancellation is
-// forgotten immediately, so the next request for the fingerprint — from
-// a later solve on this solver, or a retried server request — re-runs
-// the evaluation instead of replaying the abort.
+// Errors are never stored (see evalCache), so a cancelled evaluation is
+// re-run by the next request for the fingerprint — from a later solve
+// on this solver, or a retried server request.
 func (s *Solver) evalTier(ctx context.Context, td *model.TierDesign, fps candFP, stats *searchStats) (evalEntry, error) {
-	f := s.evalCache.flight(fps.avail, stats.gen)
-	ran := false
+	ce, hit := s.evalCache[fps.avail]
 	var evalNs int64
-	f.once.Do(func() {
-		ran = true
+	warm := false
+	if hit {
+		stats.cacheHits++
+		// A hit on an entry another solve generation stored is
+		// warm-start reuse: the evaluation this solve got for free from
+		// an earlier solve on the same solver.
+		if ce.gen != stats.gen {
+			warm = true
+			stats.warmReuse++
+		}
+	} else {
 		var sp obs.Span
 		if s.timed {
 			sp = obs.StartSpan(s.phaseHists[phaseEval])
 		}
-		f.entry, f.err = s.evalTierMiss(ctx, td, fps.mode)
-		if f.err == nil {
-			stats.evals++
-			if s.timed {
-				// Engine wall clock accrues to the cross-cutting "eval"
-				// phase; the matching eval.miss event carries the same
-				// nanoseconds, so trace sums and PhaseNanos agree exactly.
-				evalNs = sp.Stop()
-				stats.phaseNs[phaseEval] += evalNs
-			}
+		entry, err := s.evalTierMiss(ctx, td, fps.mode)
+		if err != nil {
+			return evalEntry{}, err
 		}
-	})
-	if f.err != nil && isCtxErr(f.err) {
-		s.evalCache.forget(fps.avail, f)
-	}
-	warm := false
-	if !ran && f.err == nil {
-		stats.cacheHits++
-		// A hit on a flight another solve generation created is
-		// warm-start reuse: the evaluation this solve got for free from
-		// an earlier (or concurrent) solve on the same solver.
-		if f.gen != stats.gen {
-			warm = true
-			stats.warmReuse++
+		stats.evals++
+		if s.timed {
+			// Engine wall clock accrues to the cross-cutting "eval"
+			// phase; the matching eval.miss event carries the same
+			// nanoseconds, so trace sums and PhaseNanos agree exactly.
+			evalNs = sp.Stop()
+			stats.phaseNs[phaseEval] += evalNs
 		}
+		ce = cachedEval{entry: entry, gen: stats.gen}
+		if s.evalCache == nil {
+			s.evalCache = evalCache{}
+		}
+		s.evalCache[fps.avail] = ce
 	}
-	if tr := s.opts.Tracer; tr != nil && f.err == nil {
-		// Hit/miss per fingerprint is deterministic under the
-		// singleflight: exactly one requester observes the miss, however
-		// many goroutines race on the key.
-		ev := obs.EvEvalHit
-		if ran {
-			ev = obs.EvEvalMiss
+	if tr := s.opts.Tracer; tr != nil {
+		ev := obs.EvEvalMiss
+		if hit {
+			ev = obs.EvEvalHit
 		}
 		tr.Emit(obs.Event{
 			Ev:    ev,
@@ -95,7 +88,7 @@ func (s *Solver) evalTier(ctx context.Context, td *model.TierDesign, fps candFP,
 			N:     td.NActive,
 			M:     td.MinActive,
 			S:     td.NSpare,
-			Down:  f.entry.downtimeMinutes,
+			Down:  ce.entry.downtimeMinutes,
 			DurNs: evalNs, // zero (omitted) on hits
 			MS:    obs.DurMS(evalNs),
 		})
@@ -109,7 +102,7 @@ func (s *Solver) evalTier(ctx context.Context, td *model.TierDesign, fps candFP,
 			})
 		}
 	}
-	return f.entry, f.err
+	return ce.entry, nil
 }
 
 // evalTierMiss is the uncached evaluation behind evalTier. The resolved
@@ -117,13 +110,17 @@ func (s *Solver) evalTier(ctx context.Context, td *model.TierDesign, fps candFP,
 // (active, spare) split of one (option, combo, warmth) shares a single
 // EffectiveModes resolution.
 func (s *Solver) evalTierMiss(ctx context.Context, td *model.TierDesign, modeFP fp128) (evalEntry, error) {
-	modes, ok := s.modeCache.get(modeFP)
+	modes, ok := s.modeCache[modeFP]
 	if !ok {
-		built, err := avail.BuildTierModes(td)
+		var err error
+		modes, err = avail.BuildTierModes(td)
 		if err != nil {
 			return evalEntry{}, err
 		}
-		modes = s.modeCache.put(modeFP, built)
+		if s.modeCache == nil {
+			s.modeCache = modeCache{}
+		}
+		s.modeCache[modeFP] = modes
 	}
 	tm := avail.TierModel{
 		Name:  td.TierName,

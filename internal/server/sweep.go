@@ -12,8 +12,8 @@ import (
 // SweepRequest is the body of POST /v1/sweep: regenerate one of the
 // paper's evaluation figures over the built-in Fig. 3/4/5 inputs, with
 // configurable grid resolution. Sweeps are admitted through the same
-// bounded slot pool as solves (one slot per sweep; the sweep fans its
-// points over its own worker pool) but are neither deduplicated nor
+// bounded slot pool as solves (one slot per sweep; a fig 7 sweep fans
+// its levels over its own worker pool) but are neither deduplicated nor
 // cached — they are batch work, not the interactive path.
 type SweepRequest struct {
 	// Fig selects the figure: 6, 7 or 8.
@@ -23,7 +23,9 @@ type SweepRequest struct {
 	Budgets int `json:"budgets,omitempty"`
 	// Points sets the requirement grid for fig 7.
 	Points int `json:"points,omitempty"`
-	// Workers bounds the sweep worker pool (0 = server default).
+	// Workers bounds the worker pool of the fig 7 levels and of sim
+	// replications (0 = server default); figs 6 and 8 run on one
+	// goroutine.
 	Workers int `json:"workers,omitempty"`
 
 	// Engine knobs, as in SolveRequest.

@@ -9,7 +9,6 @@ import (
 	"aved/internal/core"
 	"aved/internal/model"
 	"aved/internal/obs"
-	"aved/internal/par"
 	"aved/internal/units"
 )
 
@@ -42,9 +41,8 @@ type Fig6Curve struct {
 type Fig6Result struct {
 	Points []Fig6Point
 	Curves []Fig6Curve
-	// Totals aggregates search effort over the feasible cells; an
-	// infeasible corner adds to Totals.Infeasible only, since its solve
-	// returns no Stats.
+	// Totals aggregates search effort over the cells, the infeasible
+	// corners' apart from the feasible cells'.
 	Totals Totals
 }
 
@@ -58,17 +56,20 @@ func Fig6(ctx context.Context, solver *core.Solver, loads, budgetsMinutes []floa
 		return nil, fmt.Errorf("sweep: fig6 needs non-empty load and budget grids")
 	}
 	// Cells land by flattened load-major index, so assembly below sees
-	// them in the grid order at any worker count.
+	// them in the grid order, not the chains' tightest-first order.
 	nb := len(budgetsMinutes)
 	type cell struct {
 		ok    bool
 		point Fig6Point
+		// infeasible is the effort of a cell with no design.
+		infeasible core.Stats
 	}
 	cells := make([]cell, len(loads)*nb)
-	err := solveGrid(ctx, solver, "fig6", loads, budgetsMinutes, func(li, bj int, sol *core.Solution, _ error) (obs.Event, error) {
+	err := solveGrid(ctx, solver, "fig6", loads, budgetsMinutes, func(li, bj int, sol *core.Solution, infeasible *core.InfeasibleError) (obs.Event, error) {
 		load, budget := loads[li], budgetsMinutes[bj]
 		if sol == nil {
 			// This corner of the plane has no design.
+			cells[li*nb+bj].infeasible = infeasible.Stats
 			return obs.Event{Load: load, Budget: budget, Err: "infeasible"}, nil
 		}
 		td := &sol.Design.Tiers[0]
@@ -101,7 +102,7 @@ func Fig6(ctx context.Context, solver *core.Solver, loads, budgetsMinutes []floa
 	seen := map[curveKey]float64{} // family+load → downtime estimate
 	for i := range cells {
 		if !cells[i].ok {
-			res.Totals.Infeasible++
+			res.Totals.AddInfeasible(cells[i].infeasible)
 			continue
 		}
 		p := cells[i].point
@@ -146,32 +147,32 @@ func Fig6(ctx context.Context, solver *core.Solver, loads, budgetsMinutes []floa
 
 // solveGrid solves the grid loads × budgetsMinutes as one budget chain
 // per load (Solver.SolveChain: tightest budget first, the cells sharing
-// the chain's frontier builds and tier walks), the chains fanned across
-// the solver's worker pool. cell receives each solved cell by load and
-// budget index — with sol nil and the cell's InfeasibleError when no
-// design meets it — and returns the cell's sweep.point event, or an
-// error that aborts the sweep. Results and per-cell Stats are exact at
-// any worker count, the replays showing only in the reuse counters. Any
-// other solve error aborts the sweep too. The lowest load index's error
-// wins, and within a load the tightest failing budget's.
-func solveGrid(ctx context.Context, solver *core.Solver, fig string, loads, budgetsMinutes []float64, cell func(li, bj int, sol *core.Solution, infeasible error) (obs.Event, error)) error {
+// the chain's frontier builds and tier walks), the chains in load order
+// on the caller's goroutine, so every per-cell Stats counter is exact.
+// cell receives each solved cell by load and budget index — with sol
+// nil and the cell's InfeasibleError when no design meets it — and
+// returns the cell's sweep.point event, or an error that aborts the
+// sweep. Any other solve error aborts the sweep too, as does ctx's
+// cancellation, checked before each load.
+func solveGrid(ctx context.Context, solver *core.Solver, fig string, loads, budgetsMinutes []float64, cell func(li, bj int, sol *core.Solution, infeasible *core.InfeasibleError) (obs.Event, error)) error {
 	nb := len(budgetsMinutes)
 	budgets := make([]units.Duration, nb)
 	for j, b := range budgetsMinutes {
 		budgets[j] = units.Duration(b * float64(units.Minute))
 	}
 	po := solverPointObs(solver, len(loads)*nb)
-	pt := par.NewTiming(solver.Metrics())
-	return par.ForEachTimedCtx(ctx, solver.Workers(), len(loads), pt, func(li int) error {
-		load := loads[li]
+	for li, load := range loads {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		start := po.Begin()
-		return solver.SolveChain(ctx, model.Requirements{Kind: model.ReqEnterprise, Throughput: load}, budgets,
+		err := solver.SolveChain(ctx, model.Requirements{Kind: model.ReqEnterprise, Throughput: load}, budgets,
 			func(bj int, sol *core.Solution, err error) error {
 				var infErr *core.InfeasibleError
 				if err != nil && !errors.As(err, &infErr) {
 					return fmt.Errorf("sweep: %s at load %v budget %v: %w", fig, load, budgetsMinutes[bj], err)
 				}
-				ev, err := cell(li, bj, sol, err)
+				ev, err := cell(li, bj, sol, infErr)
 				if err != nil {
 					return err
 				}
@@ -179,7 +180,11 @@ func solveGrid(ctx context.Context, solver *core.Solver, fig string, loads, budg
 				start = po.Begin()
 				return nil
 			})
-	})
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // curveOrder sorts curves from highest downtime to lowest, matching

@@ -33,16 +33,19 @@ type Fig7Point struct {
 // dimensions the figure plots — resource type, resource count, spares,
 // checkpoint interval and storage location. Infeasible requirements
 // are skipped (the left edge of the axis).
+//
+// The levels fan across the solver's worker pool, each solving on its
+// own sibling of solver (core.Solver.Sibling): a default engine is then
+// private to the level, an engine the caller passed is shared.
 func Fig7(ctx context.Context, solver *core.Solver, requirementHours []float64) ([]Fig7Point, error) {
 	if len(requirementHours) == 0 {
 		return nil, fmt.Errorf("sweep: fig7 needs a non-empty requirement grid")
 	}
-	// Each requirement level is an independent Solve; fan them across
-	// the worker pool and collect points by index so the output order
-	// matches the sequential sweep. Unlike Fig6/Fig8 there is nothing to
-	// schedule grid-aware: job solves have no combination phase, so no
-	// frontiers to cache — cross-cell reuse
-	// comes entirely from the solver's shared evaluation cache.
+	// Each requirement level is an independent solve on a solver of its
+	// own, so every level's Stats are the same at any worker count;
+	// points land by index so the output order matches the sequential
+	// sweep. Unlike Fig6/Fig8 there is no chain to share: job solves
+	// have no combination phase, so no frontiers to cache.
 	type slot struct {
 		ok    bool
 		point Fig7Point
@@ -53,7 +56,7 @@ func Fig7(ctx context.Context, solver *core.Solver, requirementHours []float64) 
 	err := par.ForEachTimedCtx(ctx, solver.Workers(), len(slots), pt, func(i int) error {
 		h := requirementHours[i]
 		start := po.Begin()
-		sol, err := solver.SolveContext(ctx, model.Requirements{
+		sol, err := solver.Sibling().SolveContext(ctx, model.Requirements{
 			Kind:       model.ReqJob,
 			MaxJobTime: units.FromHours(h),
 		})

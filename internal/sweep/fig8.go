@@ -29,6 +29,9 @@ type Fig8Curve struct {
 	// BaselineStats records the baseline solve's search effort.
 	BaselineStats core.Stats
 	Points        []Fig8Point
+	// InfeasibleStats records, in grid order, the search effort of each
+	// budget no design meets; those budgets have no Point.
+	InfeasibleStats []core.Stats
 }
 
 // Fig8 reproduces the cost/availability/performance tradeoff curves:
@@ -58,17 +61,19 @@ func Fig8(ctx context.Context, solver *core.Solver, loads, budgetsMinutes []floa
 	}
 	stride := len(grid)
 	type cell struct {
-		ok    bool
-		cost  units.Money
+		ok   bool
+		cost units.Money
+		// stats is the cell's effort, feasible or not.
 		stats core.Stats
 	}
 	cells := make([]cell, len(loads)*stride)
-	err := solveGrid(ctx, solver, "fig8", loads, grid, func(li, bj int, sol *core.Solution, infeasible error) (obs.Event, error) {
+	err := solveGrid(ctx, solver, "fig8", loads, grid, func(li, bj int, sol *core.Solution, infeasible *core.InfeasibleError) (obs.Event, error) {
 		load, budget := loads[li], grid[bj]
 		if sol == nil {
 			if bj == base {
 				return obs.Event{}, fmt.Errorf("sweep: fig8 baseline at load %v: %w", load, infeasible)
 			}
+			cells[li*stride+bj].stats = infeasible.Stats
 			return obs.Event{Load: load, Budget: budget, Err: "infeasible"}, nil
 		}
 		cells[li*stride+bj] = cell{ok: true, cost: sol.Cost, stats: sol.Stats}
@@ -91,6 +96,7 @@ func Fig8(ctx context.Context, solver *core.Solver, loads, budgetsMinutes []floa
 		}
 		for j, c := range row[:nb] {
 			if !c.ok {
+				curve.InfeasibleStats = append(curve.InfeasibleStats, c.stats)
 				continue
 			}
 			curve.Points = append(curve.Points, Fig8Point{

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync/atomic"
 	"testing"
 
@@ -42,9 +43,8 @@ func enterpriseReq(load, minutes float64) model.Requirements {
 }
 
 // countingEngine is a Markov engine that counts every call the solver
-// makes into it, infeasible cells included — effort that Stats cannot
-// show, since an InfeasibleError carries none. It forwards PriceTier
-// too, so the solver keeps its single-tier pricing path.
+// makes into it, infeasible cells included. It forwards PriceTier too,
+// so the solver keeps its single-tier pricing path.
 type countingEngine struct {
 	m     avail.MarkovEngine
 	calls atomic.Int64
@@ -67,8 +67,7 @@ func (c *countingEngine) PriceTier(tm *avail.TierModel) (float64, error) {
 // coldCells solves every grid cell per-cell cold: a fresh sequential
 // solver per cell, no shared caches — the reference the grid-aware
 // sweep must reproduce exactly. It also returns the engine evaluations
-// summed over the feasible cells (infeasible solves report no stats)
-// and the engine calls over every cell.
+// summed over the feasible cells and the engine calls over every cell.
 func coldCells(t *testing.T, inf *model.Infrastructure, svc *model.Service, opts core.Options, loads, budgets []float64) ([]gridCell, int64, int64) {
 	t.Helper()
 	out := make([]gridCell, 0, len(loads)*len(budgets))
@@ -189,9 +188,10 @@ func genProblems(t *testing.T) []gridProblem {
 // TestSweepBitIdenticalOnCorpus is the grid-scheduling property test:
 // on seeded generated scenarios from two sources, the grid-aware Fig6
 // sweep (shared solver, one memo per budget chain) produces exactly
-// the per-cell cold solutions at worker counts 1 and 4 — and each
-// source actually replays frontiers and tier walks, so the property is
-// not vacuous.
+// the per-cell cold solutions, and the same result — raw per-cell Stats
+// and totals included — at worker counts 1, 4 and 0; and each source
+// actually replays frontiers and tier walks, so the property is not
+// vacuous.
 func TestSweepBitIdenticalOnCorpus(t *testing.T) {
 	sources := []struct {
 		name     string
@@ -205,7 +205,8 @@ func TestSweepBitIdenticalOnCorpus(t *testing.T) {
 			var frontierReuse, walkReuse, warmReuse int64
 			for _, p := range src.problems(t) {
 				want, _, _ := coldCells(t, p.inf, p.svc, p.opts, p.loads, p.budgets)
-				for _, workers := range []int{1, 4} {
+				var first *Fig6Result
+				for _, workers := range []int{1, 4, 0} {
 					opts := p.opts
 					opts.Workers = workers
 					s, err := core.NewSolver(p.inf, p.svc, opts)
@@ -222,6 +223,11 @@ func TestSweepBitIdenticalOnCorpus(t *testing.T) {
 							t.Errorf("%s workers %d cell %d: grid %+v, cold %+v",
 								p.name, workers, i, got[i], want[i])
 						}
+					}
+					if first == nil {
+						first = res
+					} else if !reflect.DeepEqual(res, first) {
+						t.Errorf("%s workers %d: result differs from workers 1", p.name, workers)
 					}
 					frontierReuse += res.Totals.FrontierReuse
 					walkReuse += res.Totals.WalkReuse
@@ -244,9 +250,10 @@ func TestSweepBitIdenticalOnCorpus(t *testing.T) {
 // e-commerce Fig 6 and Fig 8 grids at Workers=1, the grid-aware sweep
 // must return the cold solutions bit-identically — for Fig 8 that
 // covers every cell's total cost and every load's baseline — and its
-// engine evaluations must stay under a pinned ceiling. Stats count only
-// the feasible cells, so a second ceiling bounds every engine call the
-// sweep makes, infeasible cells included, through a counting engine.
+// engine evaluations must stay under a pinned ceiling. A second ceiling
+// bounds every engine call the sweep makes, infeasible cells included,
+// through a counting engine, and those calls must equal the Evaluations
+// of the feasible and the infeasible cells together.
 // The multi-tier e-commerce grids must also cut per-cell cold solving
 // by at least 3x; the single-tier grid has no combination phase to
 // accelerate, so its cut floor is 0 and only its identity and ceilings
@@ -311,6 +318,9 @@ func TestSweepEvalCeilings(t *testing.T) {
 				}
 				for _, c := range curves {
 					tot.Add(c.BaselineStats)
+					for _, st := range c.InfeasibleStats {
+						tot.AddInfeasible(st)
+					}
 					got = append(got, gridCell{ok: true, cost: c.BaselineCost})
 					byBudget := map[float64]units.Money{}
 					for _, p := range c.Points {
@@ -351,9 +361,74 @@ func TestSweepEvalCeilings(t *testing.T) {
 				t.Errorf("grid sweep made %d engine calls over every cell, over the pinned ceiling %d",
 					calls, tc.callCeiling)
 			}
+			if e := tot.Evaluations + int64(tot.InfeasibleStats.Evaluations); e != calls {
+				t.Errorf("cells report %d evaluations (%d feasible, %d infeasible), the engine took %d calls",
+					e, tot.Evaluations, tot.InfeasibleStats.Evaluations, calls)
+			}
 			if tot.Evaluations*tc.minCut > cold {
 				t.Errorf("grid sweep's %d evaluations is not a %dx cut of per-cell cold's %d",
 					tot.Evaluations, tc.minCut, cold)
+			}
+		})
+	}
+}
+
+// TestSweepMemoCountsExact pins the per-cell engine deltas as exact:
+// over an e-commerce Fig 6 and Fig 8 sweep at the default worker count,
+// the ModeMemoHits and ModeMemoSolves of every cell — feasible,
+// baseline and infeasible — sum to the mode memo's own counter deltas.
+func TestSweepMemoCountsExact(t *testing.T) {
+	inf, err := scenarios.Infrastructure()
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := scenarios.Ecommerce(inf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loads := []float64{400, 1400, 3200, 5000}
+	budgets := []float64{1, 10, 100, 1000, 10000}
+	for _, fig := range []string{"fig6", "fig8"} {
+		t.Run(fig, func(t *testing.T) {
+			eng := avail.NewMarkovEngine()
+			s, err := core.NewSolver(inf, svc, core.Options{Registry: scenarios.Registry(), Engine: eng})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var tot Totals
+			if fig == "fig6" {
+				res, err := Fig6(context.Background(), s, loads, budgets)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tot = res.Totals
+			} else {
+				curves, err := Fig8(context.Background(), s, loads, budgets)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, c := range curves {
+					tot.Add(c.BaselineStats)
+					for _, p := range c.Points {
+						tot.Add(p.Stats)
+					}
+					for _, st := range c.InfeasibleStats {
+						tot.AddInfeasible(st)
+					}
+				}
+			}
+			hits, solves := eng.MemoStats()
+			gotHits := tot.ModeMemoHits + tot.InfeasibleStats.ModeMemoHits
+			gotSolves := tot.ModeMemoSolves + tot.InfeasibleStats.ModeMemoSolves
+			t.Logf("%d feasible and %d infeasible cells: %d memo hits, %d memo solves (%d and %d in infeasible cells)",
+				tot.Points, tot.Infeasible, gotHits, gotSolves,
+				tot.InfeasibleStats.ModeMemoHits, tot.InfeasibleStats.ModeMemoSolves)
+			if gotHits != hits || gotSolves != solves {
+				t.Errorf("cells sum to %d memo hits and %d solves, the engine counted %d and %d",
+					gotHits, gotSolves, hits, solves)
+			}
+			if tot.Infeasible == 0 || tot.InfeasibleStats.ModeMemoHits+tot.InfeasibleStats.ModeMemoSolves == 0 {
+				t.Error("no infeasible cell touched the memo — the check does not cover them")
 			}
 		})
 	}

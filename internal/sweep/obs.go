@@ -9,20 +9,17 @@ import (
 )
 
 // Totals aggregates search effort across a sweep: the per-point
-// core.Stats summed over every feasible cell, plus the cell counts
-// themselves. An infeasible cell adds to Infeasible only: its solve
-// returns an InfeasibleError without Stats, so the effort it spent is
-// in none of the sums. The CLIs print it as a closing line so a long
-// sweep reports how much work it actually did.
+// core.Stats summed over every feasible cell, the effort of the
+// infeasible cells (their core.InfeasibleError.Stats) summed apart, and
+// the cell counts themselves. The CLIs print it as a closing line so a
+// long sweep reports how much work it actually did.
 //
-// Determinism caveat: cells share the solver's singleflight eval cache
-// and its engine, so which cell's solve executes a miss (vs replaying
-// it as a hit) and how engine deltas split between overlapping solves
-// are scheduling-dependent — only Points/Infeasible, Candidates,
-// CostPruned, and the sum Evaluations+EvalCacheHits are exact at any
-// worker count. String prints exactly that projection, keeping CLI
-// output byte-identical across worker counts; the raw split and the
-// engine-delta fields remain available here as approximations.
+// Every counter is exact at any worker count: Fig. 6 and Fig. 8 solve
+// their load chains in order on one goroutine, and Fig. 7 levels each
+// solve on a solver of their own. The engine-delta fields are the one
+// exception: cells solving at once on one shared engine — sensitivity
+// factors, or Fig. 7 levels, on an engine the caller passed — split
+// its counters between them arbitrarily.
 type Totals struct {
 	// Points counts feasible cells (one Solution each); Infeasible
 	// counts cells where no design met the requirement.
@@ -34,19 +31,18 @@ type Totals struct {
 	BoundPruned   int64
 	Evaluations   int64
 	EvalCacheHits int64
-	// WarmStartReuse sums eval-cache hits on earlier solves' entries; on
-	// a sequential sweep it is exact, with concurrently
-	// overlapping solves on one solver it is a scheduling-dependent
-	// approximation like the raw hit/miss split.
+	// WarmStartReuse sums eval-cache hits on entries an earlier solve on
+	// the same solver stored: a Fig. 6 or Fig. 8 cell replaying what an
+	// earlier cell of its sweep evaluated, in its own load chain or an
+	// earlier one. Zero on Fig. 7, whose levels each have a solver of
+	// their own.
 	WarmStartReuse int64
 	// FrontierReuse sums tier frontiers the cells served from their
 	// budget chain's memo instead of building (Fig6/Fig8 run each load
-	// as one Solver.SolveChain). Each memo is private to its chain, so
-	// unlike the raw hit/miss split this is exact at any worker count.
+	// as one Solver.SolveChain).
 	FrontierReuse int64
 	// WalkReuse sums per-tier searches the cells replayed from their
-	// chain's memo instead of walking; exact at any worker count for the
-	// same reason as FrontierReuse.
+	// chain's memo instead of walking.
 	WalkReuse int64
 
 	ModeMemoHits   uint64
@@ -57,9 +53,13 @@ type Totals struct {
 
 	// PhaseNanos sums the per-cell Stats.PhaseNanos by phase — where the
 	// sweep's solve time went. Nil when timing is off (every cell
-	// reported nil). Wall-clock, so scheduling-dependent like the raw
-	// hit/miss split; String deliberately omits it.
+	// reported nil). Wall-clock, so it varies from run to run; String
+	// omits it.
 	PhaseNanos map[string]int64
+
+	// InfeasibleStats sums the effort of the Infeasible cells, which
+	// none of the fields above count; String omits it.
+	InfeasibleStats core.Stats
 }
 
 // Add folds one feasible point's solve statistics into the totals.
@@ -87,9 +87,34 @@ func (t *Totals) Add(st core.Stats) {
 	}
 }
 
-// String renders the totals as the CLIs' closing line — only the
-// scheduling-independent projection (see the type comment), so the
-// line diffs clean across worker counts.
+// AddInfeasible counts one infeasible cell and folds its effort, an
+// InfeasibleError's Stats, into InfeasibleStats.
+func (t *Totals) AddInfeasible(st core.Stats) {
+	t.Infeasible++
+	sum := &t.InfeasibleStats
+	sum.CandidatesGenerated += st.CandidatesGenerated
+	sum.CostPruned += st.CostPruned
+	sum.Evaluations += st.Evaluations
+	sum.EvalCacheHits += st.EvalCacheHits
+	sum.BoundPruned += st.BoundPruned
+	sum.WarmStartReuse += st.WarmStartReuse
+	sum.FrontierReuse += st.FrontierReuse
+	sum.WalkReuse += st.WalkReuse
+	sum.ModeMemoHits += st.ModeMemoHits
+	sum.ModeMemoSolves += st.ModeMemoSolves
+	sum.SimReplications += st.SimReplications
+	sum.SimBatches += st.SimBatches
+	for phase, ns := range st.PhaseNanos {
+		if sum.PhaseNanos == nil {
+			sum.PhaseNanos = make(map[string]int64, len(st.PhaseNanos))
+		}
+		sum.PhaseNanos[phase] += ns
+	}
+}
+
+// String renders the totals as the CLIs' closing line: the cell
+// counts and the feasible cells' candidates, pruning, evaluations
+// (engine runs and cache replays together) and frontier reuses.
 func (t Totals) String() string {
 	s := fmt.Sprintf("%d points", t.Points)
 	if t.Infeasible > 0 {
