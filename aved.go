@@ -34,7 +34,6 @@ import (
 	"aved/internal/core"
 	"aved/internal/export"
 	"aved/internal/model"
-	"aved/internal/par"
 	"aved/internal/perf"
 	"aved/internal/report"
 	"aved/internal/scenarios"
@@ -193,25 +192,6 @@ func MarkovEngine() Engine { return avail.NewMarkovEngine() }
 // default engine's per-event transient accounting.
 func ExactEngine() Engine { return avail.NewExactEngine() }
 
-// SimEngine builds the discrete-event simulation engine — the stand-in
-// for the external availability evaluation engine (Avanto) the paper
-// interfaces to. It runs reps replications of years simulated years.
-func SimEngine(seed int64, years float64, reps int) (Engine, error) {
-	return sim.NewEngine(seed, years, reps)
-}
-
-// SimEngineWorkers builds the simulation engine with an explicit
-// replication worker count: 0 uses GOMAXPROCS, 1 runs sequentially.
-// Each replication draws from its own seed-derived random stream, so
-// results are identical at any worker count.
-func SimEngineWorkers(seed int64, years float64, reps, workers int) (Engine, error) {
-	e, err := sim.NewEngine(seed, years, reps)
-	if err != nil {
-		return nil, err
-	}
-	return e.WithWorkers(workers), nil
-}
-
 // SimEngineAdaptive builds the simulation engine with adaptive-
 // precision replication control: replications run in deterministic
 // batches of batch (0 uses the engine default) and stop once the 95%
@@ -228,9 +208,38 @@ func SimEngineAdaptive(seed int64, years float64, reps, workers int, relErr floa
 	return e.WithWorkers(workers).WithPrecision(relErr, batch), nil
 }
 
-// DefaultWorkers reports the worker count a zero Workers option
-// resolves to (GOMAXPROCS).
-func DefaultWorkers() int { return par.Workers(0) }
+// EngineSpec selects an availability engine by name, with the
+// Monte-Carlo settings the "sim" engine takes (see SimEngineAdaptive;
+// the analytic engines ignore them). It is the one engine choice the
+// command-line tools and the HTTP server make per run.
+type EngineSpec struct {
+	// Name is "markov" (or empty), "exact" or "sim".
+	Name     string
+	Seed     int64
+	Years    float64
+	Reps     int
+	Workers  int
+	RelErr   float64
+	SimBatch int
+}
+
+// EngineNames lists the engine names NewEngine accepts, in the order
+// the command-line tools run them all.
+func EngineNames() []string { return []string{"markov", "exact", "sim"} }
+
+// NewEngine builds the engine spec names. "markov" and the empty name
+// return nil, which keeps a solver's default analytic engine.
+func NewEngine(spec EngineSpec) (Engine, error) {
+	switch spec.Name {
+	case "", "markov":
+		return nil, nil
+	case "exact":
+		return ExactEngine(), nil
+	case "sim":
+		return SimEngineAdaptive(spec.Seed, spec.Years, spec.Reps, spec.Workers, spec.RelErr, spec.SimBatch)
+	}
+	return nil, fmt.Errorf("unknown engine %q (want markov, exact or sim)", spec.Name)
+}
 
 // MissionDowntime reports a tier model's expected downtime in minutes
 // per year over a finite mission starting all-up — the transient-aware
@@ -314,6 +323,32 @@ func PaperInfrastructure() (*Infrastructure, error) { return scenarios.Infrastru
 // PaperRegistry builds a registry loaded with the Table 1 performance
 // functions.
 func PaperRegistry() *Registry { return scenarios.Registry() }
+
+// PaperScenario binds the Fig. 3 infrastructure and one built-in
+// service by name: "apptier" (§5.1), "ecommerce" (Fig. 4) or
+// "scientific" (Fig. 5).
+func PaperScenario(name string) (*Infrastructure, *Service, error) {
+	var bind func(*Infrastructure) (*Service, error)
+	switch name {
+	case "apptier":
+		bind = PaperApplicationTier
+	case "ecommerce":
+		bind = PaperEcommerce
+	case "scientific":
+		bind = PaperScientific
+	default:
+		return nil, nil, fmt.Errorf("unknown paper scenario %q (want apptier, ecommerce or scientific)", name)
+	}
+	inf, err := PaperInfrastructure()
+	if err != nil {
+		return nil, nil, err
+	}
+	svc, err := bind(inf)
+	if err != nil {
+		return nil, nil, err
+	}
+	return inf, svc, nil
+}
 
 // PaperEcommerce binds the Fig. 4 e-commerce service.
 func PaperEcommerce(inf *Infrastructure) (*Service, error) { return scenarios.Ecommerce(inf) }

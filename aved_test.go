@@ -123,7 +123,7 @@ func TestEnginesAgreeThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	simEng, err := aved.SimEngine(99, 2000, 6)
+	simEng, err := aved.SimEngineAdaptive(99, 2000, 6, 0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

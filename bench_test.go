@@ -392,7 +392,7 @@ func BenchmarkOverheadModels(b *testing.B) {
 func BenchmarkSimWorkers(b *testing.B) {
 	tm := benchTierModel()
 	run := func(b *testing.B, workers int) {
-		eng, err := aved.SimEngineWorkers(7, 50, 32, workers)
+		eng, err := aved.SimEngineAdaptive(7, 50, 32, workers, 0, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -31,6 +31,7 @@ import (
 	"time"
 
 	"aved"
+	"aved/internal/cli"
 )
 
 func main() {
@@ -70,8 +71,9 @@ type tierJS struct {
 	Mechanisms map[string]string `json:"mechanisms,omitempty"`
 }
 
-func run(args []string, out io.Writer) (retErr error) {
+func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("aved", flag.ContinueOnError)
+	common := cli.Register(fs, 32)
 	var (
 		infraPath   = fs.String("infra", "", "infrastructure spec file (Fig. 3 format)")
 		servicePath = fs.String("service", "", "service spec file (Fig. 4/5 format)")
@@ -88,17 +90,7 @@ func run(args []string, out io.Writer) (retErr error) {
 		describe    = fs.Bool("describe", false, "print a model inventory and design-space size estimate, then exit")
 		workers     = fs.Int("workers", 0, "Monte-Carlo replication worker count for -engine sim: 0 = all CPUs, 1 = sequential (results are identical); the search itself runs on one goroutine")
 		searchName  = fs.String("search", "bnb", "search strategy: bnb (branch-and-bound) or exhaustive (results are identical)")
-		timeout     = fs.Duration("timeout", 0, "abort the search after this long, e.g. 30s (0 = no limit)")
-		engineName  = fs.String("engine", "markov", "availability engine in the search loop: markov, exact or sim")
-		seed        = fs.Int64("seed", 1, "simulation seed (-engine sim)")
-		years       = fs.Float64("years", 1000, "simulated years per replication (-engine sim)")
-		reps        = fs.Int("reps", 32, "simulation replication budget (-engine sim)")
-		relErr      = fs.Float64("relerr", 0, "adaptive precision: stop replicating once the 95% CI half-width is under this fraction of the mean (0 = full -reps budget)")
-		simBatch    = fs.Int("simbatch", 0, "adaptive replication batch size (0 = engine default)")
 		timings     = fs.Bool("timings", false, "time the solve phases and print a wall-clock breakdown table")
-		tracePath   = fs.String("trace", "", "write a JSONL search trace to this file")
-		metricsPath = fs.String("metrics", "", "write a metrics snapshot to this file on exit (.prom = Prometheus text, else JSON)")
-		debugAddr   = fs.String("debug-addr", "", "serve pprof, expvar and /metrics on this address, e.g. :6060")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -113,7 +105,7 @@ func run(args []string, out io.Writer) (retErr error) {
 	if *describe {
 		return aved.DescribeModel(out, inf, svc, 0)
 	}
-	engine, err := buildEngine(*engineName, *seed, *years, *reps, *workers, *relErr, *simBatch)
+	engine, err := common.Engine(*workers)
 	if err != nil {
 		return err
 	}
@@ -121,64 +113,50 @@ func run(args []string, out io.Writer) (retErr error) {
 	if err != nil {
 		return err
 	}
-	opts := aved.Options{Registry: reg, ExploreSpareWarmth: *warmSpares, Workers: *workers, Engine: engine, Search: search, Timings: *timings}
+	opts := aved.Options{Registry: reg, ExploreSpareWarmth: *warmSpares, Engine: engine, Search: search, Timings: *timings}
 	if *bronze {
 		opts.FixedMechanisms = aved.Bronze()
 	}
-	obsSetup, err := aved.NewObsSetup(*tracePath, *metricsPath, *debugAddr)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if cerr := obsSetup.Close(); cerr != nil && retErr == nil {
-			retErr = cerr
-		}
-	}()
-	opts = obsSetup.Apply(opts)
-	bindStart = time.Now()
-	solver, err := aved.NewSolver(inf, svc, opts)
-	if err != nil {
-		return err
-	}
-	bindNs += time.Since(bindStart).Nanoseconds()
-
-	req, err := buildRequirements(svc, *load, *downtime, *jobTime)
-	if err != nil {
-		return err
-	}
-	ctx := context.Background()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-	sol, err := solver.SolveContext(ctx, req)
-	if err != nil {
-		var infErr *aved.InfeasibleError
-		if errors.As(err, &infErr) {
-			return fmt.Errorf("infeasible: %v", err)
-		}
-		var canErr *aved.CanceledError
-		if errors.As(err, &canErr) {
-			return fmt.Errorf("%w (after %d candidates, %d evaluations)",
-				err, canErr.Stats.CandidatesGenerated, canErr.Stats.Evaluations)
-		}
-		return err
-	}
-	if *exportPath != "" {
-		f, err := os.Create(*exportPath)
+	return common.Run(func(ctx context.Context, setup *aved.ObsSetup) error {
+		bindStart = time.Now()
+		solver, err := aved.NewSolver(inf, svc, setup.Apply(opts))
 		if err != nil {
 			return err
 		}
-		if err := aved.WriteAvailabilityModel(f, &sol.Design); err != nil {
-			f.Close()
+		bindNs += time.Since(bindStart).Nanoseconds()
+
+		req, err := buildRequirements(svc, *load, *downtime, *jobTime)
+		if err != nil {
 			return err
 		}
-		if err := f.Close(); err != nil {
+		sol, err := solver.SolveContext(ctx, req)
+		if err != nil {
+			var infErr *aved.InfeasibleError
+			if errors.As(err, &infErr) {
+				return fmt.Errorf("infeasible: %v", err)
+			}
+			var canErr *aved.CanceledError
+			if errors.As(err, &canErr) {
+				return fmt.Errorf("%w (after %d candidates, %d evaluations)",
+					err, canErr.Stats.CandidatesGenerated, canErr.Stats.Evaluations)
+			}
 			return err
 		}
-	}
-	return report(out, sol, req, *asJSON, *verbose, *timings, bindNs)
+		if *exportPath != "" {
+			f, err := os.Create(*exportPath)
+			if err != nil {
+				return err
+			}
+			if err := aved.WriteAvailabilityModel(f, &sol.Design); err != nil {
+				f.Close()
+				return err
+			}
+			if err := f.Close(); err != nil {
+				return err
+			}
+		}
+		return report(out, sol, req, *asJSON, *verbose, *timings, bindNs)
+	})
 }
 
 func loadModels(paper, infraPath, servicePath, perfDir string) (*aved.Infrastructure, *aved.Service, *aved.Registry, error) {
@@ -187,25 +165,8 @@ func loadModels(paper, infraPath, servicePath, perfDir string) (*aved.Infrastruc
 		reg.Dir = perfDir
 	}
 	if paper != "" {
-		inf, err := aved.PaperInfrastructure()
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		var svc *aved.Service
-		switch paper {
-		case "apptier":
-			svc, err = aved.PaperApplicationTier(inf)
-		case "ecommerce":
-			svc, err = aved.PaperEcommerce(inf)
-		case "scientific":
-			svc, err = aved.PaperScientific(inf)
-		default:
-			return nil, nil, nil, fmt.Errorf("unknown -paper scenario %q (want apptier, ecommerce or scientific)", paper)
-		}
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		return inf, svc, reg, nil
+		inf, svc, err := aved.PaperScenario(paper)
+		return inf, svc, reg, err
 	}
 	if infraPath == "" || servicePath == "" {
 		return nil, nil, nil, errors.New("need -infra and -service files, or a -paper scenario")
@@ -219,21 +180,6 @@ func loadModels(paper, infraPath, servicePath, perfDir string) (*aved.Infrastruc
 		return nil, nil, nil, err
 	}
 	return inf, svc, reg, nil
-}
-
-// buildEngine resolves the -engine flag. A nil return for "markov"
-// keeps the solver's default analytic engine.
-func buildEngine(name string, seed int64, years float64, reps, workers int, relErr float64, batch int) (aved.Engine, error) {
-	switch name {
-	case "", "markov":
-		return nil, nil
-	case "exact":
-		return aved.ExactEngine(), nil
-	case "sim":
-		return aved.SimEngineAdaptive(seed, years, reps, workers, relErr, batch)
-	default:
-		return nil, fmt.Errorf("unknown -engine %q (want markov, exact or sim)", name)
-	}
 }
 
 // buildRequirements resolves the requirement flags; when none are

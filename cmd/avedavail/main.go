@@ -7,7 +7,7 @@
 //
 //	avedavail -model design.avail                 # analytic Markov engine
 //	avedavail -model design.avail -engine sim     # discrete-event simulation
-//	avedavail -model design.json -format json -engine both
+//	avedavail -model design.json -format json -engine all
 //
 // Model files use the exchange format written by `aved -export` (text)
 // or the JSON equivalent.
@@ -21,6 +21,7 @@ import (
 	"os"
 
 	"aved"
+	"aved/internal/cli"
 )
 
 func main() {
@@ -30,24 +31,15 @@ func main() {
 	}
 }
 
-func run(args []string, out io.Writer) (retErr error) {
+func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("avedavail", flag.ContinueOnError)
+	common := cli.Register(fs, 8)
+	fs.Lookup("engine").Usage += ", or all to run each in turn"
 	var (
 		modelPath = fs.String("model", "", "availability model file")
 		format    = fs.String("format", "text", "model format: text or json")
-		engine    = fs.String("engine", "markov", "engine: markov, exact, sim or all")
-		seed      = fs.Int64("seed", 1, "simulation seed")
-		years     = fs.Float64("years", 1000, "simulated years per replication")
-		reps      = fs.Int("reps", 8, "simulation replication budget")
 		workers   = fs.Int("workers", 0, "replication worker count: 0 = all CPUs, 1 = sequential (results are identical)")
-		relErr    = fs.Float64("relerr", 0, "adaptive precision: stop replicating once the 95% CI half-width is under this fraction of the mean (0 = always run the full -reps budget)")
-		simBatch  = fs.Int("simbatch", 0, "adaptive replication batch size (0 = engine default)")
 		mission   = fs.Float64("mission", 0, "also report finite-horizon downtime for a mission of this many years")
-		timeout   = fs.Duration("timeout", 0, "abort the evaluation after this long, e.g. 30s (0 = no limit)")
-
-		tracePath   = fs.String("trace", "", "write a JSONL engine trace to this file")
-		metricsPath = fs.String("metrics", "", "write a metrics JSON snapshot to this file on exit")
-		debugAddr   = fs.String("debug-addr", "", "serve pprof, expvar and /metrics on this address, e.g. :6060")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -55,97 +47,67 @@ func run(args []string, out io.Writer) (retErr error) {
 	if *modelPath == "" {
 		return fmt.Errorf("need -model file")
 	}
-	setup, err := aved.NewObsSetup(*tracePath, *metricsPath, *debugAddr)
+	tms, err := readModel(*modelPath, *format)
 	if err != nil {
 		return err
 	}
-	defer func() {
-		if cerr := setup.Close(); cerr != nil && retErr == nil {
-			retErr = cerr
-		}
-	}()
-	f, err := os.Open(*modelPath)
-	if err != nil {
-		return err
+	spec := common.EngineSpec(*workers)
+	names := []string{spec.Name}
+	if spec.Name == "all" || spec.Name == "both" {
+		names = aved.EngineNames()
 	}
-	defer f.Close()
-
-	var tms []aved.TierModel
-	switch *format {
-	case "text":
-		tms, err = aved.ReadAvailabilityModel(f)
-	case "json":
-		tms, err = aved.ReadAvailabilityModelJSON(f)
-	default:
-		return fmt.Errorf("unknown -format %q (want text or json)", *format)
-	}
-	if err != nil {
-		return err
-	}
-
-	ctx := context.Background()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-	runEngine := func(name string, eng aved.Engine) error {
-		// No solver sits in front of the engine here, so attach the
-		// observability outputs to the engine directly.
-		aved.InstrumentEngine(eng, setup.Metrics, setup.Tracer)
-		res, err := aved.EvaluateModel(ctx, eng, tms)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "[%s] availability %.6f%%  downtime %.2f min/yr\n",
-			name, res.Availability*100, res.DowntimeMinutes)
-		for _, tr := range res.Tiers {
-			fmt.Fprintf(out, "  tier %-14s %.2f min/yr\n", tr.Name, tr.DowntimeMinutes)
-			for _, mc := range tr.Contributions {
-				fmt.Fprintf(out, "    %-24s %.2f min/yr (%.2f events/yr)\n",
-					mc.Name, mc.Minutes(), mc.EventsPerYear)
+	return common.Run(func(ctx context.Context, setup *aved.ObsSetup) error {
+		if *mission > 0 {
+			for i := range tms {
+				md, err := aved.MissionDowntime(&tms[i], *mission)
+				if err != nil {
+					return err
+				}
+				fmt.Fprintf(out, "[mission %gy] tier %-14s %.2f min/yr (all-up start)\n", *mission, tms[i].Name, md)
 			}
 		}
-		return nil
-	}
-
-	if *mission > 0 {
-		for i := range tms {
-			md, err := aved.MissionDowntime(&tms[i], *mission)
+		for _, name := range names {
+			spec.Name = name
+			eng, err := aved.NewEngine(spec)
 			if err != nil {
 				return err
 			}
-			fmt.Fprintf(out, "[mission %gy] tier %-14s %.2f min/yr (all-up start)\n", *mission, tms[i].Name, md)
+			if eng == nil {
+				eng = aved.MarkovEngine()
+			}
+			// No solver sits in front of the engine here, so attach the
+			// observability outputs to the engine directly.
+			aved.InstrumentEngine(eng, setup.Metrics, setup.Tracer)
+			res, err := aved.EvaluateModel(ctx, eng, tms)
+			if err != nil {
+				return err
+			}
+			fmt.Fprintf(out, "[%s] availability %.6f%%  downtime %.2f min/yr\n",
+				name, res.Availability*100, res.DowntimeMinutes)
+			for _, tr := range res.Tiers {
+				fmt.Fprintf(out, "  tier %-14s %.2f min/yr\n", tr.Name, tr.DowntimeMinutes)
+				for _, mc := range tr.Contributions {
+					fmt.Fprintf(out, "    %-24s %.2f min/yr (%.2f events/yr)\n",
+						mc.Name, mc.Minutes(), mc.EventsPerYear)
+				}
+			}
 		}
-	}
+		return nil
+	})
+}
 
-	simEngine := func() (aved.Engine, error) {
-		return aved.SimEngineAdaptive(*seed, *years, *reps, *workers, *relErr, *simBatch)
+// readModel parses an availability model file in the given format.
+func readModel(path, format string) ([]aved.TierModel, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
 	}
-	switch *engine {
-	case "markov":
-		return runEngine("markov", aved.MarkovEngine())
-	case "exact":
-		return runEngine("exact", aved.ExactEngine())
-	case "sim":
-		eng, err := simEngine()
-		if err != nil {
-			return err
-		}
-		return runEngine("sim", eng)
-	case "both", "all":
-		if err := runEngine("markov", aved.MarkovEngine()); err != nil {
-			return err
-		}
-		if err := runEngine("exact", aved.ExactEngine()); err != nil {
-			return err
-		}
-		eng, err := simEngine()
-		if err != nil {
-			return err
-		}
-		return runEngine("sim", eng)
-	default:
-		return fmt.Errorf("unknown -engine %q (want markov, exact, sim or all)", *engine)
+	defer f.Close()
+	switch format {
+	case "text":
+		return aved.ReadAvailabilityModel(f)
+	case "json":
+		return aved.ReadAvailabilityModelJSON(f)
 	}
+	return nil, fmt.Errorf("unknown -format %q (want text or json)", format)
 }

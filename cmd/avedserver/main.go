@@ -34,7 +34,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -72,13 +71,9 @@ func run(args []string) error {
 			return err
 		}
 	}
-	metrics := aved.NewMetrics()
-	if *debugAddr != "" {
-		bound, err := aved.ServeDebug(*debugAddr, metrics)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "avedserver: debug endpoints on http://%s\n", bound)
+	setup, err := aved.NewObsSetup("", *metricsPath, *debugAddr)
+	if err != nil {
+		return err
 	}
 	srv := server.New(server.Config{
 		MaxConcurrent:  *maxConcurrent,
@@ -87,7 +82,7 @@ func run(args []string) error {
 		MaxTimeout:     *maxTimeout,
 		Workers:        *workers,
 		CacheSize:      *cacheSize,
-		Metrics:        metrics,
+		Metrics:        setup.Metrics,
 		TraceDir:       *traceDir,
 	})
 
@@ -104,6 +99,7 @@ func run(args []string) error {
 	select {
 	case err := <-errc:
 		srv.Close()
+		setup.Close()
 		return err
 	case <-ctx.Done():
 	}
@@ -119,21 +115,8 @@ func run(args []string) error {
 	if err := srv.Shutdown(drainCtx); err != nil && httpErr == nil {
 		httpErr = fmt.Errorf("drain deadline hit, aborted remaining solves: %w", err)
 	}
-	if *metricsPath != "" {
-		f, err := os.Create(*metricsPath)
-		if err == nil {
-			if strings.HasSuffix(*metricsPath, ".prom") {
-				err = metrics.WritePrometheus(f)
-			} else {
-				err = metrics.WriteJSON(f)
-			}
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil && httpErr == nil {
-			httpErr = fmt.Errorf("metrics snapshot: %w", err)
-		}
+	if err := setup.Close(); err != nil && httpErr == nil {
+		httpErr = err
 	}
 	return httpErr
 }

@@ -12,15 +12,14 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"aved"
+	"aved/internal/cli"
 )
 
 func main() {
@@ -33,72 +32,40 @@ func main() {
 // errw receives -progress output; a variable so tests can capture it.
 var errw io.Writer = os.Stderr
 
-func run(args []string, out io.Writer) (retErr error) {
+func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("avedsweep", flag.ContinueOnError)
+	common := cli.Register(fs, 32)
 	var (
-		fig         = fs.Int("fig", 0, "figure to regenerate: 6, 7 or 8")
-		loads       = fs.Int("loads", 10, "load grid points (figs 6, 8)")
-		budgets     = fs.Int("budgets", 12, "downtime-budget grid points (figs 6, 8)")
-		points      = fs.Int("points", 15, "job-time requirement points (fig 7)")
-		workers     = fs.Int("workers", 0, "worker count for Fig. 7 levels and sim replications: 0 = all CPUs, 1 = sequential (results are identical); Figs. 6 and 8 run on one goroutine")
-		engine      = fs.String("engine", "markov", "availability engine in the search loop: markov, exact or sim")
-		seed        = fs.Int64("seed", 1, "simulation seed (-engine sim)")
-		years       = fs.Float64("years", 1000, "simulated years per replication (-engine sim)")
-		reps        = fs.Int("reps", 32, "simulation replication budget (-engine sim)")
-		relErr      = fs.Float64("relerr", 0, "adaptive precision: stop replicating once the 95% CI half-width is under this fraction of the mean (0 = full -reps budget)")
-		batch       = fs.Int("simbatch", 0, "adaptive replication batch size (0 = engine default)")
-		progress    = fs.Bool("progress", false, "report per-point sweep progress (with per-cell ms) on stderr")
-		timings     = fs.Bool("timings", false, "time the solve phases and append a wall-clock breakdown as comment lines")
-		timeout     = fs.Duration("timeout", 0, "abort the whole sweep after this long, e.g. 30s (0 = no limit)")
-		tracePath   = fs.String("trace", "", "write a JSONL search trace to this file")
-		metricsPath = fs.String("metrics", "", "write a metrics snapshot to this file on exit (.prom = Prometheus text, else JSON)")
-		debugAddr   = fs.String("debug-addr", "", "serve pprof, expvar and /metrics on this address, e.g. :6060")
+		fig      = fs.Int("fig", 0, "figure to regenerate: 6, 7 or 8")
+		loads    = fs.Int("loads", 10, "load grid points (figs 6, 8)")
+		budgets  = fs.Int("budgets", 12, "downtime-budget grid points (figs 6, 8)")
+		points   = fs.Int("points", 15, "job-time requirement points (fig 7)")
+		workers  = fs.Int("workers", 0, "worker count for Fig. 7 levels and sim replications: 0 = all CPUs, 1 = sequential (results are identical); Figs. 6 and 8 run on one goroutine")
+		progress = fs.Bool("progress", false, "report per-point sweep progress (with per-cell ms) on stderr")
+		timings  = fs.Bool("timings", false, "time the solve phases and append a wall-clock breakdown as comment lines")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	eng, err := buildEngine(*engine, *seed, *years, *reps, *workers, *relErr, *batch)
+	eng, err := common.Engine(*workers)
 	if err != nil {
 		return err
 	}
-	setup, err := aved.NewObsSetup(*tracePath, *metricsPath, *debugAddr)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if cerr := setup.Close(); cerr != nil && retErr == nil {
-			retErr = cerr
+	return common.Run(func(ctx context.Context, setup *aved.ObsSetup) error {
+		if *progress {
+			setup.Tracer = aved.TeeTracers(setup.Tracer, progressTracer(errw))
 		}
-	}()
-	if *progress {
-		setup.Tracer = aved.TeeTracers(setup.Tracer, progressTracer(errw))
-	}
-	ctx := context.Background()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-	switch *fig {
-	case 6:
-		return fig6(ctx, out, *loads, *budgets, *workers, eng, setup, *timings)
-	case 7:
-		return fig7(ctx, out, *points, *workers, eng, setup, *timings)
-	case 8:
-		return fig8(ctx, out, *budgets, *workers, eng, setup, *timings)
-	default:
-		return fmt.Errorf("-fig must be 6, 7 or 8 (got %d)", *fig)
-	}
-}
-
-// phaseComments appends the -timings phase breakdown to the TSV
-// output as comment lines, so the data rows stay machine-readable.
-func phaseComments(out io.Writer, phaseNanos map[string]int64) {
-	var buf bytes.Buffer
-	aved.WritePhaseTable(&buf, phaseNanos)
-	for _, line := range strings.Split(strings.TrimRight(buf.String(), "\n"), "\n") {
-		fmt.Fprintf(out, "# %s\n", line)
-	}
+		switch *fig {
+		case 6:
+			return fig6(ctx, out, *loads, *budgets, eng, setup, *timings)
+		case 7:
+			return fig7(ctx, out, *points, *workers, eng, setup, *timings)
+		case 8:
+			return fig8(ctx, out, *budgets, eng, setup, *timings)
+		default:
+			return fmt.Errorf("-fig must be 6, 7 or 8 (got %d)", *fig)
+		}
+	})
 }
 
 // progressTracer renders sweep.point events as one progress line each.
@@ -129,37 +96,18 @@ func progressTracer(w io.Writer) aved.Tracer {
 	})
 }
 
-// buildEngine resolves the -engine flag; nil keeps the solver default.
-func buildEngine(name string, seed int64, years float64, reps, workers int, relErr float64, batch int) (aved.Engine, error) {
-	switch name {
-	case "", "markov":
-		return nil, nil
-	case "exact":
-		return aved.ExactEngine(), nil
-	case "sim":
-		return aved.SimEngineAdaptive(seed, years, reps, workers, relErr, batch)
-	default:
-		return nil, fmt.Errorf("unknown -engine %q (want markov, exact or sim)", name)
-	}
-}
-
-func appTierSolver(workers int, engine aved.Engine, setup *aved.ObsSetup, timings bool) (*aved.Solver, error) {
-	inf, err := aved.PaperInfrastructure()
+func appTierSolver(engine aved.Engine, setup *aved.ObsSetup, timings bool) (*aved.Solver, error) {
+	inf, svc, err := aved.PaperScenario("apptier")
 	if err != nil {
 		return nil, err
 	}
-	svc, err := aved.PaperApplicationTier(inf)
-	if err != nil {
-		return nil, err
-	}
-	opts := setup.Apply(aved.Options{Registry: aved.PaperRegistry(), Workers: workers, Engine: engine, Timings: timings})
-	return aved.NewSolver(inf, svc, opts)
+	return aved.NewSolver(inf, svc, setup.Apply(aved.Options{Registry: aved.PaperRegistry(), Engine: engine, Timings: timings}))
 }
 
 // fig6 prints the optimal design family at every grid point of the
 // (load, downtime budget) requirement plane, then each family curve.
-func fig6(ctx context.Context, out io.Writer, loadPoints, budgetPoints, workers int, engine aved.Engine, setup *aved.ObsSetup, timings bool) error {
-	solver, err := appTierSolver(workers, engine, setup, timings)
+func fig6(ctx context.Context, out io.Writer, loadPoints, budgetPoints int, engine aved.Engine, setup *aved.ObsSetup, timings bool) error {
+	solver, err := appTierSolver(engine, setup, timings)
 	if err != nil {
 		return err
 	}
@@ -191,7 +139,7 @@ func fig6(ctx context.Context, out io.Writer, loadPoints, budgetPoints, workers 
 	}
 	fmt.Fprintf(out, "# totals: %s\n", res.Totals)
 	if timings {
-		phaseComments(out, res.Totals.PhaseNanos)
+		cli.PhaseComments(out, res.Totals.PhaseNanos)
 	}
 	return nil
 }
@@ -199,11 +147,7 @@ func fig6(ctx context.Context, out io.Writer, loadPoints, budgetPoints, workers 
 // fig7 prints the optimal scientific design as a function of the
 // job-completion-time requirement.
 func fig7(ctx context.Context, out io.Writer, points, workers int, engine aved.Engine, setup *aved.ObsSetup, timings bool) error {
-	inf, err := aved.PaperInfrastructure()
-	if err != nil {
-		return err
-	}
-	svc, err := aved.PaperScientific(inf)
+	inf, svc, err := aved.PaperScenario("scientific")
 	if err != nil {
 		return err
 	}
@@ -237,14 +181,14 @@ func fig7(ctx context.Context, out io.Writer, points, workers int, engine aved.E
 	tot.Infeasible = len(grid) - len(rows)
 	fmt.Fprintf(out, "# totals: %s\n", tot)
 	if timings {
-		phaseComments(out, tot.PhaseNanos)
+		cli.PhaseComments(out, tot.PhaseNanos)
 	}
 	return nil
 }
 
 // fig8 prints the cost premium curves for the paper's four loads.
-func fig8(ctx context.Context, out io.Writer, budgetPoints, workers int, engine aved.Engine, setup *aved.ObsSetup, timings bool) error {
-	solver, err := appTierSolver(workers, engine, setup, timings)
+func fig8(ctx context.Context, out io.Writer, budgetPoints int, engine aved.Engine, setup *aved.ObsSetup, timings bool) error {
+	solver, err := appTierSolver(engine, setup, timings)
 	if err != nil {
 		return err
 	}
@@ -274,7 +218,7 @@ func fig8(ctx context.Context, out io.Writer, budgetPoints, workers int, engine 
 	}
 	fmt.Fprintf(out, "# totals: %s\n", tot)
 	if timings {
-		phaseComments(out, tot.PhaseNanos)
+		cli.PhaseComments(out, tot.PhaseNanos)
 	}
 	return nil
 }

@@ -17,7 +17,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"flag"
@@ -28,6 +27,7 @@ import (
 	"strings"
 
 	"aved"
+	"aved/internal/cli"
 )
 
 func main() {
@@ -37,8 +37,9 @@ func main() {
 	}
 }
 
-func run(args []string, out io.Writer) (retErr error) {
+func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("avedwhatif", flag.ContinueOnError)
+	common := cli.Register(fs, 32)
 	var (
 		knobName = fs.String("knob", "mtbf", "what to perturb: mtbf, cost or mechcost")
 		target   = fs.String("target", "", "component or mechanism to perturb (empty = all, mtbf/cost only)")
@@ -48,18 +49,7 @@ func run(args []string, out io.Writer) (retErr error) {
 		jobTime  = fs.String("jobtime", "", "max expected job time, e.g. 100h (scientific scenario)")
 		workers  = fs.Int("workers", 0, "factor and sim replication worker count: 0 = all CPUs, 1 = sequential (results are identical)")
 		search   = fs.String("search", "bnb", "per-factor search strategy: bnb (branch-and-bound) or exhaustive (results are identical)")
-		engine   = fs.String("engine", "markov", "availability engine in the per-factor search: markov, exact or sim")
-		seed     = fs.Int64("seed", 1, "simulation seed (-engine sim)")
-		years    = fs.Float64("years", 1000, "simulated years per replication (-engine sim)")
-		reps     = fs.Int("reps", 32, "simulation replication budget (-engine sim)")
-		relErr   = fs.Float64("relerr", 0, "adaptive precision: stop replicating once the 95% CI half-width is under this fraction of the mean (0 = full -reps budget)")
-		batch    = fs.Int("simbatch", 0, "adaptive replication batch size (0 = engine default)")
-		timeout  = fs.Duration("timeout", 0, "abort the whole sweep after this long, e.g. 30s (0 = no limit)")
 		timings  = fs.Bool("timings", false, "time the solve phases and append a wall-clock breakdown as comment lines")
-
-		tracePath   = fs.String("trace", "", "write a JSONL search trace to this file")
-		metricsPath = fs.String("metrics", "", "write a metrics snapshot to this file on exit (.prom = Prometheus text, else JSON)")
-		debugAddr   = fs.String("debug-addr", "", "serve pprof, expvar and /metrics on this address, e.g. :6060")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -76,7 +66,7 @@ func run(args []string, out io.Writer) (retErr error) {
 	if err != nil {
 		return err
 	}
-	cfg := aved.SensitivityConfig{Registry: aved.PaperRegistry(), Workers: *workers}
+	cfg := aved.SensitivityConfig{Registry: aved.PaperRegistry()}
 	switch {
 	case *jobTime != "":
 		d, err := aved.ParseDuration(*jobTime)
@@ -108,59 +98,41 @@ func run(args []string, out io.Writer) (retErr error) {
 	// passed via SolverOptions: every factor's solver shares this one
 	// engine, and a pre-configured engine is safe to share (Evaluate
 	// only reads it).
-	eng, err := buildEngine(*engine, *seed, *years, *reps, *workers, *relErr, *batch)
+	cfg.SolverOptions.Engine, err = common.Engine(*workers)
 	if err != nil {
 		return err
 	}
-	cfg.SolverOptions.Engine = eng
+	cfg.SolverOptions.Workers = *workers
 	cfg.SolverOptions.Timings = *timings
 	cfg.SolverOptions.Search, err = aved.ParseSearchMode(*search)
 	if err != nil {
 		return err
 	}
-	setup, err := aved.NewObsSetup(*tracePath, *metricsPath, *debugAddr)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if cerr := setup.Close(); cerr != nil && retErr == nil {
-			retErr = cerr
+	return common.Run(func(ctx context.Context, setup *aved.ObsSetup) error {
+		cfg.SolverOptions = setup.Apply(cfg.SolverOptions)
+		points, err := aved.SensitivitySweep(ctx, inf, cfg, knob, facs)
+		if err != nil {
+			return err
 		}
-	}()
-	cfg.SolverOptions = setup.Apply(cfg.SolverOptions)
-
-	ctx := context.Background()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-	points, err := aved.SensitivitySweep(ctx, inf, cfg, knob, facs)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "# what-if: knob=%s target=%q\n", *knobName, *target)
-	fmt.Fprintln(out, "# factor\tcost\tdowntime_min\tjob_hours\tdesign")
-	var tot aved.SweepTotals
-	for _, p := range points {
-		if p.Infeasible {
-			tot.Infeasible++
-			fmt.Fprintf(out, "%g\t-\t-\t-\t(infeasible)\n", p.Factor)
-			continue
+		fmt.Fprintf(out, "# what-if: knob=%s target=%q\n", *knobName, *target)
+		fmt.Fprintln(out, "# factor\tcost\tdowntime_min\tjob_hours\tdesign")
+		var tot aved.SweepTotals
+		for _, p := range points {
+			if p.Infeasible {
+				tot.Infeasible++
+				fmt.Fprintf(out, "%g\t-\t-\t-\t(infeasible)\n", p.Factor)
+				continue
+			}
+			tot.Add(p.Stats)
+			fmt.Fprintf(out, "%g\t%s\t%.1f\t%.1f\t%s\n",
+				p.Factor, p.Cost, p.DowntimeMinutes, p.JobTimeHours, p.Label)
 		}
-		tot.Add(p.Stats)
-		fmt.Fprintf(out, "%g\t%s\t%.1f\t%.1f\t%s\n",
-			p.Factor, p.Cost, p.DowntimeMinutes, p.JobTimeHours, p.Label)
-	}
-	fmt.Fprintf(out, "# totals: %s\n", tot)
-	if *timings {
-		var buf bytes.Buffer
-		aved.WritePhaseTable(&buf, tot.PhaseNanos)
-		for _, line := range strings.Split(strings.TrimRight(buf.String(), "\n"), "\n") {
-			fmt.Fprintf(out, "# %s\n", line)
+		fmt.Fprintf(out, "# totals: %s\n", tot)
+		if *timings {
+			cli.PhaseComments(out, tot.PhaseNanos)
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // applicationTierSpec mirrors the built-in §5.1 scenario; the sweep
@@ -178,20 +150,6 @@ tier=application
   resource=rF sizing=dynamic failurescope=resource
     nActive=[1-1000,+1] performance(nActive)=perfF.dat
 `
-
-// buildEngine resolves the -engine flag; nil keeps the solver default.
-func buildEngine(name string, seed int64, years float64, reps, workers int, relErr float64, batch int) (aved.Engine, error) {
-	switch name {
-	case "", "markov":
-		return nil, nil
-	case "exact":
-		return aved.ExactEngine(), nil
-	case "sim":
-		return aved.SimEngineAdaptive(seed, years, reps, workers, relErr, batch)
-	default:
-		return nil, fmt.Errorf("unknown -engine %q (want markov, exact or sim)", name)
-	}
-}
 
 func parseFactors(s string) ([]float64, error) {
 	parts := strings.Split(s, ",")

@@ -39,6 +39,8 @@ tier=application
     nActive=[1-1000,+1] performance(nActive)=perfF.dat
 `,
 		Registry: aved.PaperRegistry(),
+		// SolverOptions.Workers bounds how many factors solve at once;
+		// zero uses all CPUs. The points are identical at any width.
 		Requirement: aved.Requirements{
 			Kind:              aved.ReqEnterprise,
 			Throughput:        800,

@@ -204,3 +204,33 @@ func TestMissionDowntimeFacade(t *testing.T) {
 		t.Errorf("20y mission %v should approach steady state %v", longRun, steady.DowntimeMinutes)
 	}
 }
+
+// TestNewEngineAndPaperScenario pins the two front-end name mappings:
+// every engine name NewEngine accepts (markov keeps the solver default,
+// a nil engine) and every paper scenario name, plus their one error
+// message each.
+func TestNewEngineAndPaperScenario(t *testing.T) {
+	for _, name := range append(aved.EngineNames(), "") {
+		eng, err := aved.NewEngine(aved.EngineSpec{Name: name, Seed: 1, Years: 10, Reps: 2})
+		if err != nil {
+			t.Fatalf("engine %q: %v", name, err)
+		}
+		if (eng == nil) != (name == "" || name == "markov") {
+			t.Errorf("engine %q built %T", name, eng)
+		}
+	}
+	if _, err := aved.NewEngine(aved.EngineSpec{Name: "all"}); err == nil ||
+		err.Error() != `unknown engine "all" (want markov, exact or sim)` {
+		t.Errorf("unknown engine error = %v", err)
+	}
+	for _, name := range []string{"apptier", "ecommerce", "scientific"} {
+		inf, svc, err := aved.PaperScenario(name)
+		if err != nil || inf == nil || svc == nil {
+			t.Errorf("paper scenario %q: %v", name, err)
+		}
+	}
+	if _, _, err := aved.PaperScenario("telco"); err == nil ||
+		err.Error() != `unknown paper scenario "telco" (want apptier, ecommerce or scientific)` {
+		t.Errorf("unknown scenario error = %v", err)
+	}
+}

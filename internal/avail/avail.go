@@ -12,7 +12,6 @@ import (
 
 	"aved/internal/markov"
 	"aved/internal/model"
-	"aved/internal/obs"
 	"aved/internal/units"
 )
 
@@ -263,12 +262,8 @@ func (e MarkovEngine) resolveMode(tm *TierModel, k modeKey) (modeVal, error) {
 		if err != nil {
 			return modeVal{}, err
 		}
-		if t := e.memo.obsTracer(); t != nil {
-			ev := obs.EvMemoSolve
-			if hit {
-				ev = obs.EvMemoHit
-			}
-			t.Emit(obs.Event{Ev: ev, Tier: tm.Name, N: k.n, M: k.m, S: k.spares})
+		if s := e.memo.sinks.Load(); s != nil {
+			s.observe(tm, k, hit)
 		}
 		return v, nil
 	}

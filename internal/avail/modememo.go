@@ -43,11 +43,11 @@ const memoShards = 32
 type modeMemo struct {
 	hits   atomic.Uint64
 	solves atomic.Uint64
-	// tracer holds a tracerBox when the engine is instrumented. It lives
-	// on the memo — the engine's only shared mutable state — because
+	// sinks is set when the engine is instrumented. It lives on the
+	// memo — the engine's only shared mutable state — because
 	// MarkovEngine is a value type: storing here makes instrumentation
 	// visible through every copy of the engine.
-	tracer atomic.Value
+	sinks  atomic.Pointer[memoSinks]
 	shards [memoShards]memoShard
 }
 

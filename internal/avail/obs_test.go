@@ -93,3 +93,30 @@ func TestMarkovResultsUnchangedByInstrumentation(t *testing.T) {
 		t.Errorf("instrumented result diverged: %v vs %v", got, base)
 	}
 }
+
+// TestMarkovInstrumentObsSharedRegistry: engines sharing one registry
+// add up — each counts into the registry's own counters — and
+// re-instrumenting an engine with the same registry counts its work
+// once.
+func TestMarkovInstrumentObsSharedRegistry(t *testing.T) {
+	reg := obs.NewRegistry()
+	a, b := NewMarkovEngine(), NewMarkovEngine()
+	a.InstrumentObs(reg, nil)
+	a.InstrumentObs(reg, nil)
+	b.InstrumentObs(reg, nil)
+	tm := obsTierModel()
+	for _, e := range []MarkovEngine{a, a, b, b, b} {
+		if _, err := e.Evaluate([]TierModel{tm}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ah, as := a.MemoStats()
+	bh, bs := b.MemoStats()
+	snap := reg.Snapshot()
+	if got, want := snap.Counters["avail.memo.hits"], int64(ah+bh); got != want || want != 3 {
+		t.Errorf("avail.memo.hits = %d, want %d (engines %d + %d)", got, want, ah, bh)
+	}
+	if got, want := snap.Counters["avail.memo.solves"], int64(as+bs); got != want || want != 2 {
+		t.Errorf("avail.memo.solves = %d, want %d (engines %d + %d)", got, want, as, bs)
+	}
+}

@@ -156,10 +156,7 @@ func (h *Histogram) snapshot() HistogramSnapshot {
 
 // Registry is a concurrent metrics registry. Get-or-create runs under a
 // mutex and returns a pointer; subsequent increments on the pointer are
-// plain atomics, so the hot path never touches the lock. RegisterFunc
-// attaches read-on-snapshot counters, which is how engines expose
-// counters they already maintain as internal atomics — no pointer
-// swapping, no rerouting, race-free by construction.
+// plain atomics, so the hot path never touches the lock.
 //
 // All methods are safe on a nil *Registry: get-or-create returns a
 // shared discard instance and snapshots are empty, so call sites can
@@ -169,7 +166,6 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-	funcs    map[string]func() int64
 }
 
 // NewRegistry builds an empty registry.
@@ -178,7 +174,6 @@ func NewRegistry() *Registry {
 		counters: map[string]*Counter{},
 		gauges:   map[string]*Gauge{},
 		hists:    map[string]*Histogram{},
-		funcs:    map[string]func() int64{},
 	}
 }
 
@@ -235,18 +230,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
-// RegisterFunc registers a counter read at snapshot time. Re-registering
-// a name replaces the function (idempotent instrumentation: engines
-// shared across solvers may register more than once).
-func (r *Registry) RegisterFunc(name string, fn func() int64) {
-	if r == nil || fn == nil {
-		return
-	}
-	r.mu.Lock()
-	r.funcs[name] = fn
-	r.mu.Unlock()
-}
-
 // Snapshot is a registry's state at one instant, JSON-serializable and
 // deterministic (encoding/json sorts map keys).
 type Snapshot struct {
@@ -255,7 +238,7 @@ type Snapshot struct {
 	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
 }
 
-// Snapshot reads every metric. Function counters fold into Counters.
+// Snapshot reads every metric.
 func (r *Registry) Snapshot() Snapshot {
 	s := Snapshot{Counters: map[string]int64{}}
 	if r == nil {
@@ -274,16 +257,9 @@ func (r *Registry) Snapshot() Snapshot {
 	for k, v := range r.hists {
 		hists[k] = v
 	}
-	funcs := make(map[string]func() int64, len(r.funcs))
-	for k, v := range r.funcs {
-		funcs[k] = v
-	}
 	r.mu.Unlock()
 	for k, v := range counters {
 		s.Counters[k] = v.Load()
-	}
-	for k, fn := range funcs {
-		s.Counters[k] = fn()
 	}
 	if len(gauges) > 0 {
 		s.Gauges = make(map[string]float64, len(gauges))

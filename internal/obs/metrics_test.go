@@ -81,28 +81,11 @@ func TestHistogramQuantile(t *testing.T) {
 	}
 }
 
-func TestRegisterFuncFoldsIntoCounters(t *testing.T) {
-	r := NewRegistry()
-	n := int64(41)
-	r.RegisterFunc("ext.hits", func() int64 { return n })
-	n++
-	s := r.Snapshot()
-	if got := s.Counters["ext.hits"]; got != 42 {
-		t.Errorf("func counter = %d, want 42", got)
-	}
-	// Re-registering replaces (idempotent engine instrumentation).
-	r.RegisterFunc("ext.hits", func() int64 { return 7 })
-	if got := r.Snapshot().Counters["ext.hits"]; got != 7 {
-		t.Errorf("after re-register = %d, want 7", got)
-	}
-}
-
 func TestNilRegistrySafe(t *testing.T) {
 	var r *Registry
 	r.Counter("a").Inc()
 	r.Gauge("b").Set(1)
 	r.Histogram("c").Observe(2)
-	r.RegisterFunc("d", func() int64 { return 1 })
 	s := r.Snapshot()
 	if len(s.Counters) != 0 || s.Gauges != nil || s.Histograms != nil {
 		t.Errorf("nil registry snapshot not empty: %+v", s)

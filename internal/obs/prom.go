@@ -13,10 +13,9 @@ import (
 const PromContentType = "text/plain; version=0.0.4; charset=utf-8"
 
 // WritePrometheus writes the registry snapshot in Prometheus text
-// exposition format (version 0.0.4): counters and function counters as
-// `counter`, gauges as `gauge`, and the log-scale histograms as
-// `histogram` with cumulative `le` buckets, a `+Inf` bucket equal to
-// `_count`, and the exact `_sum`. Metric names are sanitized to the
+// exposition format (version 0.0.4): counters as `counter`, gauges as
+// `gauge`, and the log-scale histograms as `histogram` with cumulative
+// `le` buckets, a `+Inf` bucket equal to `_count`, and the exact `_sum`. Metric names are sanitized to the
 // Prometheus charset ([a-zA-Z0-9_:], leading digit prefixed); the
 // original dotted name is preserved in the HELP line, escaped per the
 // format's rules. Families are emitted in sorted sanitized-name order,

@@ -13,7 +13,7 @@ import (
 func TestSweepWorkerCountBitIdentical(t *testing.T) {
 	inf, cfg := baseConfig(t)
 	factors := []float64{0.25, 0.5, 1, 2, 4, 8}
-	cfg.Workers = 1
+	cfg.SolverOptions.Workers = 1
 	seq, err := Sweep(context.Background(), inf, cfg, ScaleMTBF(""), factors)
 	if err != nil {
 		t.Fatal(err)
@@ -22,7 +22,7 @@ func TestSweepWorkerCountBitIdentical(t *testing.T) {
 		t.Fatalf("points = %d, want %d", len(seq), len(factors))
 	}
 	for _, workers := range []int{4, 0} {
-		cfg.Workers = workers
+		cfg.SolverOptions.Workers = workers
 		parl, err := Sweep(context.Background(), inf, cfg, ScaleMTBF(""), factors)
 		if err != nil {
 			t.Fatal(err)
@@ -38,7 +38,7 @@ func TestSweepWorkerCountBitIdentical(t *testing.T) {
 // parallel sweep with aggressive factors.
 func TestSweepParallelDoesNotMutateBase(t *testing.T) {
 	inf, cfg := baseConfig(t)
-	cfg.Workers = 8
+	cfg.SolverOptions.Workers = 8
 	before := inf.Components["machineA"].Failures[0].MTBF
 	if _, err := Sweep(context.Background(), inf, cfg, ScaleMTBF("machineA"), []float64{0.1, 0.5, 2, 10}); err != nil {
 		t.Fatal(err)

@@ -115,15 +115,13 @@ type Config struct {
 	// Registry resolves performance references.
 	Registry *perf.Registry
 	// SolverOptions configure the per-factor solvers (Registry is set
-	// from the field above).
+	// from the field above). Their Workers bounds how many factors are
+	// solved concurrently: 0 uses GOMAXPROCS, 1 runs sequentially. Each
+	// factor gets its own infrastructure clone and solver, so the
+	// reported points are identical at any worker count.
 	SolverOptions core.Options
 	// Requirement is the fixed requirement to solve at each factor.
 	Requirement model.Requirements
-	// Workers bounds how many factors are solved concurrently: 0 uses
-	// GOMAXPROCS, 1 runs sequentially. Each factor gets its own
-	// infrastructure clone and solver, so the reported points are
-	// identical at any worker count.
-	Workers int
 }
 
 // Sweep applies the knob at each factor to a fresh clone of the base
@@ -150,7 +148,7 @@ func Sweep(ctx context.Context, base *model.Infrastructure, cfg Config, knob Kno
 	po := sweep.NewPointObs(cfg.SolverOptions.Tracer, cfg.SolverOptions.Metrics, len(factors))
 	out := make([]Point, len(factors))
 	pt := par.NewTiming(cfg.SolverOptions.Metrics)
-	err := par.ForEachTimedCtx(ctx, cfg.Workers, len(factors), pt, func(i int) error {
+	err := par.ForEachTimedCtx(ctx, cfg.SolverOptions.Workers, len(factors), pt, func(i int) error {
 		f := factors[i]
 		start := po.Begin()
 		inf := base.Clone()

@@ -17,7 +17,7 @@ import (
 // detaches without killing the solve for the others; the last waiter
 // leaving aborts it. Flights settled by a context error are never
 // published — the same gave-up-versus-wrong distinction the solver's
-// own eval cache draws (see core's evalCache.forget).
+// own eval cache draws: it never stores an error.
 
 // reqFP is the packed 128-bit request fingerprint (see fingerprint.go).
 type reqFP struct{ hi, lo uint64 }

@@ -3,7 +3,6 @@ package server
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"aved"
 )
@@ -42,16 +41,8 @@ type SolveRequest struct {
 	// differ.
 	Search string `json:"search,omitempty"`
 
-	// Engine selects the availability engine: "", "markov", "exact" or
-	// "sim".
-	Engine string `json:"engine,omitempty"`
-	// Seed, Years, Reps, RelErr and SimBatch configure -engine sim; they
-	// mirror the CLI flags of the same names.
-	Seed     int64   `json:"seed,omitempty"`
-	Years    float64 `json:"years,omitempty"`
-	Reps     int     `json:"reps,omitempty"`
-	RelErr   float64 `json:"relErr,omitempty"`
-	SimBatch int     `json:"simBatch,omitempty"`
+	// EngineParams select the availability engine.
+	EngineParams
 
 	// TimeoutMS is the per-request deadline in milliseconds. Zero means
 	// the server default; the server's max-timeout caps it either way.
@@ -59,6 +50,37 @@ type SolveRequest struct {
 	// NoCache skips the response cache (the request still joins an
 	// identical in-flight solve).
 	NoCache bool `json:"noCache,omitempty"`
+}
+
+// EngineParams are the availability-engine knobs of a solve or sweep
+// request. They mirror the CLI flags of the same names, and zero Seed,
+// Years and Reps take those flags' defaults.
+type EngineParams struct {
+	// Engine selects the availability engine: "", "markov", "exact" or
+	// "sim".
+	Engine string `json:"engine,omitempty"`
+	// Seed, Years, Reps, RelErr and SimBatch configure engine "sim".
+	Seed     int64   `json:"seed,omitempty"`
+	Years    float64 `json:"years,omitempty"`
+	Reps     int     `json:"reps,omitempty"`
+	RelErr   float64 `json:"relErr,omitempty"`
+	SimBatch int     `json:"simBatch,omitempty"`
+}
+
+// spec resolves the params into an engine spec replicating on workers.
+func (p *EngineParams) spec(workers int) aved.EngineSpec {
+	spec := aved.EngineSpec{Name: p.Engine, Seed: p.Seed, Years: p.Years, Reps: p.Reps,
+		Workers: workers, RelErr: p.RelErr, SimBatch: p.SimBatch}
+	if spec.Seed == 0 {
+		spec.Seed = 1
+	}
+	if spec.Years == 0 {
+		spec.Years = 1000
+	}
+	if spec.Reps == 0 {
+		spec.Reps = 32
+	}
+	return spec
 }
 
 // TierReport describes one tier of the returned design.
@@ -152,25 +174,7 @@ func (r *SolveRequest) searchMode() (aved.SearchMode, error) {
 // models resolves the request's infrastructure and service.
 func (r *SolveRequest) models() (*aved.Infrastructure, *aved.Service, error) {
 	if r.Paper != "" {
-		inf, err := aved.PaperInfrastructure()
-		if err != nil {
-			return nil, nil, err
-		}
-		var svc *aved.Service
-		switch r.Paper {
-		case "apptier":
-			svc, err = aved.PaperApplicationTier(inf)
-		case "ecommerce":
-			svc, err = aved.PaperEcommerce(inf)
-		case "scientific":
-			svc, err = aved.PaperScientific(inf)
-		default:
-			return nil, nil, fmt.Errorf("unknown paper scenario %q (want apptier, ecommerce or scientific)", r.Paper)
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-		return inf, svc, nil
+		return aved.PaperScenario(r.Paper)
 	}
 	inf, err := aved.LoadInfrastructure(r.InfraSpec)
 	if err != nil {
@@ -197,45 +201,6 @@ func (r *SolveRequest) requirements() (aved.Requirements, error) {
 		return aved.Requirements{}, fmt.Errorf("maxDowntime: %w", err)
 	}
 	return aved.Requirements{Kind: aved.ReqEnterprise, Throughput: r.Load, MaxAnnualDowntime: d}, nil
-}
-
-// engine builds the configured availability engine; nil keeps the
-// solver's default analytic engine.
-func (r *SolveRequest) engine() (aved.Engine, error) {
-	switch r.Engine {
-	case "", "markov":
-		return nil, nil
-	case "exact":
-		return aved.ExactEngine(), nil
-	case "sim":
-		seed, years, reps := r.Seed, r.Years, r.Reps
-		if seed == 0 {
-			seed = 1
-		}
-		if years == 0 {
-			years = 1000
-		}
-		if reps == 0 {
-			reps = 32
-		}
-		return aved.SimEngineAdaptive(seed, years, reps, r.Workers, r.RelErr, r.SimBatch)
-	default:
-		return nil, fmt.Errorf("unknown engine %q (want markov, exact or sim)", r.Engine)
-	}
-}
-
-// timeout resolves the effective per-request deadline: the request's
-// own, else the server default, capped by the server maximum in either
-// case. Zero means no deadline.
-func (r *SolveRequest) timeout(def, max time.Duration) time.Duration {
-	d := time.Duration(r.TimeoutMS) * time.Millisecond
-	if d <= 0 {
-		d = def
-	}
-	if max > 0 && (d <= 0 || d > max) {
-		d = max
-	}
-	return d
 }
 
 // buildResponse flattens a solution into the wire shape.

@@ -237,7 +237,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	// The request context carries the effective deadline; the client
 	// dropping the connection cancels it too.
 	ctx := r.Context()
-	if d := req.timeout(s.cfg.DefaultTimeout, s.cfg.MaxTimeout); d > 0 {
+	if d := s.timeout(req.TimeoutMS); d > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, d)
 		defer cancel()
@@ -306,7 +306,7 @@ func (s *Server) startFlight(key reqFP, req *SolveRequest) (*flight, bool) {
 		fctx    context.Context
 		fcancel context.CancelFunc
 	)
-	if d := req.timeout(s.cfg.DefaultTimeout, s.cfg.MaxTimeout); d > 0 {
+	if d := s.timeout(req.TimeoutMS); d > 0 {
 		fctx, fcancel = context.WithTimeout(s.baseCtx, d)
 	} else {
 		fctx, fcancel = context.WithCancel(s.baseCtx)
@@ -354,17 +354,13 @@ func (s *Server) runSolve(ctx context.Context, req *SolveRequest, ent *inflightE
 	if err != nil {
 		return nil, badRequestError{err}
 	}
-	eng, err := req.engine()
+	eng, err := newEngine(req.spec(s.workers(req.Workers)))
 	if err != nil {
 		return nil, badRequestError{err}
 	}
 	search, err := req.searchMode()
 	if err != nil {
 		return nil, badRequestError{err}
-	}
-	workers := req.Workers
-	if workers == 0 {
-		workers = s.cfg.Workers
 	}
 	tracer, closeTrace, err := s.requestTracer()
 	if err != nil {
@@ -373,7 +369,6 @@ func (s *Server) runSolve(ctx context.Context, req *SolveRequest, ent *inflightE
 	defer closeTrace()
 	opts := aved.Options{
 		Registry:           aved.PaperRegistry(),
-		Workers:            workers,
 		Engine:             eng,
 		Search:             search,
 		ExploreSpareWarmth: req.WarmSpares,
@@ -392,6 +387,33 @@ func (s *Server) runSolve(ctx context.Context, req *SolveRequest, ent *inflightE
 		return nil, err
 	}
 	return buildResponse(sol, reqs), nil
+}
+
+// newEngine builds a request's availability engine; a variable so
+// tests can observe the spec a request resolves to.
+var newEngine = aved.NewEngine
+
+// workers resolves a request's worker count: its own, else the server
+// default.
+func (s *Server) workers(n int) int {
+	if n == 0 {
+		return s.cfg.Workers
+	}
+	return n
+}
+
+// timeout resolves a request's effective deadline: its own timeoutMs,
+// else the server default, capped by the server maximum in either
+// case. Zero means no deadline.
+func (s *Server) timeout(timeoutMS int64) time.Duration {
+	d := time.Duration(timeoutMS) * time.Millisecond
+	if d <= 0 {
+		d = s.cfg.DefaultTimeout
+	}
+	if max := s.cfg.MaxTimeout; max > 0 && (d <= 0 || d > max) {
+		d = max
+	}
+	return d
 }
 
 // requestTracer assembles the per-request trace sink: the shared

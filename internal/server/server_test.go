@@ -6,11 +6,13 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"aved"
 	"aved/internal/scenarios"
 )
 
@@ -339,6 +341,36 @@ func TestSweepFig7(t *testing.T) {
 	}
 	if resp.Fig != 7 || len(resp.Fig7) == 0 {
 		t.Errorf("empty fig 7 sweep: %+v", resp)
+	}
+}
+
+// TestEngineWorkersDefault pins the worker count a request's sim
+// engine replicates on: the request's own workers, else the server's
+// Config.Workers — resolved before the engine is built, for solves and
+// sweeps alike. It also pins the wire defaults of the other sim knobs.
+func TestEngineWorkersDefault(t *testing.T) {
+	var specs []aved.EngineSpec
+	defer func(orig func(aved.EngineSpec) (aved.Engine, error)) { newEngine = orig }(newEngine)
+	newEngine = func(spec aved.EngineSpec) (aved.Engine, error) {
+		specs = append(specs, spec)
+		return nil, nil // the default Markov engine keeps the solves fast
+	}
+	s := New(Config{Workers: 3})
+	defer s.Close()
+	h := s.Handler()
+	sim := `"engine":"sim","years":20,"reps":4`
+	decodeSolve(t, post(t, h, "/v1/solve", `{"paper":"apptier","load":1000,"maxDowntime":"100m",`+sim+`}`))
+	decodeSolve(t, post(t, h, "/v1/solve", `{"paper":"apptier","load":1000,"maxDowntime":"100m","workers":2,`+sim+`}`))
+	if rec := post(t, h, "/v1/sweep", `{"fig":7,"points":2,`+sim+`}`); rec.Code != http.StatusOK {
+		t.Fatalf("sweep status %d, body %s", rec.Code, rec.Body.String())
+	}
+	want := []aved.EngineSpec{
+		{Name: "sim", Seed: 1, Years: 20, Reps: 4, Workers: 3},
+		{Name: "sim", Seed: 1, Years: 20, Reps: 4, Workers: 2},
+		{Name: "sim", Seed: 1, Years: 20, Reps: 4, Workers: 3},
+	}
+	if !reflect.DeepEqual(specs, want) {
+		t.Errorf("engine specs\n got %+v\nwant %+v", specs, want)
 	}
 }
 

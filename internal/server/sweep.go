@@ -28,13 +28,8 @@ type SweepRequest struct {
 	// goroutine.
 	Workers int `json:"workers,omitempty"`
 
-	// Engine knobs, as in SolveRequest.
-	Engine   string  `json:"engine,omitempty"`
-	Seed     int64   `json:"seed,omitempty"`
-	Years    float64 `json:"years,omitempty"`
-	Reps     int     `json:"reps,omitempty"`
-	RelErr   float64 `json:"relErr,omitempty"`
-	SimBatch int     `json:"simBatch,omitempty"`
+	// EngineParams select the availability engine, as in SolveRequest.
+	EngineParams
 
 	// TimeoutMS is the per-request deadline in milliseconds.
 	TimeoutMS int64 `json:"timeoutMs,omitempty"`
@@ -67,8 +62,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 
 	ctx := r.Context()
-	sr := SolveRequest{TimeoutMS: req.TimeoutMS}
-	if d := sr.timeout(s.cfg.DefaultTimeout, s.cfg.MaxTimeout); d > 0 {
+	if d := s.timeout(req.TimeoutMS); d > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, d)
 		defer cancel()
@@ -103,17 +97,10 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 // counts sweep.point events into cellsDone/cellsTotal, so a poller
 // sees "cell 37 of 120" style progress on a long figure regeneration.
 func (s *Server) runSweep(ctx context.Context, req *SweepRequest, ent *inflightEntry) (*SweepResponse, error) {
-	eng, err := (&SolveRequest{
-		Engine: req.Engine, Seed: req.Seed, Years: req.Years,
-		Reps: req.Reps, RelErr: req.RelErr, SimBatch: req.SimBatch,
-		Workers: req.Workers,
-	}).engine()
+	workers := s.workers(req.Workers)
+	eng, err := newEngine(req.spec(workers))
 	if err != nil {
 		return nil, badRequestError{err}
-	}
-	workers := req.Workers
-	if workers == 0 {
-		workers = s.cfg.Workers
 	}
 	loads, budgets, points := req.Loads, req.Budgets, req.Points
 	if loads == 0 {
@@ -125,51 +112,16 @@ func (s *Server) runSweep(ctx context.Context, req *SweepRequest, ent *inflightE
 	if points == 0 {
 		points = 15
 	}
-	inf, err := aved.PaperInfrastructure()
-	if err != nil {
-		return nil, err
-	}
 	resp := &SweepResponse{Fig: req.Fig}
-	switch req.Fig {
-	case 6, 8:
-		svc, err := aved.PaperApplicationTier(inf)
-		if err != nil {
-			return nil, err
-		}
-		solver, err := aved.NewSolver(inf, svc, aved.Options{
-			Registry: aved.PaperRegistry(), Workers: workers, Engine: eng,
-			Metrics: s.metrics, Tracer: aved.TeeTracers(s.cfg.Tracer, ent.progressTracer()),
-		})
-		if err != nil {
-			return nil, err
-		}
-		if req.Fig == 6 {
-			loadGrid, err := aved.LinGrid(400, 5000, loads)
-			if err != nil {
-				return nil, badRequestError{err}
-			}
-			budgetGrid, err := aved.LogGrid(0.1, 10000, budgets)
-			if err != nil {
-				return nil, badRequestError{err}
-			}
-			resp.Fig6, err = aved.SweepFig6(ctx, solver, loadGrid, budgetGrid)
-			return resp, err
-		}
-		budgetGrid, err := aved.LogGrid(0.1, 100, budgets)
-		if err != nil {
-			return nil, badRequestError{err}
-		}
-		resp.Fig8, err = aved.SweepFig8(ctx, solver, []float64{400, 800, 1600, 3200}, budgetGrid)
-		return resp, err
-	default: // 7
-		svc, err := aved.PaperScientific(inf)
+	tracer := aved.TeeTracers(s.cfg.Tracer, ent.progressTracer())
+	if req.Fig == 7 {
+		inf, svc, err := aved.PaperScenario("scientific")
 		if err != nil {
 			return nil, err
 		}
 		solver, err := aved.NewSolver(inf, svc, aved.Options{
 			Registry: aved.PaperRegistry(), FixedMechanisms: aved.Bronze(),
-			Workers: workers, Engine: eng,
-			Metrics: s.metrics, Tracer: aved.TeeTracers(s.cfg.Tracer, ent.progressTracer()),
+			Workers: workers, Engine: eng, Metrics: s.metrics, Tracer: tracer,
 		})
 		if err != nil {
 			return nil, err
@@ -181,4 +133,32 @@ func (s *Server) runSweep(ctx context.Context, req *SweepRequest, ent *inflightE
 		resp.Fig7, err = aved.SweepFig7(ctx, solver, grid)
 		return resp, err
 	}
+	inf, svc, err := aved.PaperScenario("apptier")
+	if err != nil {
+		return nil, err
+	}
+	solver, err := aved.NewSolver(inf, svc, aved.Options{
+		Registry: aved.PaperRegistry(), Engine: eng, Metrics: s.metrics, Tracer: tracer,
+	})
+	if err != nil {
+		return nil, err
+	}
+	if req.Fig == 6 {
+		loadGrid, err := aved.LinGrid(400, 5000, loads)
+		if err != nil {
+			return nil, badRequestError{err}
+		}
+		budgetGrid, err := aved.LogGrid(0.1, 10000, budgets)
+		if err != nil {
+			return nil, badRequestError{err}
+		}
+		resp.Fig6, err = aved.SweepFig6(ctx, solver, loadGrid, budgetGrid)
+		return resp, err
+	}
+	budgetGrid, err := aved.LogGrid(0.1, 100, budgets)
+	if err != nil {
+		return nil, badRequestError{err}
+	}
+	resp.Fig8, err = aved.SweepFig8(ctx, solver, []float64{400, 800, 1600, 3200}, budgetGrid)
+	return resp, err
 }

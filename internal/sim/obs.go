@@ -2,29 +2,27 @@ package sim
 
 import "aved/internal/obs"
 
-// tracerBox wraps a Tracer for atomic.Value storage: atomic.Value
-// requires every Store to carry the same concrete type, and tracer
-// implementations differ.
-type tracerBox struct{ t obs.Tracer }
-
-// obsTracer reports the engine's instrumented tracer, nil when none.
-func (e *Engine) obsTracer() obs.Tracer {
-	if b, ok := e.tracer.Load().(tracerBox); ok {
-		return b.t
-	}
-	return nil
+// simSinks are an instrumented engine's observability outputs: the
+// registry counters its batches count into and the batch-event trace
+// sink. Either side may be nil.
+type simSinks struct {
+	reps, batches *obs.Counter
+	tr            obs.Tracer
 }
 
-// InstrumentObs exposes the engine's replication counters on reg and
-// routes batch events to tr. It implements the solver's structural
-// instrumentation interface. Idempotent and race-safe, so solvers
-// sharing one engine may all call it.
+// InstrumentObs counts the engine's replications and batches into
+// reg's sim.replications and sim.batches counters and routes batch
+// events to tr. It implements the solver's structural instrumentation
+// interface. Counting into the registry's own counters makes engines
+// sharing one registry add up; re-instrumenting with the same registry
+// reuses its counters, so solvers sharing one engine may all call it.
+// The latest call's sinks win.
 func (e *Engine) InstrumentObs(reg *obs.Registry, tr obs.Tracer) {
-	reg.RegisterFunc("sim.replications", func() int64 { return int64(e.nreps.Load()) })
-	reg.RegisterFunc("sim.batches", func() int64 { return int64(e.nbatches.Load()) })
-	if tr != nil {
-		e.tracer.Store(tracerBox{t: tr})
+	s := &simSinks{tr: tr}
+	if reg != nil {
+		s.reps, s.batches = reg.Counter("sim.replications"), reg.Counter("sim.batches")
 	}
+	e.sinks.Store(s)
 }
 
 // RepStats reports the engine's lifetime Monte-Carlo work: replications

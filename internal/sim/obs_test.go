@@ -68,3 +68,27 @@ func TestRepStatsAndRegistry(t *testing.T) {
 		t.Errorf("registry counters %v disagree with RepStats (%d, %d)", snap.Counters, reps, batches)
 	}
 }
+
+// TestRepStatsSharedRegistry: two engines on one registry add up their
+// replications and batches instead of the last one replacing the first.
+func TestRepStatsSharedRegistry(t *testing.T) {
+	tm := adaptiveModel()
+	reg := obs.NewRegistry()
+	var reps, batches uint64
+	for _, n := range []int{64, 128} {
+		eng, err := NewEngine(5, 25, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.InstrumentObs(reg, nil)
+		if _, err := eng.SimulateTier(&tm); err != nil {
+			t.Fatal(err)
+		}
+		r, b := eng.RepStats()
+		reps, batches = reps+r, batches+b
+	}
+	snap := reg.Snapshot()
+	if snap.Counters["sim.replications"] != int64(reps) || reps != 192 || snap.Counters["sim.batches"] != int64(batches) {
+		t.Errorf("registry counters %v, want the two engines' sums (%d, %d)", snap.Counters, reps, batches)
+	}
+}

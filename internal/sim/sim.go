@@ -50,12 +50,12 @@ type Engine struct {
 	// the running mean, capped by the reps budget.
 	relErr float64
 	batch  int // adaptive batch size; 0 means DefaultBatch
-	// Lifetime work counters (see RepStats) and the optional trace sink
-	// (see InstrumentObs). Maintained per batch, not per replication, so
+	// Lifetime work counters (see RepStats) and the optional observability
+	// sinks (see InstrumentObs). Maintained per batch, not per replication, so
 	// the accounting stays invisible in replication throughput.
 	nreps    atomic.Uint64
 	nbatches atomic.Uint64
-	tracer   atomic.Value // tracerBox
+	sinks    atomic.Pointer[simSinks]
 }
 
 var _ avail.Engine = (*Engine)(nil)
@@ -359,12 +359,19 @@ func (e *Engine) runBatch(ctx context.Context, tm *avail.TierModel, w *welford, 
 	}
 	e.nreps.Add(uint64(k))
 	e.nbatches.Add(1)
-	if t := e.obsTracer(); t != nil {
-		// Post-fold statistics depend only on the replication-order fold,
-		// so the emitted batch events are identical at any worker count.
-		st := w.stats()
-		t.Emit(obs.Event{Ev: obs.EvSimBatch, Tier: tm.Name,
-			Reps: st.Replications, Mean: st.MeanMinutes, HW95: st.HalfWidth95})
+	if s := e.sinks.Load(); s != nil {
+		if s.reps != nil {
+			s.reps.Add(int64(k))
+			s.batches.Inc()
+		}
+		if s.tr != nil {
+			// Post-fold statistics depend only on the replication-order
+			// fold, so the emitted batch events are identical at any
+			// worker count.
+			st := w.stats()
+			s.tr.Emit(obs.Event{Ev: obs.EvSimBatch, Tier: tm.Name,
+				Reps: st.Replications, Mean: st.MeanMinutes, HW95: st.HalfWidth95})
+		}
 	}
 	return nil
 }

@@ -8,6 +8,7 @@ import (
 
 	"aved/internal/avail"
 	"aved/internal/core"
+	"aved/internal/model"
 	"aved/internal/obs"
 	"aved/internal/scenarios"
 )
@@ -216,5 +217,54 @@ func TestTotalsString(t *testing.T) {
 		if strings.Contains(got, frag) {
 			t.Errorf("String() = %q, leaks scheduling-dependent %s counters", got, frag)
 		}
+	}
+}
+
+// TestFig7MemoCountersAddUp: every Fig. 7 level solves on a sibling
+// with an engine of its own, all instrumented on the sweep's one
+// registry, so the registry's memo counters are the sum of the levels'
+// own memo stats rather than the last level's.
+func TestFig7MemoCountersAddUp(t *testing.T) {
+	inf, err := scenarios.Infrastructure()
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := scenarios.Scientific(inf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	solver, err := core.NewSolver(inf, svc, core.Options{
+		Registry: scenarios.Registry(),
+		FixedMechanisms: map[string]map[string]model.ParamValue{
+			"maintenanceA": {"level": model.EnumValue("bronze")},
+			"maintenanceB": {"level": model.EnumValue("bronze")},
+		},
+		Metrics: reg,
+		Workers: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid := []float64{31.6, 139, 611}
+	points, err := Fig7(context.Background(), solver, grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(points) != len(grid) {
+		t.Fatalf("%d of %d levels feasible", len(points), len(grid))
+	}
+	var hits, solves uint64
+	for _, p := range points {
+		hits += p.Stats.ModeMemoHits
+		solves += p.Stats.ModeMemoSolves
+	}
+	snap := reg.Snapshot()
+	t.Logf("levels: %d memo hits, %d memo solves", hits, solves)
+	if got := snap.Counters["avail.memo.hits"]; got != int64(hits) || hits == 0 {
+		t.Errorf("avail.memo.hits = %d, want the levels' sum %d", got, hits)
+	}
+	if got := snap.Counters["avail.memo.solves"]; got != int64(solves) {
+		t.Errorf("avail.memo.solves = %d, want the levels' sum %d", got, solves)
 	}
 }
