@@ -32,12 +32,8 @@ type modeVal struct {
 	avail            float64
 }
 
-// memoShards is the shard count of the mode-chain memo. Key hashes
-// avalanche fully, so a small power of two suffices.
-const memoShards = 32
-
-// modeMemo is a sharded memo of solved birth–death chains shared by
-// every evaluation an engine instance runs. It sits below the engine
+// modeMemo is a memo of solved birth–death chains shared by every
+// evaluation an engine instance runs. It sits below the engine
 // boundary: callers see identical Results and identical evaluation
 // counts whether entries hit or miss.
 type modeMemo struct {
@@ -47,66 +43,35 @@ type modeMemo struct {
 	// memo — the engine's only shared mutable state — because
 	// MarkovEngine is a value type: storing here makes instrumentation
 	// visible through every copy of the engine.
-	sinks  atomic.Pointer[memoSinks]
-	shards [memoShards]memoShard
+	sinks atomic.Pointer[memoSinks]
+	mu    sync.RWMutex
+	m     map[modeKey]modeVal // made on first insert; reads on nil are safe
 }
 
-type memoShard struct {
-	mu sync.RWMutex
-	m  map[modeKey]modeVal
-}
-
-// newModeMemo builds an empty memo. Shard maps initialize lazily on
-// first insert — reads on a nil map are safe — so engine construction
-// allocates one object, not one per shard.
+// newModeMemo builds an empty memo.
 func newModeMemo() *modeMemo {
 	return &modeMemo{}
 }
 
-// memoMix64 is the SplitMix64 finalizer, used to shard keys.
-func memoMix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
-func (k modeKey) shard() uint64 {
-	h := uint64(k.n)*0x9e3779b97f4a7c15 ^ uint64(k.m)<<21 ^ uint64(k.spares)<<42
-	h = memoMix64(h ^ uint64(k.mtbf))
-	h = memoMix64(h ^ uint64(k.repair))
-	h = memoMix64(h ^ uint64(k.failover))
-	if k.usesFailover {
-		h ^= 0xa5a5a5a5a5a5a5a5
-	}
-	if k.sparePowered {
-		h ^= 0x5a5a5a5a5a5a5a5a
-	}
-	return memoMix64(h) % memoShards
-}
-
-// getOrSolve returns k's solved chain, solving it under the shard
-// write lock on first use. Holding the lock across the solve makes
-// each key solve exactly once per memo lifetime — concurrent misses of
-// one key cannot both solve — which keeps the hit/solve counters (and
-// the memo trace events) deterministic at any worker count: solves =
-// distinct keys, hits = requests − solves. Chain solves are
-// microsecond-scale closed forms, so the serialization is cheap and
-// confined to one shard. hit reports whether the value was replayed.
+// getOrSolve returns k's solved chain, solving it under the write lock
+// on first use. Holding the lock across the solve makes each key solve
+// exactly once per memo lifetime — concurrent misses of one key cannot
+// both solve — which keeps the hit/solve counters (and the memo trace
+// events) deterministic at any worker count: solves = distinct keys,
+// hits = requests − solves. Chain solves are microsecond-scale closed
+// forms and hits take only the read lock, so one lock for the whole
+// memo serializes little. hit reports whether the value was replayed.
 func (mm *modeMemo) getOrSolve(k modeKey) (v modeVal, hit bool, err error) {
-	sh := &mm.shards[k.shard()]
-	sh.mu.RLock()
-	v, ok := sh.m[k]
-	sh.mu.RUnlock()
+	mm.mu.RLock()
+	v, ok := mm.m[k]
+	mm.mu.RUnlock()
 	if ok {
 		mm.hits.Add(1)
 		return v, true, nil
 	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if v, ok := sh.m[k]; ok {
+	mm.mu.Lock()
+	defer mm.mu.Unlock()
+	if v, ok := mm.m[k]; ok {
 		mm.hits.Add(1)
 		return v, true, nil
 	}
@@ -114,10 +79,10 @@ func (mm *modeMemo) getOrSolve(k modeKey) (v modeVal, hit bool, err error) {
 	if err != nil {
 		return modeVal{}, false, err
 	}
-	if sh.m == nil {
-		sh.m = map[modeKey]modeVal{}
+	if mm.m == nil {
+		mm.m = map[modeKey]modeVal{}
 	}
-	sh.m[k] = v
+	mm.m[k] = v
 	mm.solves.Add(1)
 	return v, false, nil
 }

@@ -240,7 +240,7 @@ func TestPriceTierMatchesEvaluate(t *testing.T) {
 // the caller passes — and checks the
 // determinism invariant getOrSolve promises: each key solves exactly
 // once, so solves = distinct keys and hits = requests − solves. Under
-// the race detector it also checks the shard lock discipline.
+// the race detector it also checks the memo's lock discipline.
 func TestMemoConcurrentSolveOnce(t *testing.T) {
 	e := NewMarkovEngine()
 	rng := rand.New(rand.NewSource(99))

@@ -257,6 +257,10 @@ type Solver struct {
 	// context-aware engines (the simulator) are exactly the ones whose
 	// evaluations run long enough for that to matter.
 	pricer tierPricer
+	// priceModel is the tier model an evaluation miss hands pricer.
+	// Kept on the solver, which one goroutine owns, so the model does
+	// not escape to the heap on every miss through the interface call.
+	priceModel avail.TierModel
 
 	// timed reports that phase timing is on for this solver: set when
 	// Options.Timings, Tracer, or Metrics is configured. Every timing

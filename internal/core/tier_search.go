@@ -132,11 +132,12 @@ func (s *Solver) evalTierMiss(ctx context.Context, td *model.TierDesign, modeFP 
 	if s.pricer != nil {
 		// Lean single-tier pricing: bit-identical downtime without the
 		// full Result construction (see tierPricer).
-		down, err := s.pricer.PriceTier(&tm)
+		s.priceModel = tm
+		down, err := s.pricer.PriceTier(&s.priceModel)
 		if err != nil {
 			return evalEntry{}, err
 		}
-		sysMTBF, err := jobtime.SystemMTBF(tm.Modes, td.NActive)
+		sysMTBF, err := jobtime.SystemMTBF(modes, td.NActive)
 		if err != nil {
 			return evalEntry{}, err
 		}
@@ -146,7 +147,7 @@ func (s *Solver) evalTierMiss(ctx context.Context, td *model.TierDesign, modeFP 
 	if err != nil {
 		return evalEntry{}, err
 	}
-	sysMTBF, err := jobtime.SystemMTBF(tm.Modes, td.NActive)
+	sysMTBF, err := jobtime.SystemMTBF(modes, td.NActive)
 	if err != nil {
 		return evalEntry{}, err
 	}

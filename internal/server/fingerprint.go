@@ -80,11 +80,22 @@ func (r *SolveRequest) fingerprint() reqFP {
 	// rejects unknown modes before any fingerprinting.
 	mode, _ := r.searchMode()
 	fp = fp.mixUint(uint64(mode))
-	fp = fp.mixString(r.Engine)
-	fp = fp.mixUint(uint64(r.Seed))
-	fp = fp.mixFloat(r.Years)
-	fp = fp.mixUint(uint64(r.Reps))
-	fp = fp.mixFloat(r.RelErr)
-	fp = fp.mixUint(uint64(r.SimBatch))
-	return fp
+	// The engine enters resolved, so requests naming one engine two
+	// ways share a key: "" and "markov" are one engine, zero Seed,
+	// Years and Reps take the defaults spec applies, and the sim knobs
+	// count only for the sim engine, since the analytic engines ignore
+	// them.
+	eng := r.spec(0)
+	if eng.Name == "" {
+		eng.Name = "markov"
+	}
+	fp = fp.mixString(eng.Name)
+	if eng.Name != "sim" {
+		return fp
+	}
+	fp = fp.mixUint(uint64(eng.Seed))
+	fp = fp.mixFloat(eng.Years)
+	fp = fp.mixUint(uint64(eng.Reps))
+	fp = fp.mixFloat(eng.RelErr)
+	return fp.mixUint(uint64(eng.SimBatch))
 }

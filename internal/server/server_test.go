@@ -190,6 +190,25 @@ func TestResponseCache(t *testing.T) {
 	}
 }
 
+// TestResponseCacheResolvesEngine: the cache keys the engine a request
+// resolves to, not its spelling. The bare request runs the default
+// Markov engine; naming it, with the seed the analytic engine ignores,
+// is the same solve and must be served from the cache.
+func TestResponseCacheResolvesEngine(t *testing.T) {
+	s := New(Config{CacheSize: 8})
+	defer s.Close()
+	h := s.Handler()
+	first := decodeSolve(t, post(t, h, "/v1/solve", apptierBody))
+	second := decodeSolve(t, post(t, h, "/v1/solve",
+		`{"paper":"apptier","load":1000,"maxDowntime":"100m","engine":"markov","seed":1}`))
+	if !second.Cached {
+		t.Error("request naming the default engine not served from cache")
+	}
+	if second.Label != first.Label || second.CostPerYear != first.CostPerYear {
+		t.Errorf("cached solve differs: %+v vs %+v", second, first)
+	}
+}
+
 func TestCacheDisabled(t *testing.T) {
 	s := New(Config{CacheSize: 0})
 	defer s.Close()
@@ -443,6 +462,31 @@ func TestFingerprintStability(t *testing.T) {
 	d.Engine = "exact"
 	if a.fingerprint() == d.fingerprint() {
 		t.Error("different engines share a fingerprint")
+	}
+	m := a
+	m.Engine, m.Seed, m.Years = "markov", 7, 5
+	if a.fingerprint() != m.fingerprint() {
+		t.Error("\"\" and \"markov\" must share a fingerprint whatever the sim knobs")
+	}
+	if m.Engine = "exact"; d.fingerprint() != m.fingerprint() {
+		t.Error("sim knobs changed an exact-engine fingerprint")
+	}
+	sim1, sim2 := a, a
+	sim1.Engine, sim2.Engine = "sim", "sim"
+	sim2.Seed = 2
+	if sim1.fingerprint() == sim2.fingerprint() {
+		t.Error("sim seeds 1 and 2 share a fingerprint")
+	}
+	if sim2.Seed = 1; sim1.fingerprint() != sim2.fingerprint() {
+		t.Error("sim seed 0 and its default 1 fingerprint differently")
+	}
+	sim2.Years, sim2.Reps = 1000, 32
+	if sim1.fingerprint() != sim2.fingerprint() {
+		t.Error("sim years and reps defaults fingerprint differently from zero")
+	}
+	sim2.Reps = 8
+	if sim1.fingerprint() == sim2.fingerprint() {
+		t.Error("different sim replication counts share a fingerprint")
 	}
 	e := a
 	e.MaxDowntime, e.MaxJobTime = "", "100m" // same string, different field

@@ -5,10 +5,12 @@ import (
 	"testing"
 )
 
-// FuzzParse checks that the lexer and parser never panic, and that any
-// successfully parsed document renders and reparses to the same clause
-// structure. Run with `go test -fuzz FuzzParse ./internal/spec` for a
-// real campaign; the seed corpus runs as a regular test.
+// FuzzParse checks that the lexer and parser never panic, that Parse
+// fails with Lex's exact error whenever Lex fails (a lexical error
+// anywhere outranks a syntax error), and that any successfully parsed
+// document renders and reparses to the same clause structure. Run with
+// `go test -fuzz FuzzParse ./internal/spec` for a real campaign; the
+// seed corpus runs as a regular test.
 func FuzzParse(f *testing.F) {
 	seeds := []string{
 		"",
@@ -26,12 +28,20 @@ func FuzzParse(f *testing.F) {
 		"mechanism=m mperformance(a, b)=f.dat",
 		"tier=t\n\n\ntier=u",
 		"component=x cost=0 \\\\ trailing comment\nfailure=f mtbf=1d mttr=0 detect_time=0",
+		"cost=0 component=x cost=[1",
+		"component=x cost( =1 a=<",
 	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		doc, err := Parse(src)
+		if _, lexErr := Lex(src); lexErr != nil {
+			if err == nil || err.Error() != lexErr.Error() {
+				t.Fatalf("Parse error = %v, want Lex's %v\nsource: %q", err, lexErr, src)
+			}
+			return
+		}
 		if err != nil {
 			return // rejection is fine; panics are not
 		}

@@ -20,9 +20,11 @@ func newLexer(src string) *lexer {
 }
 
 // Lex tokenises the whole input, returning the token stream terminated
-// by an EOF token. Token text slices the source wherever possible —
-// words, references and already-normalized bracket groups share src's
-// backing — so lexing a document costs a handful of allocations.
+// by an EOF token. Parse does not use it — the parser pulls tokens from
+// next one at a time — but its error is, by construction, the one Parse
+// reports whenever the source fails to lex. Token text slices the
+// source wherever possible: words, references and already-normalized
+// bracket groups share src's backing.
 func Lex(src string) ([]Token, error) {
 	lx := newLexer(src)
 	toks := make([]Token, 0, len(src)/8)

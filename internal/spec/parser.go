@@ -1,5 +1,7 @@
 package spec
 
+import "strings"
+
 // clauseHeads are the keywords that begin a new clause. Any other
 // key=value pair attaches to the clause currently being parsed.
 var clauseHeads = map[string]bool{
@@ -13,23 +15,61 @@ var clauseHeads = map[string]bool{
 	"requirements": true,
 }
 
-// Parse lexes and parses a complete specification source text.
+// Parse lexes and parses a complete specification source text. The
+// parser pulls tokens from the lexer one at a time, with no token
+// slice, and carves every clause's attributes from one slab sized by
+// the source's '=' count, an upper bound on its attributes.
+//
+// A lexical error anywhere in the source outranks a syntax error
+// earlier in it, as if the whole source had been lexed first: Parse
+// fails with Lex's error whenever Lex fails.
 func Parse(src string) (*Document, error) {
-	toks, err := Lex(src)
+	p := &parser{
+		lx:    lexer{src: src, line: 1, col: 1},
+		attrs: make([]Attr, 0, strings.Count(src, "=")),
+	}
+	doc, err := p.parseDocument()
+	// A syntax error stops the parse early; lex the rest of the source.
+	for err != nil && p.lexErr == nil && p.next().Kind != TokenEOF {
+	}
+	if p.lexErr != nil {
+		return nil, p.lexErr
+	}
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks}
-	return p.parseDocument()
+	return doc, nil
 }
 
 type parser struct {
-	toks []Token
-	off  int
+	lx lexer
+	// tok is the one-token lookahead, valid when primed.
+	tok    Token
+	primed bool
+	// lexErr is the lexer's first error. The parser then sees end of
+	// input, and Parse reports lexErr over whatever the parse made of
+	// the truncated stream.
+	lexErr error
+	// attrs is the document's attribute slab; each clause's Attrs is a
+	// capacity-clipped window of it.
+	attrs []Attr
 }
 
-func (p *parser) peek() Token { return p.toks[p.off] }
-func (p *parser) next() Token { t := p.toks[p.off]; p.off++; return t }
+func (p *parser) peek() Token {
+	if !p.primed {
+		p.primed = true
+		if p.lexErr == nil {
+			var err error
+			if p.tok, err = p.lx.next(); err != nil {
+				p.lexErr = err
+				p.tok = Token{Kind: TokenEOF}
+			}
+		}
+	}
+	return p.tok
+}
+
+func (p *parser) next() Token { t := p.peek(); p.primed = false; return t }
 func (p *parser) atEOF() bool { return p.peek().Kind == TokenEOF }
 
 func (p *parser) expect(kind TokenKind) (Token, error) {
@@ -71,6 +111,7 @@ func (p *parser) parseClause() (Clause, error) {
 		return Clause{}, errorAt(headAttr.Value.Pos, "clause head %q needs a bare name, got %s", headAttr.Key, headAttr.Value)
 	}
 	clause := Clause{Key: headAttr.Key, Name: headAttr.Value.Text, Pos: headAttr.Pos}
+	start := len(p.attrs)
 	for !p.atEOF() {
 		t := p.peek()
 		if t.Kind == TokenWord && clauseHeads[t.Text] {
@@ -80,7 +121,10 @@ func (p *parser) parseClause() (Clause, error) {
 		if err != nil {
 			return Clause{}, err
 		}
-		clause.Attrs = append(clause.Attrs, attr)
+		p.attrs = append(p.attrs, attr)
+	}
+	if end := len(p.attrs); end > start {
+		clause.Attrs = p.attrs[start:end:end]
 	}
 	return clause, nil
 }

@@ -2,6 +2,7 @@ package spec
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -198,6 +199,29 @@ func TestParseErrors(t *testing.T) {
 				t.Errorf("Parse(%q) succeeded, want error", src)
 			}
 		})
+	}
+}
+
+// TestParseLexErrorWins pins the error precedence of the pull parser:
+// a lexical error anywhere in the document outranks an earlier syntax
+// error, exactly as when the whole source was lexed before parsing.
+func TestParseLexErrorWins(t *testing.T) {
+	src := "cost=0\ncomponent=m cost=[1 2"
+	_, lexErr := Lex(src)
+	if lexErr == nil {
+		t.Fatal("Lex accepted an unterminated '['")
+	}
+	_, err := Parse(src)
+	if err == nil || err.Error() != lexErr.Error() {
+		t.Fatalf("Parse error = %v, want the lex error %v", err, lexErr)
+	}
+	if want := "spec:2:18: unterminated bracket group"; err.Error() != want {
+		t.Errorf("Parse error = %q, want %q", err, want)
+	}
+	// With the bracket closed, the clause-head error stands.
+	_, err = Parse("cost=0\ncomponent=m cost=[1 2]")
+	if err == nil || !strings.Contains(err.Error(), "spec:1:1: want a clause keyword") {
+		t.Errorf("Parse error = %v, want the clause-head error at 1:1", err)
 	}
 }
 
