@@ -47,19 +47,12 @@ type designReport struct {
 	DowntimeMinutes float64  `json:"downtimeMinutes,omitempty"`
 	JobTimeHours    float64  `json:"jobTimeHours,omitempty"`
 	Tiers           []tierJS `json:"tiers"`
-	Candidates      int      `json:"candidatesGenerated"`
-	CostPruned      int      `json:"costPruned"`
-	BoundPruned     int      `json:"boundPruned"`
-	Evaluations     int      `json:"availabilityEvaluations"`
-	EvalCacheHits   int      `json:"evalCacheHits"`
-	WarmStartReuse  int      `json:"warmStartReuse,omitempty"`
-	MemoHits        uint64   `json:"modeMemoHits,omitempty"`
-	MemoSolves      uint64   `json:"modeMemoSolves,omitempty"`
-	SimReplications uint64   `json:"simReplications,omitempty"`
-	// PhaseNanos is the -timings wall-clock breakdown: "bind" (model
-	// load and solver construction, timed here) plus the solver's own
-	// phases. Entries overlap, so they do not sum to the elapsed time.
-	PhaseNanos map[string]int64 `json:"phaseNanos,omitempty"`
+	// Stats is the search effort, flattened into the report. Its
+	// PhaseNanos is the -timings wall-clock breakdown only: "bind"
+	// (model load and solver construction, timed here) plus the
+	// solver's own phases. Entries overlap, so they do not sum to the
+	// elapsed time.
+	aved.Stats
 }
 
 type tierJS struct {
@@ -213,18 +206,13 @@ func buildRequirements(svc *aved.Service, load float64, downtime, jobTime string
 
 func report(out io.Writer, sol *aved.Solution, req aved.Requirements, asJSON, verbose, timings bool, bindNs int64) error {
 	rep := designReport{
-		Label:           sol.Design.Label(),
-		CostPerYear:     float64(sol.Cost),
-		Candidates:      sol.Stats.CandidatesGenerated,
-		CostPruned:      sol.Stats.CostPruned,
-		BoundPruned:     sol.Stats.BoundPruned,
-		Evaluations:     sol.Stats.Evaluations,
-		EvalCacheHits:   sol.Stats.EvalCacheHits,
-		WarmStartReuse:  sol.Stats.WarmStartReuse,
-		MemoHits:        sol.Stats.ModeMemoHits,
-		MemoSolves:      sol.Stats.ModeMemoSolves,
-		SimReplications: sol.Stats.SimReplications,
+		Label:       sol.Design.Label(),
+		CostPerYear: float64(sol.Cost),
+		Stats:       sol.Stats,
 	}
+	// The solver also times itself under -trace and -metrics; the
+	// report carries phases under -timings only.
+	rep.PhaseNanos = nil
 	if timings {
 		pn := map[string]int64{"bind": bindNs}
 		for phase, ns := range sol.Stats.PhaseNanos {
@@ -276,12 +264,12 @@ func report(out io.Writer, sol *aved.Solution, req aved.Requirements, asJSON, ve
 		fmt.Fprintf(out, "expected job completion time: %.2f hours\n", rep.JobTimeHours)
 	}
 	fmt.Fprintf(out, "search: %d candidates, %d cost-pruned, %d bound-pruned, %d availability evaluations, %d cache hits\n",
-		rep.Candidates, rep.CostPruned, rep.BoundPruned, rep.Evaluations, rep.EvalCacheHits)
+		rep.CandidatesGenerated, rep.CostPruned, rep.BoundPruned, rep.Evaluations, rep.EvalCacheHits)
 	if rep.WarmStartReuse != 0 {
 		fmt.Fprintf(out, "warm start: %d evaluations reused from earlier solves\n", rep.WarmStartReuse)
 	}
-	if rep.MemoHits != 0 || rep.MemoSolves != 0 {
-		fmt.Fprintf(out, "engine: %d memo hits, %d chain solves\n", rep.MemoHits, rep.MemoSolves)
+	if rep.ModeMemoHits != 0 || rep.ModeMemoSolves != 0 {
+		fmt.Fprintf(out, "engine: %d memo hits, %d chain solves\n", rep.ModeMemoHits, rep.ModeMemoSolves)
 	}
 	if rep.SimReplications != 0 {
 		fmt.Fprintf(out, "engine: %d sim replications\n", rep.SimReplications)

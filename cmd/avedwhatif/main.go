@@ -119,7 +119,7 @@ func run(args []string, out io.Writer) error {
 		var tot aved.SweepTotals
 		for _, p := range points {
 			if p.Infeasible {
-				tot.Infeasible++
+				tot.AddInfeasible(p.Stats)
 				fmt.Fprintf(out, "%g\t-\t-\t-\t(infeasible)\n", p.Factor)
 				continue
 			}

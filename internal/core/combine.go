@@ -415,7 +415,7 @@ func (s *Solver) finishEnterprise(ctx context.Context, chosen []*TierCandidate, 
 	if err != nil {
 		return nil, wrapCanceled(err, stats)
 	}
-	stats.evals++
+	stats.Evaluations++
 	var evalNs int64
 	if s.timed {
 		evalNs = sp.Stop()

@@ -29,19 +29,12 @@ type cachedEval struct {
 // like evalCache.
 type modeCache map[fp128][]avail.Mode
 
-// searchStats accumulates one solve's effort while it is in flight;
-// snapshot converts it for the Solution. A solve runs on one goroutine,
-// so the counters are plain integers; evals counts actual engine
-// invocations.
+// searchStats accumulates one solve's effort while it is in flight:
+// the Stats counters themselves (a solve runs on one goroutine, so they
+// are plain integers; Evaluations counts actual engine invocations)
+// plus the per-phase clock, which snapshot turns into PhaseNanos.
 type searchStats struct {
-	candidates    int
-	pruned        int
-	evals         int
-	cacheHits     int
-	boundPruned   int
-	warmReuse     int
-	frontierReuse int
-	walkReuse     int
+	Stats
 	// gen is this solve's generation (Solver.gen at solve start).
 	gen uint64
 	// phaseNs accumulates wall-clock nanoseconds per solver phase (see
@@ -55,29 +48,19 @@ type searchStats struct {
 	pools [][]costDown
 }
 
+// snapshot returns the counters with PhaseNanos filled in. The map
+// materializes only when some phase recorded time — an untimed solve
+// keeps PhaseNanos nil, so disabled-path Stats stay allocation-free and
+// bitwise comparable.
 func (st *searchStats) snapshot() Stats {
-	s := Stats{
-		CandidatesGenerated: st.candidates,
-		CostPruned:          st.pruned,
-		Evaluations:         st.evals,
-		EvalCacheHits:       st.cacheHits,
-		BoundPruned:         st.boundPruned,
-		WarmStartReuse:      st.warmReuse,
-		FrontierReuse:       st.frontierReuse,
-		WalkReuse:           st.walkReuse,
-	}
-	// The map materializes only when some phase recorded time — an
-	// untimed solve keeps PhaseNanos nil, so disabled-path Stats stay
-	// allocation-free and bitwise comparable.
-	var pn map[string]int64
+	s := st.Stats
 	for i, ns := range st.phaseNs {
 		if ns != 0 {
-			if pn == nil {
-				pn = make(map[string]int64, numPhases)
+			if s.PhaseNanos == nil {
+				s.PhaseNanos = make(map[string]int64, numPhases)
 			}
-			pn[phaseNames[i]] = ns
+			s.PhaseNanos[phaseNames[i]] = ns
 		}
 	}
-	s.PhaseNanos = pn
 	return s
 }

@@ -103,7 +103,7 @@ type effortDelta struct {
 // effort reads the counters a replay re-charges, as of now; the effort
 // of a stretch of search is the difference of two readings.
 func (st *searchStats) effort() effortDelta {
-	return effortDelta{st.candidates, st.pruned, st.boundPruned, st.evals + st.cacheHits}
+	return effortDelta{st.CandidatesGenerated, st.CostPruned, st.BoundPruned, st.Evaluations + st.EvalCacheHits}
 }
 
 func (d effortDelta) sub(o effortDelta) effortDelta {
@@ -114,10 +114,10 @@ func (d effortDelta) sub(o effortDelta) effortDelta {
 // charge adds a replayed build's or walk's effort to stats, every
 // evaluation request as an EvalCacheHit: the engine never ran for it.
 func (d effortDelta) charge(stats *searchStats) {
-	stats.candidates += d.candidates
-	stats.pruned += d.costPruned
-	stats.boundPruned += d.boundPruned
-	stats.cacheHits += d.requests
+	stats.CandidatesGenerated += d.candidates
+	stats.CostPruned += d.costPruned
+	stats.BoundPruned += d.boundPruned
+	stats.EvalCacheHits += d.requests
 }
 
 // walkEntry is one recorded tier walk: its answer and budget interval,
@@ -158,7 +158,7 @@ func (s *Solver) chainSearchTier(ctx context.Context, c *chain, ti int, load tie
 	key := c.keys[ti]
 	if e := c.walk(key, budget); e != nil {
 		e.delta.charge(stats)
-		stats.walkReuse++
+		stats.WalkReuse++
 		if stats.pools != nil {
 			stats.pools[ti] = append(stats.pools[ti], e.pairs...)
 		}
@@ -251,7 +251,7 @@ func (s *Solver) chainTierFrontier(ctx context.Context, c *chain, ti int, load t
 	key := c.keys[ti]
 	if e := c.frontiers[key]; e != nil && maxCost <= e.bound {
 		e.delta.charge(stats)
-		stats.frontierReuse++
+		stats.FrontierReuse++
 		if tr := s.opts.Tracer; tr != nil {
 			tr.Emit(obs.Event{Ev: obs.EvFrontierReuse, Tier: tier.Name,
 				FP: fpHex(key), Evals: int64(e.delta.requests)})
@@ -269,12 +269,7 @@ func (s *Solver) chainTierFrontier(ctx context.Context, c *chain, ti int, load t
 	if err != nil {
 		return nil, err
 	}
-	stats.candidates += bs.candidates
-	stats.pruned += bs.pruned
-	stats.boundPruned += bs.boundPruned
-	stats.evals += bs.evals
-	stats.cacheHits += bs.cacheHits
-	stats.warmReuse += bs.warmReuse
+	stats.Add(bs.Stats)
 	// Engine time the build spent (the only phase a frontier build
 	// accrues — the bracketed phases run on the outer stats) carries
 	// over so PhaseNanos["eval"] keeps matching the eval.miss trace.

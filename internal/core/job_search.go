@@ -214,7 +214,7 @@ func (s *Solver) searchJobOption(ctx context.Context, tier *model.Tier, opt *mod
 						}
 					}
 					c := cs.price(n, spares, warm, ci)
-					stats.candidates++
+					stats.CandidatesGenerated++
 					if tr != nil {
 						tr.Emit(obs.Event{Ev: obs.EvCandGen, Tier: tier.Name, Res: resName,
 							N: n, S: spares, Warm: warm, Cost: float64(c)})
@@ -227,7 +227,7 @@ func (s *Solver) searchJobOption(ctx context.Context, tier *model.Tier, opt *mod
 					// break toward the shorter completion time (the
 					// design Fig. 7 plots).
 					if best != nil && c > best.Cost {
-						stats.pruned++
+						stats.CostPruned++
 						if tr != nil {
 							tr.Emit(obs.Event{Ev: obs.EvCandPrune, Tier: tier.Name, Res: resName,
 								N: n, S: spares, Cost: float64(c)})

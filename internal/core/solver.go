@@ -97,11 +97,13 @@ type Options struct {
 	// Workers bounds the worker pool of the coarse-grained work driven
 	// with these options: Fig. 7 requirement levels (the sweep reads it
 	// via Solver.Workers and gives each level its own solver, see
-	// Solver.Sibling), sensitivity factors and Monte-Carlo
-	// replications. A single solve, and a Fig. 6 or Fig. 8 grid, always
-	// runs on one goroutine. Zero means runtime.GOMAXPROCS(0); 1 forces
-	// sequential execution. The setting never changes results —
-	// parallel paths are bit-identical to the sequential order.
+	// Solver.Sibling) and sensitivity factors. A single solve, and a
+	// Fig. 6 or Fig. 8 grid, always runs on one goroutine. Monte-Carlo
+	// replications take their pool from the sim engine itself
+	// (aved.EngineSpec.Workers), not from here. Zero means
+	// runtime.GOMAXPROCS(0); 1 forces sequential execution. The setting
+	// never changes results — parallel paths are bit-identical to the
+	// sequential order.
 	Workers int
 	// Timings enables per-phase wall-clock attribution on its own:
 	// Solution.Stats.PhaseNanos reports where each solve's time went
@@ -145,23 +147,25 @@ func (o Options) withDefaults() Options {
 }
 
 // Stats counts search effort, mirroring the paper's argument that the
-// space is too large to explore manually.
+// space is too large to explore manually. It is the one effort record:
+// sweeps sum it (Add), and the CLI's JSON report and the server's wire
+// replies encode it under its JSON names, in field order.
 type Stats struct {
 	// CandidatesGenerated counts complete candidate designs visited.
-	CandidatesGenerated int
+	CandidatesGenerated int `json:"candidatesGenerated"`
 	// CostPruned counts candidates rejected on cost alone, without an
 	// availability evaluation (§4.1's fast path).
-	CostPruned int
-	// Evaluations counts availability-engine invocations.
-	Evaluations int
-	// EvalCacheHits counts evaluations served from the fingerprint
-	// cache instead of the engine.
-	EvalCacheHits int
+	CostPruned int `json:"costPruned"`
 	// BoundPruned counts candidates rejected by an admissible
 	// branch-and-bound bound without an availability evaluation: the
 	// sorted within-total tail cut and skipped frontier size subtrees.
 	// Zero under SearchExhaustive.
-	BoundPruned int
+	BoundPruned int `json:"boundPruned"`
+	// Evaluations counts availability-engine invocations.
+	Evaluations int `json:"availabilityEvaluations"`
+	// EvalCacheHits counts evaluations served from the fingerprint
+	// cache instead of the engine.
+	EvalCacheHits int `json:"evalCacheHits"`
 	// WarmStartReuse counts eval-cache hits on entries computed by an
 	// earlier solve on this solver — in practice a Fig. 6 or Fig. 8
 	// grid cell replaying evaluations an earlier cell of the grid, in its
@@ -170,14 +174,14 @@ type Stats struct {
 	// solver's first solve, and so always zero on the server, which
 	// builds a fresh solver per request, and on Fig. 7 levels, which
 	// each solve on a fresh sibling.
-	WarmStartReuse int
+	WarmStartReuse int `json:"warmStartReuse,omitempty"`
 	// FrontierReuse counts tier frontiers this solve served from its
 	// chain's memo instead of building (a SolveChain cell). The
 	// replayed build's evaluation requests land in EvalCacheHits, its
 	// candidates and pruning in the usual counters, so every per-cell
 	// counter of a chain is exact at any worker count. Zero on plain
 	// SolveContext solves.
-	FrontierReuse int
+	FrontierReuse int `json:"frontierReuse,omitempty"`
 	// WalkReuse counts per-tier searches (§4.1's tier walks, in phase 1
 	// and the combination bound's waterfilling) this solve replayed from
 	// its chain's memo instead of walking (a SolveChain cell). Like a
@@ -185,18 +189,18 @@ type Stats struct {
 	// EvalCacheHits and its candidates and pruning in the usual
 	// counters, so per-cell counters stay exact at any worker count.
 	// Zero on plain SolveContext solves.
-	WalkReuse int
+	WalkReuse int `json:"walkReuse,omitempty"`
 	// ModeMemoHits and ModeMemoSolves count Markov mode-chain memo
 	// activity attributable to this solve (zero for engines without a
 	// memo). They are engine-counter deltas: exact unless another
 	// goroutine uses the same engine during the solve, as sensitivity
 	// factors and Fig. 7 levels sharing an engine the caller passed do.
-	ModeMemoHits   uint64
-	ModeMemoSolves uint64
+	ModeMemoHits   uint64 `json:"modeMemoHits,omitempty"`
+	ModeMemoSolves uint64 `json:"modeMemoSolves,omitempty"`
 	// SimReplications and SimBatches count Monte-Carlo work for this
 	// solve (zero for analytic engines), with the same delta semantics.
-	SimReplications uint64
-	SimBatches      uint64
+	SimReplications uint64 `json:"simReplications,omitempty"`
+	SimBatches      uint64 `json:"simBatches,omitempty"`
 	// PhaseNanos attributes the solve's wall clock to the solver phases
 	// (see PhaseNames), in integer nanoseconds. Bracketed phases
 	// ("tier-search", "bound", "frontier", "combine", "job-search") are
@@ -208,7 +212,30 @@ type Stats struct {
 	// are absent. Each entry equals the sum of the matching trace
 	// durations exactly: phase.end DurNs for bracketed phases, eval.miss
 	// DurNs for "eval".
-	PhaseNanos map[string]int64
+	PhaseNanos map[string]int64 `json:"phaseNanos,omitempty"`
+}
+
+// Add folds o's effort into s: every counter summed, and PhaseNanos
+// merged phase by phase into a map of s's own (never o's).
+func (s *Stats) Add(o Stats) {
+	s.CandidatesGenerated += o.CandidatesGenerated
+	s.CostPruned += o.CostPruned
+	s.BoundPruned += o.BoundPruned
+	s.Evaluations += o.Evaluations
+	s.EvalCacheHits += o.EvalCacheHits
+	s.WarmStartReuse += o.WarmStartReuse
+	s.FrontierReuse += o.FrontierReuse
+	s.WalkReuse += o.WalkReuse
+	s.ModeMemoHits += o.ModeMemoHits
+	s.ModeMemoSolves += o.ModeMemoSolves
+	s.SimReplications += o.SimReplications
+	s.SimBatches += o.SimBatches
+	for phase, ns := range o.PhaseNanos {
+		if s.PhaseNanos == nil {
+			s.PhaseNanos = make(map[string]int64, len(o.PhaseNanos))
+		}
+		s.PhaseNanos[phase] += ns
+	}
 }
 
 // Solution is the search outcome for one requirement point.

@@ -45,13 +45,13 @@ func (s *Solver) evalTier(ctx context.Context, td *model.TierDesign, fps candFP,
 	var evalNs int64
 	warm := false
 	if hit {
-		stats.cacheHits++
+		stats.EvalCacheHits++
 		// A hit on an entry another solve generation stored is
 		// warm-start reuse: the evaluation this solve got for free from
 		// an earlier solve on the same solver.
 		if ce.gen != stats.gen {
 			warm = true
-			stats.warmReuse++
+			stats.WarmStartReuse++
 		}
 	} else {
 		var sp obs.Span
@@ -62,7 +62,7 @@ func (s *Solver) evalTier(ctx context.Context, td *model.TierDesign, fps candFP,
 		if err != nil {
 			return evalEntry{}, err
 		}
-		stats.evals++
+		stats.Evaluations++
 		if s.timed {
 			// Engine wall clock accrues to the cross-cutting "eval"
 			// phase; the matching eval.miss event carries the same
@@ -427,7 +427,7 @@ func (s *Solver) searchOption(ctx context.Context, tier *model.Tier, opt *model.
 				default:
 				}
 			}
-			stats.candidates++
+			stats.CandidatesGenerated++
 			if tr != nil {
 				tr.Emit(obs.Event{Ev: obs.EvCandGen, Tier: tier.Name, Res: res,
 					N: td.NActive, S: td.NSpare, Warm: td.SpareWarm, Cost: float64(c)})
@@ -458,7 +458,7 @@ func (s *Solver) searchOption(ctx context.Context, tier *model.Tier, opt *model.
 					// Admissible bound: costs are sorted, so every
 					// remaining candidate is dearer than the incumbent and
 					// cannot replace it.
-					stats.boundPruned += len(order) - k
+					stats.BoundPruned += len(order) - k
 					if tr != nil {
 						for _, i := range order[k:] {
 							tr.Emit(obs.Event{Ev: obs.EvBoundPrune, Tier: tier.Name, Res: res,
@@ -471,7 +471,7 @@ func (s *Solver) searchOption(ctx context.Context, tier *model.Tier, opt *model.
 				// first and reject dearer candidates without an
 				// availability evaluation. Equal-cost candidates still
 				// evaluate so ties break toward lower downtime.
-				stats.pruned++
+				stats.CostPruned++
 				if tr != nil {
 					tr.Emit(obs.Event{Ev: obs.EvCandPrune, Tier: tier.Name, Res: res,
 						N: buf[i].Design.NActive, S: buf[i].Design.NSpare, Cost: float64(c)})
@@ -640,7 +640,7 @@ func (s *Solver) optionFrontier(ctx context.Context, tier *model.Tier, opt *mode
 			// Whole-option subtree prune: even the closed-form floor over
 			// every size is over the bound. Counted as one pruned subtree —
 			// its candidates were never generated.
-			stats.boundPruned++
+			stats.BoundPruned++
 			if tr != nil {
 				tr.Emit(obs.Event{Ev: obs.EvBoundPrune, Tier: tier.Name, Res: res,
 					N: o.nMinPerf, Cost: lb})
@@ -678,7 +678,7 @@ func (s *Solver) optionFrontier(ctx context.Context, tier *model.Tier, opt *mode
 	// admit counts a generated batch into the stats and the trace; prune
 	// marks an admitted batch (or part of one) bound-pruned.
 	admit := func(b *sizeBatch) {
-		stats.candidates += len(b.cands)
+		stats.CandidatesGenerated += len(b.cands)
 		if tr != nil {
 			for i := range b.cands {
 				td := &b.cands[i].Design
@@ -688,7 +688,7 @@ func (s *Solver) optionFrontier(ctx context.Context, tier *model.Tier, opt *mode
 		}
 	}
 	prune := func(cands []TierCandidate) {
-		stats.boundPruned += len(cands)
+		stats.BoundPruned += len(cands)
 		if tr != nil {
 			for i := range cands {
 				tr.Emit(obs.Event{Ev: obs.EvBoundPrune, Tier: tier.Name, Res: res,

@@ -154,7 +154,7 @@ func checkWalkProbe(t *testing.T, p walkProblem, s *Solver, c *chain, freshOpts 
 	where := func() string {
 		return p.name + " tier " + p.svc.Tiers[ti].Name
 	}
-	if mustReplay && memo.walkReuse != 1 {
+	if mustReplay && memo.WalkReuse != 1 {
 		t.Fatalf("%s at budget %v: walked instead of replaying", where(), b)
 	}
 	fresh, err := NewSolver(p.inf, p.svc, freshOpts)

@@ -56,7 +56,7 @@ func TestSweepObs(t *testing.T) {
 		}
 		tot.Add(p.Stats)
 	}
-	if tot.Points != len(factors) || tot.Candidates == 0 {
+	if tot.Points != len(factors) || tot.CandidatesGenerated == 0 {
 		t.Errorf("totals = %+v", tot)
 	}
 	snap := reg.Snapshot()

@@ -103,7 +103,8 @@ type Point struct {
 	Family          sweep.Family
 	Label           string
 	Infeasible      bool
-	// Stats records the factor's search effort (zero when infeasible).
+	// Stats records the factor's search effort; an infeasible factor's
+	// is its InfeasibleError's.
 	Stats core.Stats
 }
 
@@ -173,7 +174,7 @@ func Sweep(ctx context.Context, base *model.Infrastructure, cfg Config, knob Kno
 			var infErr *core.InfeasibleError
 			if errors.As(err, &infErr) {
 				po.Done(i, start, obs.Event{Factor: f, Err: "infeasible"})
-				out[i] = Point{Factor: f, Infeasible: true}
+				out[i] = Point{Factor: f, Infeasible: true, Stats: infErr.Stats}
 				return nil
 			}
 			return fmt.Errorf("sensitivity: factor %v: %w", f, err)

@@ -121,7 +121,8 @@ func TestSweepReportsInfeasible(t *testing.T) {
 	cfg.Requirement.MaxAnnualDowntime = 30 * units.Minute
 	// Hardware 50x less reliable at a tight budget: the requirement
 	// may become unachievable; the sweep must report it, not die.
-	points, err := Sweep(context.Background(), inf, cfg, ScaleMTBF(""), []float64{1, 0.002})
+	// Hardware 10000x less reliable cannot meet it at all.
+	points, err := Sweep(context.Background(), inf, cfg, ScaleMTBF(""), []float64{1, 0.002, 1e-4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,6 +131,13 @@ func TestSweepReportsInfeasible(t *testing.T) {
 	}
 	if !points[1].Infeasible {
 		t.Logf("note: even 500x worse hardware remained feasible (downtime %v)", points[1].DowntimeMinutes)
+	}
+	if !points[2].Infeasible {
+		t.Fatalf("10000x worse hardware met a 30m budget (downtime %v)", points[2].DowntimeMinutes)
+	}
+	// An infeasible factor keeps the effort its search spent.
+	if st := points[2].Stats; st.CandidatesGenerated == 0 || st.Evaluations == 0 {
+		t.Errorf("infeasible factor reports no search effort: %+v", st)
 	}
 }
 

@@ -93,24 +93,6 @@ type TierReport struct {
 	Mechanisms map[string]string `json:"mechanisms,omitempty"`
 }
 
-// SearchStats mirrors aved.Solution.Stats for the wire.
-type SearchStats struct {
-	Candidates      int    `json:"candidatesGenerated"`
-	CostPruned      int    `json:"costPruned"`
-	BoundPruned     int    `json:"boundPruned"`
-	Evaluations     int    `json:"availabilityEvaluations"`
-	EvalCacheHits   int    `json:"evalCacheHits"`
-	WarmStartReuse  int    `json:"warmStartReuse,omitempty"`
-	ModeMemoHits    uint64 `json:"modeMemoHits,omitempty"`
-	ModeMemoSolves  uint64 `json:"modeMemoSolves,omitempty"`
-	SimReplications uint64 `json:"simReplications,omitempty"`
-	// PhaseNanos breaks the solve's wall time down by phase (the server
-	// always runs timed — its shared metrics registry enables timing).
-	// Entries overlap ("eval" time accrues inside the bracketed phases),
-	// so they do not sum to the request's elapsed time.
-	PhaseNanos map[string]int64 `json:"phaseNanos,omitempty"`
-}
-
 // SolveResponse is the body of a successful POST /v1/solve.
 type SolveResponse struct {
 	Label           string       `json:"label"`
@@ -119,7 +101,11 @@ type SolveResponse struct {
 	DowntimeMinutes float64      `json:"downtimeMinutes,omitempty"`
 	JobTimeHours    float64      `json:"jobTimeHours,omitempty"`
 	Tiers           []TierReport `json:"tiers"`
-	Stats           SearchStats  `json:"stats"`
+	// Stats is the search effort. The server always runs timed (its
+	// shared metrics registry enables timing), so it carries
+	// phaseNanos; those entries overlap ("eval" time accrues inside the
+	// bracketed phases) and do not sum to the request's elapsed time.
+	Stats aved.Stats `json:"stats"`
 
 	// Cached marks a response served from the cross-request cache;
 	// Shared marks one computed by an identical concurrent request the
@@ -137,7 +123,7 @@ type ErrorResponse struct {
 	// "overloaded" or "internal".
 	Kind string `json:"kind"`
 	// Stats carries the partial search effort for canceled solves.
-	Stats *SearchStats `json:"stats,omitempty"`
+	Stats *aved.Stats `json:"stats,omitempty"`
 }
 
 // validate checks the request shape without doing any parsing work.
@@ -209,7 +195,7 @@ func buildResponse(sol *aved.Solution, req aved.Requirements) *SolveResponse {
 		Label:       sol.Design.Label(),
 		CostPerYear: float64(sol.Cost),
 		Cost:        sol.Cost.String(),
-		Stats:       statsReport(sol.Stats),
+		Stats:       sol.Stats,
 	}
 	if req.Kind == aved.ReqEnterprise {
 		resp.DowntimeMinutes = sol.DowntimeMinutes
@@ -245,19 +231,4 @@ func buildResponse(sol *aved.Solution, req aved.Requirements) *SolveResponse {
 		resp.Tiers = append(resp.Tiers, tr)
 	}
 	return resp
-}
-
-func statsReport(st aved.Stats) SearchStats {
-	return SearchStats{
-		Candidates:      st.CandidatesGenerated,
-		CostPruned:      st.CostPruned,
-		BoundPruned:     st.BoundPruned,
-		Evaluations:     st.Evaluations,
-		EvalCacheHits:   st.EvalCacheHits,
-		WarmStartReuse:  st.WarmStartReuse,
-		ModeMemoHits:    st.ModeMemoHits,
-		ModeMemoSolves:  st.ModeMemoSolves,
-		SimReplications: st.SimReplications,
-		PhaseNanos:      st.PhaseNanos,
-	}
 }

@@ -83,8 +83,15 @@ type Server struct {
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
-	inflight   sync.WaitGroup
-	draining   atomic.Bool
+	// inflight counts admitted requests until they have replied, and
+	// solve flights until they settle. drainMu orders admission against
+	// draining: enter adds to inflight only under it and only while not
+	// draining, and drain sets draining under it, so no Add from zero
+	// can race inflight.Wait. A flight's own Add runs while its request
+	// is counted.
+	drainMu  sync.Mutex
+	inflight sync.WaitGroup
+	draining atomic.Bool
 
 	reqSeq atomic.Uint64
 }
@@ -133,7 +140,7 @@ func (s *Server) Handler() http.Handler {
 // are aborted through their contexts (they return promptly with
 // context.Canceled) and ctx's error is returned.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.draining.Store(true)
+	s.drain()
 	done := make(chan struct{})
 	go func() {
 		s.inflight.Wait()
@@ -152,9 +159,29 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 // Close aborts everything immediately.
 func (s *Server) Close() {
-	s.draining.Store(true)
+	s.drain()
 	s.baseCancel()
 	s.inflight.Wait()
+}
+
+// drain refuses every request not yet admitted.
+func (s *Server) drain() {
+	s.drainMu.Lock()
+	s.draining.Store(true)
+	s.drainMu.Unlock()
+}
+
+// enter admits a request: it stays counted in flight, and so holds
+// Shutdown, until it calls s.inflight.Done after replying. It reports
+// false, counting nothing, once the server is draining.
+func (s *Server) enter() bool {
+	s.drainMu.Lock()
+	defer s.drainMu.Unlock()
+	if s.draining.Load() {
+		return false
+	}
+	s.inflight.Add(1)
+	return true
 }
 
 // acquire claims a solve slot, waiting in the bounded queue when the
@@ -229,10 +256,11 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if s.draining.Load() {
+	if !s.enter() {
 		s.writeError(w, errShuttingDown, nil)
 		return
 	}
+	defer s.inflight.Done()
 
 	// The request context carries the effective deadline; the client
 	// dropping the connection cancels it too.
@@ -471,8 +499,7 @@ func (s *Server) writeError(w http.ResponseWriter, err error, _ *SolveRequest) {
 		code, resp.Kind = http.StatusServiceUnavailable, "canceled"
 	}
 	if errors.As(err, &ce) {
-		st := statsReport(ce.Stats)
-		resp.Stats = &st
+		resp.Stats = &ce.Stats
 	}
 	writeJSON(w, code, resp)
 }

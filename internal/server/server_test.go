@@ -1,12 +1,16 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -63,12 +67,70 @@ func TestSolveApptier(t *testing.T) {
 	if resp.DowntimeMinutes <= 0 || resp.DowntimeMinutes > 100 {
 		t.Errorf("downtime %.2f min outside (0, 100]", resp.DowntimeMinutes)
 	}
-	if resp.Stats.Candidates == 0 || resp.Stats.Evaluations == 0 {
+	if resp.Stats.CandidatesGenerated == 0 || resp.Stats.Evaluations == 0 {
 		t.Errorf("missing search stats: %+v", resp.Stats)
 	}
 	if resp.Cached || resp.Shared {
 		t.Errorf("first solve marked cached=%v shared=%v", resp.Cached, resp.Shared)
 	}
+}
+
+// TestSolveStatsWireMatchesCLI pins the stats object of a markov
+// apptier /v1/solve reply to the effort keys of `aved -json` on the
+// same problem (cmd/aved's apptier.json golden, which flattens them
+// after "tiers"): the same keys in the same order with the same values,
+// plus the phaseNanos the always-timed server adds.
+func TestSolveStatsWireMatchesCLI(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("..", "..", "cmd", "aved", "testdata", "golden", "apptier.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cliKeys, cliVals := objectFields(t, golden)
+	want := append(cliKeys[slices.Index(cliKeys, "tiers")+1:], "phaseNanos")
+
+	s := New(Config{})
+	defer s.Close()
+	rec := post(t, s.Handler(), "/v1/solve", apptierBody)
+	var body struct {
+		Stats json.RawMessage `json:"stats"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+		t.Fatal(err)
+	}
+	got, vals := objectFields(t, body.Stats)
+	if !slices.Equal(got, want) {
+		t.Fatalf("stats keys\n got %v\nwant %v", got, want)
+	}
+	for _, k := range want[:len(want)-1] {
+		if !bytes.Equal(vals[k], cliVals[k]) {
+			t.Errorf("stats.%s = %s, aved -json says %s", k, vals[k], cliVals[k])
+		}
+	}
+}
+
+// objectFields returns a JSON object's keys in document order and their
+// raw values.
+func objectFields(t *testing.T, data []byte) ([]string, map[string]json.RawMessage) {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(data))
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		t.Fatalf("not a JSON object (%v): %s", err, data)
+	}
+	var keys []string
+	vals := map[string]json.RawMessage{}
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var v json.RawMessage
+		if err := dec.Decode(&v); err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, tok.(string))
+		vals[tok.(string)] = v
+	}
+	return keys, vals
 }
 
 // TestSolveSearchModesAgree: the explicit exhaustive walk returns the
@@ -325,6 +387,34 @@ func TestShutdownDrains(t *testing.T) {
 	default:
 		t.Error("Shutdown returned before the in-flight solve finished")
 	}
+}
+
+// TestShutdownWaitsForReply shuts down the moment a queued solve gets
+// its slot and requires the reply to be written by the time Shutdown
+// returns: a request stays counted in flight until it has replied, so
+// its writes happen before Shutdown's return and reading the recorder
+// here is race-free.
+func TestShutdownWaitsForReply(t *testing.T) {
+	s := New(Config{MaxConcurrent: 1, CacheSize: 0})
+	h := s.Handler()
+	s.sem <- struct{}{} // hold the only slot so the solve queues
+	rec := httptest.NewRecorder()
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/solve", strings.NewReader(apptierBody)))
+	}()
+	for s.queued.Load() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	<-s.sem // let it start solving
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	if rec.Code != http.StatusOK || rec.Body.Len() == 0 {
+		t.Errorf("Shutdown returned before the solve replied: status %d, %d body bytes", rec.Code, rec.Body.Len())
+	}
+	<-served
 }
 
 func TestConcurrentSolves(t *testing.T) {

@@ -56,10 +56,11 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, badRequestError{fmt.Errorf("fig must be 6, 7 or 8 (got %d)", req.Fig)}, nil)
 		return
 	}
-	if s.draining.Load() {
+	if !s.enter() {
 		s.writeError(w, errShuttingDown, nil)
 		return
 	}
+	defer s.inflight.Done()
 
 	ctx := r.Context()
 	if d := s.timeout(req.TimeoutMS); d > 0 {
@@ -68,8 +69,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 	}
 
-	s.inflight.Add(1)
-	defer s.inflight.Done()
 	ent := s.live.begin("sweep", "")
 	defer s.live.done(ent)
 	release, err := s.acquire(ctx)

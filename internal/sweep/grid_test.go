@@ -202,7 +202,7 @@ func TestSweepBitIdenticalOnCorpus(t *testing.T) {
 	}
 	for _, src := range sources {
 		t.Run(src.name, func(t *testing.T) {
-			var frontierReuse, walkReuse, warmReuse int64
+			var frontierReuse, walkReuse, warmReuse int
 			for _, p := range src.problems(t) {
 				want, _, _ := coldCells(t, p.inf, p.svc, p.opts, p.loads, p.budgets)
 				var first *Fig6Result
@@ -349,25 +349,25 @@ func TestSweepEvalCeilings(t *testing.T) {
 					t.Errorf("cell %d: grid %+v, cold %+v", i, got[i], want[i])
 				}
 			}
-			calls := eng.calls.Load()
+			calls, evals := eng.calls.Load(), int64(tot.Evaluations)
 			t.Logf("%s grid: %d grid evaluations vs %d per-cell cold (%.1fx); %d engine calls over every cell vs %d per-cell cold (%.1fx); %d frontier reuses, %d walk replays",
-				tc.name, tot.Evaluations, cold, float64(cold)/float64(tot.Evaluations),
+				tc.name, evals, cold, float64(cold)/float64(evals),
 				calls, coldCalls, float64(coldCalls)/float64(calls), tot.FrontierReuse, tot.WalkReuse)
-			if tot.Evaluations > tc.ceiling {
+			if evals > tc.ceiling {
 				t.Errorf("grid sweep ran %d engine evaluations, over the pinned ceiling %d",
-					tot.Evaluations, tc.ceiling)
+					evals, tc.ceiling)
 			}
 			if calls > tc.callCeiling {
 				t.Errorf("grid sweep made %d engine calls over every cell, over the pinned ceiling %d",
 					calls, tc.callCeiling)
 			}
-			if e := tot.Evaluations + int64(tot.InfeasibleStats.Evaluations); e != calls {
+			if e := evals + int64(tot.InfeasibleStats.Evaluations); e != calls {
 				t.Errorf("cells report %d evaluations (%d feasible, %d infeasible), the engine took %d calls",
-					e, tot.Evaluations, tot.InfeasibleStats.Evaluations, calls)
+					e, evals, tot.InfeasibleStats.Evaluations, calls)
 			}
-			if tot.Evaluations*tc.minCut > cold {
+			if evals*tc.minCut > cold {
 				t.Errorf("grid sweep's %d evaluations is not a %dx cut of per-cell cold's %d",
-					tot.Evaluations, tc.minCut, cold)
+					evals, tc.minCut, cold)
 			}
 		})
 	}

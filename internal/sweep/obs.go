@@ -8,108 +8,42 @@ import (
 	"aved/internal/obs"
 )
 
-// Totals aggregates search effort across a sweep: the per-point
-// core.Stats summed over every feasible cell, the effort of the
-// infeasible cells (their core.InfeasibleError.Stats) summed apart, and
-// the cell counts themselves. The CLIs print it as a closing line so a
-// long sweep reports how much work it actually did.
+// Totals aggregates search effort across a sweep: the cell counts,
+// the per-point core.Stats summed over every feasible cell (the
+// embedded Stats), and the effort of the infeasible cells (their
+// core.InfeasibleError.Stats) summed apart. The CLIs print it as a
+// closing line so a long sweep reports how much work it actually did.
 //
 // Every counter is exact at any worker count: Fig. 6 and Fig. 8 solve
 // their load chains in order on one goroutine, and Fig. 7 levels each
 // solve on a solver of their own. The engine-delta fields are the one
 // exception: cells solving at once on one shared engine — sensitivity
 // factors, or Fig. 7 levels, on an engine the caller passed — split
-// its counters between them arbitrarily.
+// its counters between them arbitrarily. PhaseNanos is wall-clock, so
+// it varies from run to run; String omits it.
 type Totals struct {
 	// Points counts feasible cells (one Solution each); Infeasible
 	// counts cells where no design met the requirement.
 	Points     int
 	Infeasible int
-
-	Candidates    int64
-	CostPruned    int64
-	BoundPruned   int64
-	Evaluations   int64
-	EvalCacheHits int64
-	// WarmStartReuse sums eval-cache hits on entries an earlier solve on
-	// the same solver stored: a Fig. 6 or Fig. 8 cell replaying what an
-	// earlier cell of its sweep evaluated, in its own load chain or an
-	// earlier one. Zero on Fig. 7, whose levels each have a solver of
-	// their own.
-	WarmStartReuse int64
-	// FrontierReuse sums tier frontiers the cells served from their
-	// budget chain's memo instead of building (Fig6/Fig8 run each load
-	// as one Solver.SolveChain).
-	FrontierReuse int64
-	// WalkReuse sums per-tier searches the cells replayed from their
-	// chain's memo instead of walking.
-	WalkReuse int64
-
-	ModeMemoHits   uint64
-	ModeMemoSolves uint64
-
-	SimReplications uint64
-	SimBatches      uint64
-
-	// PhaseNanos sums the per-cell Stats.PhaseNanos by phase — where the
-	// sweep's solve time went. Nil when timing is off (every cell
-	// reported nil). Wall-clock, so it varies from run to run; String
-	// omits it.
-	PhaseNanos map[string]int64
-
+	// Stats sums the feasible cells' effort.
+	core.Stats
 	// InfeasibleStats sums the effort of the Infeasible cells, which
-	// none of the fields above count; String omits it.
+	// Stats does not count; String omits it.
 	InfeasibleStats core.Stats
 }
 
-// Add folds one feasible point's solve statistics into the totals.
+// Add counts one feasible point and folds its effort into Stats.
 func (t *Totals) Add(st core.Stats) {
 	t.Points++
-	t.Candidates += int64(st.CandidatesGenerated)
-	t.CostPruned += int64(st.CostPruned)
-	t.BoundPruned += int64(st.BoundPruned)
-	t.Evaluations += int64(st.Evaluations)
-	t.EvalCacheHits += int64(st.EvalCacheHits)
-	t.WarmStartReuse += int64(st.WarmStartReuse)
-	t.FrontierReuse += int64(st.FrontierReuse)
-	t.WalkReuse += int64(st.WalkReuse)
-	t.ModeMemoHits += st.ModeMemoHits
-	t.ModeMemoSolves += st.ModeMemoSolves
-	t.SimReplications += st.SimReplications
-	t.SimBatches += st.SimBatches
-	if len(st.PhaseNanos) > 0 {
-		if t.PhaseNanos == nil {
-			t.PhaseNanos = make(map[string]int64, len(st.PhaseNanos))
-		}
-		for phase, ns := range st.PhaseNanos {
-			t.PhaseNanos[phase] += ns
-		}
-	}
+	t.Stats.Add(st)
 }
 
 // AddInfeasible counts one infeasible cell and folds its effort, an
 // InfeasibleError's Stats, into InfeasibleStats.
 func (t *Totals) AddInfeasible(st core.Stats) {
 	t.Infeasible++
-	sum := &t.InfeasibleStats
-	sum.CandidatesGenerated += st.CandidatesGenerated
-	sum.CostPruned += st.CostPruned
-	sum.Evaluations += st.Evaluations
-	sum.EvalCacheHits += st.EvalCacheHits
-	sum.BoundPruned += st.BoundPruned
-	sum.WarmStartReuse += st.WarmStartReuse
-	sum.FrontierReuse += st.FrontierReuse
-	sum.WalkReuse += st.WalkReuse
-	sum.ModeMemoHits += st.ModeMemoHits
-	sum.ModeMemoSolves += st.ModeMemoSolves
-	sum.SimReplications += st.SimReplications
-	sum.SimBatches += st.SimBatches
-	for phase, ns := range st.PhaseNanos {
-		if sum.PhaseNanos == nil {
-			sum.PhaseNanos = make(map[string]int64, len(st.PhaseNanos))
-		}
-		sum.PhaseNanos[phase] += ns
-	}
+	t.InfeasibleStats.Add(st)
 }
 
 // String renders the totals as the CLIs' closing line: the cell
@@ -121,7 +55,7 @@ func (t Totals) String() string {
 		s += fmt.Sprintf(" (%d infeasible)", t.Infeasible)
 	}
 	s += fmt.Sprintf(": %d candidates, %d cost-pruned, %d bound-pruned, %d evaluations (incl. cache replays)",
-		t.Candidates, t.CostPruned, t.BoundPruned, t.Evaluations+t.EvalCacheHits)
+		t.CandidatesGenerated, t.CostPruned, t.BoundPruned, t.Evaluations+t.EvalCacheHits)
 	if t.FrontierReuse > 0 {
 		// Only when the sweep actually reused frontiers, so sweeps that
 		// never enter the combination phase print unchanged.

@@ -90,12 +90,12 @@ func TestFig6SweepObs(t *testing.T) {
 		t.Errorf("totals %+v inconsistent with %d points over %d cells",
 			res.Totals, len(res.Points), cellsTotal)
 	}
-	var wantCand int64
+	var wantCand int
 	for _, p := range res.Points {
-		wantCand += int64(p.Stats.CandidatesGenerated)
+		wantCand += p.Stats.CandidatesGenerated
 	}
-	if res.Totals.Candidates != wantCand || wantCand == 0 {
-		t.Errorf("totals candidates = %d, per-point sum = %d", res.Totals.Candidates, wantCand)
+	if res.Totals.CandidatesGenerated != wantCand || wantCand == 0 {
+		t.Errorf("totals candidates = %d, per-point sum = %d", res.Totals.CandidatesGenerated, wantCand)
 	}
 	snap := reg.Snapshot()
 	if snap.Counters["sweep.points"] != int64(cellsTotal) {
@@ -200,7 +200,7 @@ func TestUntracedSweepEmitsNothing(t *testing.T) {
 // no engine deltas — those vary with worker scheduling and would break
 // the byte-identical-output invariant of the sweep CLIs.
 func TestTotalsString(t *testing.T) {
-	tot := Totals{Points: 5, Candidates: 100, CostPruned: 40, Evaluations: 50, EvalCacheHits: 10}
+	tot := Totals{Points: 5, Stats: core.Stats{CandidatesGenerated: 100, CostPruned: 40, Evaluations: 50, EvalCacheHits: 10}}
 	got := tot.String()
 	want := "5 points: 100 candidates, 40 cost-pruned, 0 bound-pruned, 60 evaluations (incl. cache replays)"
 	if got != want {
