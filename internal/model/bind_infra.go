@@ -2,6 +2,7 @@ package model
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"unicode"
 
@@ -456,7 +457,7 @@ func isEnumRange(items []string) bool {
 		return false
 	}
 	for _, it := range items {
-		if _, err := units.ParseDuration(it); err == nil {
+		if units.IsDuration(it) {
 			return false
 		}
 		for _, c := range it {
@@ -469,8 +470,8 @@ func isEnumRange(items []string) bool {
 }
 
 func parsePositiveInt(a spec.Attr) (int, error) {
-	var n int
-	if _, err := fmt.Sscanf(a.Value.Text, "%d", &n); err != nil || n <= 0 {
+	n, err := strconv.Atoi(a.Value.Text)
+	if err != nil || n <= 0 {
 		return 0, fmt.Errorf("spec:%s: %s: want a positive integer, got %q", a.Pos, a.Key, a.Value.Text)
 	}
 	return n, nil

@@ -437,14 +437,34 @@ func TestOpModeAndEnumStrings(t *testing.T) {
 }
 
 func TestComponentMaxInstances(t *testing.T) {
-	inf, err := ParseInfrastructure("component=a cost=0 max_instances=3 failure=f mtbf=1d mttr=0 detect_time=0")
-	if err != nil {
-		t.Fatal(err)
+	tests := []struct {
+		give    string
+		want    int
+		wantErr string
+	}{
+		{give: "3", want: 3},
+		{give: "+3", want: 3},
+		{give: "0", wantErr: `spec:1:20: max_instances: want a positive integer, got "0"`},
+		{give: "-2", wantErr: `spec:1:20: max_instances: want a positive integer, got "-2"`},
+		{give: "3.5", wantErr: `spec:1:20: max_instances: want a positive integer, got "3.5"`},
+		{give: "2e3", wantErr: `spec:1:20: max_instances: want a positive integer, got "2e3"`},
+		{give: "3x", wantErr: `spec:1:20: max_instances: want a positive integer, got "3x"`},
 	}
-	if inf.Components["a"].MaxInstances != 3 {
-		t.Errorf("max_instances = %d, want 3", inf.Components["a"].MaxInstances)
-	}
-	if _, err := ParseInfrastructure("component=a cost=0 max_instances=0 failure=f mtbf=1d mttr=0 detect_time=0"); err == nil {
-		t.Error("zero max_instances should fail")
+	for _, tt := range tests {
+		t.Run(tt.give, func(t *testing.T) {
+			inf, err := ParseInfrastructure("component=a cost=0 max_instances=" + tt.give + " failure=f mtbf=1d mttr=0 detect_time=0")
+			if tt.wantErr != "" {
+				if err == nil || err.Error() != tt.wantErr {
+					t.Fatalf("max_instances=%s: error %v, want %s", tt.give, err, tt.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := inf.Components["a"].MaxInstances; got != tt.want {
+				t.Errorf("max_instances = %d, want %d", got, tt.want)
+			}
+		})
 	}
 }

@@ -369,24 +369,29 @@ func TestShutdownDrains(t *testing.T) {
 	s := New(Config{MaxConcurrent: 1, CacheSize: 0})
 	h := s.Handler()
 	s.sem <- struct{}{} // park the request in the queue first
-	done := make(chan *SolveResponse, 1)
+	rec := httptest.NewRecorder()
+	served := make(chan struct{})
 	go func() {
-		done <- decodeSolve(t, post(t, h, "/v1/solve", apptierBody))
+		defer close(served)
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/solve", strings.NewReader(apptierBody)))
 	}()
-	time.Sleep(100 * time.Millisecond)
+	for s.queued.Load() == 0 {
+		time.Sleep(time.Millisecond)
+	}
 	<-s.sem // let it start solving
 	time.Sleep(10 * time.Millisecond)
 	if err := s.Shutdown(context.Background()); err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
-	select {
-	case resp := <-done:
-		if resp.Label == "" {
-			t.Error("drained solve returned an empty solution")
-		}
-	default:
-		t.Error("Shutdown returned before the in-flight solve finished")
+	// The solve replies before it leaves the in-flight count, so the
+	// recorder is complete once Shutdown returns, whenever the serving
+	// goroutine gets to run again.
+	if rec.Code != http.StatusOK || rec.Body.Len() == 0 {
+		t.Errorf("Shutdown returned before the in-flight solve finished: status %d, %d body bytes", rec.Code, rec.Body.Len())
+	} else if resp := decodeSolve(t, rec); resp.Label == "" {
+		t.Error("drained solve returned an empty solution")
 	}
+	<-served
 }
 
 // TestShutdownWaitsForReply shuts down the moment a queued solve gets

@@ -26,6 +26,33 @@ func BenchmarkParse(b *testing.B) {
 			}
 		})
 	}
+	// The corpus case parses the infrastructure and service texts of
+	// the first two seed-1 scenarios of every corpus family, the texts
+	// a corpus solve parses, once per iteration.
+	b.Run("corpus", func(b *testing.B) {
+		var srcs []string
+		size := 0
+		for _, fam := range scenarios.Families {
+			for i := 0; i < 2; i++ {
+				sc, err := scenarios.GenScenario(fam, i, 1)
+				if err != nil {
+					b.Fatal(err)
+				}
+				srcs = append(srcs, sc.InfSpec, sc.SvcSpec)
+				size += len(sc.InfSpec) + len(sc.SvcSpec)
+			}
+		}
+		b.ReportAllocs()
+		b.SetBytes(int64(size))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, src := range srcs {
+				if _, err := spec.Parse(src); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
 }
 
 // TestParseAllocBudget is the allocation regression for the pull

@@ -7,7 +7,8 @@ import (
 
 // FuzzParse checks that the lexer and parser never panic, that Parse
 // fails with Lex's exact error whenever Lex fails (a lexical error
-// anywhere outranks a syntax error), and that any successfully parsed
+// anywhere outranks a syntax error), that every position of a
+// successfully parsed document is its Lex token's, and that the
 // document renders and reparses to the same clause structure. Run with
 // `go test -fuzz FuzzParse ./internal/spec` for a real campaign; the
 // seed corpus runs as a regular test.
@@ -30,6 +31,7 @@ func FuzzParse(f *testing.F) {
 		"component=x cost=0 \\\\ trailing comment\nfailure=f mtbf=1d mttr=0 detect_time=0",
 		"cost=0 component=x cost=[1",
 		"component=x cost( =1 a=<",
+		"component=m\r\n\tcost(a,[b\nc])=[1\n 2] \\\\ x\nfailure=é mttr=<m>",
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -45,6 +47,7 @@ func FuzzParse(f *testing.F) {
 		if err != nil {
 			return // rejection is fine; panics are not
 		}
+		checkPositions(t, src, doc)
 		// Render and reparse: the clause structure must survive.
 		var sb strings.Builder
 		for i, c := range doc.Clauses {
@@ -70,6 +73,44 @@ func FuzzParse(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkPositions walks the Lex token stream of src alongside doc and
+// requires every clause, attribute and value position to be the Pos of
+// the token it was parsed from.
+func checkPositions(t *testing.T, src string, doc *Document) {
+	t.Helper()
+	toks, err := Lex(src)
+	if err != nil {
+		t.Fatalf("Lex failed on a source Parse accepted: %v", err)
+	}
+	i := 0
+	at := func(what string, pos Pos) {
+		t.Helper()
+		if toks[i].Pos != pos {
+			t.Fatalf("%s at %v, want its token %s %q at %v\nsource: %q", what, pos, toks[i].Kind, toks[i].Text, toks[i].Pos, src)
+		}
+	}
+	for _, c := range doc.Clauses {
+		at("clause "+c.Key, c.Pos)
+		i += 3 // head key, '=', name
+		for _, a := range c.Attrs {
+			at("attribute "+a.Key, a.Pos)
+			i++
+			if toks[i].Kind == TokenLParen {
+				for toks[i].Kind != TokenRParen {
+					i++
+				}
+				i++
+			}
+			i++ // '='
+			at("value of "+a.Key, a.Value.Pos)
+			i++
+		}
+	}
+	if toks[i].Kind != TokenEOF {
+		t.Fatalf("parse ended at token %d of %d (%s %q)\nsource: %q", i, len(toks), toks[i].Kind, toks[i].Text, src)
+	}
 }
 
 // FuzzLex checks the tokenizer in isolation.

@@ -5,86 +5,73 @@ import (
 	"unicode"
 )
 
-// lexer walks the source text and emits tokens. It is written as a
-// simple byte scanner: the spec language is ASCII in practice, but word
-// characters admit any non-delimiter rune so unicode names lex cleanly.
-type lexer struct {
-	src  string
-	off  int
-	line int
-	col  int
+// scanner is the one tokenizer behind both Lex and Parse. scan reads
+// the next token straight into tok, the parser's single lookahead slot,
+// so no Token is returned or copied on the way; Lex copies the slot out
+// after each scan. Only newlines are counted as the scan goes: a
+// token's column is its byte offset from the start of its line, plus
+// one. The spec language is ASCII in practice, but every byte at or
+// above 0x80 is a word byte, so unicode names lex cleanly.
+type scanner struct {
+	src       string
+	off       int
+	line      int
+	lineStart int // offset of the first byte of the current line
+	// tok is the token the last scan produced.
+	tok Token
+	// head reports that tok is a word naming a clause head.
+	head bool
 }
 
-func newLexer(src string) *lexer {
-	return &lexer{src: src, line: 1, col: 1}
+func newScanner(src string) scanner {
+	return scanner{src: src, line: 1}
 }
 
 // Lex tokenises the whole input, returning the token stream terminated
-// by an EOF token. Parse does not use it — the parser pulls tokens from
-// next one at a time — but its error is, by construction, the one Parse
-// reports whenever the source fails to lex. Token text slices the
-// source wherever possible: words, references and already-normalized
-// bracket groups share src's backing.
+// by an EOF token. Parse runs the same scanner one token at a time, so
+// Lex's error is, by construction, the one Parse reports whenever the
+// source fails to lex. Token text slices the source wherever possible:
+// words, references and already-normalized bracket groups share src's
+// backing.
 func Lex(src string) ([]Token, error) {
-	lx := newLexer(src)
+	s := newScanner(src)
 	toks := make([]Token, 0, len(src)/8)
 	for {
-		tok, err := lx.next()
-		if err != nil {
+		if err := s.scan(); err != nil {
 			return nil, err
 		}
-		toks = append(toks, tok)
-		if tok.Kind == TokenEOF {
+		toks = append(toks, s.tok)
+		if s.tok.Kind == TokenEOF {
 			return toks, nil
 		}
 	}
 }
 
-func (l *lexer) pos() Pos { return Pos{Line: l.line, Col: l.col} }
-
-func (l *lexer) peek() byte {
-	if l.off >= len(l.src) {
-		return 0
-	}
-	return l.src[l.off]
+// pos is the position of the byte at offset off, which must lie on the
+// current line.
+func (s *scanner) pos(off int) Pos {
+	return Pos{Line: s.line, Col: off - s.lineStart + 1}
 }
 
-func (l *lexer) peekAt(k int) byte {
-	if l.off+k >= len(l.src) {
-		return 0
-	}
-	return l.src[l.off+k]
-}
+// Byte classes of the scanner's class table.
+const (
+	classDelim byte = iota // punctuation, NUL and a lone '\'
+	classWord
+	classSpace
+)
 
-func (l *lexer) advance() byte {
-	c := l.src[l.off]
-	l.off++
-	if c == '\n' {
-		l.line++
-		l.col = 1
-	} else {
-		l.col++
+var byteClass = func() (t [256]byte) {
+	for i := range t {
+		t[i] = classWord
 	}
-	return c
-}
-
-// skipSpaceAndComments consumes whitespace (including newlines) and
-// `\\ …` comments.
-func (l *lexer) skipSpaceAndComments() {
-	for l.off < len(l.src) {
-		c := l.peek()
-		switch {
-		case c == ' ' || c == '\t' || c == '\r' || c == '\n':
-			l.advance()
-		case c == '\\' && l.peekAt(1) == '\\':
-			for l.off < len(l.src) && l.peek() != '\n' {
-				l.advance()
-			}
-		default:
-			return
-		}
+	for _, c := range "\x00=(),[]<>\\" {
+		t[c] = classDelim
 	}
-}
+	for _, c := range " \t\r\n" {
+		t[c] = classSpace
+	}
+	return t
+}()
 
 // isWord reports whether s is a non-empty run of word bytes — text
 // that lexes back to a single word token.
@@ -93,106 +80,145 @@ func isWord(s string) bool {
 		return false
 	}
 	for i := 0; i < len(s); i++ {
-		if !isWordByte(s[i]) {
+		if byteClass[s[i]] != classWord {
 			return false
 		}
 	}
 	return true
 }
 
-func isWordByte(c byte) bool {
-	switch c {
-	case 0, ' ', '\t', '\r', '\n', '=', '(', ')', ',', '[', ']', '<', '>', '\\':
-		return false
+// isClauseHead reports whether a word is one of the keywords that
+// begin a clause. Any other key=value pair attaches to the clause
+// currently being parsed.
+func isClauseHead(w string) bool {
+	switch len(w) {
+	case 4:
+		return w == "tier"
+	case 5:
+		return w == "param"
+	case 7:
+		return w == "failure"
+	case 8:
+		return w == "resource"
+	case 9:
+		return w == "component" || w == "mechanism"
+	case 11:
+		return w == "application"
+	case 12:
+		return w == "requirements"
 	}
-	return true
+	return false
 }
 
-func (l *lexer) next() (Token, error) {
-	l.skipSpaceAndComments()
-	start := l.pos()
-	if l.off >= len(l.src) {
-		return Token{Kind: TokenEOF, Pos: start}, nil
+// skipSpaceAndComments consumes whitespace (including newlines) and
+// `\\ …` comments.
+func (s *scanner) skipSpaceAndComments() {
+	src, off := s.src, s.off
+	for off < len(src) {
+		switch c := src[off]; {
+		case c == '\n':
+			off++
+			s.line++
+			s.lineStart = off
+		case byteClass[c] == classSpace:
+			off++
+		case c == '\\' && off+1 < len(src) && src[off+1] == '\\':
+			if i := strings.IndexByte(src[off:], '\n'); i >= 0 {
+				off += i
+			} else {
+				off = len(src)
+			}
+		default:
+			s.off = off
+			return
+		}
 	}
-	switch c := l.peek(); c {
+	s.off = off
+}
+
+// scan reads the next token into s.tok. After an error s.tok holds no
+// token, and the caller stops scanning.
+func (s *scanner) scan() error {
+	s.skipSpaceAndComments()
+	s.head = false
+	start := s.off
+	t := &s.tok
+	t.Pos = s.pos(start)
+	if start >= len(s.src) {
+		t.Kind, t.Text = TokenEOF, ""
+		return nil
+	}
+	switch c := s.src[start]; c {
 	case '=':
-		l.advance()
-		return Token{Kind: TokenAssign, Text: "=", Pos: start}, nil
+		t.Kind, t.Text = TokenAssign, "="
 	case '(':
-		l.advance()
-		return Token{Kind: TokenLParen, Text: "(", Pos: start}, nil
+		t.Kind, t.Text = TokenLParen, "("
 	case ')':
-		l.advance()
-		return Token{Kind: TokenRParen, Text: ")", Pos: start}, nil
+		t.Kind, t.Text = TokenRParen, ")"
 	case ',':
-		l.advance()
-		return Token{Kind: TokenComma, Text: ",", Pos: start}, nil
+		t.Kind, t.Text = TokenComma, ","
 	case '[':
-		return l.lexBracket(start)
+		return s.scanBracket()
 	case '<':
-		return l.lexRef(start)
+		return s.scanRef()
 	case ']':
-		return Token{}, errorAt(start, "unexpected ']' with no matching '['")
+		return errorAt(t.Pos, "unexpected ']' with no matching '['")
 	case '>':
-		return Token{}, errorAt(start, "unexpected '>' with no matching '<'")
+		return errorAt(t.Pos, "unexpected '>' with no matching '<'")
 	default:
-		return l.lexWord(start)
+		if byteClass[c] != classWord {
+			return errorAt(t.Pos, "unexpected character %q", string(c))
+		}
+		off := start + 1
+		for off < len(s.src) && byteClass[s.src[off]] == classWord {
+			off++
+		}
+		s.off = off
+		t.Kind, t.Text = TokenWord, s.src[start:off]
+		s.head = isClauseHead(t.Text)
+		return nil
 	}
+	s.off = start + 1
+	return nil
 }
 
-// lexBracket consumes a [ ... ] group, preserving the raw inner text
+// scanBracket consumes a [ ... ] group, preserving the raw inner text
 // (bracket groups may wrap across lines in the listings; normalization
 // collapses the line breaks). Nested brackets are not part of the
 // language and are rejected.
-func (l *lexer) lexBracket(start Pos) (Token, error) {
-	l.advance() // consume '['
-	o := l.off
-	for l.off < len(l.src) {
-		switch l.peek() {
+func (s *scanner) scanBracket() error {
+	open := s.tok.Pos
+	for off := s.off + 1; off < len(s.src); off++ {
+		switch s.src[off] {
 		case ']':
-			text := normalizeSpace(l.src[o:l.off])
-			l.advance()
-			return Token{Kind: TokenBracket, Text: text, Pos: start}, nil
+			s.tok.Kind, s.tok.Text = TokenBracket, normalizeSpace(s.src[s.off+1:off])
+			s.off = off + 1
+			return nil
 		case '[':
-			return Token{}, errorAt(l.pos(), "nested '[' inside bracket group")
-		default:
-			l.advance()
+			return errorAt(s.pos(off), "nested '[' inside bracket group")
+		case '\n':
+			s.line++
+			s.lineStart = off + 1
 		}
 	}
-	return Token{}, errorAt(start, "unterminated bracket group")
+	return errorAt(open, "unterminated bracket group")
 }
 
-// lexRef consumes a <name> mechanism reference.
-func (l *lexer) lexRef(start Pos) (Token, error) {
-	l.advance() // consume '<'
-	o := l.off
-	for l.off < len(l.src) {
-		c := l.peek()
-		if c == '>' {
-			name := strings.TrimSpace(l.src[o:l.off])
-			l.advance()
-			if name == "" {
-				return Token{}, errorAt(start, "empty <> reference")
-			}
-			return Token{Kind: TokenRef, Text: name, Pos: start}, nil
-		}
-		if c == '\n' {
-			return Token{}, errorAt(start, "unterminated <> reference")
-		}
-		l.advance()
+// scanRef consumes a <name> mechanism reference, which may not span
+// lines.
+func (s *scanner) scanRef() error {
+	body := s.src[s.off+1:]
+	i := strings.IndexAny(body, ">\n")
+	if i < 0 || body[i] == '\n' {
+		return errorAt(s.tok.Pos, "unterminated <> reference")
 	}
-	return Token{}, errorAt(start, "unterminated <> reference")
-}
-
-func (l *lexer) lexWord(start Pos) (Token, error) {
-	o := l.off
-	for l.off < len(l.src) && isWordByte(l.peek()) {
-		l.advance()
+	name := strings.TrimSpace(body[:i])
+	if name == "" {
+		return errorAt(s.tok.Pos, "empty <> reference")
 	}
-	if l.off == o {
-		return Token{}, errorAt(start, "unexpected character %q", string(l.peek()))
-	}
-	return Token{Kind: TokenWord, Text: l.src[o:l.off], Pos: start}, nil
+	s.tok.Kind, s.tok.Text = TokenRef, name
+	s.off += i + 2
+	return nil
 }
 
 // normalizeSpace collapses runs of whitespace to single spaces and trims

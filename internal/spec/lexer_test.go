@@ -82,16 +82,33 @@ func TestLexComments(t *testing.T) {
 	}
 }
 
+// TestLexPositions pins every token's line:col, the position each bind
+// error prints. Columns count bytes from the start of the line, so a
+// tab, a '\r' before a newline and each byte of a UTF-8 rune is one
+// column.
 func TestLexPositions(t *testing.T) {
-	toks, err := Lex("a=1\nbb=2")
-	if err != nil {
-		t.Fatalf("Lex error: %v", err)
+	tests := []struct{ name, src, want string }{
+		{"lines", "a=1\nbb=2", "1:1 1:2 1:3 2:1 2:3 2:4 2:5"},
+		{"crlf", "a=1\r\nbb=2\r\n", "1:1 1:2 1:3 2:1 2:3 2:4 3:1"},
+		{"tab", "a=\t1\n\tbb=2", "1:1 1:2 1:4 2:2 2:4 2:5 2:6"},
+		{"comment", "\\\\ a=1\nb=2 \\\\ c=3\n\\\\\nd=4", "2:1 2:2 2:3 4:1 4:2 4:3 4:4"},
+		{"bracket", "r=[1,\n  2]\nx=<m> y([a,\nb])=3", "1:1 1:2 1:3 3:1 3:2 3:3 3:7 3:8 3:9 4:3 4:4 4:5 4:6"},
+		{"non-ascii", "név=é x=<ü>", "1:1 1:5 1:6 1:9 1:10 1:11 1:15"},
 	}
-	if toks[0].Pos != (Pos{Line: 1, Col: 1}) {
-		t.Errorf("first token pos = %v", toks[0].Pos)
-	}
-	if toks[3].Pos != (Pos{Line: 2, Col: 1}) {
-		t.Errorf("second-line token pos = %v", toks[3].Pos)
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			toks, err := Lex(tt.src)
+			if err != nil {
+				t.Fatalf("Lex error: %v", err)
+			}
+			got := make([]string, len(toks))
+			for i, tok := range toks {
+				got[i] = tok.Pos.String()
+			}
+			if g := strings.Join(got, " "); g != tt.want {
+				t.Errorf("Lex(%q) positions = %s, want %s", tt.src, g, tt.want)
+			}
+		})
 	}
 }
 
@@ -106,10 +123,23 @@ func TestLexMultilineBracket(t *testing.T) {
 }
 
 func TestLexErrors(t *testing.T) {
-	for _, src := range []string{"a=[1", "a=<x", "a=]", "a=>", "a=[[1]]", "a=<x\n>"} {
-		t.Run(src, func(t *testing.T) {
-			if _, err := Lex(src); err == nil {
-				t.Errorf("Lex(%q) succeeded, want error", src)
+	tests := []struct{ src, want string }{
+		{"a=[1", "spec:1:3: unterminated bracket group"},
+		{"a=<x", "spec:1:3: unterminated <> reference"},
+		{"a=]", "spec:1:3: unexpected ']' with no matching '['"},
+		{"a=>", "spec:1:3: unexpected '>' with no matching '<'"},
+		{"a=[[1]]", "spec:1:4: nested '[' inside bracket group"},
+		{"a=<x\n>", "spec:1:3: unterminated <> reference"},
+		{"a=[1\r\n\t[2]]", "spec:2:2: nested '[' inside bracket group"},
+		{"a=1\n\tb=< >", "spec:2:4: empty <> reference"},
+		{"é=\\x", "spec:1:4: unexpected character \"\\\\\""},
+		{"a=\x00", "spec:1:3: unexpected character \"\\x00\""},
+	}
+	for _, tt := range tests {
+		t.Run(tt.src, func(t *testing.T) {
+			_, err := Lex(tt.src)
+			if err == nil || err.Error() != tt.want {
+				t.Errorf("Lex(%q) error = %v, want %s", tt.src, err, tt.want)
 			}
 		})
 	}

@@ -2,35 +2,25 @@ package spec
 
 import "strings"
 
-// clauseHeads are the keywords that begin a new clause. Any other
-// key=value pair attaches to the clause currently being parsed.
-var clauseHeads = map[string]bool{
-	"component":    true,
-	"failure":      true,
-	"mechanism":    true,
-	"param":        true,
-	"resource":     true,
-	"tier":         true,
-	"application":  true,
-	"requirements": true,
-}
-
 // Parse lexes and parses a complete specification source text. The
-// parser pulls tokens from the lexer one at a time, with no token
-// slice, and carves every clause's attributes from one slab sized by
-// the source's '=' count, an upper bound on its attributes.
+// parser reads tokens from the scanner's lookahead slot one at a time,
+// with no token slice, and carves every clause's attributes from one
+// slab sized by the source's '=' count, an upper bound on its
+// attributes.
 //
 // A lexical error anywhere in the source outranks a syntax error
 // earlier in it, as if the whole source had been lexed first: Parse
 // fails with Lex's error whenever Lex fails.
 func Parse(src string) (*Document, error) {
 	p := &parser{
-		lx:    lexer{src: src, line: 1, col: 1},
+		sc:    newScanner(src),
 		attrs: make([]Attr, 0, strings.Count(src, "=")),
 	}
+	p.advance()
 	doc, err := p.parseDocument()
 	// A syntax error stops the parse early; lex the rest of the source.
-	for err != nil && p.lexErr == nil && p.next().Kind != TokenEOF {
+	for err != nil && p.lexErr == nil && p.sc.tok.Kind != TokenEOF {
+		p.advance()
 	}
 	if p.lexErr != nil {
 		return nil, p.lexErr
@@ -42,11 +32,10 @@ func Parse(src string) (*Document, error) {
 }
 
 type parser struct {
-	lx lexer
-	// tok is the one-token lookahead, valid when primed.
-	tok    Token
-	primed bool
-	// lexErr is the lexer's first error. The parser then sees end of
+	// sc.tok is the one-token lookahead; the parse methods read it in
+	// place through a pointer.
+	sc scanner
+	// lexErr is the scanner's first error. The parser then sees end of
 	// input, and Parse reports lexErr over whatever the parse made of
 	// the truncated stream.
 	lexErr error
@@ -55,73 +44,66 @@ type parser struct {
 	attrs []Attr
 }
 
-func (p *parser) peek() Token {
-	if !p.primed {
-		p.primed = true
-		if p.lexErr == nil {
-			var err error
-			if p.tok, err = p.lx.next(); err != nil {
-				p.lexErr = err
-				p.tok = Token{Kind: TokenEOF}
-			}
-		}
+// advance consumes the lookahead token and scans the next one into its
+// slot.
+func (p *parser) advance() {
+	if p.lexErr != nil {
+		return
 	}
-	return p.tok
+	if err := p.sc.scan(); err != nil {
+		p.lexErr = err
+		p.sc.tok, p.sc.head = Token{Kind: TokenEOF}, false
+	}
 }
 
-func (p *parser) next() Token { t := p.peek(); p.primed = false; return t }
-func (p *parser) atEOF() bool { return p.peek().Kind == TokenEOF }
-
-func (p *parser) expect(kind TokenKind) (Token, error) {
-	t := p.next()
-	if t.Kind != kind {
-		return Token{}, errorAt(t.Pos, "want %s, got %s %q", kind, t.Kind, t.Text)
+// expect consumes the lookahead token, which must be of the given kind.
+func (p *parser) expect(kind TokenKind) error {
+	if t := &p.sc.tok; t.Kind != kind {
+		return errorAt(t.Pos, "want %s, got %s %q", kind, t.Kind, t.Text)
 	}
-	return t, nil
+	p.advance()
+	return nil
 }
 
+// parseDocument gathers the clauses in a stack buffer that holds a
+// typical document's, then copies them out in one allocation.
 func (p *parser) parseDocument() (*Document, error) {
-	doc := &Document{}
-	for !p.atEOF() {
+	var buf [32]Clause
+	clauses := buf[:0]
+	for p.sc.tok.Kind != TokenEOF {
 		clause, err := p.parseClause()
 		if err != nil {
 			return nil, err
 		}
-		doc.Clauses = append(doc.Clauses, clause)
+		clauses = append(clauses, clause)
 	}
-	return doc, nil
+	return &Document{Clauses: append([]Clause(nil), clauses...)}, nil
 }
 
 // parseClause consumes one clause: a head key=name pair followed by
 // attributes up to (not including) the next clause head or EOF.
 func (p *parser) parseClause() (Clause, error) {
-	head := p.peek()
-	if head.Kind != TokenWord || !clauseHeads[head.Text] {
-		return Clause{}, errorAt(head.Pos,
-			"want a clause keyword (component, failure, mechanism, param, resource, tier, application, requirements), got %q", head.Text)
+	if !p.sc.head {
+		return Clause{}, errorAt(p.sc.tok.Pos,
+			"want a clause keyword (component, failure, mechanism, param, resource, tier, application, requirements), got %q", p.sc.tok.Text)
 	}
-	headAttr, err := p.parseAttr()
-	if err != nil {
+	var head Attr
+	if err := p.parseAttr(&head); err != nil {
 		return Clause{}, err
 	}
-	if len(headAttr.Args) > 0 {
-		return Clause{}, errorAt(headAttr.Pos, "clause head %q cannot take arguments", headAttr.Key)
+	if len(head.Args) > 0 {
+		return Clause{}, errorAt(head.Pos, "clause head %q cannot take arguments", head.Key)
 	}
-	if headAttr.Value.Kind != ValueWord {
-		return Clause{}, errorAt(headAttr.Value.Pos, "clause head %q needs a bare name, got %s", headAttr.Key, headAttr.Value)
+	if head.Value.Kind != ValueWord {
+		return Clause{}, errorAt(head.Value.Pos, "clause head %q needs a bare name, got %s", head.Key, head.Value)
 	}
-	clause := Clause{Key: headAttr.Key, Name: headAttr.Value.Text, Pos: headAttr.Pos}
+	clause := Clause{Key: head.Key, Name: head.Value.Text, Pos: head.Pos}
 	start := len(p.attrs)
-	for !p.atEOF() {
-		t := p.peek()
-		if t.Kind == TokenWord && clauseHeads[t.Text] {
-			break
-		}
-		attr, err := p.parseAttr()
-		if err != nil {
+	for p.sc.tok.Kind != TokenEOF && !p.sc.head {
+		p.attrs = append(p.attrs, Attr{})
+		if err := p.parseAttr(&p.attrs[len(p.attrs)-1]); err != nil {
 			return Clause{}, err
 		}
-		p.attrs = append(p.attrs, attr)
 	}
 	if end := len(p.attrs); end > start {
 		clause.Attrs = p.attrs[start:end:end]
@@ -129,41 +111,34 @@ func (p *parser) parseClause() (Clause, error) {
 	return clause, nil
 }
 
-// parseAttr consumes key [ "(" args ")" ] "=" value.
-func (p *parser) parseAttr() (Attr, error) {
-	key, err := p.expect(TokenWord)
-	if err != nil {
-		return Attr{}, err
+// parseAttr consumes key [ "(" args ")" ] "=" value into a.
+func (p *parser) parseAttr(a *Attr) error {
+	t := &p.sc.tok
+	a.Key, a.Pos = t.Text, t.Pos
+	if err := p.expect(TokenWord); err != nil {
+		return err
 	}
-	attr := Attr{Key: key.Text, Pos: key.Pos}
-	if p.peek().Kind == TokenLParen {
+	if t.Kind == TokenLParen {
 		args, err := p.parseArgs()
 		if err != nil {
-			return Attr{}, err
+			return err
 		}
-		attr.Args = args
+		a.Args = args
 	}
-	if _, err := p.expect(TokenAssign); err != nil {
-		return Attr{}, errorAt(key.Pos, "attribute %q: %v", key.Text, err)
+	if err := p.expect(TokenAssign); err != nil {
+		return errorAt(a.Pos, "attribute %q: %v", a.Key, err)
 	}
-	val, err := p.parseValue()
-	if err != nil {
-		return Attr{}, err
-	}
-	attr.Value = val
-	return attr, nil
+	return p.parseValue(&a.Value)
 }
 
 // parseArgs consumes "(" item { "," item } ")" where an item is a word
 // or a bracketed list whose elements splice into the argument list, as
-// in cost([inactive,active]).
+// in cost([inactive,active]). The lookahead is the "(".
 func (p *parser) parseArgs() ([]string, error) {
-	if _, err := p.expect(TokenLParen); err != nil {
-		return nil, err
-	}
+	p.advance()
+	t := &p.sc.tok
 	var args []string
 	for {
-		t := p.next()
 		switch t.Kind {
 		case TokenWord:
 			args = append(args, t.Text)
@@ -184,28 +159,33 @@ func (p *parser) parseArgs() ([]string, error) {
 		default:
 			return nil, errorAt(t.Pos, "want argument, got %s %q", t.Kind, t.Text)
 		}
-		switch sep := p.peek(); sep.Kind {
+		p.advance()
+		switch t.Kind {
 		case TokenComma:
-			p.next()
+			p.advance()
 		case TokenRParen:
-			p.next()
+			p.advance()
 			return args, nil
 		default:
-			return nil, errorAt(sep.Pos, "want ',' or ')' in argument list, got %s %q", sep.Kind, sep.Text)
+			return nil, errorAt(t.Pos, "want ',' or ')' in argument list, got %s %q", t.Kind, t.Text)
 		}
 	}
 }
 
-func (p *parser) parseValue() (Value, error) {
-	t := p.next()
+// parseValue consumes a value token into v.
+func (p *parser) parseValue(v *Value) error {
+	t := &p.sc.tok
 	switch t.Kind {
 	case TokenWord:
-		return Value{Kind: ValueWord, Text: t.Text, Pos: t.Pos}, nil
+		v.Kind = ValueWord
 	case TokenBracket:
-		return Value{Kind: ValueBracket, Text: t.Text, Pos: t.Pos}, nil
+		v.Kind = ValueBracket
 	case TokenRef:
-		return Value{Kind: ValueRef, Text: t.Text, Pos: t.Pos}, nil
+		v.Kind = ValueRef
 	default:
-		return Value{}, errorAt(t.Pos, "want a value, got %s %q", t.Kind, t.Text)
+		return errorAt(t.Pos, "want a value, got %s %q", t.Kind, t.Text)
 	}
+	v.Text, v.Pos = t.Text, t.Pos
+	p.advance()
+	return nil
 }

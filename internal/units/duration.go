@@ -31,16 +31,61 @@ const (
 // suffixes: "30s", "2m", "38h", "650d". A bare "0" parses as zero.
 // Fractional magnitudes such as "1.5h" are accepted.
 func ParseDuration(s string) (Duration, error) {
+	d, fault := scanDuration(s)
+	if fault == durationOK {
+		return d, nil
+	}
+	t := strings.TrimSpace(s)
+	switch fault {
+	case durationEmpty:
+		return 0, fmt.Errorf("parse duration: empty string")
+	case durationUnit:
+		return 0, fmt.Errorf("parse duration %q: unknown unit %q (want s, m, h or d)", s, string(t[len(t)-1]))
+	case durationNegative:
+		return 0, fmt.Errorf("parse duration %q: negative durations are not allowed", s)
+	case durationRange:
+		return 0, fmt.Errorf("parse duration %q: out of range", s)
+	default:
+		_, err := strconv.ParseFloat(t[:len(t)-1], 64)
+		return 0, fmt.Errorf("parse duration %q: %w", s, err)
+	}
+}
+
+// IsDuration reports whether ParseDuration accepts s. It builds no
+// error, and allocates nothing unless s has a known unit after text
+// that begins like a number yet does not parse as one ("2mm"), so it
+// suits tests of text that is usually not a duration, such as the
+// items of an enumerated range.
+func IsDuration(s string) bool {
+	_, fault := scanDuration(s)
+	return fault == durationOK
+}
+
+// durationFault is why scanDuration rejected its text; ParseDuration
+// turns it into an error.
+type durationFault uint8
+
+const (
+	durationOK durationFault = iota
+	durationEmpty
+	durationUnit
+	durationNumber
+	durationNegative
+	durationRange
+)
+
+// scanDuration is the one reading of the duration grammar behind both
+// ParseDuration and IsDuration, so the two cannot disagree.
+func scanDuration(s string) (Duration, durationFault) {
 	t := strings.TrimSpace(s)
 	if t == "" {
-		return 0, fmt.Errorf("parse duration: empty string")
+		return 0, durationEmpty
 	}
 	if t == "0" {
-		return 0, nil
+		return 0, durationOK
 	}
-	unit := t[len(t)-1]
 	var scale Duration
-	switch unit {
+	switch t[len(t)-1] {
 	case 's':
 		scale = Second
 	case 'm':
@@ -50,20 +95,43 @@ func ParseDuration(s string) (Duration, error) {
 	case 'd':
 		scale = Day
 	default:
-		return 0, fmt.Errorf("parse duration %q: unknown unit %q (want s, m, h or d)", s, string(unit))
+		return 0, durationUnit
 	}
-	mag, err := strconv.ParseFloat(t[:len(t)-1], 64)
+	num := t[:len(t)-1]
+	// strconv.ParseFloat allocates the error it returns, so a magnitude
+	// that cannot begin a float ("gol" of "gold") is turned away first.
+	if !floatStart(num) {
+		return 0, durationNumber
+	}
+	mag, err := strconv.ParseFloat(num, 64)
 	if err != nil {
-		return 0, fmt.Errorf("parse duration %q: %w", s, err)
+		return 0, durationNumber
 	}
 	if mag < 0 {
-		return 0, fmt.Errorf("parse duration %q: negative durations are not allowed", s)
+		return 0, durationNegative
 	}
 	ns := float64(scale) * mag
 	if !(ns < math.MaxInt64) { // also rejects NaN
-		return 0, fmt.Errorf("parse duration %q: out of range", s)
+		return 0, durationRange
 	}
-	return Duration(ns), nil
+	return Duration(ns), durationOK
+}
+
+// floatStart reports whether s, after an optional sign, begins with a
+// digit or a point, or is one of the words inf, infinity and nan that
+// strconv.ParseFloat accepts in any case. Text it rejects never parses
+// as a float.
+func floatStart(s string) bool {
+	if s != "" && (s[0] == '+' || s[0] == '-') {
+		s = s[1:]
+	}
+	if s == "" {
+		return false
+	}
+	if c := s[0]; c == '.' || '0' <= c && c <= '9' {
+		return true
+	}
+	return strings.EqualFold(s, "inf") || strings.EqualFold(s, "infinity") || strings.EqualFold(s, "nan")
 }
 
 // MustDuration parses s and panics on error. It is intended only for

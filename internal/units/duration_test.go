@@ -46,6 +46,23 @@ func TestParseDurationErrors(t *testing.T) {
 	}
 }
 
+// TestIsDurationAgrees pins IsDuration to ParseDuration, and checks
+// that it allocates nothing on durations, on words such as enumerated
+// range items, and on text with an unknown unit.
+func TestIsDurationAgrees(t *testing.T) {
+	for _, give := range []string{"0", "1.5h", "gold", "10x", "-1m", "", "platinum", "central", "+2m", "Infd", "NaNh", "nonem", "1e3s", "2mm", "1.2.3h", "1e400s"} {
+		_, err := ParseDuration(give)
+		if got, want := IsDuration(give), err == nil; got != want {
+			t.Errorf("IsDuration(%q) = %v, ParseDuration error %v", give, got, err)
+		}
+	}
+	for _, give := range []string{"0", "1.5h", "gold", "10x", "-1m", "", "platinum", "central", "nonem"} {
+		if n := testing.AllocsPerRun(10, func() { IsDuration(give) }); n != 0 {
+			t.Errorf("IsDuration(%q) allocates %.0f objects, want 0", give, n)
+		}
+	}
+}
+
 func TestDurationString(t *testing.T) {
 	tests := []struct {
 		give Duration
