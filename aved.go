@@ -130,6 +130,8 @@ type (
 	Fig6Result = sweep.Fig6Result
 	// Fig7Point is one sample of the scientific-application sweep.
 	Fig7Point = sweep.Fig7Point
+	// Fig7Result collects the Fig. 7 job-time sweep.
+	Fig7Result = sweep.Fig7Result
 	// Fig8Curve is one availability cost-premium curve.
 	Fig8Curve = sweep.Fig8Curve
 	// Family identifies a design family as Fig. 6 labels them.
@@ -296,7 +298,7 @@ func SweepFig6(ctx context.Context, solver *Solver, loads, budgetsMinutes []floa
 }
 
 // SweepFig7 regenerates the Fig. 7 job-time sweep under the context.
-func SweepFig7(ctx context.Context, solver *Solver, requirementHours []float64) ([]Fig7Point, error) {
+func SweepFig7(ctx context.Context, solver *Solver, requirementHours []float64) (*Fig7Result, error) {
 	return sweep.Fig7(ctx, solver, requirementHours)
 }
 

@@ -172,11 +172,11 @@ func BenchmarkFig7Sweep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := benchSolver(b, true)
-		points, err := aved.SweepFig7(context.Background(), s, reqs)
+		res, err := aved.SweepFig7(context.Background(), s, reqs)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(points) == 0 {
+		if len(res.Points) == 0 {
 			b.Fatal("empty sweep")
 		}
 	}
@@ -416,11 +416,11 @@ func BenchmarkFig7SweepWorkers(b *testing.B) {
 	run := func(b *testing.B, workers int) {
 		for i := 0; i < b.N; i++ {
 			s := benchSolverWorkers(b, true, workers)
-			points, err := aved.SweepFig7(context.Background(), s, reqs)
+			res, err := aved.SweepFig7(context.Background(), s, reqs)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if len(points) == 0 {
+			if len(res.Points) == 0 {
 				b.Fatal("empty sweep")
 			}
 		}

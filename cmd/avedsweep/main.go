@@ -70,8 +70,8 @@ func run(args []string, out io.Writer) error {
 
 // progressTracer renders sweep.point events as one progress line each.
 // Cells that rode the grid-aware scheduling append their reuse
-// counters — frontiers served from the chain's memo, tier walks
-// replayed from it, and warm replays of earlier cells' eval-cache entries — so a
+// counters — frontiers served from the solver's walk and frontier memo,
+// tier walks replayed from it, and warm replays of earlier cells' eval-cache entries — so a
 // watcher sees the acceleration live; cold cells print unchanged.
 func progressTracer(w io.Writer) aved.Tracer {
 	return aved.TraceFunc(func(e aved.TraceEvent) {
@@ -165,20 +165,22 @@ func fig7(ctx context.Context, out io.Writer, points, workers int, engine aved.E
 	if err != nil {
 		return err
 	}
-	rows, err := aved.SweepFig7(ctx, solver, grid)
+	res, err := aved.SweepFig7(ctx, solver, grid)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintln(out, "# Fig. 7 — optimal design as a function of execution time requirement")
 	fmt.Fprintln(out, "# req_hours\tresource\tstack\tn\tspares\tckpt_hours\tlocation\tjob_hours\tcost")
 	var tot aved.SweepTotals
-	for _, p := range rows {
+	for _, p := range res.Points {
 		fmt.Fprintf(out, "%.3g\t%s\t%s\t%d\t%d\t%.3f\t%s\t%.2f\t%s\n",
 			p.RequirementHours, p.Resource, p.Stack, p.NActive, p.NSpare,
 			p.CheckpointHours, p.StorageLocation, p.JobTimeHours, p.Cost)
 		tot.Add(p.Stats)
 	}
-	tot.Infeasible = len(grid) - len(rows)
+	for _, st := range res.InfeasibleStats {
+		tot.AddInfeasible(st)
+	}
 	fmt.Fprintf(out, "# totals: %s\n", tot)
 	if timings {
 		cli.PhaseComments(out, tot.PhaseNanos)

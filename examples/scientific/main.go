@@ -42,7 +42,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	points, err := aved.SweepFig7(context.Background(), solver, grid)
+	res, err := aved.SweepFig7(context.Background(), solver, grid)
 	if err != nil {
 		return err
 	}
@@ -50,7 +50,7 @@ func run() error {
 	fmt.Println("=== Scientific application: optimal design vs execution-time requirement ===")
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "req(h)\tresource\tmachines\tspares\tckpt interval\tstorage\texpected(h)\tcost")
-	for _, p := range points {
+	for _, p := range res.Points {
 		fmt.Fprintf(w, "%.1f\t%s\t%d\t%d\t%s\t%s\t%.1f\t%s\n",
 			p.RequirementHours, p.Stack, p.NActive, p.NSpare,
 			aved.Hours(p.CheckpointHours), p.StorageLocation, p.JobTimeHours, p.Cost)

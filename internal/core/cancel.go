@@ -47,8 +47,8 @@ func wrapCanceled(err error, stats *searchStats) error {
 // context for their evaluation (sim.Engine, whose Monte-Carlo batches
 // check it between batches). Structural, like obsInstrumentable, so core
 // carries no dependency on the engine packages. Engines without it (the
-// analytic engines) evaluate fast enough that the per-candidate checks
-// in the search loops bound the cancellation latency on their own.
+// analytic engines) evaluate fast enough that the per-batch checks in
+// the search loops bound the cancellation latency on their own.
 type ctxEvaluator interface {
 	EvaluateCtx(ctx context.Context, tms []avail.TierModel) (avail.Result, error)
 }

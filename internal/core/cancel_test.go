@@ -38,7 +38,7 @@ func TestSolveContextDeadlineExceeded(t *testing.T) {
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
-	// Promptness: the per-candidate checks must stop the search within a
+	// Promptness: the per-batch checks must stop the search within a
 	// few engine evaluations, not after draining the full design space
 	// (an unconstrained solve of this point takes far longer than this).
 	if elapsed > 2*time.Second {

@@ -403,9 +403,20 @@ func (s *Solver) finishEnterprise(ctx context.Context, chosen []*TierCandidate, 
 	}
 	// Re-evaluate the whole design through the engine for the reported
 	// figure (identical to the series combination of tier downtimes).
-	tms, err := avail.BuildModels(&design)
-	if err != nil {
-		return nil, err
+	// Every chosen candidate was priced, so its resolved modes are in
+	// the mode cache; the tier models are the very ones its pricing
+	// handed the engine.
+	tms := make([]avail.TierModel, len(chosen))
+	for i, c := range chosen {
+		td := &c.Design
+		modes, ok := s.modeCache[c.mode]
+		if !ok {
+			var err error
+			if modes, err = avail.BuildTierModes(td); err != nil {
+				return nil, err
+			}
+		}
+		tms[i] = avail.TierModel{Name: td.TierName, N: td.NActive, M: td.MinActive, S: td.NSpare, Modes: modes}
 	}
 	var sp obs.Span
 	if s.timed {

@@ -10,7 +10,6 @@ import (
 	"aved/internal/avail"
 	"aved/internal/model"
 	"aved/internal/scenarios"
-	"aved/internal/units"
 )
 
 // legacyAvailKey is the string fingerprint the packed fp128 replaced,
@@ -45,7 +44,10 @@ func legacyAvailKey(td *model.TierDesign) string {
 
 // collectScenarioDesigns walks every option of every tier of the
 // paper's services through the real search enumeration across several
-// sizes, collecting the candidates and their hot-path fingerprints.
+// sizes, with spare warmth explored, collecting each
+// candidate's design and the fingerprints the walks price it under:
+// the tabled mode fingerprint and the availability fingerprint built
+// from it when the candidate is priced.
 func collectScenarioDesigns(t *testing.T) ([]model.TierDesign, []candFP) {
 	t.Helper()
 	inf, err := scenarios.Infrastructure()
@@ -55,6 +57,7 @@ func collectScenarioDesigns(t *testing.T) ([]model.TierDesign, []candFP) {
 	var (
 		designs []model.TierDesign
 		fps     []candFP
+		spares  int
 	)
 	for _, build := range []func(*model.Infrastructure) (*model.Service, error){
 		scenarios.ApplicationTier, scenarios.Ecommerce, scenarios.Scientific,
@@ -83,20 +86,19 @@ func collectScenarioDesigns(t *testing.T) ([]model.TierDesign, []candFP) {
 					if o.maxTotal > 0 && total > o.maxTotal {
 						break
 					}
-					err := o.candidates(total, func(td model.TierDesign, fps2 candFP, _ units.Money) error {
-						designs = append(designs, td)
-						fps = append(fps, fps2)
-						return nil
-					})
-					if err != nil {
-						t.Fatal(err)
+					for _, r := range o.candidates(nil, total) {
+						designs = append(designs, o.design(&r))
+						fps = append(fps, o.fps(&r))
+						if r.nSpare > 0 && r.warm > 0 {
+							spares++
+						}
 					}
 				}
 			}
 		}
 	}
-	if len(designs) < 100 {
-		t.Fatalf("scenario enumeration too small: %d designs", len(designs))
+	if len(designs) < 100 || spares == 0 {
+		t.Fatalf("scenario enumeration too small: %d designs, %d with warm spares", len(designs), spares)
 	}
 	return designs, fps
 }
@@ -153,9 +155,11 @@ func TestModeFingerprintInjective(t *testing.T) {
 }
 
 // TestFingerprintPrecomputedAgrees pins the two constructions of the
-// fingerprint to each other: the hot path assembles it from hoisted
-// per-option parts, fingerprintOf computes it from scratch, and they
-// must agree on every candidate or the caches would split.
+// fingerprint to each other: the hot path reads the mode fingerprint
+// from the option's table and extends it to the availability
+// fingerprint only for a priced candidate, fingerprintOf computes both
+// from scratch, and they must agree on every candidate — spare-less and
+// spared, at every warmth — or the caches would split.
 func TestFingerprintPrecomputedAgrees(t *testing.T) {
 	designs, fps := collectScenarioDesigns(t)
 	for i := range designs {

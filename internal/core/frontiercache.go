@@ -7,14 +7,14 @@ import (
 
 	"aved/internal/model"
 	"aved/internal/obs"
-	"aved/internal/perf"
 )
 
-// This file implements the memo behind Solver.SolveChain: one chain of
-// cells — one service and load at a run of downtime budgets — shares
-// whole per-tier Pareto frontiers and the per-tier walks of phase 1 and
-// the waterfilling bound, each walk replayable over the exact budget
-// interval it cannot tell apart (see tierWalk).
+// This file implements the memo behind Solver.SolveChain: the chains
+// of cells on one solver — each chain one service and load at a run of
+// downtime budgets — share whole per-tier Pareto frontiers and the
+// per-tier walks of phase 1 and the waterfilling bound, each walk
+// replayable over the exact budget interval it cannot tell apart (see
+// tierWalk).
 //
 // The key observation is requirement-invariance. A tier's frontier
 // depends on the models and on the throughput requirement — never on
@@ -25,7 +25,11 @@ import (
 // budget-dependent cost threshold — and the truncated frontier is
 // exactly the ≤ maxCost prefix of a frontier built under any larger
 // bound (see tierFrontier), so serving a prefix of a cached build is
-// bit-identical to rebuilding under the cell's own bound.
+// bit-identical to rebuilding under the cell's own bound. The same
+// holds across loads: two loads whose option minima agree share a
+// frontierKey, so a sweep's later loads replay an earlier load's walks
+// and frontiers (on the Fig 4 e-commerce grids the database tier has
+// one key at every load).
 //
 // Entries are built BOUNDED, at the first requesting cell's threshold,
 // never unbounded on purpose: a frontier built with no cost bound
@@ -41,27 +45,58 @@ import (
 // superseded build's evaluations replay from the solver's evaluation
 // cache, so extension costs only the new tail.
 //
-// A chain lives inside one SolveChain call, which is what makes the
-// effort accounting deterministic: each build or walk is charged to the
-// cell that runs it (candidates, pruning, evaluations, cache hits), and
-// each replay charges the recorded effort with every evaluation request
-// counted as an EvalCacheHit (the engine never ran for it) plus one
-// FrontierReuse or WalkReuse. A solver's
+// The memo lives on the Solver, which one goroutine owns, and the
+// sweeps run their chains in a fixed order, so what it holds at each
+// cell — and so every replay — is the same at any worker count. The
+// effort accounting is also independent of the memo's scope: each build
+// or walk is charged to the cell that runs it (candidates, pruning,
+// evaluations, cache hits), and each replay charges, with every
+// evaluation request counted as an EvalCacheHit (the engine never ran
+// for it) plus one FrontierReuse or WalkReuse, exactly the candidates,
+// pruning and requests a chain with a memo of its own would have
+// charged. A walk replay charges the recorded walk, which any walk in
+// its interval repeats. A frontier replay charges what a build at the
+// chain's own bound spends, derived from the recorded build's size
+// trajectory (see frontierWalk.effortAt), so one solver sweeping many
+// loads sums to the same effort as one solver per load. A solver's
 // models never change, so an entry never goes stale.
 
-// chain is one SolveChain call's memo: each service tier's frontierKey
-// at the chain's load, computed by the chain's first enterprise solve,
-// and the frontier builds and tier walks its cells have recorded. A nil
-// *chain — the SolveContext path — walks every tier and builds every
-// frontier afresh.
-type chain struct {
-	keys      []fp128
+// tierMemo is a solver's walk and frontier memo: the frontier builds
+// and tier walks its SolveChain cells have recorded, by frontierKey.
+// It lives on the Solver, so every chain on the solver shares it — a
+// sweep's loads with one key share one record.
+type tierMemo struct {
 	frontiers map[fp128]*frontierEntry
 	walks     map[fp128][]*walkEntry
 }
 
-func newChain() *chain {
-	return &chain{frontiers: map[fp128]*frontierEntry{}, walks: map[fp128][]*walkEntry{}}
+// chain is one SolveChain call: each service tier's frontierKey at the
+// chain's one load, computed by the chain's first enterprise solve,
+// each tier's chainBuild, and the solver's memo. A nil *chain — the
+// SolveContext path — walks every tier and builds every frontier
+// afresh.
+type chain struct {
+	keys   []fp128
+	builds []chainBuild
+	*tierMemo
+}
+
+// chainBuild is the cost bound of the frontier build a chain with a
+// memo of its own would hold for one tier: the bound of the tier's
+// first frontier request in the chain, raised by every request above
+// it. ok is false before the chain's first request.
+type chainBuild struct {
+	ok    bool
+	bound float64
+}
+
+// newChain starts a SolveChain call on the solver's memo, creating the
+// memo on the first chain.
+func (s *Solver) newChain() *chain {
+	if s.memo.frontiers == nil {
+		s.memo = tierMemo{frontiers: map[fp128]*frontierEntry{}, walks: map[fp128][]*walkEntry{}}
+	}
+	return &chain{tierMemo: &s.memo}
 }
 
 // keyTiers sets c.keys at load unless an earlier cell already has: a
@@ -78,16 +113,103 @@ func (s *Solver) keyTiers(c *chain, load tierLoad) error {
 		}
 	}
 	c.keys = keys
+	c.builds = make([]chainBuild, len(keys))
 	return nil
 }
 
 // frontierEntry is one cached frontier build: the Pareto points, the
-// cost bound they were built under, and the effort the build spent, for
-// replaying cells to account deterministically.
+// cost bound they were built under, and the size trajectory of each
+// option walk, from which the effort of a build at any bound up to
+// bound follows (see effortAt).
 type frontierEntry struct {
 	points []TierCandidate
 	bound  float64
-	delta  effortDelta
+	walks  []frontierWalk
+}
+
+// frontierWalk records one option's frontier walk (see optionFrontier)
+// as far as the effort of the same walk under a smaller bound depends on
+// it: the option's grid contiguity and closed-form floor, and the
+// sizes it generated, in order, lookahead included.
+type frontierWalk struct {
+	contiguous bool
+	floor      float64 // tailCostLB at the performance minimum
+	sizes      []frontierSize
+}
+
+// frontierSize is one generated size batch of a frontier walk: whether
+// the size exists, its candidates' costs in ascending order, and
+// whether the improvement rule ended the walk after evaluating it.
+type frontierSize struct {
+	ok    bool
+	costs []float64
+	stop  bool
+}
+
+// minCost is the size's cheapest candidate's cost, +Inf for none.
+func (z *frontierSize) minCost() float64 {
+	if len(z.costs) == 0 {
+		return math.Inf(1)
+	}
+	return z.costs[0]
+}
+
+// effortAt is the effort the recorded walk's option spends under the
+// cost bound maxCost, which must not exceed the recorded build's bound.
+// It repeats optionFrontier's size loop on the recorded sizes: a walk
+// under a smaller bound visits a prefix of the recorded sizes — every
+// size it evaluates in full the recorded walk evaluated in full too, so
+// the improvement rule ends both alike — and every size it looks at, the
+// lookahead included, was generated by the recorded walk.
+func (w *frontierWalk) effortAt(maxCost float64) effortDelta {
+	var d effortDelta
+	bounded := !math.IsInf(maxCost, 1)
+	if bounded && !w.contiguous {
+		if w.floor > maxCost {
+			d.boundPruned = 1
+			return d
+		}
+		bounded, maxCost = false, math.Inf(1)
+	}
+	for t := 0; t < len(w.sizes) && w.sizes[t].ok; t++ {
+		cur := &w.sizes[t]
+		n := len(cur.costs)
+		d.candidates += n
+		if cur.minCost() > maxCost {
+			d.boundPruned += n
+			break
+		}
+		nxt := &w.sizes[t+1]
+		if bounded && (!nxt.ok || nxt.minCost() > maxCost) {
+			// The last admitted size: over-bound candidates are skipped,
+			// and the looked-ahead size is cut.
+			over := 0
+			for over < n && cur.costs[n-1-over] > maxCost {
+				over++
+			}
+			d.boundPruned += over
+			d.requests += n - over
+			if nxt.ok {
+				d.candidates += len(nxt.costs)
+				d.boundPruned += len(nxt.costs)
+			}
+			break
+		}
+		d.requests += n
+		if cur.stop {
+			break
+		}
+	}
+	return d
+}
+
+// effortAt sums the entry's option walks' effort under maxCost.
+func (e *frontierEntry) effortAt(maxCost float64) effortDelta {
+	var d effortDelta
+	for i := range e.walks {
+		d = d.add(e.walks[i].effortAt(maxCost))
+	}
+	return d
 }
 
 // effortDelta is the effort one frontier build or tier walk spent.
@@ -109,6 +231,11 @@ func (st *searchStats) effort() effortDelta {
 func (d effortDelta) sub(o effortDelta) effortDelta {
 	return effortDelta{d.candidates - o.candidates, d.costPruned - o.costPruned,
 		d.boundPruned - o.boundPruned, d.requests - o.requests}
+}
+
+func (d effortDelta) add(o effortDelta) effortDelta {
+	return effortDelta{d.candidates + o.candidates, d.costPruned + o.costPruned,
+		d.boundPruned + o.boundPruned, d.requests + o.requests}
 }
 
 // charge adds a replayed build's or walk's effort to stats, every
@@ -204,79 +331,65 @@ func (s *Solver) frontierKey(tier *model.Tier, load tierLoad) (fp128, error) {
 	f := fp128{hi: fnvOffset64, lo: saltEntry}.mixString(tier.Name)
 	for i := range tier.Options {
 		opt := &tier.Options[i]
-		rt := opt.ResourceType()
-		f = f.mixString(rt.Name)
-		curve, err := s.curveFor(opt)
+		f = f.mixString(opt.ResourceType().Name)
+		t, err := s.optionTable(tier, opt)
 		if err != nil {
 			return fp128{}, err
 		}
-		n, ok := perf.MinActive(curve, load.full, opt.NActive)
-		if ok {
-			if maxTotal := rt.MaxInstances(); maxTotal > 0 && n > maxTotal {
-				ok = false
-			}
-		}
-		// 0 encodes "option ruled out", n+1 a feasible minimum — the same
-		// split newOptionSearch applies, so two loads share a key exactly
-		// when every option enumerates the same candidate space. The
-		// degraded minimum shapes each candidate's up-threshold M, so it
-		// is part of the space and gets its own key bits.
-		if !ok {
+		// 0 encodes "option ruled out", n+1 a feasible minimum — the
+		// limits every walk of the option reads at this load, so two
+		// loads share a key exactly when every option enumerates the same
+		// candidate space. The degraded minimum shapes each candidate's
+		// up-threshold M, so it is part of the space and gets its own key
+		// bits.
+		lim := t.limits(load, s.opts.MaxRedundancy)
+		if !lim.ok {
 			f = f.mixUint(0)
 		} else {
-			f = f.mixUint(uint64(n) + 1)
-			nd := n
-			if load.degraded < load.full {
-				if m, mok := perf.MinActive(curve, load.degraded, opt.NActive); mok && m < n {
-					nd = m
-				}
-			}
-			f = f.mixUint(uint64(nd) + 1)
+			f = f.mixUint(uint64(lim.nMinPerf) + 1).mixUint(uint64(lim.nMinDegraded) + 1)
 		}
 	}
 	return f, nil
 }
 
 // chainTierFrontier is tierFrontier for service tier ti through the
-// chain's memo: serve the ≤ maxCost prefix of a cached build whose
-// bound covers the request, otherwise build at maxCost and cache.
-// Without a chain it builds afresh. The returned slice may share the
-// cached backing array and must be treated read-only — the combiners
-// only read.
+// memo: serve the ≤ maxCost prefix of a cached build whose bound covers
+// the request, otherwise build at maxCost and cache. A replay charges
+// the effort of the build the chain would hold with a memo of its own
+// (see chainBuild): its own earlier build's when that covers maxCost,
+// else a build's at maxCost. Without a chain it builds afresh. The
+// returned slice may share the cached backing array and must be treated
+// read-only — the combiners only read.
 func (s *Solver) chainTierFrontier(ctx context.Context, c *chain, ti int, load tierLoad, maxCost float64, stats *searchStats) ([]TierCandidate, error) {
 	tier := &s.svc.Tiers[ti]
 	if c == nil {
-		return s.tierFrontier(ctx, tier, load, maxCost, stats)
+		return s.tierFrontier(ctx, tier, load, maxCost, stats, nil)
 	}
-	key := c.keys[ti]
+	key, cb := c.keys[ti], &c.builds[ti]
+	if !cb.ok || maxCost > cb.bound {
+		*cb = chainBuild{ok: true, bound: maxCost}
+	}
 	if e := c.frontiers[key]; e != nil && maxCost <= e.bound {
-		e.delta.charge(stats)
+		d := e.effortAt(cb.bound)
+		d.charge(stats)
 		stats.FrontierReuse++
 		if tr := s.opts.Tracer; tr != nil {
 			tr.Emit(obs.Event{Ev: obs.EvFrontierReuse, Tier: tier.Name,
-				FP: fpHex(key), Evals: int64(e.delta.requests)})
+				FP: fpHex(key), Evals: int64(d.requests)})
 		}
 		return frontierPrefix(e.points, maxCost), nil
 	}
 	// Build — or extend, rebuilding from scratch at the larger bound; the
 	// superseded build's evaluations replay from the evaluation cache, so
-	// extension costs only the new tail. The build runs against a private
-	// stats block so its effort can be recorded on the entry; pool
-	// collection is already off by the frontier phase (finishBounds), so
-	// none is configured.
-	bs := searchStats{gen: stats.gen}
-	points, err := s.tierFrontier(ctx, tier, load, maxCost, &bs)
+	// extension costs only the new tail. Pool collection is already off
+	// by the frontier phase (finishBounds), so none is configured.
+	e := &frontierEntry{bound: maxCost}
+	points, err := s.tierFrontier(ctx, tier, load, maxCost, stats, &e.walks)
 	if err != nil {
 		return nil, err
 	}
-	stats.Add(bs.Stats)
-	// Engine time the build spent (the only phase a frontier build
-	// accrues — the bracketed phases run on the outer stats) carries
-	// over so PhaseNanos["eval"] keeps matching the eval.miss trace.
-	for i, ph := range bs.phaseNs {
-		stats.phaseNs[i] += ph
-	}
-	c.frontiers[key] = &frontierEntry{points: points, bound: maxCost, delta: bs.effort()}
+	e.points = points
+	c.frontiers[key] = e
 	return points, nil
 }
 

@@ -110,13 +110,10 @@ func checkOptionPrices(t *testing.T, name string, s *Solver, req model.Requireme
 				if o.maxTotal > 0 && total > o.maxTotal {
 					break
 				}
-				err := o.candidates(total, func(td model.TierDesign, _ candFP, c units.Money) error {
-					samePrice(t, name, &td, c)
+				for _, r := range o.candidates(nil, total) {
+					td := o.design(&r)
+					samePrice(t, name, &td, r.cost)
 					n++
-					return nil
-				})
-				if err != nil {
-					t.Fatal(err)
 				}
 			}
 		}

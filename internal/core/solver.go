@@ -175,16 +175,19 @@ type Stats struct {
 	// builds a fresh solver per request, and on Fig. 7 levels, which
 	// each solve on a fresh sibling.
 	WarmStartReuse int `json:"warmStartReuse,omitempty"`
-	// FrontierReuse counts tier frontiers this solve served from its
-	// chain's memo instead of building (a SolveChain cell). The
-	// replayed build's evaluation requests land in EvalCacheHits, its
-	// candidates and pruning in the usual counters, so every per-cell
-	// counter of a chain is exact at any worker count. Zero on plain
+	// FrontierReuse counts tier frontiers this solve served from the
+	// solver's walk and frontier memo instead of building (a SolveChain
+	// cell). The replay charges the evaluation requests of the build its
+	// chain would hold with a memo of its own to EvalCacheHits, and that
+	// build's candidates and pruning to the usual counters, so every
+	// per-cell counter is exact at any worker count and the same whether
+	// earlier loads ran on this solver or not. Zero on plain
 	// SolveContext solves.
 	FrontierReuse int `json:"frontierReuse,omitempty"`
 	// WalkReuse counts per-tier searches (§4.1's tier walks, in phase 1
 	// and the combination bound's waterfilling) this solve replayed from
-	// its chain's memo instead of walking (a SolveChain cell). Like a
+	// the solver's walk and frontier memo instead of walking (a
+	// SolveChain cell), whichever chain recorded the walk. Like a
 	// frontier replay, the recorded walk's evaluation requests land in
 	// EvalCacheHits and its candidates and pruning in the usual
 	// counters, so per-cell counters stay exact at any worker count.
@@ -305,6 +308,13 @@ type Solver struct {
 	// pins, so every option walk over one resource type — and there are
 	// several per solve — shares a single enumeration.
 	comboCache map[*model.ResourceType]*comboSet
+	// optTables holds each resource option's load-independent walk
+	// setup (see optionTable), built on the option's first walk.
+	optTables map[*model.ResourceOption]*optionTable
+
+	// memo is the walk and frontier memo every SolveChain call on this
+	// solver shares (see tierMemo); empty until the first chain.
+	memo tierMemo
 
 	// combineHook, when set, sees every input the solves hand the
 	// multi-tier combiner; tests set it to record what the combiner is
@@ -410,10 +420,10 @@ func (s *Solver) Solve(req model.Requirements) (*Solution, error) {
 }
 
 // SolveContext is Solve under a caller context: the search checks ctx
-// once per candidate (and the Monte-Carlo engine once per replication
-// batch), so cancellation or deadline expiry aborts promptly with a
-// CanceledError carrying the partial Stats and unwrapping to ctx's
-// error. The search never depends on earlier solves on this solver,
+// once per generated batch of candidates (and the Monte-Carlo engine
+// once per replication batch), so cancellation or deadline expiry
+// aborts promptly with a CanceledError carrying the partial Stats and
+// unwrapping to ctx's error. The search never depends on earlier solves on this solver,
 // whose evaluations only replay from the cache.
 func (s *Solver) SolveContext(ctx context.Context, req model.Requirements) (*Solution, error) {
 	return s.solve(ctx, req, nil)
@@ -424,15 +434,19 @@ func (s *Solver) SolveContext(ctx context.Context, req model.Requirements) (*Sol
 // tightest budget first (equal budgets in index order), and calls visit
 // after each cell with the budget's index and exactly what SolveContext
 // returns for that requirement. A non-nil error from visit stops the
-// chain, and SolveChain returns it. The cells share a memo private to
-// the call: the first cell needing a tier's combination frontier builds
-// it at its own cost threshold and every later cell whose threshold the
-// build covers replays its ≤-threshold prefix (Stats.FrontierReuse),
-// and a tier walk whose budget lies in a recorded walk's budget
-// interval replays that walk (Stats.WalkReuse; see tierWalk). Solutions
-// are bit-identical to SolveContext's; the replays show only in the
-// effort counters, where each replay's recorded requests count as
-// EvalCacheHits.
+// chain, and SolveChain returns it. Every SolveChain call on the solver
+// shares one memo, keyed by each tier's candidate space at the chain's
+// load, so a sweep's later loads reuse an earlier load's work: the
+// first cell needing a tier's combination frontier builds it at its own
+// cost threshold and every later cell — of this chain or a later one —
+// whose threshold the build covers replays its ≤-threshold prefix
+// (Stats.FrontierReuse), and a tier walk whose budget lies in a
+// recorded walk's budget interval replays that walk (Stats.WalkReuse;
+// see tierWalk). Solutions are bit-identical to SolveContext's; the
+// replays show only in the effort counters, where each replay's
+// requests count as EvalCacheHits, and the candidates, pruning and
+// requests each cell is charged do not depend on which chains ran
+// before it.
 func (s *Solver) SolveChain(ctx context.Context, req model.Requirements, budgets []units.Duration, visit func(i int, sol *Solution, err error) error) error {
 	if req.Kind != model.ReqEnterprise {
 		return fmt.Errorf("core: SolveChain needs an enterprise requirement, got kind %d", int(req.Kind))
@@ -442,7 +456,7 @@ func (s *Solver) SolveChain(ctx context.Context, req model.Requirements, budgets
 		ord[i] = i
 	}
 	slices.SortStableFunc(ord, func(a, b int) int { return cmp.Compare(budgets[a], budgets[b]) })
-	c := newChain()
+	c := s.newChain()
 	for _, i := range ord {
 		cell := req
 		cell.MaxAnnualDowntime = budgets[i]

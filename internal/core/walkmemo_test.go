@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -35,6 +36,53 @@ type walkProblem struct {
 // budget: the result bit for bit, the certificate, the effort and the
 // reduced pool pairs.
 func TestWalkReplayMatchesFreshWalk(t *testing.T) {
+	var walks, replays int
+	for pi, p := range walkProblems(t) {
+		rng := rand.New(rand.NewSource(int64(pi) + 1))
+		opts := Options{Registry: scenarios.Registry(), Workers: 1}
+		// The fresh solvers share one engine: its mode-chain memo is
+		// bit-identical to cold solving and only saves test time.
+		freshOpts := opts
+		freshOpts.Engine = avail.NewMarkovEngine()
+		s, err := NewSolver(p.inf, p.svc, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The memo spans the loads, so a later load's chain sees the
+		// walks of an earlier one; each is probed once.
+		probed := map[*walkEntry]bool{}
+		sweepChains(t, p, s, func(c *chain, load tierLoad) {
+			for ti, key := range c.keys {
+				for _, e := range append([]*walkEntry(nil), c.walks[key]...) {
+					if probed[e] {
+						continue
+					}
+					probed[e] = true
+					walks++
+					for _, b := range walkProbes(e, rng) {
+						replays++
+						checkWalkProbe(t, p, s, c, freshOpts, ti, load, b, true)
+					}
+					if !math.IsInf(e.hi, 1) {
+						checkWalkProbe(t, p, s, c, freshOpts, ti, load, e.hi, false)
+					}
+					if !math.IsInf(e.lo, -1) {
+						checkWalkProbe(t, p, s, c, freshOpts, ti, load, math.Nextafter(e.lo, math.Inf(-1)), false)
+					}
+				}
+			}
+		})
+	}
+	t.Logf("%d recorded walks, %d replays checked", walks, replays)
+	if walks == 0 {
+		t.Fatal("no tier walk was recorded — the property test is vacuous")
+	}
+}
+
+// walkProblems is RandSolveScenario seeds 1–60, each at its own load,
+// and the e-commerce grids of the sweep evaluation ceilings, Fig 6 and
+// Fig 8 (the latter with its whole-year baseline budget).
+func walkProblems(t *testing.T) []walkProblem {
 	var problems []walkProblem
 	for seed := int64(1); seed <= 60; seed++ {
 		sc, err := scenarios.RandSolveScenario(rand.New(rand.NewSource(seed)))
@@ -55,62 +103,97 @@ func TestWalkReplayMatchesFreshWalk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The e-commerce grids of the sweep evaluation ceilings, Fig 6 and
-	// Fig 8 (the latter with its whole-year baseline budget).
-	problems = append(problems,
+	return append(problems,
 		walkProblem{"ecommerce-fig6", inf, ecom, []float64{400, 1400, 3200, 5000}, []float64{1, 10, 100, 1000, 10000}},
 		walkProblem{"ecommerce-fig8", inf, ecom, []float64{400, 800, 1600, 3200}, []float64{1, 10, 100, 1000, avail.MinutesPerYear}})
+}
 
-	var walks, replays int
-	for pi, p := range problems {
-		rng := rand.New(rand.NewSource(int64(pi) + 1))
-		opts := Options{Registry: scenarios.Registry(), Workers: 1}
-		// The fresh solvers share one engine: its mode-chain memo is
-		// bit-identical to cold solving and only saves test time.
-		freshOpts := opts
-		freshOpts.Engine = avail.NewMarkovEngine()
-		s, err := NewSolver(p.inf, p.svc, opts)
+// sweepChains solves the problem's grid on s as the sweeps do, one
+// chain per load tightest budget first, and hands after calls each
+// chain and its load once the chain's cells are solved.
+func sweepChains(t *testing.T, p walkProblem, s *Solver, after func(c *chain, load tierLoad)) {
+	t.Helper()
+	budgets := append([]float64(nil), p.budgets...)
+	sort.Float64s(budgets)
+	for _, loadFull := range p.loads {
+		c := s.newChain()
+		var load tierLoad
+		for _, b := range budgets {
+			req := model.Requirements{
+				Kind:              model.ReqEnterprise,
+				Throughput:        loadFull,
+				MaxAnnualDowntime: units.Duration(b * float64(units.Minute)),
+			}
+			load = loadOf(req)
+			_, err := s.solve(context.Background(), req, c)
+			var infErr *InfeasibleError
+			if err != nil && !errors.As(err, &infErr) {
+				t.Fatalf("%s load %v budget %v: %v", p.name, loadFull, b, err)
+			}
+		}
+		after(c, load)
+	}
+}
+
+// TestFrontierEffortAtMatchesBuild pins the frontier memo's effort
+// accounting, which lets a chain replay another chain's build while
+// charging what a build of its own would have spent. For every frontier
+// build the problems' chains recorded, and for cost bounds at and under
+// the build's own — the bound, every cost its walks generated, the
+// float just under each, and each option's floor — the effort the entry
+// derives from its recorded trajectory equals the effort a fresh build
+// at that bound spends, and its points' ≤-bound prefix equals the fresh
+// build's points.
+func TestFrontierEffortAtMatchesBuild(t *testing.T) {
+	var entries, probes int
+	for _, p := range walkProblems(t) {
+		s, err := NewSolver(p.inf, p.svc, Options{Registry: scenarios.Registry(), Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		budgets := append([]float64(nil), p.budgets...)
-		sort.Float64s(budgets)
-		for _, loadFull := range p.loads {
-			c := newChain()
-			var load tierLoad
-			for _, b := range budgets {
-				req := model.Requirements{
-					Kind:              model.ReqEnterprise,
-					Throughput:        loadFull,
-					MaxAnnualDowntime: units.Duration(b * float64(units.Minute)),
-				}
-				load = loadOf(req)
-				_, err := s.solve(context.Background(), req, c)
-				var infErr *InfeasibleError
-				if err != nil && !errors.As(err, &infErr) {
-					t.Fatalf("%s load %v budget %v: %v", p.name, loadFull, b, err)
-				}
-			}
+		checked := map[*frontierEntry]bool{}
+		sweepChains(t, p, s, func(c *chain, load tierLoad) {
 			for ti, key := range c.keys {
-				for _, e := range append([]*walkEntry(nil), c.walks[key]...) {
-					walks++
-					for _, b := range walkProbes(e, rng) {
-						replays++
-						checkWalkProbe(t, p, s, c, freshOpts, ti, load, b, true)
+				e := c.frontiers[key]
+				if e == nil || checked[e] {
+					continue
+				}
+				checked[e] = true
+				entries++
+				bounds := []float64{e.bound}
+				for _, w := range e.walks {
+					bounds = append(bounds, w.floor, math.Nextafter(w.floor, math.Inf(-1)))
+					for _, z := range w.sizes {
+						for _, c := range z.costs {
+							bounds = append(bounds, c, math.Nextafter(c, math.Inf(-1)))
+						}
 					}
-					if !math.IsInf(e.hi, 1) {
-						checkWalkProbe(t, p, s, c, freshOpts, ti, load, e.hi, false)
+				}
+				slices.Sort(bounds)
+				for _, b := range slices.Compact(bounds) {
+					if b > e.bound {
+						continue
 					}
-					if !math.IsInf(e.lo, -1) {
-						checkWalkProbe(t, p, s, c, freshOpts, ti, load, math.Nextafter(e.lo, math.Inf(-1)), false)
+					probes++
+					var fresh searchStats
+					points, err := s.tierFrontier(context.Background(), &p.svc.Tiers[ti], load, b, &fresh, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					where := fmt.Sprintf("%s tier %s build at %v, bound %v", p.name, p.svc.Tiers[ti].Name, e.bound, b)
+					if got, want := e.effortAt(b), fresh.effort(); got != want {
+						t.Errorf("%s: derived effort %+v, fresh build %+v", where, got, want)
+					}
+					if got := frontierPrefix(e.points, b); !reflect.DeepEqual(got, points) && len(got)+len(points) > 0 {
+						t.Errorf("%s: memo prefix has %d points, fresh build %d", where, len(got), len(points))
 					}
 				}
 			}
-		}
+		})
 	}
-	t.Logf("%d recorded walks, %d replays checked", walks, replays)
-	if walks == 0 {
-		t.Fatal("no tier walk was recorded — the property test is vacuous")
+	t.Logf("%d recorded frontier builds, %d bounds checked", entries, probes)
+	if entries == 0 {
+		t.Fatal("no frontier build was recorded — the property test is vacuous")
 	}
 }
 

@@ -51,16 +51,18 @@ const (
 	// earlier cell's evaluation. Always paired with an eval.hit for the
 	// same fingerprint.
 	EvWarmReuse = "warm.reuse"
-	// EvFrontierReuse is a whole tier frontier served from the memo of
-	// a Solver.SolveChain budget chain instead of rebuilt: Tier names
-	// the tier, FP carries the frontier key, and Evals counts the
-	// engine evaluations the replayed build originally spent — the work
-	// this solve avoided.
+	// EvFrontierReuse is a whole tier frontier served from the walk and
+	// frontier memo that every Solver.SolveChain budget chain on one
+	// solver shares, instead of rebuilt: Tier names the tier, FP carries
+	// the frontier key, and Evals counts the evaluation requests a build
+	// at the chain's own bound makes — charged to this solve as cache
+	// hits, the work it avoided.
 	EvFrontierReuse = "frontier.reuse"
-	// EvWalkReuse is one per-tier search replayed from the memo of a
-	// Solver.SolveChain budget chain instead of walked: an earlier walk
-	// of the same tier candidate space, keyed FP, covered the requested
-	// budget. Evals counts the evaluation requests the
+	// EvWalkReuse is one per-tier search replayed from the walk and
+	// frontier memo the Solver.SolveChain budget chains of one solver
+	// share, instead of walked: an earlier walk of the same tier
+	// candidate space, keyed FP, at this load or another, covered the
+	// requested budget. Evals counts the evaluation requests the
 	// recorded walk made — charged to this solve as cache hits.
 	EvWalkReuse = "walk.reuse"
 	// EvEvalMiss is an availability evaluation actually run by the
@@ -135,10 +137,10 @@ type Event struct {
 	CacheHits   int64 `json:"hits,omitempty"`
 	BoundPruned int64 `json:"bpruned,omitempty"`
 	WarmReuse   int64 `json:"wreuse,omitempty"`
-	// FrontierReuse counts tier frontiers served from a chain's memo
+	// FrontierReuse counts tier frontiers served from the solver's memo
 	// (search.end; also the sweep totals carried on sweep.point events).
 	FrontierReuse int64 `json:"freuse,omitempty"`
-	// WalkReuse counts tier walks replayed from a chain's memo
+	// WalkReuse counts tier walks replayed from the solver's memo
 	// (search.end; also the per-cell count on sweep.point events).
 	WalkReuse  int64  `json:"walkreuse,omitempty"`
 	MemoHits   uint64 `json:"memoh,omitempty"`

@@ -129,8 +129,12 @@ func (s *Server) runSweep(ctx context.Context, req *SweepRequest, ent *inflightE
 		if err != nil {
 			return nil, badRequestError{err}
 		}
-		resp.Fig7, err = aved.SweepFig7(ctx, solver, grid)
-		return resp, err
+		res, err := aved.SweepFig7(ctx, solver, grid)
+		if err != nil {
+			return nil, err
+		}
+		resp.Fig7 = res.Points
+		return resp, nil
 	}
 	inf, svc, err := aved.PaperScenario("apptier")
 	if err != nil {

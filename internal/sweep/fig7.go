@@ -28,16 +28,26 @@ type Fig7Point struct {
 	Stats core.Stats
 }
 
+// Fig7Result collects the job-axis sweep.
+type Fig7Result struct {
+	// Points are the feasible levels, in grid order.
+	Points []Fig7Point
+	// InfeasibleStats records, in grid order, the search effort of each
+	// level no design meets; those levels have no Point.
+	InfeasibleStats []core.Stats
+}
+
 // Fig7 sweeps the job-time requirement axis of Fig. 7: for each
 // requirement it solves for the optimal design and records the
 // dimensions the figure plots — resource type, resource count, spares,
 // checkpoint interval and storage location. Infeasible requirements
-// are skipped (the left edge of the axis).
+// (the left edge of the axis) have no point; their effort is in
+// InfeasibleStats.
 //
 // The levels fan across the solver's worker pool, each solving on its
 // own sibling of solver (core.Solver.Sibling): a default engine is then
 // private to the level, an engine the caller passed is shared.
-func Fig7(ctx context.Context, solver *core.Solver, requirementHours []float64) ([]Fig7Point, error) {
+func Fig7(ctx context.Context, solver *core.Solver, requirementHours []float64) (*Fig7Result, error) {
 	if len(requirementHours) == 0 {
 		return nil, fmt.Errorf("sweep: fig7 needs a non-empty requirement grid")
 	}
@@ -49,6 +59,8 @@ func Fig7(ctx context.Context, solver *core.Solver, requirementHours []float64) 
 	type slot struct {
 		ok    bool
 		point Fig7Point
+		// infeasible is the effort of a level with no design.
+		infeasible core.Stats
 	}
 	slots := make([]slot, len(requirementHours))
 	po := solverPointObs(solver, len(slots))
@@ -63,6 +75,7 @@ func Fig7(ctx context.Context, solver *core.Solver, requirementHours []float64) 
 		if err != nil {
 			var infErr *core.InfeasibleError
 			if errors.As(err, &infErr) {
+				slots[i].infeasible = infErr.Stats
 				po.Done(i, start, obs.Event{ReqH: h, Err: "infeasible"})
 				return nil
 			}
@@ -96,11 +109,13 @@ func Fig7(ctx context.Context, solver *core.Solver, requirementHours []float64) 
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Fig7Point, 0, len(slots))
+	res := &Fig7Result{Points: make([]Fig7Point, 0, len(slots))}
 	for i := range slots {
 		if slots[i].ok {
-			out = append(out, slots[i].point)
+			res.Points = append(res.Points, slots[i].point)
+		} else {
+			res.InfeasibleStats = append(res.InfeasibleStats, slots[i].infeasible)
 		}
 	}
-	return out, nil
+	return res, nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sync/atomic"
@@ -12,6 +13,7 @@ import (
 	"aved/internal/avail"
 	"aved/internal/core"
 	"aved/internal/model"
+	"aved/internal/obs"
 	"aved/internal/scenarios"
 	"aved/internal/units"
 )
@@ -299,48 +301,8 @@ func TestSweepEvalCeilings(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var got, want []gridCell
-			var tot Totals
-			var cold, coldCalls int64
-			if tc.fig8 {
-				curves, err := Fig8(context.Background(), s, tc.loads, tc.budgets)
-				if err != nil {
-					t.Fatal(err)
-				}
-				// Each load's cold stride is its whole-year baseline, then
-				// the budget cells; Fig 8 reports only costs, so the
-				// comparison projects both sides onto feasibility and cost.
-				coldBudgets := append([]float64{avail.MinutesPerYear}, tc.budgets...)
-				var full []gridCell
-				full, cold, coldCalls = coldCells(t, inf, svc, opts, tc.loads, coldBudgets)
-				for _, c := range full {
-					want = append(want, gridCell{ok: c.ok, cost: c.cost})
-				}
-				for _, c := range curves {
-					tot.Add(c.BaselineStats)
-					for _, st := range c.InfeasibleStats {
-						tot.AddInfeasible(st)
-					}
-					got = append(got, gridCell{ok: true, cost: c.BaselineCost})
-					byBudget := map[float64]units.Money{}
-					for _, p := range c.Points {
-						tot.Add(p.Stats)
-						byBudget[p.BudgetMinutes] = p.TotalCost
-					}
-					for _, budget := range tc.budgets {
-						cost, ok := byBudget[budget]
-						got = append(got, gridCell{ok: ok, cost: cost})
-					}
-				}
-			} else {
-				res, err := Fig6(context.Background(), s, tc.loads, tc.budgets)
-				if err != nil {
-					t.Fatal(err)
-				}
-				tot = res.Totals
-				got = fig6Cells(res, tc.loads, tc.budgets)
-				want, cold, coldCalls = coldCells(t, inf, svc, opts, tc.loads, tc.budgets)
-			}
+			got, tot := sweepCells(t, s, tc.fig8, tc.loads, tc.budgets)
+			want, cold, coldCalls := coldGrid(t, inf, svc, opts, tc.fig8, tc.loads, tc.budgets)
 			if len(got) != len(want) {
 				t.Fatalf("grid has %d cells, cold %d", len(got), len(want))
 			}
@@ -432,4 +394,200 @@ func TestSweepMemoCountsExact(t *testing.T) {
 			}
 		})
 	}
+}
+
+// sweepCells runs the grid as Fig 6 or Fig 8 on solver s and returns
+// every cell's projection in grid order, as coldGrid lays it out, and
+// the sweep's totals, infeasible cells apart.
+func sweepCells(t *testing.T, s *core.Solver, fig8 bool, loads, budgets []float64) ([]gridCell, Totals) {
+	t.Helper()
+	if !fig8 {
+		res, err := Fig6(context.Background(), s, loads, budgets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fig6Cells(res, loads, budgets), res.Totals
+	}
+	curves, err := Fig8(context.Background(), s, loads, budgets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cells []gridCell
+	var tot Totals
+	for _, c := range curves {
+		tot.Add(c.BaselineStats)
+		for _, st := range c.InfeasibleStats {
+			tot.AddInfeasible(st)
+		}
+		cells = append(cells, gridCell{ok: true, cost: c.BaselineCost})
+		byBudget := map[float64]units.Money{}
+		for _, p := range c.Points {
+			tot.Add(p.Stats)
+			byBudget[p.BudgetMinutes] = p.TotalCost
+		}
+		for _, budget := range budgets {
+			cost, ok := byBudget[budget]
+			cells = append(cells, gridCell{ok: ok, cost: cost})
+		}
+	}
+	return cells, tot
+}
+
+// coldGrid is coldCells laid out as sweepCells lays out the figure's
+// grid. For Fig 8 each load's stride is its whole-year baseline, then
+// the budget cells, and since Fig 8 reports only costs, every cell is
+// projected onto feasibility and cost.
+func coldGrid(t *testing.T, inf *model.Infrastructure, svc *model.Service, opts core.Options, fig8 bool, loads, budgets []float64) ([]gridCell, int64, int64) {
+	t.Helper()
+	if !fig8 {
+		return coldCells(t, inf, svc, opts, loads, budgets)
+	}
+	cells, evals, calls := coldCells(t, inf, svc, opts, loads, append([]float64{avail.MinutesPerYear}, budgets...))
+	for i, c := range cells {
+		cells[i] = gridCell{ok: c.ok, cost: c.cost}
+	}
+	return cells, evals, calls
+}
+
+// TestSweepMemoSpansLoads pins the solver-scoped walk and frontier
+// memo on e-commerce Fig 6 and Fig 8 grids. One solver sweeps every
+// load, so a later load replays the walks and frontiers of an earlier
+// load whose tier key it shares; that must stay a pure accelerant.
+// Every cell matches a cold SolveContext bit for bit. The summed
+// candidates, cost prunes, bound prunes and evaluation requests equal
+// those of the same grid swept with one solver per load, where no memo
+// outlives its load. And the database tier, whose key every load of
+// these grids shares, is walked fresh in phase 1 at the first load
+// only, and at fewer loads overall than with a solver per load. (A
+// waterfilling walk at a later load can still be fresh: its budget
+// share depends on the other tiers, so it can fall outside every
+// recorded walk's interval.)
+func TestSweepMemoSpansLoads(t *testing.T) {
+	inf, err := scenarios.Infrastructure()
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := scenarios.Ecommerce(inf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := core.Options{Registry: scenarios.Registry()}
+	for _, tc := range []struct {
+		name           string
+		fig8           bool
+		loads, budgets []float64
+	}{
+		{"fig6-ecommerce", false, []float64{400, 1400, 3200, 5000}, []float64{1, 10, 100, 1000, 10000}},
+		{"fig8-ecommerce", true, []float64{400, 800, 1600, 3200}, []float64{1, 10, 100, 1000}},
+		// The plane of the sweep benchmark: 16 loads from 200 to 6000
+		// by 16 budgets from 1 to 10000 minutes. Its chains replay
+		// frontiers built at a larger bound than their own.
+		{"fig6-ecommerce-16x16", false, denseGrid(200, 6000), denseGrid(1, 10000)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var tr obs.CollectTracer
+			traced := opts
+			traced.Tracer = &tr
+			s, err := core.NewSolver(inf, svc, traced)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, shared := sweepCells(t, s, tc.fig8, tc.loads, tc.budgets)
+			want, _, _ := coldGrid(t, inf, svc, opts, tc.fig8, tc.loads, tc.budgets)
+			if len(got) != len(want) {
+				t.Fatalf("grid has %d cells, cold %d", len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] || math.Float64bits(got[i].down) != math.Float64bits(want[i].down) {
+					t.Errorf("cell %d: grid %+v, cold %+v", i, got[i], want[i])
+				}
+			}
+
+			// The same grid with one solver per load, where no memo
+			// outlives its load.
+			var perLoad Totals
+			perLoadFresh := 0
+			for _, load := range tc.loads {
+				var tr obs.CollectTracer
+				traced := opts
+				traced.Tracer = &tr
+				s, err := core.NewSolver(inf, svc, traced)
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, tot := sweepCells(t, s, tc.fig8, []float64{load}, tc.budgets)
+				perLoad.Stats.Add(tot.Stats)
+				perLoad.InfeasibleStats.Add(tot.InfeasibleStats)
+				if _, _, fresh := databaseWalks(tr.Events()); len(fresh) > 0 {
+					perLoadFresh++
+				}
+			}
+			effort := func(tot Totals) [4]int {
+				st := tot.Stats
+				st.Add(tot.InfeasibleStats)
+				return [4]int{st.CandidatesGenerated, st.CostPruned, st.BoundPruned, st.Evaluations + st.EvalCacheHits}
+			}
+			if a, b := effort(shared), effort(perLoad); a != b {
+				t.Errorf("one solver sums [candidates cost-pruned bound-pruned requests] %v, one solver per load %v", a, b)
+			}
+
+			replays, phase1, fresh := databaseWalks(tr.Events())
+			t.Logf("%s: effort %v; database walked fresh at %d of %d loads (%d with a solver per load), in phase 1 at %d; %d database walk replays",
+				tc.name, effort(shared), len(fresh), len(tc.loads), perLoadFresh, len(phase1), replays)
+			for load := range phase1 {
+				if load != tc.loads[0] {
+					t.Errorf("database tier walked fresh in phase 1 at load %v, not only at the first load %v", load, tc.loads[0])
+				}
+			}
+			if replays == 0 {
+				t.Error("no database walk replayed — the check is vacuous")
+			}
+			if len(fresh) >= perLoadFresh {
+				t.Errorf("database tier walked fresh at %d loads with one solver, %d with a solver per load", len(fresh), perLoadFresh)
+			}
+		})
+	}
+}
+
+// databaseWalks reads a sweep trace for the e-commerce database tier's
+// walks. A cell's events precede its sweep.point, so each event falls
+// to that point's load. A database cand.gen inside the tier-search
+// phase is a fresh phase-1 walk, one inside the bound phase a fresh
+// waterfilling walk; a frontier build's candidates fall in the frontier
+// phase. It returns the database walk.reuse count and the loads with a
+// fresh phase-1 walk and with a fresh walk of either kind.
+func databaseWalks(evs []obs.Event) (replays int, phase1, fresh map[float64]bool) {
+	phase1, fresh = map[float64]bool{}, map[float64]bool{}
+	var phase string
+	var walked1, walked bool
+	for _, e := range evs {
+		switch {
+		case e.Ev == obs.EvPhaseStart:
+			phase = e.Phase
+		case e.Ev == obs.EvCandGen && e.Tier == "database" && (phase == "tier-search" || phase == "bound"):
+			walked = true
+			walked1 = walked1 || phase == "tier-search"
+		case e.Ev == obs.EvWalkReuse && e.Tier == "database":
+			replays++
+		case e.Ev == obs.EvSweepPoint:
+			if walked {
+				fresh[e.Load] = true
+			}
+			if walked1 {
+				phase1[e.Load] = true
+			}
+			walked, walked1 = false, false
+		}
+	}
+	return replays, phase1, fresh
+}
+
+// denseGrid spaces 16 points logarithmically over [lo, hi), each a
+// third of a log step above the step's start.
+func denseGrid(lo, hi float64) []float64 {
+	out := make([]float64, 16)
+	for i := range out {
+		out[i] = lo * math.Pow(hi/lo, (float64(i)+1.0/3)/16)
+	}
+	return out
 }

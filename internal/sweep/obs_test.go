@@ -154,10 +154,11 @@ func TestFig8SweepPointIndices(t *testing.T) {
 // TestFig7Fig8PointStats: the job-axis and premium sweeps carry each
 // point's search effort, baselines included.
 func TestFig7Fig8PointStats(t *testing.T) {
-	points, err := Fig7(context.Background(), sciSolver(t), []float64{20, 200})
+	res, err := Fig7(context.Background(), sciSolver(t), []float64{20, 200})
 	if err != nil {
 		t.Fatal(err)
 	}
+	points := res.Points
 	if len(points) == 0 {
 		t.Fatal("no fig7 points")
 	}
@@ -247,10 +248,11 @@ func TestFig7MemoCountersAddUp(t *testing.T) {
 		t.Fatal(err)
 	}
 	grid := []float64{31.6, 139, 611}
-	points, err := Fig7(context.Background(), solver, grid)
+	res, err := Fig7(context.Background(), solver, grid)
 	if err != nil {
 		t.Fatal(err)
 	}
+	points := res.Points
 	if len(points) != len(grid) {
 		t.Fatalf("%d of %d levels feasible", len(points), len(grid))
 	}

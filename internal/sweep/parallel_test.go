@@ -85,7 +85,7 @@ func TestFig7WorkerCountBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(seq) == 0 {
+	if len(seq.Points) == 0 {
 		t.Fatal("degenerate fixture: no points")
 	}
 	for _, workers := range []int{4, 0} {

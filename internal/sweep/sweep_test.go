@@ -132,10 +132,11 @@ func TestFig6SmallSweep(t *testing.T) {
 func TestFig7SmallSweep(t *testing.T) {
 	solver := sciSolver(t)
 	reqs := []float64{2, 20, 200, 1000}
-	points, err := Fig7(context.Background(), solver, reqs)
+	res, err := Fig7(context.Background(), solver, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
+	points := res.Points
 	if len(points) < 3 {
 		t.Fatalf("points = %d, want most requirements feasible", len(points))
 	}
@@ -247,5 +248,35 @@ func TestSweepInputValidation(t *testing.T) {
 	}
 	if _, err := Fig8(context.Background(), solver, nil, nil); err == nil {
 		t.Error("Fig8 empty grids should fail")
+	}
+}
+
+// TestFig7InfeasibleLevelStats: a job-time level no design meets has no
+// point, but its search effort comes back in InfeasibleStats, in grid
+// order, and it is real effort — candidates generated and evaluations
+// run — so the CLI's totals count it instead of inferring the level.
+func TestFig7InfeasibleLevelStats(t *testing.T) {
+	reqs := []float64{1, 200}
+	res, err := Fig7(context.Background(), sciSolver(t), reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Points) != 1 || len(res.InfeasibleStats) != 1 {
+		t.Fatalf("%d points and %d infeasible levels, want 1 and 1", len(res.Points), len(res.InfeasibleStats))
+	}
+	st := res.InfeasibleStats[0]
+	if st.CandidatesGenerated == 0 || st.Evaluations == 0 {
+		t.Errorf("infeasible level carries %d candidates and %d evaluations, want both non-zero",
+			st.CandidatesGenerated, st.Evaluations)
+	}
+	var tot Totals
+	for _, p := range res.Points {
+		tot.Add(p.Stats)
+	}
+	for _, st := range res.InfeasibleStats {
+		tot.AddInfeasible(st)
+	}
+	if tot.Points+tot.Infeasible != len(reqs) {
+		t.Errorf("totals count %d points and %d infeasible levels over %d levels", tot.Points, tot.Infeasible, len(reqs))
 	}
 }

@@ -51,11 +51,13 @@ const (
 	EvCandPrune   = obs.EvCandPrune
 	EvBoundPrune  = obs.EvBoundPrune
 	EvWarmReuse   = obs.EvWarmReuse
-	// EvFrontierReuse is a whole tier frontier served from a budget
-	// chain's memo (Solver.SolveChain) instead of rebuilt.
+	// EvFrontierReuse is a whole tier frontier served from the solver's
+	// walk and frontier memo (Solver.SolveChain), which every budget
+	// chain on the solver shares, instead of rebuilt.
 	EvFrontierReuse = obs.EvFrontierReuse
-	// EvWalkReuse is a per-tier search replayed from a budget chain's
-	// memo instead of walked.
+	// EvWalkReuse is a per-tier search replayed from the solver's walk
+	// and frontier memo, recorded by this budget chain or an earlier
+	// one, instead of walked.
 	EvWalkReuse  = obs.EvWalkReuse
 	EvEvalMiss   = obs.EvEvalMiss
 	EvEvalHit    = obs.EvEvalHit

@@ -188,9 +188,9 @@ func checkSolve(fail func(string, ...any), snap snapshot, tr trace, sol solution
 
 	// Cross-checks: trace multiplicities, metrics counters and the
 	// solution report all describe the same search. FrontierReuse and
-	// WalkReuse are zero by contract on a plain solve (the memo they
-	// count exists only inside a Solver.SolveChain budget chain), so
-	// their rows pin exactly that.
+	// WalkReuse are zero by contract on a plain solve (the solver's walk
+	// and frontier memo they count serves only Solver.SolveChain budget
+	// chains, never SolveContext), so their rows pin exactly that.
 	cross := []struct {
 		ev      string
 		counter string
@@ -326,7 +326,7 @@ func checkSweep(fail func(string, ...any), snap snapshot, tr trace) {
 		fail("trace: the sweep never made a warm replay of an earlier cell's entry — grid-aware scheduling is off")
 	}
 	if tr.pointWalk == 0 {
-		fail("trace: the sweep never replayed a tier walk — the chain's walk memo is off")
+		fail("trace: the sweep never replayed a tier walk — the solver's walk memo is off")
 	}
 	// The per-cell solvers share the registry, so the phase histograms
 	// must aggregate exactly the phase.end / eval.miss spans the trace
