@@ -31,17 +31,12 @@ import (
 
 func benchSolver(b *testing.B, scientific bool) *aved.Solver {
 	b.Helper()
-	return benchSolverWorkers(b, scientific, 0)
-}
-
-func benchSolverWorkers(b *testing.B, scientific bool, workers int) *aved.Solver {
-	b.Helper()
 	inf, err := aved.PaperInfrastructure()
 	if err != nil {
 		b.Fatal(err)
 	}
 	var svc *aved.Service
-	opts := aved.Options{Registry: aved.PaperRegistry(), Workers: workers}
+	opts := aved.Options{Registry: aved.PaperRegistry()}
 	if scientific {
 		svc, err = aved.PaperScientific(inf)
 		opts.FixedMechanisms = aved.Bronze()
@@ -400,28 +395,6 @@ func BenchmarkSimWorkers(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := eng.Evaluate([]avail.TierModel{tm}); err != nil {
 				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("sequential", func(b *testing.B) { run(b, 1) })
-	b.Run("parallel", func(b *testing.B) { run(b, 0) })
-}
-
-// BenchmarkFig7SweepWorkers compares the job-time sweep — every level
-// an independent solve on a solver of its own — sequentially and across
-// the pool. Fig. 6 and Fig. 8 grids run one goroutine at any worker
-// count, so they have no such comparison.
-func BenchmarkFig7SweepWorkers(b *testing.B) {
-	reqs := []float64{20, 50, 100, 200, 500}
-	run := func(b *testing.B, workers int) {
-		for i := 0; i < b.N; i++ {
-			s := benchSolverWorkers(b, true, workers)
-			res, err := aved.SweepFig7(context.Background(), s, reqs)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(res.Points) == 0 {
-				b.Fatal("empty sweep")
 			}
 		}
 	}

@@ -40,7 +40,7 @@ func run(args []string, out io.Writer) error {
 		loads    = fs.Int("loads", 10, "load grid points (figs 6, 8)")
 		budgets  = fs.Int("budgets", 12, "downtime-budget grid points (figs 6, 8)")
 		points   = fs.Int("points", 15, "job-time requirement points (fig 7)")
-		workers  = fs.Int("workers", 0, "worker count for Fig. 7 levels and sim replications: 0 = all CPUs, 1 = sequential (results are identical); Figs. 6 and 8 run on one goroutine")
+		workers  = fs.Int("workers", 0, "Monte-Carlo replication worker count for -engine sim: 0 = all CPUs, 1 = sequential (results are identical); every figure sweep runs on one goroutine")
 		progress = fs.Bool("progress", false, "report per-point sweep progress (with per-cell ms) on stderr")
 		timings  = fs.Bool("timings", false, "time the solve phases and append a wall-clock breakdown as comment lines")
 	)
@@ -59,7 +59,7 @@ func run(args []string, out io.Writer) error {
 		case 6:
 			return fig6(ctx, out, *loads, *budgets, eng, setup, *timings)
 		case 7:
-			return fig7(ctx, out, *points, *workers, eng, setup, *timings)
+			return fig7(ctx, out, *points, eng, setup, *timings)
 		case 8:
 			return fig8(ctx, out, *budgets, eng, setup, *timings)
 		default:
@@ -146,7 +146,7 @@ func fig6(ctx context.Context, out io.Writer, loadPoints, budgetPoints int, engi
 
 // fig7 prints the optimal scientific design as a function of the
 // job-completion-time requirement.
-func fig7(ctx context.Context, out io.Writer, points, workers int, engine aved.Engine, setup *aved.ObsSetup, timings bool) error {
+func fig7(ctx context.Context, out io.Writer, points int, engine aved.Engine, setup *aved.ObsSetup, timings bool) error {
 	inf, svc, err := aved.PaperScenario("scientific")
 	if err != nil {
 		return err
@@ -154,7 +154,6 @@ func fig7(ctx context.Context, out io.Writer, points, workers int, engine aved.E
 	solver, err := aved.NewSolver(inf, svc, setup.Apply(aved.Options{
 		Registry:        aved.PaperRegistry(),
 		FixedMechanisms: aved.Bronze(),
-		Workers:         workers,
 		Engine:          engine,
 		Timings:         timings,
 	}))

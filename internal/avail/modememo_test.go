@@ -236,8 +236,8 @@ func TestPriceTierMatchesEvaluate(t *testing.T) {
 }
 
 // TestMemoConcurrentSolveOnce hammers one engine's memo from many
-// goroutines — sensitivity factors and Fig 7 levels share an engine
-// the caller passes — and checks the
+// goroutines — sensitivity factors share an engine the caller
+// passes — and checks the
 // determinism invariant getOrSolve promises: each key solves exactly
 // once, so solves = distinct keys and hits = requests − solves. Under
 // the race detector it also checks the memo's lock discipline.

@@ -14,8 +14,8 @@ type memoSinks struct {
 // into reg's avail.memo.hits and avail.memo.solves counters and routes
 // memo events to tr. It implements the solver's structural
 // instrumentation interface. Counting into the registry's own counters
-// makes engines sharing one registry add up: the Fig. 7 levels each
-// own an engine, and a server's requests each build one. Re-instrumenting
+// makes engines sharing one registry add up: a server's requests each
+// build one. Re-instrumenting
 // with the same registry reuses its counters, so solvers sharing one
 // engine (sensitivity sweeps build one per factor) may all call it;
 // the latest call's sinks win. A memo-less zero engine has nothing to

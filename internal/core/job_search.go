@@ -76,11 +76,9 @@ const jobStopAfterDegrading = 2
 // counts, precomputed once per option so the inner search loop runs
 // pure arithmetic.
 type jobCombo struct {
-	settings []model.MechSetting
-	// lossWindow is the combo's resolved loss window; zero duration
-	// with hasLW=false means no checkpointing.
+	// lossWindow is the combo's resolved loss window; zero means no
+	// checkpointing, so a failure loses the whole job.
 	lossWindow units.Duration
-	hasLW      bool
 	// overheads are the resolved mechanism performance-impact
 	// functions with their argument maps; Factor still takes n.
 	overheads []comboOverhead
@@ -94,41 +92,39 @@ type comboOverhead struct {
 	args map[string]perf.Arg
 }
 
-// prepareJobCombos resolves the option's mechanism combinations into
-// jobCombos, grouped by availability relevance; out[ci] is cs.combos[ci],
-// so the walk prices it from the same combo set. It returns the packed
-// relevant-settings fingerprint of each group, computed once here so
-// the search loop reuses it instead of re-fingerprinting per probe.
-func (s *Solver) prepareJobCombos(tier *model.Tier, opt *model.ResourceOption, cs *comboSet) ([]jobCombo, []fp128, error) {
+// newJobProducts resolves a prepared option table's combinations into
+// jobCombos grouped by availability relevance, with an empty product
+// table; combos[ci] is t.cs.combos[ci], whose price and mode
+// fingerprints the table holds. It also reports the number of groups.
+func (s *Solver) newJobProducts(t *optionTable) (*jobProducts, int, error) {
 	groups := map[fp128]int{}
-	var groupFPs []fp128
-	out := make([]jobCombo, 0, len(cs.combos))
-	for ci, combo := range cs.combos {
-		jc := jobCombo{settings: combo}
+	out := make([]jobCombo, 0, len(t.cs.combos))
+	for ci, combo := range t.cs.combos {
+		var jc jobCombo
 		// Loss window via a throwaway design: it depends only on the
 		// combo and the resource type.
 		probe := model.TierDesign{
-			TierName:   tier.Name,
-			Option:     opt,
+			TierName:   t.tier.Name,
+			Option:     t.opt,
 			NActive:    1,
 			NMinPerf:   1,
 			MinActive:  1,
 			Mechanisms: combo,
 		}
-		lw, has, err := probe.LossWindow()
+		lw, _, err := probe.LossWindow() // zero without checkpointing
 		if err != nil {
-			return nil, nil, err
+			return nil, 0, err
 		}
-		jc.lossWindow, jc.hasLW = lw, has
-		for _, mp := range opt.MechPerf {
+		jc.lossWindow = lw
+		for _, mp := range t.opt.MechPerf {
 			ms, ok := probe.Mechanism(mp.Mechanism)
 			if !ok {
-				return nil, nil, fmt.Errorf("core: tier %q: mechanism %q has a performance impact but no setting",
-					tier.Name, mp.Mechanism)
+				return nil, 0, fmt.Errorf("core: tier %q: mechanism %q has a performance impact but no setting",
+					t.tier.Name, mp.Mechanism)
 			}
 			oh, err := s.opts.Registry.Overhead(mp.Ref)
 			if err != nil {
-				return nil, nil, err
+				return nil, 0, err
 			}
 			args := make(map[string]perf.Arg, len(ms.Values))
 			for name, v := range ms.Values {
@@ -136,73 +132,132 @@ func (s *Solver) prepareJobCombos(tier *model.Tier, opt *model.ResourceOption, c
 			}
 			jc.overheads = append(jc.overheads, comboOverhead{fn: oh, args: args})
 		}
-		cfp := cs.fps[ci]
-		id, ok := groups[cfp]
+		id, ok := groups[t.cs.fps[ci]]
 		if !ok {
 			id = len(groups)
-			groups[cfp] = id
-			groupFPs = append(groupFPs, cfp)
+			groups[t.cs.fps[ci]] = id
 		}
 		jc.availGroup = id
 		out = append(out, jc)
 	}
-	return out, groupFPs, nil
+	return &jobProducts{
+		jobSize:  s.svc.JobSize,
+		combos:   out,
+		overhead: make([]float64, len(out)),
+		product:  make([]float64, len(t.modes)),
+	}, len(groups), nil
+}
+
+// jobProducts hoists Eq. 1's availability-free product
+// (jobtime.Product) out of the job walk. At one size n the throughput
+// and overhead factors are fixed and the system MTBF varies only with
+// the mode (availability group, warmth, spares > 0), so one product per
+// (combo, mode slot) serves every spare count, and a candidate only
+// divides it by its availability (jobtime.Wall). The slots are the
+// option table's: 0 without spares, 1+w with spares at warmth w.
+type jobProducts struct {
+	jobSize float64
+	combos  []jobCombo
+	n       int
+	perf    float64
+	// overhead[ci] is combo ci's factor at n, product[slot*len(combos)+ci]
+	// its product; zero until first needed (valid values are positive).
+	overhead []float64
+	product  []float64
+}
+
+// reset moves the table to size n with throughput perf.
+func (p *jobProducts) reset(n int, perf float64) {
+	p.n, p.perf = n, perf
+	clear(p.overhead)
+	clear(p.product)
+}
+
+// jobTime reports combo ci's expected completion time in mode slot,
+// on the candidate's availability evaluation e.
+func (p *jobProducts) jobTime(ci, slot int, e evalEntry) (units.Duration, error) {
+	availability := 1 - e.downtimeMinutes/avail.MinutesPerYear
+	if availability <= 0 {
+		return jobtime.MaxExpected, nil
+	}
+	k := slot*len(p.combos) + ci
+	if p.product[k] == 0 {
+		if p.overhead[ci] == 0 {
+			f := 1.0
+			for _, oh := range p.combos[ci].overheads {
+				g, err := oh.fn.Factor(oh.args, p.n)
+				if err != nil {
+					return 0, err
+				}
+				if g < 1 {
+					return 0, fmt.Errorf("core: overhead factor %v below 1", g)
+				}
+				f *= g
+			}
+			p.overhead[ci] = f
+		}
+		var err error
+		p.product[k], err = jobtime.Product(jobtime.Params{
+			JobSize:        p.jobSize,
+			PerfPerHour:    p.perf,
+			OverheadFactor: p.overhead[ci],
+			LossWindow:     p.combos[ci].lossWindow,
+			SystemMTBF:     e.sysMTBF,
+		})
+		if err != nil {
+			return 0, err
+		}
+	}
+	return jobtime.Wall(p.product[k], availability)
 }
 
 func (s *Solver) searchJobOption(ctx context.Context, tier *model.Tier, opt *model.ResourceOption, maxTime units.Duration,
 	incumbent *JobCandidate, stats *searchStats) (*JobCandidate, error) {
 
-	curve, err := s.curveFor(opt)
+	t, err := s.optionTable(tier, opt)
 	if err != nil {
 		return nil, err
 	}
-	rt := opt.ResourceType()
-	cs, err := s.mechCombos(rt)
+	if err := t.prepare(s); err != nil {
+		return nil, err
+	}
+	products, groupCount, err := s.newJobProducts(t)
 	if err != nil {
 		return nil, err
 	}
-	combos, groupFPs, err := s.prepareJobCombos(tier, opt, cs)
-	if err != nil {
-		return nil, err
-	}
-	groupCount := len(groupFPs)
-	base := baseFP(tier.Name, rt.Name)
 
 	tr := s.opts.Tracer
-	resName := rt.Name
+	resName := opt.ResourceType().Name
 	done := ctx.Done()
 	best := incumbent
 	prevBestTime := math.Inf(1)
 	degrading := 0
-	maxTotal := rt.MaxInstances()
-	grid := opt.NActive
-	// Warmth levels for spared candidates, computed once per option.
-	warmSpareLevels := s.warmLevels(rt, 1)
 	entries := make([]evalEntry, groupCount)
 	evaluated := make([]bool, groupCount)
-	nVal, ok := grid.Lo(), true
+	nVal, ok := opt.NActive.Lo(), true
 	for ok {
 		n := int(math.Round(nVal))
-		if maxTotal > 0 && n > maxTotal {
+		if t.maxTotal > 0 && n > t.maxTotal {
 			break
 		}
+		products.reset(n, t.curve.Throughput(n))
 		minCostAtN := math.Inf(1)
-		bestTimeAtN := math.Inf(1)
+		bestAtN := units.Duration(math.MaxInt64)
 		for spares := 0; spares <= s.opts.MaxRedundancy; spares++ {
-			if maxTotal > 0 && n+spares > maxTotal {
+			if t.maxTotal > 0 && n+spares > t.maxTotal {
 				break
 			}
-			warms := warmZeroLevels
+			// The option table's mode slots: 0 without spares, 1+w
+			// with spares at warmth w.
+			warms, slot0 := warmZeroLevels, 0
 			if spares > 0 {
-				warms = warmSpareLevels
+				warms, slot0 = t.warmSpare, 1
 			}
 			for _, warm := range warms {
-				for g := range evaluated {
-					evaluated[g] = false
-				}
-				perfAtN := curve.Throughput(n)
-				for ci := range combos {
-					jc := &combos[ci]
+				slot := slot0 + warm
+				clear(evaluated)
+				for ci := range products.combos {
+					g := products.combos[ci].availGroup
 					// One ctx check per candidate, same captured-Done
 					// pattern as searchOption: free when the context
 					// cannot be cancelled.
@@ -213,7 +268,7 @@ func (s *Solver) searchJobOption(ctx context.Context, tier *model.Tier, opt *mod
 						default:
 						}
 					}
-					c := cs.price(n, spares, warm, ci)
+					c := t.cs.price(n, spares, warm, ci)
 					stats.CandidatesGenerated++
 					if tr != nil {
 						tr.Emit(obs.Event{Ev: obs.EvCandGen, Tier: tier.Name, Res: resName,
@@ -234,29 +289,29 @@ func (s *Solver) searchJobOption(ctx context.Context, tier *model.Tier, opt *mod
 						}
 						continue
 					}
-					if !evaluated[jc.availGroup] {
-						td := s.buildJobDesign(tier, opt, n, spares, warm, jc.settings)
-						// Reuse the group's packed fingerprint from
-						// prepareJobCombos; only the counts vary here.
-						mfp := modeFPOf(base, groupFPs[jc.availGroup], warm, spares > 0)
+					if !evaluated[g] {
+						td := s.buildJobDesign(tier, opt, n, spares, warm, t.cs.combos[ci])
+						// The table holds the mode fingerprint; only the
+						// counts vary here.
+						mfp := t.modes[slot*len(t.cs.combos)+ci]
 						fps := candFP{avail: availFPOf(mfp, td.NActive, td.MinActive, td.NSpare), mode: mfp}
 						entry, err := s.evalTier(ctx, &td, fps, stats)
 						if err != nil {
 							return nil, err
 						}
-						entries[jc.availGroup] = entry
-						evaluated[jc.availGroup] = true
+						entries[g] = entry
+						evaluated[g] = true
 					}
-					jt, err := s.comboJobTime(jc, entries[jc.availGroup], perfAtN, n)
+					jt, err := products.jobTime(ci, slot, entries[g])
 					if err != nil {
 						return nil, err
 					}
-					if jt.Hours() < bestTimeAtN {
-						bestTimeAtN = jt.Hours()
+					if jt < bestAtN {
+						bestAtN = jt
 					}
 					if jt <= maxTime &&
 						(best == nil || c < best.Cost || (c == best.Cost && jt < best.JobTime)) {
-						td := s.buildJobDesign(tier, opt, n, spares, warm, jc.settings)
+						td := s.buildJobDesign(tier, opt, n, spares, warm, t.cs.combos[ci])
 						best = &JobCandidate{Design: td, Cost: c, JobTime: jt}
 						if tr != nil {
 							tr.Emit(obs.Event{Ev: obs.EvIncumbent, Tier: tier.Name, Res: resName,
@@ -270,7 +325,10 @@ func (s *Solver) searchJobOption(ctx context.Context, tier *model.Tier, opt *mod
 			break
 		}
 		if best == nil {
-			if bestTimeAtN >= prevBestTime {
+			// With no incumbent nothing was pruned, so bestAtN is set.
+			// Hours is monotone, so converting the least job time once
+			// gives the least candidate's hours.
+			if bestTimeAtN := bestAtN.Hours(); bestTimeAtN >= prevBestTime {
 				degrading++
 				if degrading >= jobStopAfterDegrading {
 					break
@@ -280,7 +338,7 @@ func (s *Solver) searchJobOption(ctx context.Context, tier *model.Tier, opt *mod
 				prevBestTime = bestTimeAtN
 			}
 		}
-		nVal, ok = grid.Next(nVal)
+		nVal, ok = opt.NActive.Next(nVal)
 	}
 	if best == incumbent {
 		return nil, nil
@@ -300,36 +358,4 @@ func (s *Solver) buildJobDesign(tier *model.Tier, opt *model.ResourceOption,
 		SpareWarm:  warm,
 		Mechanisms: settings,
 	}
-}
-
-// comboJobTime composes the expected completion time from precomputed
-// combo data and a cached availability evaluation.
-func (s *Solver) comboJobTime(jc *jobCombo, entry evalEntry, perfAtN float64, n int) (units.Duration, error) {
-	availability := 1 - entry.downtimeMinutes/avail.MinutesPerYear
-	if availability <= 0 {
-		return jobtime.MaxExpected, nil
-	}
-	overhead := 1.0
-	for _, oh := range jc.overheads {
-		f, err := oh.fn.Factor(oh.args, n)
-		if err != nil {
-			return 0, err
-		}
-		if f < 1 {
-			return 0, fmt.Errorf("core: overhead factor %v below 1", f)
-		}
-		overhead *= f
-	}
-	lw := jc.lossWindow
-	if !jc.hasLW {
-		lw = 0 // no checkpointing: lose the whole job on failure
-	}
-	return jobtime.Expected(jobtime.Params{
-		JobSize:        s.svc.JobSize,
-		PerfPerHour:    perfAtN,
-		OverheadFactor: overhead,
-		LossWindow:     lw,
-		SystemMTBF:     entry.sysMTBF,
-		Availability:   availability,
-	})
 }

@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"aved/internal/avail"
 	"aved/internal/model"
 	"aved/internal/scenarios"
 )
@@ -66,41 +65,5 @@ func TestSolveWorkerCountBitIdentical(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestSiblingEngine pins what a sibling shares with its solver: never
-// the caches, and the engine only when the caller passed one. A
-// sibling's first solve repeats its solver's first solve's effort
-// exactly on a default engine, and finds every mode chain already in
-// the memo of a shared one.
-func TestSiblingEngine(t *testing.T) {
-	req := enterpriseReq(1000, 100)
-	for _, shared := range []bool{false, true} {
-		var opts Options
-		if shared {
-			opts.Engine = avail.NewMarkovEngine()
-		}
-		s := appTierSolver(t, opts)
-		first, err := s.Solve(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sib, err := s.Sibling().Solve(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if first.Stats.Evaluations == 0 || sib.Stats.Evaluations != first.Stats.Evaluations || sib.Stats.WarmStartReuse != 0 {
-			t.Errorf("shared engine %v: sibling evaluated %d (%d warm replays), its solver %d — caches not fresh",
-				shared, sib.Stats.Evaluations, sib.Stats.WarmStartReuse, first.Stats.Evaluations)
-		}
-		wantSolves := first.Stats.ModeMemoSolves
-		if shared {
-			wantSolves = 0
-		}
-		if first.Stats.ModeMemoSolves == 0 || sib.Stats.ModeMemoSolves != wantSolves {
-			t.Errorf("shared engine %v: sibling solved %d mode chains, want %d (its solver solved %d)",
-				shared, sib.Stats.ModeMemoSolves, wantSolves, first.Stats.ModeMemoSolves)
-		}
 	}
 }

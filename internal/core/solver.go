@@ -94,16 +94,11 @@ type Options struct {
 	// maintenance level to bronze as §5.2 does. Keyed by mechanism
 	// name, then parameter name.
 	FixedMechanisms map[string]map[string]model.ParamValue
-	// Workers bounds the worker pool of the coarse-grained work driven
-	// with these options: Fig. 7 requirement levels (the sweep reads it
-	// via Solver.Workers and gives each level its own solver, see
-	// Solver.Sibling) and sensitivity factors. A single solve, and a
-	// Fig. 6 or Fig. 8 grid, always runs on one goroutine. Monte-Carlo
-	// replications take their pool from the sim engine itself
-	// (aved.EngineSpec.Workers), not from here. Zero means
-	// runtime.GOMAXPROCS(0); 1 forces sequential execution. The setting
-	// never changes results — parallel paths are bit-identical to the
-	// sequential order.
+	// Workers bounds the worker pool of sensitivity factors; every solve
+	// and figure sweep runs on one goroutine, and Monte-Carlo
+	// replications take their pool from the sim engine
+	// (aved.EngineSpec.Workers). Zero means runtime.GOMAXPROCS(0); 1
+	// forces sequential execution. The setting never changes results.
 	Workers int
 	// Timings enables per-phase wall-clock attribution on its own:
 	// Solution.Stats.PhaseNanos reports where each solve's time went
@@ -171,9 +166,8 @@ type Stats struct {
 	// grid cell replaying evaluations an earlier cell of the grid, in its
 	// own load chain or an earlier one, already paid for, or a repeat
 	// solve on one solver. Always a subset of EvalCacheHits; zero on a
-	// solver's first solve, and so always zero on the server, which
-	// builds a fresh solver per request, and on Fig. 7 levels, which
-	// each solve on a fresh sibling.
+	// solver's first solve, and so always zero on the server's
+	// /v1/solve, which builds a fresh solver per request.
 	WarmStartReuse int `json:"warmStartReuse,omitempty"`
 	// FrontierReuse counts tier frontiers this solve served from the
 	// solver's walk and frontier memo instead of building (a SolveChain
@@ -197,7 +191,7 @@ type Stats struct {
 	// activity attributable to this solve (zero for engines without a
 	// memo). They are engine-counter deltas: exact unless another
 	// goroutine uses the same engine during the solve, as sensitivity
-	// factors and Fig. 7 levels sharing an engine the caller passed do.
+	// factors sharing an engine the caller passed do.
 	ModeMemoHits   uint64 `json:"modeMemoHits,omitempty"`
 	ModeMemoSolves uint64 `json:"modeMemoSolves,omitempty"`
 	// SimReplications and SimBatches count Monte-Carlo work for this
@@ -259,14 +253,11 @@ type Solution struct {
 // infrastructure. The models are fixed for the solver's lifetime: a
 // what-if over perturbed models builds a new solver. A Solver is not
 // safe for concurrent use: its caches are plain maps, so work fanned
-// across goroutines gives each goroutine its own solver (see Sibling).
+// across goroutines gives each goroutine its own solver.
 type Solver struct {
 	inf  *model.Infrastructure
 	svc  *model.Service
 	opts Options
-	// ownEngine reports that NewSolver built the engine because the
-	// caller passed none; a Sibling then builds its own too.
-	ownEngine bool
 
 	evalCache evalCache // availability evaluations by design fingerprint
 	modeCache modeCache // resolved effective modes by mode fingerprint
@@ -322,57 +313,26 @@ type Solver struct {
 	combineHook func(frontiers [][]TierCandidate, budgetMinutes float64)
 }
 
-// validateModels checks the model pair every solve runs against.
-func validateModels(inf *model.Infrastructure, svc *model.Service) error {
+// NewSolver validates the inputs and builds a solver.
+func NewSolver(inf *model.Infrastructure, svc *model.Service, opts Options) (*Solver, error) {
 	if inf == nil {
-		return fmt.Errorf("core: nil infrastructure")
+		return nil, fmt.Errorf("core: nil infrastructure")
 	}
 	if svc == nil {
-		return fmt.Errorf("core: nil service")
+		return nil, fmt.Errorf("core: nil service")
 	}
 	for i := range svc.Tiers {
 		for j := range svc.Tiers[i].Options {
 			if svc.Tiers[i].Options[j].ResourceType() == nil {
-				return fmt.Errorf("core: service %q is not resolved against the infrastructure (tier %q)",
+				return nil, fmt.Errorf("core: service %q is not resolved against the infrastructure (tier %q)",
 					svc.Name, svc.Tiers[i].Name)
 			}
 		}
 	}
-	return nil
-}
-
-// NewSolver validates the inputs and builds a solver.
-func NewSolver(inf *model.Infrastructure, svc *model.Service, opts Options) (*Solver, error) {
-	if err := validateModels(inf, svc); err != nil {
-		return nil, err
-	}
 	if opts.Registry == nil {
 		return nil, fmt.Errorf("core: options need a performance registry")
 	}
-	return newSolver(inf, svc, opts), nil
-}
-
-// Sibling builds a new solver over s's models from the options the
-// caller passed to NewSolver, with empty caches. An engine the caller
-// passed is shared with s, so it must be safe for concurrent use if the
-// two solve at once (the avail and sim engines are); a default engine
-// is the sibling's own. Fanned-out work gives each goroutine a sibling.
-func (s *Solver) Sibling() *Solver {
-	opts := s.opts
-	if s.ownEngine {
-		opts.Engine = nil
-	}
-	return newSolver(s.inf, s.svc, opts)
-}
-
-// newSolver builds a solver from validated inputs.
-func newSolver(inf *model.Infrastructure, svc *model.Service, opts Options) *Solver {
-	s := &Solver{
-		inf:       inf,
-		svc:       svc,
-		opts:      opts.withDefaults(),
-		ownEngine: opts.Engine == nil,
-	}
+	s := &Solver{inf: inf, svc: svc, opts: opts.withDefaults()}
 	// Hand the observability sinks to engines that can use them. Engine
 	// implementations make this idempotent, so solvers sharing an engine
 	// (sensitivity sweeps) may each call it.
@@ -395,12 +355,8 @@ func newSolver(inf *model.Infrastructure, svc *model.Service, opts Options) *Sol
 			s.pricer = tp
 		}
 	}
-	return s
+	return s, nil
 }
-
-// Workers reports the solver's configured worker-pool bound (see
-// Options.Workers), so sweeps driving the solver share one setting.
-func (s *Solver) Workers() int { return s.opts.Workers }
 
 // Tracer reports the solver's configured trace sink (nil when tracing
 // is off), so sweeps driving the solver can emit into the same stream.

@@ -97,6 +97,18 @@ type Params struct {
 // Eq. 1 restart expansion, and by downtime (the paper's effective
 // uptime T_eff = T_up · lw/T_lw).
 func Expected(p Params) (units.Duration, error) {
+	product, err := Product(p)
+	if err != nil {
+		return 0, err
+	}
+	return Wall(product, p.Availability)
+}
+
+// Product reports the availability-free part of Expected in hours:
+// JobSize/PerfPerHour inflated by OverheadFactor and by the restart
+// expansion (e^x − 1)/x, x = lw/SystemMTBF. It ignores p.Availability,
+// so a search computes it once for candidates differing only in that.
+func Product(p Params) (float64, error) {
 	if p.JobSize <= 0 {
 		return 0, fmt.Errorf("jobtime: job size must be positive, got %v", p.JobSize)
 	}
@@ -105,9 +117,6 @@ func Expected(p Params) (units.Duration, error) {
 	}
 	if p.OverheadFactor < 1 {
 		return 0, fmt.Errorf("jobtime: overhead factor must be at least 1, got %v", p.OverheadFactor)
-	}
-	if p.Availability <= 0 || p.Availability > 1 {
-		return 0, fmt.Errorf("jobtime: availability must be in (0, 1], got %v", p.Availability)
 	}
 	if p.SystemMTBF <= 0 {
 		return 0, fmt.Errorf("jobtime: system MTBF must be positive, got %v", p.SystemMTBF)
@@ -121,7 +130,7 @@ func Expected(p Params) (units.Duration, error) {
 	// Work in float64 throughout: a loss window far beyond the MTBF
 	// sends the restart expansion through the exponential, which would
 	// overflow units.Duration. Such designs are hopeless, not invalid,
-	// so the result clamps to MaxExpected instead of erroring.
+	// so Wall clamps them to MaxExpected instead of erroring.
 	x := lwHours / p.SystemMTBF.Hours()
 	var expansion float64
 	if x > 500 {
@@ -129,10 +138,21 @@ func Expected(p Params) (units.Duration, error) {
 	} else {
 		expansion = math.Expm1(x) / x
 	}
-	wall := computeHours * expansion / p.Availability
-	if math.IsNaN(wall) {
+	product := computeHours * expansion
+	if math.IsNaN(product) {
 		return 0, fmt.Errorf("jobtime: expected time diverged (compute %vh, expansion %v)", computeHours, expansion)
 	}
+	return product, nil
+}
+
+// Wall divides Product's hours by the availability into the expected
+// job time, clamped to MaxExpected. It never falls as the product grows
+// and never rises as availability grows.
+func Wall(product, availability float64) (units.Duration, error) {
+	if availability <= 0 || availability > 1 {
+		return 0, fmt.Errorf("jobtime: availability must be in (0, 1], got %v", availability)
+	}
+	wall := product / availability
 	if wall > MaxExpected.Hours() {
 		return MaxExpected, nil
 	}

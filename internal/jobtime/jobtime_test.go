@@ -267,3 +267,132 @@ func TestExpectedValidation(t *testing.T) {
 		t.Errorf("valid params failed: %v", err)
 	}
 }
+
+// oneExpression is Expected before its split into Product and Wall:
+// Eq. 1 in one expression, (compute·expansion)/availability, clamped.
+// It is the reference the split must match bit for bit.
+func oneExpression(p Params) (float64, bool) {
+	computeHours := p.JobSize / p.PerfPerHour * p.OverheadFactor
+	lwHours := p.LossWindow.Hours()
+	if lwHours <= 0 {
+		lwHours = computeHours
+	}
+	x := lwHours / p.SystemMTBF.Hours()
+	expansion := math.Inf(1)
+	if x <= 500 {
+		expansion = math.Expm1(x) / x
+	}
+	wall := computeHours * expansion / p.Availability
+	if wall > MaxExpected.Hours() {
+		return MaxExpected.Hours(), true
+	}
+	return wall, false
+}
+
+// TestSplitComposesToExpected: Wall(Product(p)) is Expected on its edge
+// cases, bit for bit, and both equal the one-expression form.
+func TestSplitComposesToExpected(t *testing.T) {
+	base := Params{
+		JobSize:        5e4,
+		PerfPerHour:    820,
+		OverheadFactor: 1.07,
+		LossWindow:     units.FromHours(1.5),
+		SystemMTBF:     units.FromHours(310),
+		Availability:   0.9991,
+	}
+	cases := []struct {
+		name    string
+		mutate  func(*Params)
+		wantErr bool
+		clamped bool
+	}{
+		{"checkpointed", func(*Params) {}, false, false},
+		{"loss window 0", func(p *Params) { p.LossWindow = 0 }, false, false},
+		{"loss window 0, failures dominate", func(p *Params) {
+			p.LossWindow, p.SystemMTBF = 0, units.FromHours(20)
+		}, false, false},
+		{"x above 500", func(p *Params) { p.LossWindow = units.FromHours(600 * 310) }, false, true},
+		{"x at 500", func(p *Params) { p.LossWindow = units.FromHours(500 * 310) }, false, true},
+		{"availability 1", func(p *Params) { p.Availability = 1 }, false, false},
+		{"availability 0", func(p *Params) { p.Availability = 0 }, true, false},
+		{"availability negative", func(p *Params) { p.Availability = -0.2 }, true, false},
+		{"clamp from a finite product", func(p *Params) { p.JobSize = 1e12 }, false, true},
+		{"clamp from low availability", func(p *Params) { p.JobSize, p.Availability = 1e8, 1e-3 }, false, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := base
+			tc.mutate(&p)
+			want, err := Expected(p)
+			product, perr := Product(p)
+			var got units.Duration
+			if perr == nil {
+				got, perr = Wall(product, p.Availability)
+			}
+			if (err != nil) != tc.wantErr || (perr != nil) != tc.wantErr {
+				t.Fatalf("Expected err %v, split err %v; want error %v", err, perr, tc.wantErr)
+			}
+			if tc.wantErr {
+				return
+			}
+			if got != want {
+				t.Errorf("Wall(Product) = %v, Expected = %v", got, want)
+			}
+			ref, clamped := oneExpression(p)
+			if want != units.FromHours(ref) || clamped != tc.clamped {
+				t.Errorf("Expected = %v (clamp %v), one expression %v h (clamp %v)",
+					want, want == MaxExpected, ref, clamped)
+			}
+		})
+	}
+}
+
+// TestWallMonotoneProperty states the order a search over Eq. 1 relies
+// on: at a fixed availability the job time never decreases as the
+// availability-free product grows, and at a fixed product it never
+// increases as availability grows. Rounded division keeps both orders,
+// though not strictly, and so does the MaxExpected clamp.
+func TestWallMonotoneProperty(t *testing.T) {
+	// hours spans 2^-32 h to 2^39 h, past MaxExpected; availability spans (0, 1].
+	hours := func(u uint32) float64 { return math.Ldexp(float64(u&0xffff)+1, int(u>>16)%56-32) }
+	availability := func(u uint32) float64 { return (float64(u) + 1) / (1 << 32) }
+	wall := func(product, a float64) units.Duration {
+		d, err := Wall(product, a)
+		if err != nil {
+			t.Fatalf("Wall(%v, %v): %v", product, a, err)
+		}
+		return d
+	}
+	byProduct := func(u, v, w uint32) bool {
+		p1, p2, a := hours(u), hours(v), availability(w)
+		if p1 > p2 {
+			p1, p2 = p2, p1
+		}
+		return wall(p1, a) <= wall(p2, a)
+	}
+	byAvailability := func(u, v, w uint32) bool {
+		a1, a2, p := availability(u), availability(v), hours(w)
+		if a1 > a2 {
+			a1, a2 = a2, a1
+		}
+		return wall(p, a1) >= wall(p, a2)
+	}
+	cfg := &quick.Config{MaxCount: 20000}
+	if err := quick.Check(byProduct, cfg); err != nil {
+		t.Errorf("job time decreased as the product grew: %v", err)
+	}
+	if err := quick.Check(byAvailability, cfg); err != nil {
+		t.Errorf("job time increased as availability grew: %v", err)
+	}
+	// Neighbouring floats: the order holds one ulp apart too.
+	for _, p := range []float64{1e-3, 1, 19.3, 1e6 * 0.999, 1e6} {
+		for _, a := range []float64{1e-9, 0.5, 0.9991, 1} {
+			if wall(p, a) > wall(math.Nextafter(p, math.Inf(1)), a) {
+				t.Errorf("Wall(%v, %v) > Wall(next product)", p, a)
+			}
+			if a < 1 && wall(p, a) < wall(p, math.Nextafter(a, 1)) {
+				t.Errorf("Wall(%v, %v) < Wall(next availability)", p, a)
+			}
+		}
+	}
+}

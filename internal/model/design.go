@@ -357,9 +357,26 @@ func (td *TierDesign) Validate() error {
 			return fmt.Errorf("tier %q: %w", td.TierName, err)
 		}
 	}
-	needed := td.Resource().Mechanisms()
-	for _, name := range needed {
-		if _, ok := td.Mechanism(name); !ok {
+	// Every referenced mechanism must be configured. The refs are walked
+	// in place, in ResourceType.Mechanisms' order, first missing first.
+	for _, rc := range td.Resource().Components {
+		c := rc.Component
+		err := td.requireMechanisms(c.LossWindowRef)
+		for i := 0; err == nil && i < len(c.Failures); i++ {
+			err = td.requireMechanisms(c.Failures[i].MTTRRef, c.Failures[i].MTBFRef)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// requireMechanisms reports the first of the mechanism refs that is
+// neither empty nor configured by the design.
+func (td *TierDesign) requireMechanisms(names ...string) error {
+	for _, name := range names {
+		if _, ok := td.Mechanism(name); name != "" && !ok {
 			return fmt.Errorf("tier %q: resource %q references mechanism %q, which the design does not configure",
 				td.TierName, td.Resource().Name, name)
 		}

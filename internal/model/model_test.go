@@ -1,6 +1,7 @@
 package model
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -260,6 +261,11 @@ func TestTierDesignValidate(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Errorf("valid design rejected: %v", err)
 	}
+	// The mechanism check walks the resource's refs in place: a solver
+	// validates every design it reports.
+	if n := testing.AllocsPerRun(100, func() { _ = good.Validate() }); n != 0 {
+		t.Errorf("Validate allocates %v times per call, want 0", n)
+	}
 	cases := []struct {
 		name   string
 		mutate func(*TierDesign)
@@ -281,6 +287,27 @@ func TestTierDesignValidate(t *testing.T) {
 				t.Error("want error")
 			}
 		})
+	}
+	// A missing mechanism is named, the resource's first-referenced
+	// missing one (ResourceType.Mechanisms order) when several are.
+	if got := fmt.Sprint(good.Resource().Mechanisms()); got != "[maint ckpt]" {
+		t.Fatalf("r1 references %s, want [maint ckpt]", got)
+	}
+	for _, tc := range []struct {
+		name    string
+		keep    func([]MechSetting) []MechSetting
+		missing string
+	}{
+		{"ckpt", func(ms []MechSetting) []MechSetting { return ms[:1] }, "ckpt"},
+		{"maint", func(ms []MechSetting) []MechSetting { return ms[1:] }, "maint"},
+		{"both", func([]MechSetting) []MechSetting { return nil }, "maint"},
+	} {
+		td := mustDesign(t, "lo", 2, 1, 0)
+		td.Mechanisms = tc.keep(td.Mechanisms)
+		want := `tier "main": resource "r1" references mechanism "` + tc.missing + `", which the design does not configure`
+		if err := td.Validate(); err == nil || err.Error() != want {
+			t.Errorf("%s missing: Validate() = %v, want %s", tc.name, err, want)
+		}
 	}
 }
 

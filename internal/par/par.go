@@ -1,14 +1,13 @@
 // Package par is the shared worker-pool helper behind Aved's parallel
-// evaluation paths: Monte-Carlo replications (internal/sim), Fig. 7
-// requirement levels (internal/sweep) and sensitivity factors
-// (internal/sensitivity). Each item is coarse work — a level's solve on
-// a sibling solver, a re-solve, a replication batch — while a single
-// solve runs on one goroutine, its per-candidate work far too fine to
-// pay for a pool, and a Fig. 6 or Fig. 8 grid solves its load chains in
-// order on one goroutine, sharing one solver's caches without a lock.
-// All of those fan independent work items over a bounded pool
-// and write results by index, so callers stay bit-identical to their
-// sequential order regardless of the worker count.
+// evaluation paths: Monte-Carlo replications (internal/sim) and
+// sensitivity factors (internal/sensitivity). Each item is coarse work
+// — a re-solve, a replication batch — while a single solve runs on one
+// goroutine, its per-candidate work far too fine to pay for a pool, and
+// the figure sweeps solve their loads and levels in order on one
+// goroutine, sharing one solver's caches without a lock. Both paths
+// fan independent work items over a bounded pool and write results by
+// index, so callers stay bit-identical to their sequential order
+// regardless of the worker count.
 package par
 
 import (

@@ -56,8 +56,8 @@ type Config struct {
 	// that asked for none). Zero means no cap.
 	MaxTimeout time.Duration
 	// Workers is the default worker count for sim-engine replications
-	// and Fig. 7 sweep levels (0 = all CPUs). Each solve, and each Fig. 6
-	// or Fig. 8 sweep, runs on one goroutine.
+	// (0 = all CPUs). Each solve, and each figure sweep, runs on one
+	// goroutine.
 	Workers int
 	// CacheSize bounds the completed-response cache; 0 disables it.
 	CacheSize int

@@ -12,9 +12,9 @@ import (
 // SweepRequest is the body of POST /v1/sweep: regenerate one of the
 // paper's evaluation figures over the built-in Fig. 3/4/5 inputs, with
 // configurable grid resolution. Sweeps are admitted through the same
-// bounded slot pool as solves (one slot per sweep; a fig 7 sweep fans
-// its levels over its own worker pool) but are neither deduplicated nor
-// cached — they are batch work, not the interactive path.
+// bounded slot pool as solves (one slot per sweep, which runs on one
+// goroutine) but are neither deduplicated nor cached — they are batch
+// work, not the interactive path.
 type SweepRequest struct {
 	// Fig selects the figure: 6, 7 or 8.
 	Fig int `json:"fig"`
@@ -23,9 +23,8 @@ type SweepRequest struct {
 	Budgets int `json:"budgets,omitempty"`
 	// Points sets the requirement grid for fig 7.
 	Points int `json:"points,omitempty"`
-	// Workers bounds the worker pool of the fig 7 levels and of sim
-	// replications (0 = server default); figs 6 and 8 run on one
-	// goroutine.
+	// Workers bounds the worker pool of sim replications (0 = server
+	// default); every figure sweep runs on one goroutine.
 	Workers int `json:"workers,omitempty"`
 
 	// EngineParams select the availability engine, as in SolveRequest.
@@ -120,7 +119,7 @@ func (s *Server) runSweep(ctx context.Context, req *SweepRequest, ent *inflightE
 		}
 		solver, err := aved.NewSolver(inf, svc, aved.Options{
 			Registry: aved.PaperRegistry(), FixedMechanisms: aved.Bronze(),
-			Workers: workers, Engine: eng, Metrics: s.metrics, Tracer: tracer,
+			Engine: eng, Metrics: s.metrics, Tracer: tracer,
 		})
 		if err != nil {
 			return nil, err

@@ -8,7 +8,6 @@ import (
 	"aved/internal/core"
 	"aved/internal/model"
 	"aved/internal/obs"
-	"aved/internal/par"
 	"aved/internal/units"
 )
 
@@ -44,78 +43,63 @@ type Fig7Result struct {
 // (the left edge of the axis) have no point; their effort is in
 // InfeasibleStats.
 //
-// The levels fan across the solver's worker pool, each solving on its
-// own sibling of solver (core.Solver.Sibling): a default engine is then
-// private to the level, an engine the caller passed is shared.
+// The levels solve in grid order on the caller's solver, as Fig. 6 and
+// Fig. 8 cells do, checking ctx before each; a later level replays the
+// evaluations earlier ones paid for (Stats.WarmStartReuse).
 func Fig7(ctx context.Context, solver *core.Solver, requirementHours []float64) (*Fig7Result, error) {
 	if len(requirementHours) == 0 {
 		return nil, fmt.Errorf("sweep: fig7 needs a non-empty requirement grid")
 	}
-	// Each requirement level is an independent solve on a solver of its
-	// own, so every level's Stats are the same at any worker count;
-	// points land by index so the output order matches the sequential
-	// sweep. Unlike Fig6/Fig8 there is no chain to share: job solves
-	// have no combination phase, so no frontiers to cache.
-	type slot struct {
-		ok    bool
-		point Fig7Point
-		// infeasible is the effort of a level with no design.
-		infeasible core.Stats
-	}
-	slots := make([]slot, len(requirementHours))
-	po := solverPointObs(solver, len(slots))
-	pt := par.NewTiming(solver.Metrics())
-	err := par.ForEachTimedCtx(ctx, solver.Workers(), len(slots), pt, func(i int) error {
-		h := requirementHours[i]
+	res := &Fig7Result{Points: make([]Fig7Point, 0, len(requirementHours))}
+	po := solverPointObs(solver, len(requirementHours))
+	for i, h := range requirementHours {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		start := po.Begin()
-		sol, err := solver.Sibling().SolveContext(ctx, model.Requirements{
+		sol, err := solver.SolveContext(ctx, model.Requirements{
 			Kind:       model.ReqJob,
 			MaxJobTime: units.FromHours(h),
 		})
 		if err != nil {
 			var infErr *core.InfeasibleError
-			if errors.As(err, &infErr) {
-				slots[i].infeasible = infErr.Stats
-				po.Done(i, start, obs.Event{ReqH: h, Err: "infeasible"})
-				return nil
+			if !errors.As(err, &infErr) {
+				return nil, fmt.Errorf("sweep: fig7 at %vh: %w", h, err)
 			}
-			return fmt.Errorf("sweep: fig7 at %vh: %w", h, err)
+			res.InfeasibleStats = append(res.InfeasibleStats, infErr.Stats)
+			po.Done(i, start, obs.Event{ReqH: h, Err: "infeasible"})
+			continue
 		}
 		po.Done(i, start, obs.Event{
 			ReqH: h, Cost: float64(sol.Cost), JobH: sol.JobTime.Hours(),
+			WarmReuse: int64(sol.Stats.WarmStartReuse),
 		})
-		td := &sol.Design.Tiers[0]
-		p := Fig7Point{
-			RequirementHours: h,
-			Resource:         td.Resource().Name,
-			Stack:            Stack(td),
-			NActive:          td.NActive,
-			NSpare:           td.NSpare,
-			JobTimeHours:     sol.JobTime.Hours(),
-			Cost:             sol.Cost,
-			Stats:            sol.Stats,
-		}
-		if ms, ok := td.Mechanism("checkpoint"); ok {
-			if v, ok := ms.Values["checkpoint_interval"]; ok {
-				p.CheckpointHours = v.Hours
-			}
-			if v, ok := ms.Values["storage_location"]; ok {
-				p.StorageLocation = v.Str
-			}
-		}
-		slots[i] = slot{ok: true, point: p}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	res := &Fig7Result{Points: make([]Fig7Point, 0, len(slots))}
-	for i := range slots {
-		if slots[i].ok {
-			res.Points = append(res.Points, slots[i].point)
-		} else {
-			res.InfeasibleStats = append(res.InfeasibleStats, slots[i].infeasible)
-		}
+		res.Points = append(res.Points, newFig7Point(h, sol))
 	}
 	return res, nil
+}
+
+// newFig7Point projects a level's solution onto the dimensions Fig. 7
+// plots.
+func newFig7Point(h float64, sol *core.Solution) Fig7Point {
+	td := &sol.Design.Tiers[0]
+	p := Fig7Point{
+		RequirementHours: h,
+		Resource:         td.Resource().Name,
+		Stack:            Stack(td),
+		NActive:          td.NActive,
+		NSpare:           td.NSpare,
+		JobTimeHours:     sol.JobTime.Hours(),
+		Cost:             sol.Cost,
+		Stats:            sol.Stats,
+	}
+	if ms, ok := td.Mechanism("checkpoint"); ok {
+		if v, ok := ms.Values["checkpoint_interval"]; ok {
+			p.CheckpointHours = v.Hours
+		}
+		if v, ok := ms.Values["storage_location"]; ok {
+			p.StorageLocation = v.Str
+		}
+	}
+	return p
 }

@@ -14,13 +14,12 @@ import (
 // core.InfeasibleError.Stats) summed apart. The CLIs print it as a
 // closing line so a long sweep reports how much work it actually did.
 //
-// Every counter is exact at any worker count: Fig. 6 and Fig. 8 solve
-// their load chains in order on one goroutine, and Fig. 7 levels each
-// solve on a solver of their own. The engine-delta fields are the one
-// exception: cells solving at once on one shared engine — sensitivity
-// factors, or Fig. 7 levels, on an engine the caller passed — split
-// its counters between them arbitrarily. PhaseNanos is wall-clock, so
-// it varies from run to run; String omits it.
+// Every counter is exact at any worker count: the figure sweeps solve
+// their load chains and levels in order on one goroutine. The
+// engine-delta fields are the one exception: cells solving at once on
+// one shared engine — sensitivity factors on an engine the caller
+// passed — split its counters between them arbitrarily. PhaseNanos is
+// wall-clock, so it varies from run to run; String omits it.
 type Totals struct {
 	// Points counts feasible cells (one Solution each); Infeasible
 	// counts cells where no design met the requirement.

@@ -221,10 +221,10 @@ func TestTotalsString(t *testing.T) {
 	}
 }
 
-// TestFig7MemoCountersAddUp: every Fig. 7 level solves on a sibling
-// with an engine of its own, all instrumented on the sweep's one
-// registry, so the registry's memo counters are the sum of the levels'
-// own memo stats rather than the last level's.
+// TestFig7MemoCountersAddUp: the Fig. 7 levels solve in order on one
+// solver, whose one engine is instrumented on the sweep's registry, so
+// the registry's memo counters are the sum of the levels' own memo
+// stats rather than the last level's.
 func TestFig7MemoCountersAddUp(t *testing.T) {
 	inf, err := scenarios.Infrastructure()
 	if err != nil {
@@ -242,7 +242,6 @@ func TestFig7MemoCountersAddUp(t *testing.T) {
 			"maintenanceB": {"level": model.EnumValue("bronze")},
 		},
 		Metrics: reg,
-		Workers: 2,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"aved/internal/core"
-	"aved/internal/model"
 	"aved/internal/scenarios"
 )
 
@@ -21,30 +20,6 @@ func appSolverWorkers(t *testing.T, workers int) *core.Solver {
 		t.Fatal(err)
 	}
 	s, err := core.NewSolver(inf, svc, core.Options{Registry: scenarios.Registry(), Workers: workers})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
-}
-
-func sciSolverWorkers(t *testing.T, workers int) *core.Solver {
-	t.Helper()
-	inf, err := scenarios.Infrastructure()
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc, err := scenarios.Scientific(inf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := core.NewSolver(inf, svc, core.Options{
-		Registry: scenarios.Registry(),
-		Workers:  workers,
-		FixedMechanisms: map[string]map[string]model.ParamValue{
-			"maintenanceA": {"level": model.EnumValue("bronze")},
-			"maintenanceB": {"level": model.EnumValue("bronze")},
-		},
-	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,29 +47,6 @@ func TestFig6WorkerCountBitIdentical(t *testing.T) {
 		}
 		if !reflect.DeepEqual(parl, seq) {
 			t.Errorf("workers=%d: result differs from sequential", workers)
-		}
-	}
-}
-
-// TestFig7WorkerCountBitIdentical covers the job-requirement sweep on
-// its default engine, whose levels each solve on a solver and engine of
-// their own.
-func TestFig7WorkerCountBitIdentical(t *testing.T) {
-	hours := []float64{30, 45, 70, 110, 200}
-	seq, err := Fig7(context.Background(), sciSolverWorkers(t, 1), hours)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seq.Points) == 0 {
-		t.Fatal("degenerate fixture: no points")
-	}
-	for _, workers := range []int{4, 0} {
-		parl, err := Fig7(context.Background(), sciSolverWorkers(t, workers), hours)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(parl, seq) {
-			t.Errorf("workers=%d: points differ from sequential", workers)
 		}
 	}
 }

@@ -2,12 +2,15 @@ package sweep
 
 import (
 	"context"
+	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
 	"aved/internal/core"
 	"aved/internal/model"
 	"aved/internal/scenarios"
+	"aved/internal/units"
 )
 
 func appSolver(t *testing.T) *core.Solver {
@@ -278,5 +281,82 @@ func TestFig7InfeasibleLevelStats(t *testing.T) {
 	}
 	if tot.Points+tot.Infeasible != len(reqs) {
 		t.Errorf("totals count %d points and %d infeasible levels over %d levels", tot.Points, tot.Infeasible, len(reqs))
+	}
+}
+
+// TestFig7LevelsMatchColdSolves: Fig. 7's levels, solved in order on
+// one solver, each equal a cold solve on a fresh solver — the same
+// design, cost and job time from the same search effort, with the
+// evaluations a later level finds in the earlier levels' cache entries
+// replayed rather than run — and Fig7 reports exactly those solutions.
+func TestFig7LevelsMatchColdSolves(t *testing.T) {
+	inf, err := scenarios.Infrastructure()
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := scenarios.Scientific(inf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newSolver := func() *core.Solver {
+		s, err := core.NewSolver(inf, svc, core.Options{
+			Registry: scenarios.Registry(),
+			FixedMechanisms: map[string]map[string]model.ParamValue{
+				"maintenanceA": {"level": model.EnumValue("bronze")},
+				"maintenanceB": {"level": model.EnumValue("bronze")},
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	sameEffort := func(h float64, got, cold core.Stats) {
+		t.Helper()
+		if got.CandidatesGenerated != cold.CandidatesGenerated || got.CostPruned != cold.CostPruned ||
+			got.BoundPruned != cold.BoundPruned ||
+			got.Evaluations+got.EvalCacheHits != cold.Evaluations+cold.EvalCacheHits {
+			t.Errorf("%vh: effort %+v, cold %+v", h, got, cold)
+		}
+		if cold.WarmStartReuse != 0 {
+			t.Errorf("%vh: cold solve replayed %d evaluations", h, cold.WarmStartReuse)
+		}
+	}
+	hours := []float64{1, 30, 45, 70, 110, 200} // no design completes the job in 1 h
+	shared := newSolver()
+	want := &Fig7Result{}
+	for i, h := range hours {
+		req := model.Requirements{Kind: model.ReqJob, MaxJobTime: units.FromHours(h)}
+		sol, err := shared.Solve(req)
+		cold, coldErr := newSolver().Solve(req)
+		var infErr, coldInf *core.InfeasibleError
+		switch {
+		case err == nil && coldErr == nil:
+		case errors.As(err, &infErr) && errors.As(coldErr, &coldInf):
+			sameEffort(h, infErr.Stats, coldInf.Stats)
+			want.InfeasibleStats = append(want.InfeasibleStats, infErr.Stats)
+			continue
+		default:
+			t.Fatalf("%vh: level error %v, cold error %v", h, err, coldErr)
+		}
+		if !reflect.DeepEqual(sol.Design, cold.Design) || sol.Cost != cold.Cost || sol.JobTime != cold.JobTime {
+			t.Errorf("%vh: (%s, %v, %v), cold (%s, %v, %v)", h,
+				sol.Design.Label(), sol.Cost, sol.JobTime, cold.Design.Label(), cold.Cost, cold.JobTime)
+		}
+		sameEffort(h, sol.Stats, cold.Stats)
+		if i > 0 && sol.Stats.WarmStartReuse == 0 {
+			t.Errorf("%vh: level %d replayed no earlier level's evaluation", h, i)
+		}
+		want.Points = append(want.Points, newFig7Point(h, sol))
+	}
+	if len(want.Points) != len(hours)-1 || len(want.InfeasibleStats) != 1 {
+		t.Fatalf("%d points and %d infeasible levels, want %d and 1", len(want.Points), len(want.InfeasibleStats), len(hours)-1)
+	}
+	got, err := Fig7(context.Background(), newSolver(), hours)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Fig7 = %+v, want the in-order solutions %+v", got, want)
 	}
 }
