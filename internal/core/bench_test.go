@@ -145,7 +145,7 @@ func BenchmarkTierFrontier(b *testing.B) {
 			b.Fatal(err)
 		}
 		var stats searchStats
-		f, err := s.tierFrontier(context.Background(), &s.svc.Tiers[0], tierLoad{full: 1000, degraded: 1000}, math.Inf(1), &stats, nil)
+		f, err := s.tierFrontier(context.Background(), &s.svc.Tiers[0], tierLoad{full: 1000, degraded: 1000}, math.Inf(1), &stats)
 		if err != nil {
 			b.Fatal(err)
 		}

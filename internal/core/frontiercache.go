@@ -47,19 +47,12 @@ import (
 //
 // The memo lives on the Solver, which one goroutine owns, and the
 // sweeps run their chains in a fixed order, so what it holds at each
-// cell — and so every replay — is the same at any worker count. The
-// effort accounting is also independent of the memo's scope: each build
-// or walk is charged to the cell that runs it (candidates, pruning,
-// evaluations, cache hits), and each replay charges, with every
-// evaluation request counted as an EvalCacheHit (the engine never ran
-// for it) plus one FrontierReuse or WalkReuse, exactly the candidates,
-// pruning and requests a chain with a memo of its own would have
-// charged. A walk replay charges the recorded walk, which any walk in
-// its interval repeats. A frontier replay charges what a build at the
-// chain's own bound spends, derived from the recorded build's size
-// trajectory (see frontierWalk.effortAt), so one solver sweeping many
-// loads sums to the same effort as one solver per load. A solver's
-// models never change, so an entry never goes stale.
+// cell — and so every replay — is the same at any worker count. Every
+// effort counter counts work the cell actually did: a build or walk is
+// charged to the cell that runs it (candidates, pruning, evaluations,
+// cache hits), and a replay charges only its FrontierReuse or WalkReuse,
+// so each counter equals its trace event count. A solver's models never
+// change, so an entry never goes stale.
 
 // tierMemo is a solver's walk and frontier memo: the frontier builds
 // and tier walks its SolveChain cells have recorded, by frontierKey.
@@ -71,23 +64,12 @@ type tierMemo struct {
 }
 
 // chain is one SolveChain call: each service tier's frontierKey at the
-// chain's one load, computed by the chain's first enterprise solve,
-// each tier's chainBuild, and the solver's memo. A nil *chain — the
-// SolveContext path — walks every tier and builds every frontier
-// afresh.
+// chain's one load, computed by the chain's first enterprise solve, and
+// the solver's memo. A nil *chain — the SolveContext path — walks every
+// tier and builds every frontier afresh.
 type chain struct {
-	keys   []fp128
-	builds []chainBuild
+	keys []fp128
 	*tierMemo
-}
-
-// chainBuild is the cost bound of the frontier build a chain with a
-// memo of its own would hold for one tier: the bound of the tier's
-// first frontier request in the chain, raised by every request above
-// it. ok is false before the chain's first request.
-type chainBuild struct {
-	ok    bool
-	bound float64
 }
 
 // newChain starts a SolveChain call on the solver's memo, creating the
@@ -113,148 +95,22 @@ func (s *Solver) keyTiers(c *chain, load tierLoad) error {
 		}
 	}
 	c.keys = keys
-	c.builds = make([]chainBuild, len(keys))
 	return nil
 }
 
-// frontierEntry is one cached frontier build: the Pareto points, the
-// cost bound they were built under, and the size trajectory of each
-// option walk, from which the effort of a build at any bound up to
-// bound follows (see effortAt).
+// frontierEntry is one cached frontier build: the Pareto points and the
+// cost bound they were built under.
 type frontierEntry struct {
 	points []TierCandidate
 	bound  float64
-	walks  []frontierWalk
-}
-
-// frontierWalk records one option's frontier walk (see optionFrontier)
-// as far as the effort of the same walk under a smaller bound depends on
-// it: the option's grid contiguity and closed-form floor, and the
-// sizes it generated, in order, lookahead included.
-type frontierWalk struct {
-	contiguous bool
-	floor      float64 // tailCostLB at the performance minimum
-	sizes      []frontierSize
-}
-
-// frontierSize is one generated size batch of a frontier walk: whether
-// the size exists, its candidates' costs in ascending order, and
-// whether the improvement rule ended the walk after evaluating it.
-type frontierSize struct {
-	ok    bool
-	costs []float64
-	stop  bool
-}
-
-// minCost is the size's cheapest candidate's cost, +Inf for none.
-func (z *frontierSize) minCost() float64 {
-	if len(z.costs) == 0 {
-		return math.Inf(1)
-	}
-	return z.costs[0]
-}
-
-// effortAt is the effort the recorded walk's option spends under the
-// cost bound maxCost, which must not exceed the recorded build's bound.
-// It repeats optionFrontier's size loop on the recorded sizes: a walk
-// under a smaller bound visits a prefix of the recorded sizes — every
-// size it evaluates in full the recorded walk evaluated in full too, so
-// the improvement rule ends both alike — and every size it looks at, the
-// lookahead included, was generated by the recorded walk.
-func (w *frontierWalk) effortAt(maxCost float64) effortDelta {
-	var d effortDelta
-	bounded := !math.IsInf(maxCost, 1)
-	if bounded && !w.contiguous {
-		if w.floor > maxCost {
-			d.boundPruned = 1
-			return d
-		}
-		bounded, maxCost = false, math.Inf(1)
-	}
-	for t := 0; t < len(w.sizes) && w.sizes[t].ok; t++ {
-		cur := &w.sizes[t]
-		n := len(cur.costs)
-		d.candidates += n
-		if cur.minCost() > maxCost {
-			d.boundPruned += n
-			break
-		}
-		nxt := &w.sizes[t+1]
-		if bounded && (!nxt.ok || nxt.minCost() > maxCost) {
-			// The last admitted size: over-bound candidates are skipped,
-			// and the looked-ahead size is cut.
-			over := 0
-			for over < n && cur.costs[n-1-over] > maxCost {
-				over++
-			}
-			d.boundPruned += over
-			d.requests += n - over
-			if nxt.ok {
-				d.candidates += len(nxt.costs)
-				d.boundPruned += len(nxt.costs)
-			}
-			break
-		}
-		d.requests += n
-		if cur.stop {
-			break
-		}
-	}
-	return d
-}
-
-// effortAt sums the entry's option walks' effort under maxCost.
-func (e *frontierEntry) effortAt(maxCost float64) effortDelta {
-	var d effortDelta
-	for i := range e.walks {
-		d = d.add(e.walks[i].effortAt(maxCost))
-	}
-	return d
-}
-
-// effortDelta is the effort one frontier build or tier walk spent.
-// requests is its evaluation requests — engine runs plus cache replays
-// — which a replaying cell charges entirely to EvalCacheHits.
-type effortDelta struct {
-	candidates  int
-	costPruned  int
-	boundPruned int
-	requests    int
-}
-
-// effort reads the counters a replay re-charges, as of now; the effort
-// of a stretch of search is the difference of two readings.
-func (st *searchStats) effort() effortDelta {
-	return effortDelta{st.CandidatesGenerated, st.CostPruned, st.BoundPruned, st.Evaluations + st.EvalCacheHits}
-}
-
-func (d effortDelta) sub(o effortDelta) effortDelta {
-	return effortDelta{d.candidates - o.candidates, d.costPruned - o.costPruned,
-		d.boundPruned - o.boundPruned, d.requests - o.requests}
-}
-
-func (d effortDelta) add(o effortDelta) effortDelta {
-	return effortDelta{d.candidates + o.candidates, d.costPruned + o.costPruned,
-		d.boundPruned + o.boundPruned, d.requests + o.requests}
-}
-
-// charge adds a replayed build's or walk's effort to stats, every
-// evaluation request as an EvalCacheHit: the engine never ran for it.
-func (d effortDelta) charge(stats *searchStats) {
-	stats.CandidatesGenerated += d.candidates
-	stats.CostPruned += d.costPruned
-	stats.BoundPruned += d.boundPruned
-	stats.EvalCacheHits += d.requests
 }
 
 // walkEntry is one recorded tier walk: its answer and budget interval,
-// the effort it spent, and its Pareto-reduced bound-pool pairs (nil
-// when its solve collected no pools — fixed per solver, see
-// collectsPools, so a replaying solve collects exactly when the
-// recording did).
+// and its Pareto-reduced bound-pool pairs (nil when its solve collected
+// no pools — fixed per solver, see collectsPools, so a replaying solve
+// collects exactly when the recording did).
 type walkEntry struct {
 	tierWalk
-	delta effortDelta
 	pairs []costDown
 }
 
@@ -271,8 +127,8 @@ func (c *chain) walk(key fp128, budget float64) *walkEntry {
 
 // chainSearchTier is searchTier through the chain's walk memo: a
 // recorded walk of the tier whose budget interval covers budget is
-// replayed — its answer returned, its effort charged like a frontier
-// replay, its reduced pairs added to the tier's pool — and otherwise
+// replayed — its answer returned, one WalkReuse charged, its reduced
+// pairs added to the tier's pool — and otherwise
 // the tier is walked and the walk recorded. A walk's answer at every
 // budget in its interval is the walk's own (see tierWalk), so a replay
 // is exactly what a fresh walk would return. The returned candidate may
@@ -284,18 +140,17 @@ func (s *Solver) chainSearchTier(ctx context.Context, c *chain, ti int, load tie
 	}
 	key := c.keys[ti]
 	if e := c.walk(key, budget); e != nil {
-		e.delta.charge(stats)
 		stats.WalkReuse++
 		if stats.pools != nil {
 			stats.pools[ti] = append(stats.pools[ti], e.pairs...)
 		}
 		if tr := s.opts.Tracer; tr != nil {
 			tr.Emit(obs.Event{Ev: obs.EvWalkReuse, Tier: s.svc.Tiers[ti].Name,
-				FP: fpHex(key), Evals: int64(e.delta.requests)})
+				FP: fpHex(key)})
 		}
 		return e.best, e.cert, nil
 	}
-	before, start := stats.effort(), 0
+	start := 0
 	if stats.pools != nil {
 		start = len(stats.pools[ti])
 	}
@@ -303,7 +158,7 @@ func (s *Solver) chainSearchTier(ctx context.Context, c *chain, ti int, load tie
 	if err != nil {
 		return nil, false, err
 	}
-	e := &walkEntry{tierWalk: w, delta: stats.effort().sub(before)}
+	e := &walkEntry{tierWalk: w}
 	if stats.pools != nil {
 		// Reduce the walk's own pairs in place: the pool's reduction is
 		// unchanged (see reducePairs) and the record keeps only these.
@@ -355,27 +210,19 @@ func (s *Solver) frontierKey(tier *model.Tier, load tierLoad) (fp128, error) {
 // chainTierFrontier is tierFrontier for service tier ti through the
 // memo: serve the ≤ maxCost prefix of a cached build whose bound covers
 // the request, otherwise build at maxCost and cache. A replay charges
-// the effort of the build the chain would hold with a memo of its own
-// (see chainBuild): its own earlier build's when that covers maxCost,
-// else a build's at maxCost. Without a chain it builds afresh. The
+// one FrontierReuse. Without a chain it builds afresh. The
 // returned slice may share the cached backing array and must be treated
 // read-only — the combiners only read.
 func (s *Solver) chainTierFrontier(ctx context.Context, c *chain, ti int, load tierLoad, maxCost float64, stats *searchStats) ([]TierCandidate, error) {
 	tier := &s.svc.Tiers[ti]
 	if c == nil {
-		return s.tierFrontier(ctx, tier, load, maxCost, stats, nil)
+		return s.tierFrontier(ctx, tier, load, maxCost, stats)
 	}
-	key, cb := c.keys[ti], &c.builds[ti]
-	if !cb.ok || maxCost > cb.bound {
-		*cb = chainBuild{ok: true, bound: maxCost}
-	}
+	key := c.keys[ti]
 	if e := c.frontiers[key]; e != nil && maxCost <= e.bound {
-		d := e.effortAt(cb.bound)
-		d.charge(stats)
 		stats.FrontierReuse++
 		if tr := s.opts.Tracer; tr != nil {
-			tr.Emit(obs.Event{Ev: obs.EvFrontierReuse, Tier: tier.Name,
-				FP: fpHex(key), Evals: int64(d.requests)})
+			tr.Emit(obs.Event{Ev: obs.EvFrontierReuse, Tier: tier.Name, FP: fpHex(key)})
 		}
 		return frontierPrefix(e.points, maxCost), nil
 	}
@@ -383,13 +230,11 @@ func (s *Solver) chainTierFrontier(ctx context.Context, c *chain, ti int, load t
 	// superseded build's evaluations replay from the evaluation cache, so
 	// extension costs only the new tail. Pool collection is already off
 	// by the frontier phase (finishBounds), so none is configured.
-	e := &frontierEntry{bound: maxCost}
-	points, err := s.tierFrontier(ctx, tier, load, maxCost, stats, &e.walks)
+	points, err := s.tierFrontier(ctx, tier, load, maxCost, stats)
 	if err != nil {
 		return nil, err
 	}
-	e.points = points
-	c.frontiers[key] = e
+	c.frontiers[key] = &frontierEntry{points: points, bound: maxCost}
 	return points, nil
 }
 

@@ -171,21 +171,17 @@ type Stats struct {
 	WarmStartReuse int `json:"warmStartReuse,omitempty"`
 	// FrontierReuse counts tier frontiers this solve served from the
 	// solver's walk and frontier memo instead of building (a SolveChain
-	// cell). The replay charges the evaluation requests of the build its
-	// chain would hold with a memo of its own to EvalCacheHits, and that
-	// build's candidates and pruning to the usual counters, so every
-	// per-cell counter is exact at any worker count and the same whether
-	// earlier loads ran on this solver or not. Zero on plain
-	// SolveContext solves.
+	// cell). A replay charges nothing else: the candidates, pruning and
+	// evaluation requests of the build it replays were charged to the
+	// cell that built it. Zero on plain SolveContext solves.
 	FrontierReuse int `json:"frontierReuse,omitempty"`
 	// WalkReuse counts per-tier searches (§4.1's tier walks, in phase 1
 	// and the combination bound's waterfilling) this solve replayed from
 	// the solver's walk and frontier memo instead of walking (a
 	// SolveChain cell), whichever chain recorded the walk. Like a
-	// frontier replay, the recorded walk's evaluation requests land in
-	// EvalCacheHits and its candidates and pruning in the usual
-	// counters, so per-cell counters stay exact at any worker count.
-	// Zero on plain SolveContext solves.
+	// frontier replay, it charges nothing else, so every other counter
+	// counts only the work the solve did. Zero on plain SolveContext
+	// solves.
 	WalkReuse int `json:"walkReuse,omitempty"`
 	// ModeMemoHits and ModeMemoSolves count Markov mode-chain memo
 	// activity attributable to this solve (zero for engines without a
@@ -399,10 +395,10 @@ func (s *Solver) SolveContext(ctx context.Context, req model.Requirements) (*Sol
 // (Stats.FrontierReuse), and a tier walk whose budget lies in a
 // recorded walk's budget interval replays that walk (Stats.WalkReuse;
 // see tierWalk). Solutions are bit-identical to SolveContext's; the
-// replays show only in the effort counters, where each replay's
-// requests count as EvalCacheHits, and the candidates, pruning and
-// requests each cell is charged do not depend on which chains ran
-// before it.
+// replays show only in the effort counters. A replay charges only its
+// reuse counter, so a cell's candidates, pruning and requests count the
+// work it did, which is less the more earlier chains on the solver left
+// for it to replay.
 func (s *Solver) SolveChain(ctx context.Context, req model.Requirements, budgets []units.Duration, visit func(i int, sol *Solution, err error) error) error {
 	if req.Kind != model.ReqEnterprise {
 		return fmt.Errorf("core: SolveChain needs an enterprise requirement, got kind %d", int(req.Kind))

@@ -744,18 +744,10 @@ type sizeBatch struct {
 // dearer-than-threshold candidate can never change which ≤-threshold
 // points survive Pareto reduction — so the reduced frontier is exactly
 // the ≤ maxCost prefix of the unbounded one (see tierFrontier).
-//
-// When rec is non-nil, the walk appends its trajectory to it for the
-// frontier memo's effort accounting (see frontierWalk).
-func (s *Solver) optionFrontier(ctx context.Context, tier *model.Tier, opt *model.ResourceOption, load tierLoad, maxCost float64, stats *searchStats, rec *[]frontierWalk) ([]TierCandidate, error) {
+func (s *Solver) optionFrontier(ctx context.Context, tier *model.Tier, opt *model.ResourceOption, load tierLoad, maxCost float64, stats *searchStats) ([]TierCandidate, error) {
 	o, ok, err := s.newOptionSearch(tier, opt, load)
 	if err != nil || !ok {
 		return nil, err
-	}
-	var fw *frontierWalk
-	if rec != nil {
-		*rec = append(*rec, frontierWalk{contiguous: o.contiguous, floor: o.tailCostLB(o.nMinPerf)})
-		fw = &(*rec)[len(*rec)-1]
 	}
 	tr := s.opts.Tracer
 	res := opt.ResourceType().Name
@@ -781,9 +773,6 @@ func (s *Solver) optionFrontier(ctx context.Context, tier *model.Tier, opt *mode
 		b.total = total
 		b.ok = total <= o.nMinPerf+s.opts.MaxRedundancy && (o.maxTotal == 0 || total <= o.maxTotal)
 		if !b.ok {
-			if fw != nil {
-				fw.sizes = append(fw.sizes, frontierSize{})
-			}
 			return nil
 		}
 		if err := ctx.Err(); err != nil {
@@ -794,14 +783,6 @@ func (s *Solver) optionFrontier(ctx context.Context, tier *model.Tier, opt *mode
 			if c := float64(b.cands[i].cost); c < b.minCost {
 				b.minCost = c
 			}
-		}
-		if fw != nil {
-			costs := make([]float64, len(b.cands))
-			for i := range b.cands {
-				costs[i] = float64(b.cands[i].cost)
-			}
-			slices.Sort(costs)
-			fw.sizes = append(fw.sizes, frontierSize{ok: true, costs: costs})
 		}
 		return nil
 	}
@@ -887,9 +868,6 @@ func (s *Solver) optionFrontier(ctx context.Context, tier *model.Tier, opt *mode
 		} else {
 			stale++
 			if stale >= 2 {
-				if fw != nil {
-					fw.sizes[cur.total-o.nMinPerf].stop = true
-				}
 				break
 			}
 		}
@@ -938,11 +916,10 @@ func (o *optionSearch) paretoReduce(recs []candRec) []TierCandidate {
 // solve's upper bound. The truncated frontier is exactly the ≤ maxCost
 // prefix of the untruncated one, which is what the combiner's
 // post-combination validity check relies on (see solveEnterprise).
-// rec, when non-nil, collects the option walks' trajectories.
-func (s *Solver) tierFrontier(ctx context.Context, tier *model.Tier, load tierLoad, maxCost float64, stats *searchStats, rec *[]frontierWalk) ([]TierCandidate, error) {
+func (s *Solver) tierFrontier(ctx context.Context, tier *model.Tier, load tierLoad, maxCost float64, stats *searchStats) ([]TierCandidate, error) {
 	var all []TierCandidate
 	for i := range tier.Options {
-		f, err := s.optionFrontier(ctx, tier, &tier.Options[i], load, maxCost, stats, rec)
+		f, err := s.optionFrontier(ctx, tier, &tier.Options[i], load, maxCost, stats)
 		if err != nil {
 			return nil, err
 		}

@@ -13,6 +13,7 @@ import (
 
 	"aved/internal/avail"
 	"aved/internal/model"
+	"aved/internal/obs"
 	"aved/internal/scenarios"
 	"aved/internal/units"
 )
@@ -33,8 +34,8 @@ type walkProblem struct {
 // seeded draw — where the memo must replay, and at the budgets just
 // outside it, where the memo must not be wrong. Each probe's answer is
 // compared with a fresh searchTier on a fresh solver at the same
-// budget: the result bit for bit, the certificate, the effort and the
-// reduced pool pairs.
+// budget: the result bit for bit, the certificate and the reduced pool
+// pairs. A replay charges one WalkReuse and no other effort.
 func TestWalkReplayMatchesFreshWalk(t *testing.T) {
 	var walks, replays int
 	for pi, p := range walkProblems(t) {
@@ -135,19 +136,26 @@ func sweepChains(t *testing.T, p walkProblem, s *Solver, after func(c *chain, lo
 	}
 }
 
-// TestFrontierEffortAtMatchesBuild pins the frontier memo's effort
-// accounting, which lets a chain replay another chain's build while
-// charging what a build of its own would have spent. For every frontier
-// build the problems' chains recorded, and for cost bounds at and under
-// the build's own — the bound, every cost its walks generated, the
-// float just under each, and each option's floor — the effort the entry
-// derives from its recorded trajectory equals the effort a fresh build
-// at that bound spends, and its points' ≤-bound prefix equals the fresh
-// build's points.
-func TestFrontierEffortAtMatchesBuild(t *testing.T) {
+// TestFrontierPrefixMatchesBuild pins the frontier memo's prefix rule
+// and its replay charge. For every frontier build the problems' chains
+// recorded, and for cost bounds at and under the build's own — the
+// bound, every cost a fresh build at that bound generated (its cand.gen
+// events), the float just under each, and each option's floor — a
+// replay through the memo returns the entry's ≤-bound prefix, equal to
+// a fresh build's points at that bound, and charges exactly one
+// FrontierReuse and nothing else.
+func TestFrontierPrefixMatchesBuild(t *testing.T) {
 	var entries, probes int
+	ctx := context.Background()
 	for _, p := range walkProblems(t) {
-		s, err := NewSolver(p.inf, p.svc, Options{Registry: scenarios.Registry(), Workers: 1})
+		opts := Options{Registry: scenarios.Registry(), Workers: 1}
+		s, err := NewSolver(p.inf, p.svc, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := &obs.CollectTracer{}
+		opts.Tracer = tr
+		traced, err := NewSolver(p.inf, p.svc, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,13 +168,26 @@ func TestFrontierEffortAtMatchesBuild(t *testing.T) {
 				}
 				checked[e] = true
 				entries++
+				tier := &p.svc.Tiers[ti]
 				bounds := []float64{e.bound}
-				for _, w := range e.walks {
-					bounds = append(bounds, w.floor, math.Nextafter(w.floor, math.Inf(-1)))
-					for _, z := range w.sizes {
-						for _, c := range z.costs {
-							bounds = append(bounds, c, math.Nextafter(c, math.Inf(-1)))
-						}
+				for i := range tier.Options {
+					o, ok, err := s.newOptionSearch(tier, &tier.Options[i], load)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if ok {
+						floor := o.tailCostLB(o.nMinPerf)
+						bounds = append(bounds, floor, math.Nextafter(floor, math.Inf(-1)))
+					}
+				}
+				var st searchStats
+				from := tr.Len()
+				if _, err := traced.tierFrontier(ctx, tier, load, e.bound, &st); err != nil {
+					t.Fatal(err)
+				}
+				for _, ev := range tr.Events()[from:] {
+					if ev.Ev == obs.EvCandGen {
+						bounds = append(bounds, ev.Cost, math.Nextafter(ev.Cost, math.Inf(-1)))
 					}
 				}
 				slices.Sort(bounds)
@@ -175,17 +196,21 @@ func TestFrontierEffortAtMatchesBuild(t *testing.T) {
 						continue
 					}
 					probes++
-					var fresh searchStats
-					points, err := s.tierFrontier(context.Background(), &p.svc.Tiers[ti], load, b, &fresh, nil)
+					var fresh, replay searchStats
+					points, err := s.tierFrontier(ctx, tier, load, b, &fresh)
 					if err != nil {
 						t.Fatal(err)
 					}
-					where := fmt.Sprintf("%s tier %s build at %v, bound %v", p.name, p.svc.Tiers[ti].Name, e.bound, b)
-					if got, want := e.effortAt(b), fresh.effort(); got != want {
-						t.Errorf("%s: derived effort %+v, fresh build %+v", where, got, want)
+					where := fmt.Sprintf("%s tier %s build at %v, bound %v", p.name, tier.Name, e.bound, b)
+					got, err := s.chainTierFrontier(ctx, c, ti, load, b, &replay)
+					if err != nil {
+						t.Fatal(err)
 					}
-					if got := frontierPrefix(e.points, b); !reflect.DeepEqual(got, points) && len(got)+len(points) > 0 {
+					if !reflect.DeepEqual(got, points) && len(got)+len(points) > 0 {
 						t.Errorf("%s: memo prefix has %d points, fresh build %d", where, len(got), len(points))
+					}
+					if !reflect.DeepEqual(replay.Stats, Stats{FrontierReuse: 1}) {
+						t.Errorf("%s: replay charged %+v, want FrontierReuse 1 only", where, replay.Stats)
 					}
 				}
 			}
@@ -240,6 +265,9 @@ func checkWalkProbe(t *testing.T, p walkProblem, s *Solver, c *chain, freshOpts 
 	if mustReplay && memo.WalkReuse != 1 {
 		t.Fatalf("%s at budget %v: walked instead of replaying", where(), b)
 	}
+	if memo.WalkReuse == 1 && !reflect.DeepEqual(memo.Stats, Stats{WalkReuse: 1}) {
+		t.Errorf("%s at budget %v: replay charged %+v, want WalkReuse 1 only", where(), b, memo.Stats)
+	}
 	fresh, err := NewSolver(p.inf, p.svc, freshOpts)
 	if err != nil {
 		t.Fatal(err)
@@ -264,9 +292,6 @@ func checkWalkProbe(t *testing.T, p walkProblem, s *Solver, c *chain, freshOpts 
 	}
 	if cert != w.cert {
 		t.Errorf("%s at budget %v: memo certificate %v, fresh walk %v", where(), b, cert, w.cert)
-	}
-	if got, want := memo.effort(), cold.effort(); got != want {
-		t.Errorf("%s at budget %v: memo effort %+v, fresh walk %+v", where(), b, got, want)
 	}
 	if s.collectsPools() {
 		got, want := reducePairs(memo.pools[ti]), reducePairs(cold.pools[ti])

@@ -53,17 +53,16 @@ const (
 	EvWarmReuse = "warm.reuse"
 	// EvFrontierReuse is a whole tier frontier served from the walk and
 	// frontier memo that every Solver.SolveChain budget chain on one
-	// solver shares, instead of rebuilt: Tier names the tier, FP carries
-	// the frontier key, and Evals counts the evaluation requests a build
-	// at the chain's own bound makes — charged to this solve as cache
-	// hits, the work it avoided.
+	// solver shares, instead of rebuilt: Tier names the tier and FP
+	// carries the frontier key. The replay charges no candidates,
+	// pruning or evaluations.
 	EvFrontierReuse = "frontier.reuse"
 	// EvWalkReuse is one per-tier search replayed from the walk and
 	// frontier memo the Solver.SolveChain budget chains of one solver
 	// share, instead of walked: an earlier walk of the same tier
 	// candidate space, keyed FP, at this load or another, covered the
-	// requested budget. Evals counts the evaluation requests the
-	// recorded walk made — charged to this solve as cache hits.
+	// requested budget. The replay charges no candidates, pruning or
+	// evaluations.
 	EvWalkReuse = "walk.reuse"
 	// EvEvalMiss is an availability evaluation actually run by the
 	// engine (an eval-cache miss); EvEvalHit is a request served from

@@ -195,11 +195,12 @@ func TestUntracedSweepEmitsNothing(t *testing.T) {
 	}
 }
 
-// TestTotalsString pins the closing-line format the CLIs print.
-// TestTotalsString pins the closing line to the scheduling-independent
-// projection: no split between executed evaluations and cache replays,
-// no engine deltas — those vary with worker scheduling and would break
-// the byte-identical-output invariant of the sweep CLIs.
+// TestTotalsString pins the closing-line format the CLIs print: the
+// search effort alone, with engine runs and cache replays as one
+// evaluation figure, and no engine counters (the Markov memo, the
+// simulator), which describe the engine rather than the search and are
+// exact only while no other goroutine shares the engine (see
+// core.Stats).
 func TestTotalsString(t *testing.T) {
 	tot := Totals{Points: 5, Stats: core.Stats{CandidatesGenerated: 100, CostPruned: 40, Evaluations: 50, EvalCacheHits: 10}}
 	got := tot.String()
@@ -216,7 +217,7 @@ func TestTotalsString(t *testing.T) {
 	}
 	for _, frag := range []string{"memo", "sim"} {
 		if strings.Contains(got, frag) {
-			t.Errorf("String() = %q, leaks scheduling-dependent %s counters", got, frag)
+			t.Errorf("String() = %q, leaks engine %s counters", got, frag)
 		}
 	}
 }

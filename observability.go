@@ -53,11 +53,13 @@ const (
 	EvWarmReuse   = obs.EvWarmReuse
 	// EvFrontierReuse is a whole tier frontier served from the solver's
 	// walk and frontier memo (Solver.SolveChain), which every budget
-	// chain on the solver shares, instead of rebuilt.
+	// chain on the solver shares, instead of rebuilt. It carries the
+	// tier and the frontier key; the replay charges no other effort.
 	EvFrontierReuse = obs.EvFrontierReuse
 	// EvWalkReuse is a per-tier search replayed from the solver's walk
 	// and frontier memo, recorded by this budget chain or an earlier
-	// one, instead of walked.
+	// one, instead of walked. It carries the tier and the walk's key;
+	// the replay charges no other effort.
 	EvWalkReuse  = obs.EvWalkReuse
 	EvEvalMiss   = obs.EvEvalMiss
 	EvEvalHit    = obs.EvEvalHit

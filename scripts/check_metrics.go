@@ -20,9 +20,14 @@
 // the -progress lines print) must sum to the registry's core.warm_reuse,
 // core.frontier_reuse and core.walk_reuse counters and match the
 // per-hit warm.reuse / frontier.reuse / walk.reuse event
-// multiplicities, and the sweep must replay at least one tier walk; the
-// phase histograms are checked against the trace the same way as in
-// solve mode.
+// multiplicities, and the sweep must replay at least one tier walk. A
+// replay charges only its reuse counter, so the effort counters
+// core.candidates, core.cost_pruned, core.bound_pruned,
+// core.evaluations and core.eval_cache_hits must equal the cand.gen,
+// cand.prune, bound.prune, eval.miss and eval.hit event counts, as in
+// solve mode; an infeasible cell flushes no counters, so every cell must
+// be feasible. The phase histograms are checked against the trace the
+// same way as in solve mode.
 //
 // With -prom it lints a Prometheus text exposition (as served by
 // /metrics?format=prom or written by -metrics with a .prom path):
@@ -318,6 +323,23 @@ func checkSweep(fail func(string, ...any), snap snapshot, tr trace) {
 		if got := snap.Counters[c.counter]; got != c.points {
 			fail("metrics: %s = %d but the sweep.point events carry %d %s",
 				c.counter, got, c.points, c.name)
+		}
+	}
+	// Every effort counter counts work the cells did, replays charging
+	// only their reuse counters, so each equals its event count. Only
+	// feasible cells flush counters to the registry.
+	if n := events["search.error"]; n != 0 {
+		fail("trace: %d search.error events — the effort rows need a sweep whose every cell is feasible", n)
+	}
+	for _, c := range []struct{ ev, counter string }{
+		{"cand.gen", "core.candidates"},
+		{"cand.prune", "core.cost_pruned"},
+		{"bound.prune", "core.bound_pruned"},
+		{"eval.miss", "core.evaluations"},
+		{"eval.hit", "core.eval_cache_hits"},
+	} {
+		if got, want := events[c.ev], snap.Counters[c.counter]; got != want {
+			fail("trace: %d %s events but metrics %s = %d", got, c.ev, c.counter, want)
 		}
 	}
 	// Non-vacuity: a grid-aware budget chain must actually replay

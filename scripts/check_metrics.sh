@@ -8,8 +8,10 @@
 # rounding. Then runs one traced grid-aware sweep and cross-checks
 # the reuse counters its -progress lines print (warm replays,
 # frontier reuses, walk replays, carried on sweep.point events)
-# against the per-hit trace events and the registry counters, plus the
-# same phase histogram checks. Finally lints the Prometheus text exposition the
+# against the per-hit trace events and the registry counters, checks
+# that the sweep's effort counters (candidates, prunes, evaluations,
+# cache hits) equal their trace event counts, since a replay charges
+# only its reuse counter, plus the same phase histogram checks. Finally lints the Prometheus text exposition the
 # same sweep wrote via a .prom -metrics path. Run from the repository
 # root; CI runs this on every push.
 set -eu
@@ -21,7 +23,8 @@ go run ./cmd/aved -paper apptier -load 1000 -downtime 60m -json -timings \
 go run scripts/check_metrics.go "$tmp/metrics.json" "$tmp/trace.jsonl" "$tmp/solution.json"
 # Twelve budgets per load chain: enough that later cells' budgets fall
 # inside earlier tier walks' budget intervals, so the walk-replay rows
-# are not vacuous.
+# are not vacuous. Every cell of this grid is feasible, as the effort
+# rows need: an infeasible cell flushes no counters.
 go run ./cmd/avedsweep -fig 6 -loads 4 -budgets 12 -workers 1 -progress \
 	-trace "$tmp/sweep_trace.jsonl" -metrics "$tmp/sweep_metrics.json" \
 	>/dev/null 2>"$tmp/progress.txt"
