@@ -29,8 +29,8 @@ func benchCandidates(n int) []TierCandidate {
 	return out
 }
 
-// BenchmarkParetoReduce tracks the frontier-merge allocation profile:
-// the reduce sorts in place, so only the reduced output allocates.
+// BenchmarkParetoReduce tracks the frontier-merge cost: the reduce
+// sorts and compacts in place, so it allocates nothing.
 func BenchmarkParetoReduce(b *testing.B) {
 	src := benchCandidates(512)
 	work := make([]TierCandidate, len(src))

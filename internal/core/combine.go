@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"aved/internal/avail"
@@ -18,9 +19,10 @@ import (
 func (s *Solver) solveEnterprise(ctx context.Context, req model.Requirements, c *chain) (*Solution, error) {
 	budget := req.MaxAnnualDowntime.Minutes()
 	load := loadOf(req)
-	var stats searchStats
+	n := len(s.svc.Tiers)
 	s.gen++
-	stats.gen = s.gen
+	sc := &s.sc
+	stats := sc.begin(s.gen)
 	tr := s.opts.Tracer
 	if err := s.keyTiers(c, load); err != nil {
 		return nil, err
@@ -32,24 +34,24 @@ func (s *Solver) solveEnterprise(ctx context.Context, req model.Requirements, c 
 	// hold is known only after phase 1, from its per-tier certificates.
 	useBounds := s.collectsPools()
 	if useBounds {
-		stats.pools = make([][]costDown, len(s.svc.Tiers))
+		stats.pools = sc.resetPools(n)
 	}
 
 	// Phase 1: each tier in isolation against the full budget. The
 	// per-tier optimum is a cost lower bound, so if the combination
 	// meets the budget it is the overall optimum.
-	endPhase := s.phaseSpan(&stats, phaseTierSearch)
-	perTier := make([]*TierCandidate, len(s.svc.Tiers))
-	certified := make([]bool, len(s.svc.Tiers))
+	endPhase := s.phaseSpan(stats, phaseTierSearch)
+	sc.perTier, sc.certified = sized(sc.perTier, n), sized(sc.certified, n)
+	perTier, certified := sc.perTier, sc.certified
 	for i := range s.svc.Tiers {
 		start := time.Time{}
 		if tr != nil {
 			start = time.Now()
 		}
-		cand, cert, err := s.chainSearchTier(ctx, c, i, load, budget, &stats)
+		cand, cert, err := s.chainSearchTier(ctx, c, i, load, budget, stats)
 		if err != nil {
 			endPhase()
-			return nil, wrapCanceled(err, &stats)
+			return nil, wrapCanceled(err, stats)
 		}
 		perTier[i] = cand
 		certified[i] = cert
@@ -69,7 +71,7 @@ func (s *Solver) solveEnterprise(ctx context.Context, req model.Requirements, c 
 		}
 	}
 	if combinedDowntime(perTier) <= budget || len(perTier) == 1 {
-		return s.finishEnterprise(ctx, perTier, &stats)
+		return s.finishEnterprise(ctx, perTier, stats)
 	}
 
 	// Phase 2: the combination misses the budget; refine tiers with
@@ -110,24 +112,25 @@ func (s *Solver) solveEnterprise(ctx context.Context, req model.Requirements, c 
 	ub := math.Inf(1)
 	if useBounds {
 		var err error
-		ub, thresholds, err = s.combineBounds(ctx, c, req, perTier, &stats)
+		ub, thresholds, err = s.combineBounds(ctx, c, req, perTier, stats)
 		if err != nil {
-			return nil, wrapCanceled(err, &stats)
+			return nil, wrapCanceled(err, stats)
 		}
 	} else {
 		stats.pools = nil
 	}
 	buildFrontiers := func(thresholds []float64) ([][]TierCandidate, error) {
-		endPhase := s.phaseSpan(&stats, phaseFrontier)
+		endPhase := s.phaseSpan(stats, phaseFrontier)
 		defer endPhase()
-		frontiers := make([][]TierCandidate, len(s.svc.Tiers))
+		sc.frontiers = sized(sc.frontiers, n)
+		frontiers := sc.frontiers
 		for i := range s.svc.Tiers {
 			maxCost := math.Inf(1)
 			if thresholds != nil {
 				maxCost = thresholds[i]
 			}
 			var err error
-			frontiers[i], err = s.chainTierFrontier(ctx, c, i, load, maxCost, &stats)
+			frontiers[i], err = s.chainTierFrontier(ctx, c, i, load, maxCost, stats)
 			if err != nil {
 				return nil, err
 			}
@@ -135,9 +138,10 @@ func (s *Solver) solveEnterprise(ctx context.Context, req model.Requirements, c 
 		return frontiers, nil
 	}
 	combine := func(frontiers [][]TierCandidate) ([]*TierCandidate, bool) {
-		endPhase := s.phaseSpan(&stats, phaseCombine)
+		endPhase := s.phaseSpan(stats, phaseCombine)
 		defer endPhase()
-		picks, ok := s.combine(frontiers, pairsOf(frontiers), budget)
+		sc.pairs = pairsOf(sc.pairs, frontiers)
+		picks, ok := s.combine(frontiers, sc.pairs, budget)
 		if !ok {
 			return nil, false
 		}
@@ -145,7 +149,7 @@ func (s *Solver) solveEnterprise(ctx context.Context, req model.Requirements, c 
 	}
 	frontiers, err := buildFrontiers(thresholds)
 	if err != nil {
-		return nil, wrapCanceled(err, &stats)
+		return nil, wrapCanceled(err, stats)
 	}
 	chosen, ok := combine(frontiers)
 	if thresholds != nil && (!ok || combinedCost(chosen) > ub+math.Abs(ub)*1e-9) {
@@ -153,7 +157,7 @@ func (s *Solver) solveEnterprise(ctx context.Context, req model.Requirements, c 
 		// result optimal, so fall back to the full build.
 		frontiers, err = buildFrontiers(nil)
 		if err != nil {
-			return nil, wrapCanceled(err, &stats)
+			return nil, wrapCanceled(err, stats)
 		}
 		chosen, ok = combine(frontiers)
 	}
@@ -166,7 +170,7 @@ func (s *Solver) solveEnterprise(ctx context.Context, req model.Requirements, c 
 		return nil, &InfeasibleError{Stats: stats.snapshot(), Reason: fmt.Sprintf(
 			"no tier combination meets %v annual downtime at load %v", req.MaxAnnualDowntime, req.PeakLoad())}
 	}
-	return s.finishEnterprise(ctx, chosen, &stats)
+	return s.finishEnterprise(ctx, chosen, stats)
 }
 
 // collectsPools reports whether this solver's enterprise solves collect
@@ -208,7 +212,8 @@ func (s *Solver) combineBounds(ctx context.Context, c *chain, req model.Requirem
 	ub := math.Inf(1)
 	n := len(perTier)
 	phase1Cost := combinedCost(perTier)
-	cur, pinned := make([]*TierCandidate, n), make([]bool, n)
+	s.sc.cur, s.sc.pinned = sized(s.sc.cur, n), sized(s.sc.pinned, n)
+	cur, pinned := s.sc.cur, s.sc.pinned
 	keep := -1 // the tier the second pass holds at its phase-1 design
 	for pass := 0; pass < 2; pass++ {
 		if err := s.waterfill(ctx, c, req, perTier, keep, cur, pinned, stats); err != nil {
@@ -241,7 +246,8 @@ func (s *Solver) combineBounds(ctx context.Context, c *chain, req model.Requirem
 // waterfill runs the proportional share rounds of combineBounds from the
 // phase-1 optima, with tier keep (when ≥ 0) held at its phase-1 design,
 // and leaves in cur the designs it ends at, which may still miss the
-// budget. pinned is its scratch; both have one slot per tier.
+// budget. pinned is its scratch; both have one slot per tier, and both
+// come from the solver's scratch.
 func (s *Solver) waterfill(ctx context.Context, c *chain, req model.Requirements, perTier []*TierCandidate, keep int, cur []*TierCandidate, pinned []bool, stats *searchStats) error {
 	budget := req.MaxAnnualDowntime.Minutes()
 	copy(cur, perTier)
@@ -289,26 +295,25 @@ func (s *Solver) waterfill(ctx context.Context, c *chain, req model.Requirements
 // to tighten it — the optimal mix of everything the searches have
 // already priced, at no extra engine work — then each tier's threshold
 // is what the UB leaves after paying every other tier's certified
-// phase-1 minimum.
+// phase-1 minimum. The pools are already reduced: every walk and
+// replay merged its reduced pairs in (mergePool).
 func (s *Solver) finishBounds(ub, budget float64, perTier []*TierCandidate, stats *searchStats) (float64, []float64, error) {
 	n := len(perTier)
 	// Pool collection stops here — frontier evaluations can no longer
 	// influence the bound.
 	if pools := stats.pools; pools != nil {
 		stats.pools = nil
-		reduced := make([][]costDown, n)
 		complete := true
 		for i := range pools {
-			reduced[i] = reducePairs(pools[i])
-			if len(reduced[i]) == 0 {
+			if len(pools[i]) == 0 {
 				complete = false
 			}
 		}
 		if complete {
-			if picks, ok := s.combine(nil, reduced, budget); ok {
+			if picks, ok := s.combine(nil, pools, budget); ok {
 				var c float64
 				for i, j := range picks {
-					c += float64(reduced[i][j].cost)
+					c += float64(pools[i][j].cost)
 				}
 				if c < ub {
 					ub = c
@@ -360,16 +365,17 @@ func (s *Solver) combine(frontiers [][]TierCandidate, pairs [][]costDown, budget
 }
 
 // pairsOf projects frontiers onto the (cost, downtime) pairs the
-// combiner reads.
-func pairsOf(frontiers [][]TierCandidate) [][]costDown {
-	out := make([][]costDown, len(frontiers))
+// combiner reads, reusing dst's buffers (nil allocates fresh ones).
+func pairsOf(dst [][]costDown, frontiers [][]TierCandidate) [][]costDown {
+	dst = sized(dst, len(frontiers))
 	for i, f := range frontiers {
-		out[i] = make([]costDown, len(f))
+		p := slices.Grow(dst[i][:0], len(f))
 		for j := range f {
-			out[i][j] = costDown{f[j].Cost, f[j].DowntimeMinutes}
+			p = append(p, costDown{f[j].Cost, f[j].DowntimeMinutes})
 		}
+		dst[i] = p
 	}
-	return out
+	return dst
 }
 
 // chosenOf maps the combiner's per-tier picks back onto frontiers.
@@ -405,8 +411,10 @@ func (s *Solver) finishEnterprise(ctx context.Context, chosen []*TierCandidate, 
 	// figure (identical to the series combination of tier downtimes).
 	// Every chosen candidate was priced, so its resolved modes are in
 	// the mode cache; the tier models are the very ones its pricing
-	// handed the engine.
-	tms := make([]avail.TierModel, len(chosen))
+	// handed the engine. They live in the solver's scratch: the engine
+	// reads them only during the call.
+	s.sc.tms = sized(s.sc.tms, len(chosen))
+	tms := s.sc.tms
 	for i, c := range chosen {
 		td := &c.Design
 		modes, ok := s.modeCache[c.mode]
@@ -472,7 +480,7 @@ func CombineExact(frontiers [][]TierCandidate, budgetMinutes float64) ([]*TierCa
 // combineExact is CombineExact that also reports how many search nodes
 // (partial assignments, the root included) it visited.
 func combineExact(frontiers [][]TierCandidate, budgetMinutes float64) ([]*TierCandidate, bool, int) {
-	picks, ok, nodes := combinePairs(pairsOf(frontiers), budgetMinutes)
+	picks, ok, nodes := combinePairs(pairsOf(nil, frontiers), budgetMinutes)
 	if !ok {
 		return nil, false, nodes
 	}

@@ -42,9 +42,10 @@ type searchStats struct {
 	// solve's snapshot sees all zeros and reports a nil PhaseNanos.
 	phaseNs [numPhases]int64
 	// pools, when non-nil, collect the (cost, downtime) pairs the tier
-	// walks evaluate, one pool per tier in service order — raw material
-	// for the combination upper bound, gathered free of extra engine
-	// work (see combineBounds).
+	// walks evaluate, one pool per tier in service order, each kept
+	// Pareto-reduced as walks merge into it (see mergePool) — raw
+	// material for the combination upper bound, gathered free of extra
+	// engine work (see combineBounds).
 	pools [][]costDown
 }
 

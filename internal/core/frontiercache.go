@@ -128,21 +128,22 @@ func (c *chain) walk(key fp128, budget float64) *walkEntry {
 // chainSearchTier is searchTier through the chain's walk memo: a
 // recorded walk of the tier whose budget interval covers budget is
 // replayed — its answer returned, one WalkReuse charged, its reduced
-// pairs added to the tier's pool — and otherwise
-// the tier is walked and the walk recorded. A walk's answer at every
-// budget in its interval is the walk's own (see tierWalk), so a replay
-// is exactly what a fresh walk would return. The returned candidate may
-// be shared with the memo and must be treated read-only.
+// pairs merged into the tier's pool, which stays reduced (mergePool) —
+// and otherwise the tier is walked and the walk recorded with a copy of
+// its reduced pairs. A walk's answer at every budget in its interval is
+// the walk's own (see tierWalk), so a replay is exactly what a fresh
+// walk would return. The returned candidate may be shared with the memo
+// and must be treated read-only.
 func (s *Solver) chainSearchTier(ctx context.Context, c *chain, ti int, load tierLoad, budget float64, stats *searchStats) (*TierCandidate, bool, error) {
 	if c == nil {
-		w, err := s.searchTier(ctx, ti, load, budget, stats)
+		w, _, err := s.searchTier(ctx, ti, load, budget, stats)
 		return w.best, w.cert, err
 	}
 	key := c.keys[ti]
 	if e := c.walk(key, budget); e != nil {
 		stats.WalkReuse++
 		if stats.pools != nil {
-			stats.pools[ti] = append(stats.pools[ti], e.pairs...)
+			s.mergePool(stats, ti, e.pairs)
 		}
 		if tr := s.opts.Tracer; tr != nil {
 			tr.Emit(obs.Event{Ev: obs.EvWalkReuse, Tier: s.svc.Tiers[ti].Name,
@@ -150,23 +151,12 @@ func (s *Solver) chainSearchTier(ctx context.Context, c *chain, ti int, load tie
 		}
 		return e.best, e.cert, nil
 	}
-	start := 0
-	if stats.pools != nil {
-		start = len(stats.pools[ti])
-	}
-	w, err := s.searchTier(ctx, ti, load, budget, stats)
+	w, seg, err := s.searchTier(ctx, ti, load, budget, stats)
 	if err != nil {
 		return nil, false, err
 	}
-	e := &walkEntry{tierWalk: w}
-	if stats.pools != nil {
-		// Reduce the walk's own pairs in place: the pool's reduction is
-		// unchanged (see reducePairs) and the record keeps only these.
-		seg := reducePairs(stats.pools[ti][start:])
-		stats.pools[ti] = stats.pools[ti][:start+len(seg)]
-		e.pairs = slices.Clone(seg)
-	}
-	c.walks[key] = append(c.walks[key], e)
+	// seg is solver scratch; the record keeps a copy.
+	c.walks[key] = append(c.walks[key], &walkEntry{tierWalk: w, pairs: slices.Clone(seg)})
 	return w.best, w.cert, nil
 }
 
@@ -239,8 +229,8 @@ func (s *Solver) chainTierFrontier(ctx context.Context, c *chain, ti int, load t
 }
 
 // frontierPrefix trims a cost-ascending frontier to its ≤ maxCost
-// prefix without copying. Identical to the trailing trim tierFrontier
-// applies to a truncated build.
+// prefix without copying: the trim tierFrontier applies to a truncated
+// build, and the one a replay serves from a cached build.
 func frontierPrefix(points []TierCandidate, maxCost float64) []TierCandidate {
 	if math.IsInf(maxCost, 1) {
 		return points

@@ -32,17 +32,14 @@ func (s *Solver) solveJob(ctx context.Context, req model.Requirements) (*Solutio
 			s.svc.Name, len(s.svc.Tiers))
 	}
 	tier := &s.svc.Tiers[0]
-	var (
-		stats searchStats
-		best  *JobCandidate
-	)
+	var best *JobCandidate
 	s.gen++
-	stats.gen = s.gen
-	endPhase := s.phaseSpan(&stats, phaseJobSearch)
+	stats := s.sc.begin(s.gen)
+	endPhase := s.phaseSpan(stats, phaseJobSearch)
 	for i := range tier.Options {
-		cand, err := s.searchJobOption(ctx, tier, &tier.Options[i], req.MaxJobTime, best, &stats)
+		cand, err := s.searchJobOption(ctx, tier, &tier.Options[i], req.MaxJobTime, best, stats)
 		if err != nil {
-			return nil, wrapCanceled(err, &stats)
+			return nil, wrapCanceled(err, stats)
 		}
 		if cand != nil {
 			best = cand

@@ -248,8 +248,9 @@ type Solution struct {
 // Solver searches the design space of one service over one
 // infrastructure. The models are fixed for the solver's lifetime: a
 // what-if over perturbed models builds a new solver. A Solver is not
-// safe for concurrent use: its caches are plain maps, so work fanned
-// across goroutines gives each goroutine its own solver.
+// safe for concurrent use: its caches are plain maps and its solves
+// share one set of scratch buffers, so work fanned across goroutines
+// gives each goroutine its own solver.
 type Solver struct {
 	inf  *model.Infrastructure
 	svc  *model.Service
@@ -278,6 +279,11 @@ type Solver struct {
 	// Kept on the solver, which one goroutine owns, so the model does
 	// not escape to the heap on every miss through the interface call.
 	priceModel avail.TierModel
+	// sc is the buffers a solve fills and drops, reset per solve and
+	// never aliased by what it returns or the memo keeps (see
+	// solveScratch). Kept on the solver for the same reason as
+	// priceModel: one goroutine owns the solver.
+	sc solveScratch
 
 	// timed reports that phase timing is on for this solver: set when
 	// Options.Timings, Tracer, or Metrics is configured. Every timing

@@ -493,8 +493,8 @@ func emitGen(tr obs.Tracer, tier, res string, recs []candRec) {
 // downtime budget, seeding the incumbent from w.best — the searches of
 // other options — so pruning carries across resource types, and leaving
 // the improved incumbent there. Every evaluated downtime narrows w's
-// budget interval, and every evaluated (cost, downtime) pair joins pool
-// when it is non-nil.
+// budget interval, and every evaluated (cost, downtime) pair joins pool,
+// the walk's bound-pool segment, when it is non-nil.
 //
 // Two strategies share one loop: each size's batch is generated, then
 // visited candidate by candidate, and they differ only in the visit
@@ -667,8 +667,10 @@ type tierWalk struct {
 }
 
 // searchTier finds the minimum-cost design for service tier ti in
-// isolation, adding the (cost, downtime) pairs it evaluates to the
-// tier's bound pool when the solve collects pools.
+// isolation. When the solve collects pools, the walk gathers the (cost,
+// downtime) pairs it evaluates, reduces them once at its end and merges
+// them into the tier's bound pool; seg is that reduced segment, held in
+// the solver's scratch until the next walk.
 //
 // The walk's cert reports that its result is a proven cost lower bound
 // over the tier's ENTIRE candidate space, not just the visited part:
@@ -677,23 +679,39 @@ type tierWalk struct {
 // Candidates at visited sizes need no certificate: evaluated ones
 // competed for the incumbency directly and pruned ones were dearer than
 // an incumbent the final optimum only improved on.
-func (s *Solver) searchTier(ctx context.Context, ti int, load tierLoad, budgetMinutes float64, stats *searchStats) (tierWalk, error) {
+func (s *Solver) searchTier(ctx context.Context, ti int, load tierLoad, budgetMinutes float64, stats *searchStats) (w tierWalk, seg []costDown, err error) {
 	tier := &s.svc.Tiers[ti]
 	var pool *[]costDown
 	if stats.pools != nil {
-		pool = &stats.pools[ti]
+		s.sc.seg = s.sc.seg[:0]
+		pool = &s.sc.seg
 	}
-	w := tierWalk{lo: math.Inf(-1), hi: math.Inf(1)}
+	w = tierWalk{lo: math.Inf(-1), hi: math.Inf(1)}
 	minTail := math.Inf(1) // the weakest option certificate
 	for i := range tier.Options {
 		tail, err := s.searchOption(ctx, tier, &tier.Options[i], load, budgetMinutes, &w, pool, stats)
 		if err != nil {
-			return tierWalk{}, err
+			return tierWalk{}, nil, err
 		}
 		minTail = math.Min(minTail, tail)
 	}
 	w.cert = w.best != nil && minTail >= float64(w.best.Cost)
-	return w, nil
+	if pool != nil {
+		seg = reducePairs(*pool)
+		s.mergePool(stats, ti, seg)
+	}
+	return w, seg, nil
+}
+
+// mergePool merges seg, reduced pairs of tier ti, into the tier's bound
+// pool, which stays reduced (see mergePairs). The merge writes into the
+// solver's spare buffer, which then swaps places with the old pool.
+func (s *Solver) mergePool(stats *searchStats, ti int, seg []costDown) {
+	if len(seg) == 0 {
+		return
+	}
+	out := mergePairs(s.sc.spare[:0], stats.pools[ti], seg)
+	s.sc.spare, stats.pools[ti] = stats.pools[ti][:0], out
 }
 
 // frontierImproveEps is the minimum relative downtime improvement a
@@ -711,11 +729,12 @@ type sizeBatch struct {
 	ok      bool // size exists within the redundancy and instance caps
 }
 
-// optionFrontier collects the option's Pareto-optimal (cost, downtime)
-// candidates, exploring sizes until added resources stop improving the
-// best achievable downtime. Unlike searchOption, every candidate here
-// is evaluated regardless of order. Candidates stay compact records
-// until Pareto reduction: only the surviving points get a TierDesign.
+// optionFrontier appends the option's Pareto-optimal (cost, downtime)
+// candidates to dst, exploring sizes until added resources stop
+// improving the best achievable downtime. Unlike searchOption, every
+// candidate here is evaluated regardless of order. Candidates stay
+// compact records until Pareto reduction: only the surviving points get
+// a TierDesign.
 //
 // maxCost is the branch-and-bound cut (+Inf disables it). Three prunes
 // apply, each before any engine evaluation:
@@ -744,10 +763,10 @@ type sizeBatch struct {
 // dearer-than-threshold candidate can never change which ≤-threshold
 // points survive Pareto reduction — so the reduced frontier is exactly
 // the ≤ maxCost prefix of the unbounded one (see tierFrontier).
-func (s *Solver) optionFrontier(ctx context.Context, tier *model.Tier, opt *model.ResourceOption, load tierLoad, maxCost float64, stats *searchStats) ([]TierCandidate, error) {
+func (s *Solver) optionFrontier(ctx context.Context, tier *model.Tier, opt *model.ResourceOption, load tierLoad, maxCost float64, dst []TierCandidate, stats *searchStats) ([]TierCandidate, error) {
 	o, ok, err := s.newOptionSearch(tier, opt, load)
 	if err != nil || !ok {
-		return nil, err
+		return dst, err
 	}
 	tr := s.opts.Tracer
 	res := opt.ResourceType().Name
@@ -762,7 +781,7 @@ func (s *Solver) optionFrontier(ctx context.Context, tier *model.Tier, opt *mode
 				tr.Emit(obs.Event{Ev: obs.EvBoundPrune, Tier: tier.Name, Res: res,
 					N: o.nMinPerf, Cost: lb})
 			}
-			return nil, nil
+			return dst, nil
 		}
 		bounded = false
 		maxCost = math.Inf(1)
@@ -812,7 +831,7 @@ func (s *Solver) optionFrontier(ctx context.Context, tier *model.Tier, opt *mode
 	}()
 	td := &sc.td
 	if err := gen(o.nMinPerf, cur); err != nil {
-		return nil, err
+		return dst, err
 	}
 	bestDowntime := math.Inf(1)
 	stale := 0
@@ -825,7 +844,7 @@ func (s *Solver) optionFrontier(ctx context.Context, tier *model.Tier, opt *mode
 			break
 		}
 		if err := gen(cur.total+1, nxt); err != nil {
-			return nil, err
+			return dst, err
 		}
 		last := bounded && (!nxt.ok || nxt.minCost > maxCost)
 		skipped = skipped[:0]
@@ -845,7 +864,7 @@ func (s *Solver) optionFrontier(ctx context.Context, tier *model.Tier, opt *mode
 			}
 			_, entry, err := o.eval(ctx, s, r, td, stats)
 			if err != nil {
-				return nil, err
+				return dst, err
 			}
 			r.down = entry.downtimeMinutes
 			if r.down < improvedTo {
@@ -873,37 +892,28 @@ func (s *Solver) optionFrontier(ctx context.Context, tier *model.Tier, opt *mode
 		}
 		cur, nxt = nxt, cur
 	}
-	return o.paretoReduce(all), nil
+	return o.appendPareto(dst, all), nil
 }
 
-// paretoReduce keeps only the records not dominated in (cost,
-// downtime), sorting recs in place, and builds the survivors'
-// candidates in ascending cost. It sorts exactly as the package-level
-// paretoReduce sorts candidates, so the same record survives a tie.
-func (o *optionSearch) paretoReduce(recs []candRec) []TierCandidate {
-	if len(recs) == 0 {
-		return nil
-	}
+// appendPareto keeps only the records not dominated in (cost,
+// downtime), sorting recs in place, and appends the survivors'
+// candidates to dst in ascending cost. It sorts exactly as paretoReduce
+// sorts candidates, so the same record survives a tie.
+func (o *optionSearch) appendPareto(dst []TierCandidate, recs []candRec) []TierCandidate {
 	slices.SortFunc(recs, func(a, b candRec) int {
 		if c := cmp.Compare(a.cost, b.cost); c != 0 {
 			return c
 		}
 		return cmp.Compare(a.down, b.down)
 	})
-	n, bestDown := 0, math.Inf(1)
+	bestDown := math.Inf(1)
 	for i := range recs {
-		if recs[i].down < bestDown {
-			recs[n] = recs[i]
-			n++
-			bestDown = recs[i].down
+		if r := &recs[i]; r.down < bestDown {
+			bestDown = r.down
+			dst = append(dst, TierCandidate{Design: o.design(r), Cost: r.cost, DowntimeMinutes: r.down, mode: o.modeFP(r)})
 		}
 	}
-	out := make([]TierCandidate, n)
-	for i := range out {
-		r := &recs[i]
-		out[i] = TierCandidate{Design: o.design(r), Cost: r.cost, DowntimeMinutes: r.down, mode: o.modeFP(r)}
-	}
-	return out
+	return dst
 }
 
 // tierFrontier merges option frontiers into the tier's Pareto frontier,
@@ -916,22 +926,27 @@ func (o *optionSearch) paretoReduce(recs []candRec) []TierCandidate {
 // solve's upper bound. The truncated frontier is exactly the ≤ maxCost
 // prefix of the untruncated one, which is what the combiner's
 // post-combination validity check relies on (see solveEnterprise).
+//
+// The option frontiers gather in the solver's scratch and reduce there,
+// so the returned frontier — which the memo keeps — is the one
+// allocation, sized to its points.
 func (s *Solver) tierFrontier(ctx context.Context, tier *model.Tier, load tierLoad, maxCost float64, stats *searchStats) ([]TierCandidate, error) {
-	var all []TierCandidate
+	all := s.sc.all[:0]
+	var err error
 	for i := range tier.Options {
-		f, err := s.optionFrontier(ctx, tier, &tier.Options[i], load, maxCost, stats)
-		if err != nil {
-			return nil, err
-		}
-		all = append(all, f...)
-	}
-	out := paretoReduce(all)
-	if !math.IsInf(maxCost, 1) {
-		for len(out) > 0 && float64(out[len(out)-1].Cost) > maxCost {
-			out = out[:len(out)-1]
+		if all, err = s.optionFrontier(ctx, tier, &tier.Options[i], load, maxCost, all, stats); err != nil {
+			break
 		}
 	}
-	return out, nil
+	s.sc.all = all
+	if err != nil {
+		return nil, err
+	}
+	out := frontierPrefix(paretoReduce(all), maxCost)
+	if len(out) == 0 {
+		return nil, nil
+	}
+	return slices.Clone(out), nil
 }
 
 // costDown is one evaluated (cost, downtime) pair of a bound pool.
@@ -940,48 +955,76 @@ type costDown struct {
 	down float64
 }
 
+// comparePairs orders bound-pool pairs by ascending cost, then
+// ascending downtime: the order reducePairs sorts in and mergePairs
+// merges in.
+func comparePairs(a, b costDown) int {
+	if c := cmp.Compare(a.cost, b.cost); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.down, b.down)
+}
+
+// keepPair is the Pareto rule over pairs arriving in comparePairs
+// order: x joins out when its downtime beats bestDown, the least
+// downtime before it. It returns out and the new least downtime.
+func keepPair(out []costDown, bestDown float64, x costDown) ([]costDown, float64) {
+	if x.down < bestDown {
+		return append(out, x), x.down
+	}
+	return out, bestDown
+}
+
 // reducePairs is the bound pools' Pareto reducer: it keeps only pairs
 // not dominated in (cost, downtime), sorted by ascending cost, in place
 // — the result is a prefix of p. Exact duplicates collapse to one, so
 // the result is a function of the set of pairs alone, and reducing a
-// part of a pool first never changes the reduction of the whole.
+// part of a pool first never changes the reduction of the whole. That
+// is what lets a pool stay reduced as its segments arrive: each walk's
+// pairs are reduced once, at the end of the walk, and merged in
+// (mergePairs), and a replayed walk's pairs are merged as recorded.
 func reducePairs(p []costDown) []costDown {
-	slices.SortFunc(p, func(a, b costDown) int {
-		if c := cmp.Compare(a.cost, b.cost); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.down, b.down)
-	})
-	out := p[:0]
-	bestDown := math.Inf(1)
+	slices.SortFunc(p, comparePairs)
+	out, bestDown := p[:0], math.Inf(1)
 	for _, x := range p {
-		if x.down < bestDown {
-			out = append(out, x)
-			bestDown = x.down
-		}
+		out, bestDown = keepPair(out, bestDown, x)
 	}
 	return out
 }
 
-// paretoReduce keeps only candidates not dominated in (cost, downtime),
-// returning them sorted by ascending cost. It sorts cands in place —
-// every caller owns its slice — so the frontier hot path allocates only
-// the reduced output.
-func paretoReduce(cands []TierCandidate) []TierCandidate {
-	if len(cands) == 0 {
-		return nil
-	}
-	// Sort by cost ascending, then downtime ascending.
-	sortCandidates(cands)
-	out := make([]TierCandidate, 0, len(cands))
+// mergePairs appends to dst the reduction of a and b, both reduced, and
+// returns it: one linear merge in comparePairs order under keepPair's
+// rule, so it equals reducePairs over a and b concatenated, bit for
+// bit. dst must not overlap a or b.
+func mergePairs(dst, a, b []costDown) []costDown {
+	dst = slices.Grow(dst, len(a)+len(b))
 	bestDown := math.Inf(1)
-	for _, c := range cands {
-		if c.DowntimeMinutes < bestDown {
-			out = append(out, c)
-			bestDown = c.DowntimeMinutes
+	for len(a) > 0 || len(b) > 0 {
+		var x costDown
+		if len(b) == 0 || (len(a) > 0 && comparePairs(a[0], b[0]) <= 0) {
+			x, a = a[0], a[1:]
+		} else {
+			x, b = b[0], b[1:]
+		}
+		dst, bestDown = keepPair(dst, bestDown, x)
+	}
+	return dst
+}
+
+// paretoReduce keeps only candidates not dominated in (cost, downtime),
+// sorted by ascending cost, in place: the result is a prefix of cands,
+// so it allocates nothing.
+func paretoReduce(cands []TierCandidate) []TierCandidate {
+	sortCandidates(cands)
+	n, bestDown := 0, math.Inf(1)
+	for i := range cands {
+		if cands[i].DowntimeMinutes < bestDown {
+			bestDown = cands[i].DowntimeMinutes
+			cands[n] = cands[i]
+			n++
 		}
 	}
-	return out
+	return cands[:n]
 }
 
 // sortCandidates orders cands by cost, then downtime. slices.SortFunc

@@ -276,7 +276,7 @@ func checkWalkProbe(t *testing.T, p walkProblem, s *Solver, c *chain, freshOpts 
 	if fresh.collectsPools() {
 		cold.pools = make([][]costDown, len(p.svc.Tiers))
 	}
-	w, err := fresh.searchTier(ctx, ti, load, b, &cold)
+	w, _, err := fresh.searchTier(ctx, ti, load, b, &cold)
 	if err != nil {
 		t.Fatal(err)
 	}

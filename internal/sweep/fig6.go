@@ -95,6 +95,15 @@ func Fig6(ctx context.Context, solver *core.Solver, loads, budgetsMinutes []floa
 		return nil, err
 	}
 	res := &Fig6Result{}
+	feasible := 0
+	for i := range cells {
+		if cells[i].ok {
+			feasible++
+		}
+	}
+	if feasible > 0 {
+		res.Points = make([]Fig6Point, 0, feasible)
+	}
 	type curveKey struct {
 		fam  Family
 		load float64

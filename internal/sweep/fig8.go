@@ -94,6 +94,18 @@ func Fig8(ctx context.Context, solver *core.Solver, loads, budgetsMinutes []floa
 		if appended {
 			curve.BaselineStats = row[base].stats
 		}
+		feasible := 0
+		for _, c := range row[:nb] {
+			if c.ok {
+				feasible++
+			}
+		}
+		if feasible > 0 {
+			curve.Points = make([]Fig8Point, 0, feasible)
+		}
+		if feasible < nb {
+			curve.InfeasibleStats = make([]core.Stats, 0, nb-feasible)
+		}
 		for j, c := range row[:nb] {
 			if !c.ok {
 				curve.InfeasibleStats = append(curve.InfeasibleStats, c.stats)
