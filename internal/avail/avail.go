@@ -8,7 +8,9 @@
 package avail
 
 import (
+	"errors"
 	"fmt"
+	"math"
 
 	"aved/internal/markov"
 	"aved/internal/model"
@@ -66,6 +68,9 @@ func (tm *TierModel) Validate() error {
 	}
 	if tm.S < 0 {
 		return fmt.Errorf("tier %q: negative spare count %d", tm.Name, tm.S)
+	}
+	if tm.N > math.MaxInt32-tm.S {
+		return fmt.Errorf("tier %q: %d actives and %d spares exceed %d resources", tm.Name, tm.N, tm.S, math.MaxInt32)
 	}
 	if len(tm.Modes) == 0 {
 		return fmt.Errorf("tier %q: no failure modes", tm.Name)
@@ -142,11 +147,20 @@ type Engine interface {
 // the engine boundary — results are bit-identical with or without it,
 // and callers' evaluation counts are unchanged. The zero value
 // MarkovEngine{} evaluates without a memo.
+//
+// Three entry points share one pricing core: Evaluate builds the full
+// Result, PriceTier one tier's downtime and PriceDesign the whole
+// design's, the last two without a Result. Each loads the memo's sinks
+// once and takes the memo lock once per tier; all three produce the
+// same downtime, memo counters, trace events and errors.
 type MarkovEngine struct {
 	memo *modeMemo
 }
 
 var _ Engine = MarkovEngine{}
+
+// errNoTiers is Evaluate's and PriceDesign's error for an empty design.
+var errNoTiers = errors.New("avail: no tiers to evaluate")
 
 // NewMarkovEngine builds the analytic engine with a fresh mode-chain
 // memo.
@@ -159,20 +173,39 @@ func (e MarkovEngine) MemoStats() (hits, solves uint64) {
 	if e.memo == nil {
 		return 0, 0
 	}
-	return e.memo.hits.Load(), e.memo.solves.Load()
+	e.memo.mu.Lock()
+	defer e.memo.mu.Unlock()
+	return e.memo.hits, e.memo.solves
+}
+
+// sinks reports the memo's observability outputs, nil when the engine
+// has no memo or is not instrumented.
+func (e MarkovEngine) sinks() *memoSinks {
+	if e.memo == nil {
+		return nil
+	}
+	return e.memo.sinks.Load()
 }
 
 // Evaluate implements Engine.
 func (e MarkovEngine) Evaluate(tms []TierModel) (Result, error) {
 	if len(tms) == 0 {
-		return Result{}, fmt.Errorf("avail: no tiers to evaluate")
+		return Result{}, errNoTiers
 	}
+	sinks := e.sinks()
 	res := Result{Availability: 1, Tiers: make([]TierResult, 0, len(tms))}
 	for i := range tms {
-		tr, err := e.evaluateTier(&tms[i])
+		tm := &tms[i]
+		if err := tm.Validate(); err != nil {
+			return Result{}, err
+		}
+		tr := TierResult{Name: tm.Name, Contributions: make([]ModeContribution, 0, len(tm.Modes))}
+		var err error
+		tr.Availability, err = e.priceModes(tm, sinks, &tr)
 		if err != nil {
 			return Result{}, err
 		}
+		tr.DowntimeMinutes = (1 - tr.Availability) * MinutesPerYear
 		res.Tiers = append(res.Tiers, tr)
 		res.Availability *= tr.Availability
 	}
@@ -180,20 +213,30 @@ func (e MarkovEngine) Evaluate(tms []TierModel) (Result, error) {
 	return res, nil
 }
 
-// evaluateTier evaluates one tier: each failure mode gets an
-// independent birth–death chain; mode availabilities multiply.
-func (e MarkovEngine) evaluateTier(tm *TierModel) (TierResult, error) {
-	if err := tm.Validate(); err != nil {
-		return TierResult{}, err
+// PriceDesign reports the whole design's expected annual downtime
+// without assembling a Result — the lean entry point for a search that
+// needs only the figure. It is bit-identical to
+// Evaluate(tms).DowntimeMinutes: each tier is validated and its mode
+// availabilities multiply in the same order, then the tiers multiply
+// in order. Memo counters, trace events and errors are Evaluate's.
+func (e MarkovEngine) PriceDesign(tms []TierModel) (float64, error) {
+	if len(tms) == 0 {
+		return 0, errNoTiers
 	}
-	tr := TierResult{Name: tm.Name, Availability: 1, Contributions: make([]ModeContribution, 0, len(tm.Modes))}
-	var err error
-	tr.Availability, err = e.priceModes(tm, &tr)
-	if err != nil {
-		return TierResult{}, err
+	sinks := e.sinks()
+	availability := 1.0
+	for i := range tms {
+		tm := &tms[i]
+		if err := tm.Validate(); err != nil {
+			return 0, err
+		}
+		a, err := e.priceModes(tm, sinks, nil)
+		if err != nil {
+			return 0, err
+		}
+		availability *= a
 	}
-	tr.DowntimeMinutes = (1 - tr.Availability) * MinutesPerYear
-	return tr, nil
+	return (1 - availability) * MinutesPerYear, nil
 }
 
 // PriceTier reports one tier's expected annual downtime without
@@ -207,7 +250,7 @@ func (e MarkovEngine) PriceTier(tm *TierModel) (float64, error) {
 	if err := tm.Validate(); err != nil {
 		return 0, err
 	}
-	availability, err := e.priceModes(tm, nil)
+	availability, err := e.priceModes(tm, e.sinks(), nil)
 	if err != nil {
 		return 0, err
 	}
@@ -217,34 +260,57 @@ func (e MarkovEngine) PriceTier(tm *TierModel) (float64, error) {
 // modeKeyFor builds the memo key of one mode in one tier. Spares only
 // participate for modes that fail over (§4.2 considers failover only
 // when repair exceeds failover time), so the key carries the effective
-// spare count.
+// spare count. The tier must be valid: Validate bounds the counts to
+// int32.
 func modeKeyFor(tm *TierModel, mode *Mode) modeKey {
-	spares := 0
+	var spares int32
 	if mode.UsesFailover {
-		spares = tm.S
+		spares = int32(tm.S)
 	}
 	return modeKey{
-		n:            tm.N,
-		m:            tm.M,
-		spares:       spares,
 		mtbf:         mode.MTBF,
 		repair:       mode.Repair,
 		failover:     mode.Failover,
+		n:            int32(tm.N),
+		m:            int32(tm.M),
+		spares:       spares,
 		usesFailover: mode.UsesFailover,
 		sparePowered: mode.SparePowered,
 	}
 }
 
-// priceModes resolves every failure mode of tm and reports the tier's
-// availability — the product of mode availabilities in mode order.
-// When out is non-nil the per-mode contributions are appended to it.
-func (e MarkovEngine) priceModes(tm *TierModel, out *TierResult) (float64, error) {
+// priceModes resolves every failure mode of the validated tier tm and
+// reports the tier's availability — the product of mode availabilities
+// in mode order. With a memo, the modes resolve under one hold of its
+// lock and each lookup is reported to sinks (nil when the engine is
+// not instrumented) with the lock dropped, since the sinks run the
+// caller's tracer; without one, every chain is solved directly. When
+// out is non-nil the per-mode contributions are appended to it.
+func (e MarkovEngine) priceModes(tm *TierModel, sinks *memoSinks, out *TierResult) (float64, error) {
+	mm := e.memo
+	if mm != nil {
+		mm.mu.Lock()
+		defer mm.mu.Unlock()
+	}
 	availability := 1.0
 	for i := range tm.Modes {
 		mode := &tm.Modes[i]
-		v, err := e.resolveMode(tm, modeKeyFor(tm, mode))
+		k := modeKeyFor(tm, mode)
+		var (
+			v   modeVal
+			hit bool
+			err error
+		)
+		if mm != nil {
+			v, hit, err = mm.getOrSolveLocked(k)
+		} else {
+			v, err = solveModeChain(k)
+		}
 		if err != nil {
 			return 0, fmt.Errorf("tier %q mode %q: %w", tm.Name, mode.Name, err)
+		}
+		if sinks != nil {
+			mm.observeUnlocked(sinks, tm, k, hit)
 		}
 		if out != nil {
 			out.Contributions = append(out.Contributions, modeContribution(mode.Name, v))
@@ -252,22 +318,6 @@ func (e MarkovEngine) priceModes(tm *TierModel, out *TierResult) (float64, error
 		availability *= v.avail
 	}
 	return availability, nil
-}
-
-// resolveMode resolves one mode's chain: through the memo when the
-// engine has one, else a direct solve.
-func (e MarkovEngine) resolveMode(tm *TierModel, k modeKey) (modeVal, error) {
-	if e.memo != nil {
-		v, hit, err := e.memo.getOrSolve(k)
-		if err != nil {
-			return modeVal{}, err
-		}
-		if s := e.memo.sinks.Load(); s != nil {
-			s.observe(tm, k, hit)
-		}
-		return v, nil
-	}
-	return solveModeChain(k)
 }
 
 func modeContribution(name string, v modeVal) ModeContribution {
@@ -287,7 +337,7 @@ func solveModeChain(k modeKey) (modeVal, error) {
 	if v, ok := modeValClosed(k); ok {
 		return v, nil
 	}
-	total := k.n + k.spares
+	total := int(k.n) + int(k.spares)
 	sc := chainScratchPool.Get().(*chainScratch)
 	defer chainScratchPool.Put(sc)
 	birth, death, pi := sc.slices(total)
@@ -307,9 +357,9 @@ func modeValClosed(k modeKey) (modeVal, bool) {
 		return modeVal{}, false
 	}
 	lambda := 1 / k.mtbf.Hours() // failures per powered resource-hour
-	total := k.n + k.spares
+	total := int(k.n) + int(k.spares)
 	return modeVal{
-		eventsPerYear: float64(poweredAt(k, 0, total)) * lambda * 8760,
+		eventsPerYear: float64(poweredAt(int(k.n), 0, total, k.sparePowered)) * lambda * 8760,
 		avail:         1,
 	}, true
 }
@@ -322,7 +372,7 @@ func fillModeRates(k modeKey, birth, death []float64) {
 	mu := 1 / k.repair.Hours()
 	total := len(birth)
 	for j := 0; j < total; j++ {
-		birth[j] = float64(poweredAt(k, j, total)) * lambda
+		birth[j] = float64(poweredAt(int(k.n), j, total, k.sparePowered)) * lambda
 		death[j] = float64(j+1) * mu
 	}
 }
@@ -339,10 +389,11 @@ func finishModeVal(k modeKey, birth, pi []float64) modeVal {
 	)
 	lambda := 1 / k.mtbf.Hours()
 	total := len(birth)
+	n, m := int(k.n), int(k.m)
 	failoverHours := k.failover.Hours()
 	for j := 0; j <= total; j++ {
-		actives := activeAt(k.n, j, total)
-		if actives < k.m {
+		actives := activeAt(n, j, total)
+		if actives < m {
 			steadyDown += pi[j]
 		}
 		if j < total {
@@ -354,7 +405,7 @@ func finishModeVal(k modeKey, birth, pi []float64) modeVal {
 		// the spare absorbs the failure.
 		if k.usesFailover && j < total && failoverHours > 0 {
 			idleSpares := total - j - actives
-			if idleSpares > 0 && actives == k.m {
+			if idleSpares > 0 && actives == m {
 				activeFailureRate := float64(actives) * lambda
 				transientFrac += pi[j] * activeFailureRate * failoverHours
 			}
@@ -381,14 +432,13 @@ func activeAt(n, j, total int) int {
 }
 
 // poweredAt reports the number of resources failure-prone for a mode
-// in state j: the actives, plus idle spares when the mode's component
-// is powered on spares.
-func poweredAt(k modeKey, j, total int) int {
-	actives := activeAt(k.n, j, total)
-	if k.sparePowered {
+// in state j of a tier with n actives: the actives, plus idle spares
+// when the mode's component is powered on spares.
+func poweredAt(n, j, total int, sparePowered bool) int {
+	if sparePowered {
 		return total - j
 	}
-	return actives
+	return activeAt(n, j, total)
 }
 
 // BuildTierModes resolves a tier design's effective failure modes into

@@ -258,6 +258,8 @@ func TestValidation(t *testing.T) {
 		{"no modes", func(tm *TierModel) { tm.Modes = nil }},
 		{"zero mtbf", func(tm *TierModel) { tm.Modes[0].MTBF = 0 }},
 		{"negative repair", func(tm *TierModel) { tm.Modes[0].Repair = -units.Hour }},
+		// 2^32 + 1 actives: the memo key's int32 count would wrap to 1.
+		{"actives beyond int32", func(tm *TierModel) { tm.N = math.MaxInt32; tm.N = 2*tm.N + 3 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -47,11 +47,10 @@ func missionModeAvailability(tm *TierModel, mode Mode, horizonHours float64) (fl
 		return 1, nil
 	}
 	mu := 1 / mode.Repair.Hours()
-	pk := modeKey{n: tm.N, m: tm.M, spares: spares, sparePowered: mode.SparePowered}
 	birth := make([]float64, total)
 	death := make([]float64, total)
 	for j := 0; j < total; j++ {
-		birth[j] = float64(poweredAt(pk, j, total)) * lambda
+		birth[j] = float64(poweredAt(tm.N, j, total, mode.SparePowered)) * lambda
 		death[j] = float64(j+1) * mu
 	}
 	chain, err := markov.BirthDeathChain(birth, death)

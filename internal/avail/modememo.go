@@ -13,12 +13,14 @@ import (
 // mode fails over, so the key carries the effective spare count. Two
 // modes agreeing on this key — across mechanism combos, warmth levels
 // and even tiers — have bit-identical contributions and share one
-// solved chain.
+// solved chain. The counts are int32 and follow the durations, which
+// packs the key into 40 bytes (Validate bounds a tier's resources to
+// fit): the memo map hashes and stores every key it sees.
 type modeKey struct {
-	n, m, spares int
 	mtbf         units.Duration
 	repair       units.Duration
 	failover     units.Duration
+	n, m, spares int32
 	usesFailover bool
 	sparePowered bool
 }
@@ -36,16 +38,28 @@ type modeVal struct {
 // evaluation an engine instance runs. It sits below the engine
 // boundary: callers see identical Results and identical evaluation
 // counts whether entries hit or miss.
+//
+// One engine call locks mu once per tier and resolves all of the
+// tier's modes under it, so a lookup costs a map probe, not a lock
+// round trip (an instrumented engine drops the lock around each call
+// into its sinks); hits, solves and m are guarded by mu. Holding the lock
+// across a solve makes each key solve exactly once per memo lifetime —
+// concurrent misses of one key cannot both solve — which keeps the
+// hit/solve counters (and the memo trace events) deterministic at any
+// worker count: solves = distinct keys, hits = requests − solves.
+// Chain solves are microsecond-scale closed forms, so one lock for the
+// whole memo serializes little.
 type modeMemo struct {
-	hits   atomic.Uint64
-	solves atomic.Uint64
 	// sinks is set when the engine is instrumented. It lives on the
 	// memo — the engine's only shared mutable state — because
 	// MarkovEngine is a value type: storing here makes instrumentation
 	// visible through every copy of the engine.
 	sinks atomic.Pointer[memoSinks]
-	mu    sync.RWMutex
-	m     map[modeKey]modeVal // made on first insert; reads on nil are safe
+
+	mu     sync.Mutex
+	hits   uint64
+	solves uint64
+	m      map[modeKey]modeVal // made on first insert; reads on nil are safe
 }
 
 // newModeMemo builds an empty memo.
@@ -53,26 +67,12 @@ func newModeMemo() *modeMemo {
 	return &modeMemo{}
 }
 
-// getOrSolve returns k's solved chain, solving it under the write lock
-// on first use. Holding the lock across the solve makes each key solve
-// exactly once per memo lifetime — concurrent misses of one key cannot
-// both solve — which keeps the hit/solve counters (and the memo trace
-// events) deterministic at any worker count: solves = distinct keys,
-// hits = requests − solves. Chain solves are microsecond-scale closed
-// forms and hits take only the read lock, so one lock for the whole
-// memo serializes little. hit reports whether the value was replayed.
-func (mm *modeMemo) getOrSolve(k modeKey) (v modeVal, hit bool, err error) {
-	mm.mu.RLock()
-	v, ok := mm.m[k]
-	mm.mu.RUnlock()
-	if ok {
-		mm.hits.Add(1)
-		return v, true, nil
-	}
-	mm.mu.Lock()
-	defer mm.mu.Unlock()
+// getOrSolveLocked returns k's solved chain, solving and storing it on
+// first use. The caller holds mu. hit reports whether the value was
+// replayed.
+func (mm *modeMemo) getOrSolveLocked(k modeKey) (v modeVal, hit bool, err error) {
 	if v, ok := mm.m[k]; ok {
-		mm.hits.Add(1)
+		mm.hits++
 		return v, true, nil
 	}
 	v, err = solveModeChain(k)
@@ -83,8 +83,17 @@ func (mm *modeMemo) getOrSolve(k modeKey) (v modeVal, hit bool, err error) {
 		mm.m = map[modeKey]modeVal{}
 	}
 	mm.m[k] = v
-	mm.solves.Add(1)
+	mm.solves++
 	return v, false, nil
+}
+
+// observeUnlocked reports one lookup to the sinks with mu released:
+// the sinks run the caller's tracer. mu is held again on return, even
+// if the tracer panics, so the caller's deferred unlock stays paired.
+func (mm *modeMemo) observeUnlocked(s *memoSinks, tm *TierModel, k modeKey, hit bool) {
+	mm.mu.Unlock()
+	defer mm.mu.Lock()
+	s.observe(tm, k, hit)
 }
 
 // chainScratch holds the rate and distribution slices one birth–death

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"aved/internal/units"
 )
@@ -91,23 +92,22 @@ func TestZeroValueEngineHasNoMemo(t *testing.T) {
 
 // TestResolveModeHitAllocFree is the allocation regression for the
 // per-mode memo path: once a chain is memoized, re-resolving its mode
-// must not allocate.
+// under the memo lock must not allocate.
 func TestResolveModeHitAllocFree(t *testing.T) {
 	e := NewMarkovEngine()
 	tm := TierModel{Name: "t", N: 4, M: 3, S: 1, Modes: []Mode{
 		{Name: "hw", MTBF: 3000 * units.Hour, Repair: 8 * units.Hour, Failover: units.Hour, UsesFailover: true},
 	}}
-	k := modeKeyFor(&tm, &tm.Modes[0])
-	if _, err := e.resolveMode(&tm, k); err != nil { // warm the memo
+	if _, err := e.priceModes(&tm, nil, nil); err != nil { // warm the memo
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := e.resolveMode(&tm, k); err != nil {
+		if _, err := e.priceModes(&tm, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("memoized resolveMode allocates %.1f objects per run, want 0", allocs)
+		t.Errorf("memoized mode resolution allocates %.1f objects per run, want 0", allocs)
 	}
 }
 
@@ -141,24 +141,23 @@ func BenchmarkResolveMode(b *testing.B) {
 		{Name: "hw", MTBF: 650 * 24 * units.Hour, Repair: 38 * units.Hour,
 			Failover: units.Hour / 10, UsesFailover: true},
 	}}
-	k := modeKeyFor(&tm, &tm.Modes[0])
 	b.Run("cold", func(b *testing.B) {
 		e := MarkovEngine{}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := e.resolveMode(&tm, k); err != nil {
+			if _, err := e.priceModes(&tm, nil, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("memoized", func(b *testing.B) {
 		e := NewMarkovEngine()
-		if _, err := e.resolveMode(&tm, k); err != nil {
+		if _, err := e.priceModes(&tm, nil, nil); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := e.resolveMode(&tm, k); err != nil {
+			if _, err := e.priceModes(&tm, nil, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -237,8 +236,9 @@ func TestPriceTierMatchesEvaluate(t *testing.T) {
 
 // TestMemoConcurrentSolveOnce hammers one engine's memo from many
 // goroutines — sensitivity factors share an engine the caller
-// passes — and checks the
-// determinism invariant getOrSolve promises: each key solves exactly
+// passes — through all three entry points (Evaluate, PriceTier and a
+// two-tier PriceDesign) on multi-mode tiers, and checks the
+// determinism invariant the memo promises: each key solves exactly
 // once, so solves = distinct keys and hits = requests − solves. Under
 // the race detector it also checks the memo's lock discipline.
 func TestMemoConcurrentSolveOnce(t *testing.T) {
@@ -247,17 +247,41 @@ func TestMemoConcurrentSolveOnce(t *testing.T) {
 	tms := make([]TierModel, 24)
 	for i := range tms {
 		tms[i] = randomTierWithEdges(rng)
+		for len(tms[i].Modes) < 2 {
+			tms[i].Modes = append(tms[i].Modes, randomTier(rng).Modes...)
+		}
 	}
 	const workers = 8
 	const rounds = 30
+	// Worker w prices tiersOf(w, r) in round r, through the entry
+	// point (w + 2r) mod 3 selects.
+	tiersOf := func(w, r int) []TierModel {
+		i := (w + r) % len(tms)
+		if (w+2*r)%3 == 2 {
+			return []TierModel{tms[i], tms[(i+1)%len(tms)]}
+		}
+		return tms[i : i+1]
+	}
+	price := func(w, r int) error {
+		priced := tiersOf(w, r)
+		var err error
+		switch (w + 2*r) % 3 {
+		case 0:
+			_, err = e.Evaluate(priced)
+		case 1:
+			_, err = e.PriceTier(&priced[0])
+		default:
+			_, err = e.PriceDesign(priced)
+		}
+		return err
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
-				tm := tms[(w+r)%len(tms)]
-				if _, err := e.Evaluate([]TierModel{tm}); err != nil {
+				if err := price(w, r); err != nil {
 					t.Error(err)
 					return
 				}
@@ -275,13 +299,24 @@ func TestMemoConcurrentSolveOnce(t *testing.T) {
 	}
 	for w := 0; w < workers; w++ {
 		for r := 0; r < rounds; r++ {
-			requests += uint64(len(tms[(w+r)%len(tms)].Modes))
+			for _, tm := range tiersOf(w, r) {
+				requests += uint64(len(tm.Modes))
+			}
 		}
 	}
 	hits, solves := e.MemoStats()
 	if solves != uint64(len(distinct)) || hits != requests-solves {
 		t.Fatalf("memo counters hits=%d solves=%d, want solves=%d hits=%d",
 			hits, solves, len(distinct), requests-uint64(len(distinct)))
+	}
+}
+
+// TestModeKeySize pins the memo key's packing: every lookup hashes it
+// and every entry stores it, so a field reorder or widening that grows
+// it past 40 bytes shows up here.
+func TestModeKeySize(t *testing.T) {
+	if got := unsafe.Sizeof(modeKey{}); got != 40 {
+		t.Fatalf("modeKey is %d bytes, want 40", got)
 	}
 }
 

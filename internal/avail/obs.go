@@ -41,6 +41,6 @@ func (s *memoSinks) observe(tm *TierModel, k modeKey, hit bool) {
 		c.Inc()
 	}
 	if s.tr != nil {
-		s.tr.Emit(obs.Event{Ev: ev, Tier: tm.Name, N: k.n, M: k.m, S: k.spares})
+		s.tr.Emit(obs.Event{Ev: ev, Tier: tm.Name, N: int(k.n), M: int(k.m), S: int(k.spares)})
 	}
 }

@@ -46,7 +46,8 @@ var allocSolveReq = model.Requirements{Kind: model.ReqEnterprise, Throughput: 20
 // allocations per op and the arena-backed search 950; with the pull
 // parser, the one-map mode memo and the solver-owned tier model it
 // measured 657, and with compact candidate records and the per-option
-// walk tables 564, and 550 with each solve's buffers on the solver.
+// walk tables 564, 550 with each solve's buffers on the solver, and
+// 546 with the 40-byte mode-memo key and the Result-free design price.
 // The budget sits at 1.5x the landing point, not at it,
 // so map-growth jitter does not flake while a real regression —
 // hundreds of candidates each allocating again — still trips it.
@@ -73,7 +74,8 @@ func TestColdSolveAllocBudget(t *testing.T) {
 // they price and kept each option's setup on the solver, and 26 once a
 // solve's own buffers (effort record, bound pools, frontier
 // accumulation, pair projection, candidate rows) lived on the solver
-// and the pools stayed reduced by merging; the budget
+// and the pools stayed reduced by merging, and 22 once the final
+// whole-design price built no Result; the budget
 // leaves headroom for map-growth jitter without letting a per-candidate
 // allocation (hundreds of candidates per solve) sneak back in.
 func TestWarmSolveAllocBudget(t *testing.T) {
@@ -99,17 +101,20 @@ func TestWarmSolveAllocBudget(t *testing.T) {
 // replays every tier walk and frontier build from the solver's memo, so
 // its cells should allocate only what they return — the Solutions and
 // their designs — the combiner's search state and the chain's keys, not
-// the buffers a solve fills and drops. Measured 197, 205 and 157 at
-// loads 400, 1600 and 3200, against 418, 441 and 317 while each solve
-// allocated its own buffers; the budget leaves headroom over the first
-// and fails every load of the second.
+// the buffers a solve fills and drops. Measured 114, 122 and 74 at
+// loads 400, 1600 and 3200, against 197, 205 and 157 while each cell's
+// design price built a Result and each infeasible cell formatted its
+// reason, and 418, 441 and 317 while each solve allocated its own
+// buffers. The budget sits at 1.5x the largest landing point: it fails
+// the loads 400 and 1600 of the second measurement and every load of
+// the third.
 func TestChainReplayAllocBudget(t *testing.T) {
 	budgets := make([]units.Duration, 16)
 	for i := range budgets {
 		// Log-spaced from 1 to 10^4 minutes, as the figure sweeps span.
 		budgets[i] = units.Duration(math.Pow(10, 4*float64(i)/15) * float64(units.Minute))
 	}
-	const budget = 300
+	const budget = 185
 	for _, load := range []float64{400, 1600, 3200} {
 		s := ecommerceAllocSolver(t, Options{})
 		req := model.Requirements{Kind: model.ReqEnterprise, Throughput: load}

@@ -63,3 +63,14 @@ func (s *Solver) engineEvaluate(ctx context.Context, tms []avail.TierModel) (ava
 	}
 	return s.opts.Engine.Evaluate(tms)
 }
+
+// priceDesign reports a whole design's annual downtime: through the
+// engine's lean designPricer when the solver resolved one, else from a
+// full evaluation.
+func (s *Solver) priceDesign(ctx context.Context, tms []avail.TierModel) (float64, error) {
+	if s.designPricer != nil {
+		return s.designPricer.PriceDesign(tms)
+	}
+	res, err := s.engineEvaluate(ctx, tms)
+	return res.DowntimeMinutes, err
+}

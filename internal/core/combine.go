@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"slices"
 	"time"
@@ -65,9 +64,8 @@ func (s *Solver) solveEnterprise(ctx context.Context, req model.Requirements, c 
 	endPhase()
 	for i := range perTier {
 		if perTier[i] == nil {
-			return nil, &InfeasibleError{Stats: stats.snapshot(), Reason: fmt.Sprintf(
-				"tier %q cannot meet %v annual downtime at load %v in isolation",
-				s.svc.Tiers[i].Name, req.MaxAnnualDowntime, load.full)}
+			return nil, &InfeasibleError{Stats: stats.snapshot(), miss: missIsolated,
+				tier: s.svc.Tiers[i].Name, bound: req.MaxAnnualDowntime, qty: load.full}
 		}
 	}
 	if combinedDowntime(perTier) <= budget || len(perTier) == 1 {
@@ -164,11 +162,11 @@ func (s *Solver) solveEnterprise(ctx context.Context, req model.Requirements, c 
 	if !ok {
 		for i := range frontiers {
 			if len(frontiers[i]) == 0 {
-				return nil, &InfeasibleError{Stats: stats.snapshot(), Reason: fmt.Sprintf("tier %q has no feasible designs", s.svc.Tiers[i].Name)}
+				return nil, &InfeasibleError{Stats: stats.snapshot(), miss: missNoDesigns, tier: s.svc.Tiers[i].Name}
 			}
 		}
-		return nil, &InfeasibleError{Stats: stats.snapshot(), Reason: fmt.Sprintf(
-			"no tier combination meets %v annual downtime at load %v", req.MaxAnnualDowntime, req.PeakLoad())}
+		return nil, &InfeasibleError{Stats: stats.snapshot(), miss: missCombination,
+			bound: req.MaxAnnualDowntime, qty: req.PeakLoad()}
 	}
 	return s.finishEnterprise(ctx, chosen, stats)
 }
@@ -407,8 +405,10 @@ func (s *Solver) finishEnterprise(ctx context.Context, chosen []*TierCandidate, 
 	if err := design.Validate(); err != nil {
 		return nil, err
 	}
-	// Re-evaluate the whole design through the engine for the reported
-	// figure (identical to the series combination of tier downtimes).
+	// Re-price the whole design through the engine for the reported
+	// figure (identical to the series combination of tier downtimes);
+	// only the downtime is read, so no Result is built when the engine
+	// can price without one (designPricer).
 	// Every chosen candidate was priced, so its resolved modes are in
 	// the mode cache; the tier models are the very ones its pricing
 	// handed the engine. They live in the solver's scratch: the engine
@@ -430,7 +430,7 @@ func (s *Solver) finishEnterprise(ctx context.Context, chosen []*TierCandidate, 
 	if s.timed {
 		sp = obs.StartSpan(s.phaseHists[phaseEval])
 	}
-	res, err := s.engineEvaluate(ctx, tms)
+	down, err := s.priceDesign(ctx, tms)
 	if err != nil {
 		return nil, wrapCanceled(err, stats)
 	}
@@ -444,13 +444,13 @@ func (s *Solver) finishEnterprise(ctx context.Context, chosen []*TierCandidate, 
 		// The final whole-design evaluation is an engine invocation too;
 		// reporting it as a miss keeps eval.miss counts equal to
 		// Stats.Evaluations and its DurNs inside the "eval" phase total.
-		tr.Emit(obs.Event{Ev: obs.EvEvalMiss, Tier: "design", Down: res.DowntimeMinutes,
+		tr.Emit(obs.Event{Ev: obs.EvEvalMiss, Tier: "design", Down: down,
 			DurNs: evalNs, MS: obs.DurMS(evalNs)})
 	}
 	return &Solution{
 		Design:          design,
 		Cost:            total,
-		DowntimeMinutes: res.DowntimeMinutes,
+		DowntimeMinutes: down,
 		Stats:           stats.snapshot(),
 	}, nil
 }

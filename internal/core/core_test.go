@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"aved/internal/model"
@@ -307,6 +308,38 @@ tier=computation
 	_, err = solver.Solve(model.Requirements{Kind: model.ReqJob, MaxJobTime: 1 * units.Hour})
 	if !errors.As(err, &infErr) {
 		t.Errorf("want InfeasibleError for impossible job time, got %v", err)
+	}
+}
+
+// TestInfeasibleErrorText pins the infeasible texts, which reach the
+// CLIs' stderr and the server's 422 bodies: each kind of miss formats
+// its figures exactly as the eager fmt.Sprintf it replaced did, and a
+// real solve's miss reads as it always has.
+func TestInfeasibleErrorText(t *testing.T) {
+	const prefix = "core: no feasible design: "
+	d := 20 * units.Minute
+	cases := []struct {
+		err  *InfeasibleError
+		want string
+	}{
+		{&InfeasibleError{miss: missIsolated, tier: "database", bound: d, qty: 2000},
+			fmt.Sprintf("tier %q cannot meet %v annual downtime at load %v in isolation", "database", d, 2000.0)},
+		{&InfeasibleError{miss: missNoDesigns, tier: "web"},
+			fmt.Sprintf("tier %q has no feasible designs", "web")},
+		{&InfeasibleError{miss: missCombination, bound: d, qty: 1e9},
+			fmt.Sprintf("no tier combination meets %v annual downtime at load %v", d, 1e9)},
+		{&InfeasibleError{miss: missJobTime, bound: 48 * units.Hour, qty: 1.5e4},
+			fmt.Sprintf("no design completes job size %v within %v", 1.5e4, 48*units.Hour)},
+	}
+	for _, c := range cases {
+		if got := c.err.Error(); got != prefix+c.want {
+			t.Errorf("Error() = %q, want %q", got, prefix+c.want)
+		}
+	}
+	_, err := appTierSolver(t, Options{}).Solve(enterpriseReq(1e9, 1000))
+	const want = prefix + `tier "application" cannot meet 1000m annual downtime at load 1e+09 in isolation`
+	if err == nil || err.Error() != want {
+		t.Errorf("impossible load: got %v, want %q", err, want)
 	}
 }
 

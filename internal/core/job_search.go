@@ -47,8 +47,8 @@ func (s *Solver) solveJob(ctx context.Context, req model.Requirements) (*Solutio
 	}
 	endPhase()
 	if best == nil {
-		return nil, &InfeasibleError{Stats: stats.snapshot(), Reason: fmt.Sprintf(
-			"no design completes job size %v within %v", s.svc.JobSize, req.MaxJobTime)}
+		return nil, &InfeasibleError{Stats: stats.snapshot(), miss: missJobTime,
+			bound: req.MaxJobTime, qty: s.svc.JobSize}
 	}
 	design := model.Design{Tiers: []model.TierDesign{best.Design}}
 	if err := design.Validate(); err != nil {

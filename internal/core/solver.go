@@ -126,9 +126,20 @@ type Options struct {
 // skips the Result/TierResult/Contributions construction of a full
 // Evaluate. PriceTier is documented bit-identical to Evaluate — same
 // downtime, same memo counters, same trace events — so using it never
-// changes results or stats. Structural, like obsInstrumentable.
+// changes results or stats. Structural, like obsInstrumentable;
+// designPricer is its whole-design twin.
 type tierPricer interface {
 	PriceTier(*avail.TierModel) (float64, error)
+}
+
+// designPricer is implemented by engines that can price a whole
+// design's annual downtime without assembling a Result
+// (avail.MarkovEngine.PriceDesign). finishEnterprise reports only that
+// figure, and PriceDesign is documented bit-identical to
+// Evaluate(tms).DowntimeMinutes with the same memo counters, trace
+// events and errors, so using it never changes results or stats.
+type designPricer interface {
+	PriceDesign([]avail.TierModel) (float64, error)
 }
 
 func (o Options) withDefaults() Options {
@@ -275,6 +286,9 @@ type Solver struct {
 	// context-aware engines (the simulator) are exactly the ones whose
 	// evaluations run long enough for that to matter.
 	pricer tierPricer
+	// designPricer is the engine's lean whole-design pricing entry
+	// point, resolved and left nil exactly as pricer is.
+	designPricer designPricer
 	// priceModel is the tier model an evaluation miss hands pricer.
 	// Kept on the solver, which one goroutine owns, so the model does
 	// not escape to the heap on every miss through the interface call.
@@ -355,6 +369,9 @@ func NewSolver(inf *model.Infrastructure, svc *model.Service, opts Options) (*So
 	if s.ctxEng == nil {
 		if tp, ok := s.opts.Engine.(tierPricer); ok {
 			s.pricer = tp
+		}
+		if dp, ok := s.opts.Engine.(designPricer); ok {
+			s.designPricer = dp
 		}
 	}
 	return s, nil
@@ -454,16 +471,50 @@ func (s *Solver) solve(ctx context.Context, req model.Requirements, c *chain) (*
 
 // InfeasibleError reports that no design in the space satisfies the
 // requirements, with the closest miss for diagnosis and the search
-// effort spent finding that out.
+// effort spent finding that out. It keeps the miss's figures and
+// formats them only when read: sweeps meet hundreds of infeasible
+// cells and read none of their texts.
 type InfeasibleError struct {
-	Reason string
 	// Stats is the search effort the solve spent, engine-counter deltas
 	// included, counted as a Solution's Stats are.
 	Stats Stats
+
+	miss  infeasibleMiss
+	tier  string         // the tier at fault (missIsolated, missNoDesigns)
+	bound units.Duration // the downtime or job-time bound missed
+	qty   float64        // the load, or the job size (missJobTime)
+}
+
+// infeasibleMiss is the kind of requirement a solve could not meet.
+type infeasibleMiss uint8
+
+const (
+	// missIsolated: one tier misses the downtime bound on its own.
+	missIsolated infeasibleMiss = iota
+	// missNoDesigns: a tier has no design inside the budget's frontier.
+	missNoDesigns
+	// missCombination: no combination of tier designs meets the bound.
+	missCombination
+	// missJobTime: no design completes the job within the bound.
+	missJobTime
+)
+
+// Reason reports why no design is feasible.
+func (e *InfeasibleError) Reason() string {
+	switch e.miss {
+	case missIsolated:
+		return fmt.Sprintf("tier %q cannot meet %v annual downtime at load %v in isolation", e.tier, e.bound, e.qty)
+	case missNoDesigns:
+		return fmt.Sprintf("tier %q has no feasible designs", e.tier)
+	case missCombination:
+		return fmt.Sprintf("no tier combination meets %v annual downtime at load %v", e.bound, e.qty)
+	default:
+		return fmt.Sprintf("no design completes job size %v within %v", e.qty, e.bound)
+	}
 }
 
 func (e *InfeasibleError) Error() string {
-	return "core: no feasible design: " + e.Reason
+	return "core: no feasible design: " + e.Reason()
 }
 
 // curveFor resolves a resource option's performance model.

@@ -55,25 +55,24 @@ func Fig6(ctx context.Context, solver *core.Solver, loads, budgetsMinutes []floa
 	if len(loads) == 0 || len(budgetsMinutes) == 0 {
 		return nil, fmt.Errorf("sweep: fig6 needs non-empty load and budget grids")
 	}
-	// Cells land by flattened load-major index, so assembly below sees
-	// them in the grid order, not the chains' tightest-first order.
+	// Feasible points land in Points by flattened load-major index and
+	// are compacted in grid order below, so assembly sees them in the
+	// grid order, not the chains' tightest-first order. Infeasible
+	// cells' effort goes straight into Totals: the sums do not depend
+	// on the order they are added in.
 	nb := len(budgetsMinutes)
-	type cell struct {
-		ok    bool
-		point Fig6Point
-		// infeasible is the effort of a cell with no design.
-		infeasible core.Stats
-	}
-	cells := make([]cell, len(loads)*nb)
+	res := &Fig6Result{Points: make([]Fig6Point, len(loads)*nb)}
+	solved := make([]bool, len(res.Points))
 	err := solveGrid(ctx, solver, "fig6", loads, budgetsMinutes, func(li, bj int, sol *core.Solution, infeasible *core.InfeasibleError) (obs.Event, error) {
 		load, budget := loads[li], budgetsMinutes[bj]
 		if sol == nil {
 			// This corner of the plane has no design.
-			cells[li*nb+bj].infeasible = infeasible.Stats
+			res.Totals.AddInfeasible(infeasible.Stats)
 			return obs.Event{Load: load, Budget: budget, Err: "infeasible"}, nil
 		}
 		td := &sol.Design.Tiers[0]
-		cells[li*nb+bj] = cell{ok: true, point: Fig6Point{
+		solved[li*nb+bj] = true
+		res.Points[li*nb+bj] = Fig6Point{
 			Load:            load,
 			BudgetMinutes:   budget,
 			Family:          FamilyOf(td),
@@ -82,7 +81,7 @@ func Fig6(ctx context.Context, solver *core.Solver, loads, budgetsMinutes []floa
 			Cost:            sol.Cost,
 			NActive:         td.NActive,
 			Stats:           sol.Stats,
-		}}
+		}
 		return obs.Event{
 			Load: load, Budget: budget,
 			Cost: float64(sol.Cost), Down: sol.DowntimeMinutes,
@@ -94,33 +93,21 @@ func Fig6(ctx context.Context, solver *core.Solver, loads, budgetsMinutes []floa
 	if err != nil {
 		return nil, err
 	}
-	res := &Fig6Result{}
 	feasible := 0
-	for i := range cells {
-		if cells[i].ok {
+	for i := range res.Points {
+		if solved[i] {
+			res.Points[feasible] = res.Points[i]
+			res.Totals.Add(res.Points[i].Stats)
 			feasible++
 		}
 	}
-	if feasible > 0 {
-		res.Points = make([]Fig6Point, 0, feasible)
-	}
-	type curveKey struct {
-		fam  Family
-		load float64
-	}
-	seen := map[curveKey]float64{} // family+load → downtime estimate
-	for i := range cells {
-		if !cells[i].ok {
-			res.Totals.AddInfeasible(cells[i].infeasible)
-			continue
-		}
-		p := cells[i].point
-		res.Totals.Add(p.Stats)
-		res.Points = append(res.Points, p)
-		seen[curveKey{p.Family, p.Load}] = p.DowntimeMinutes
+	res.Points = res.Points[:feasible]
+	if feasible == 0 {
+		res.Points = nil
 	}
 	// Build the family curves in first-seen point order so the result is
-	// deterministic (map iteration order is not).
+	// deterministic (map iteration order is not). Points run in grid
+	// order, so a family's downtime at a load is its last cell's there.
 	byFamily := map[Family]map[float64]float64{}
 	stacks := map[Family]string{}
 	var famOrder []Family
@@ -132,7 +119,7 @@ func Fig6(ctx context.Context, solver *core.Solver, loads, budgetsMinutes []floa
 			stacks[p.Family] = p.Stack
 			famOrder = append(famOrder, p.Family)
 		}
-		m[p.Load] = seen[curveKey{p.Family, p.Load}]
+		m[p.Load] = p.DowntimeMinutes
 	}
 	for _, fam := range famOrder {
 		m := byFamily[fam]
